@@ -18,9 +18,12 @@ harmonic from (S')^2, and a sin(z) harmonic from the b1 Lap(Lap S) term
 
 Band edges come from two independent routes: a Fourier-basis eigenproblem
 (robust where |tr M| - 2 has double roots, e.g. the unmodulated limit) and
-bisection on the monodromy discriminant.  The monodromy matrix itself is
-integrated by a fixed-step vectorized RK4 with step-halving acceptance,
-which keeps results bit-reproducible.
+bisection on the monodromy discriminant.  The Hill system is linear, so
+each fixed RK4 step is an exact 2x2 propagator in closed form; the
+monodromy matrix is their ordered product, reduced pairwise in blocks and
+vectorized over the constant coefficient.  Step-halving acceptance picks
+the step count, and the fixed evaluation order keeps results
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -284,34 +287,59 @@ class FloquetResult:
     tol_achieved: float
 
 
+# Elements (steps x samples) per block of step propagators built at once;
+# bounds the temporaries of _integrate_monodromy independently of n_steps.
+_BLOCK_ELEMENTS = 2**12
+
+
+def _matmul22(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """b @ a for stacks of 2x2 matrices laid out as (2, 2, ...)."""
+    return np.array([
+        [b[0, 0] * a[0, 0] + b[0, 1] * a[1, 0], b[0, 0] * a[0, 1] + b[0, 1] * a[1, 1]],
+        [b[1, 0] * a[0, 0] + b[1, 1] * a[1, 0], b[1, 0] * a[0, 1] + b[1, 1] * a[1, 1]],
+    ])
+
+
 def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int) -> tuple:
-    """Vectorized fixed-step RK4 for Y'' + (a + modulation) Y = 0 over one
-    period with the two canonical initial conditions; returns (tr, det)."""
-    T = hill.period
-    h = T / n_steps
-    nA = a_values.size
-    # state components [y, y'] for both initial conditions, per sample
-    y = np.zeros((2, 2, nA))
-    y[0, 0, :] = 1.0
-    y[1, 1, :] = 1.0
+    """Fixed-step RK4 monodromy of Y' = [[0, 1], [-(a + modulation), 0]] Y
+    over one period, vectorized over ``a_values``; returns (tr, det).
 
-    def deriv(z, s):
-        q = a_values + hill.modulation(np.array(z))
-        out = np.empty_like(s)
-        out[0] = s[1]
-        out[1] = -q * s[0]
-        return out
-
-    z = 0.0
-    for _ in range(n_steps):
-        k1 = deriv(z, y)
-        k2 = deriv(z + 0.5 * h, y + 0.5 * h * k1)
-        k3 = deriv(z + 0.5 * h, y + 0.5 * h * k2)
-        k4 = deriv(z + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        z += h
-    tr = y[0, 0] + y[1, 1]
-    det = y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0]
+    The system is linear, so one RK4 step from z_j is exactly the 2x2
+    matrix P_j built below from q = a + modulation at z_j, z_j + h/2 and
+    z_j + h, and the monodromy is the ordered product P_{n-1} ... P_0.
+    Steps are processed in blocks: each block's propagators are reduced by
+    pairwise products (later step on the left) and folded into the
+    running product.
+    """
+    h = hill.period / n_steps
+    hh = h * h
+    a = a_values[None, :]
+    block = max(1, _BLOCK_ELEMENTS // a_values.size)
+    mono = np.zeros((2, 2, a_values.size))
+    mono[0, 0] = mono[1, 1] = 1.0
+    for start in range(0, n_steps, block):
+        count = min(block, n_steps - start)
+        # modulation at the step starts, midpoints and ends of this block
+        z = (2 * start + np.arange(2 * count + 1)) * (0.5 * h)
+        mod = hill.modulation(z)[:, None]
+        q0 = a + mod[0:-1:2]
+        q1 = a + mod[1::2]
+        q2 = a + mod[2::2]
+        u0 = 1.0 - 0.25 * hh * q0
+        u1 = 1.0 - 0.25 * hh * q1
+        p = np.empty((2, 2) + q0.shape)
+        p[0, 0] = 1.0 - (hh / 6.0) * (q0 + q1 + q1 * u0)
+        p[0, 1] = h * (1.0 - (hh / 6.0) * q1)
+        p[1, 0] = -(h / 6.0) * (q0 + 2.0 * q1 + 2.0 * q1 * u0 + q2 * (1.0 - 0.5 * hh * q1))
+        p[1, 1] = 1.0 - (hh / 6.0) * (2.0 * q1 + q2 * u1)
+        while p.shape[2] > 1:
+            odd = p[:, :, -1:] if p.shape[2] % 2 else None
+            p = _matmul22(p[:, :, 1::2], p[:, :, 0:-1:2])
+            if odd is not None:
+                p = np.concatenate([p, odd], axis=2)
+        mono = _matmul22(p[:, :, 0], mono)
+    tr = mono[0, 0] + mono[1, 1]
+    det = mono[0, 0] * mono[1, 1] - mono[0, 1] * mono[1, 0]
     return tr, det
 
 
@@ -383,6 +411,10 @@ def band_edge_bisection(
     """
     if branch not in (2.0, -2.0):
         raise BandError("branch must be +2 or -2")
+    if not a_lo < a_hi:
+        raise BandError(f"bracket [{a_lo}, {a_hi}] is empty or reversed")
+    if not tol > 0.0:
+        raise BandError("tol must be positive")
     f_lo = _discriminant(hill, a_lo, rtol) - branch
     f_hi = _discriminant(hill, a_hi, rtol) - branch
     if f_lo == 0.0:
@@ -403,6 +435,23 @@ def band_edge_bisection(
     return 0.5 * (a_lo + a_hi)
 
 
+def _hill_matrix(hill: HillEquation, mu: float, n_fourier: int) -> np.ndarray:
+    """Hermitian matrix of -d^2/dz^2 - modulation(z) in the Fourier basis
+    exp(i (mu + j w0) z), j = -n_fourier..n_fourier, w0 = 2 pi / period."""
+    base = _TWO_PI / hill.period
+    fourier = {}
+    for k, ck, sk in hill.harmonics:
+        m = round(k / base)
+        fourier[m] = fourier.get(m, 0.0) + 0.5 * (ck - 1j * sk)
+    j = np.arange(-n_fourier, n_fourier + 1)
+    H = np.diag(((mu + j * base) ** 2).astype(complex))
+    for m, coeff in fourier.items():
+        idx = np.arange(len(j) - m)
+        H[idx + m, idx] += -coeff          # e^{+imz} coupling
+        H[idx, idx + m] += -np.conj(coeff)  # Hermitian partner
+    return H
+
+
 def band_edges(hill: HillEquation, a_min: float, a_max: float, n_fourier: int = 48) -> dict:
     """Band edges (periodic and antiperiodic eigenvalues of the Hill
     operator) inside [a_min, a_max], via a truncated Fourier basis.
@@ -412,22 +461,8 @@ def band_edges(hill: HillEquation, a_min: float, a_max: float, n_fourier: int = 
     tr M = +2) and mu = w0/2 (antiperiodic, tr M = -2).
     """
     base = _TWO_PI / hill.period
-    fourier = {}
-    for k, ck, sk in hill.harmonics:
-        j = round(k / base)
-        fourier[j] = fourier.get(j, 0.0) + 0.5 * (ck - 1j * sk)
-
-    def eigs(mu: float) -> np.ndarray:
-        j = np.arange(-n_fourier, n_fourier + 1)
-        H = np.diag(((mu + j * base) ** 2).astype(complex))
-        for m, coeff in fourier.items():
-            idx = np.arange(len(j) - m)
-            H[idx + m, idx] += -coeff          # e^{+imz} coupling
-            H[idx, idx + m] += -np.conj(coeff)  # Hermitian partner
-        return np.linalg.eigvalsh(H)
-
-    per = eigs(0.0)
-    anti = eigs(0.5 * base)
+    per = np.linalg.eigvalsh(_hill_matrix(hill, 0.0, n_fourier))
+    anti = np.linalg.eigvalsh(_hill_matrix(hill, 0.5 * base, n_fourier))
     per = per[(per >= a_min) & (per <= a_max)]
     anti = anti[(anti >= a_min) & (anti <= a_max)]
     edges = np.sort(np.concatenate([per, anti]))
@@ -441,17 +476,8 @@ def bloch_density_profile(hill: HillEquation, n_fourier: int = 48, n_z: int = 25
     of y(z) = sum_j c_j exp(i j w0 z), normalized so max y = 1 and y > 0.
     """
     base = _TWO_PI / hill.period
-    fourier = {}
-    for k, ck, sk in hill.harmonics:
-        jj = round(k / base)
-        fourier[jj] = fourier.get(jj, 0.0) + 0.5 * (ck - 1j * sk)
     j = np.arange(-n_fourier, n_fourier + 1)
-    H = np.diag(((j * base) ** 2).astype(complex))
-    for m, coeff in fourier.items():
-        idx = np.arange(len(j) - m)
-        H[idx + m, idx] += -coeff
-        H[idx, idx + m] += -np.conj(coeff)
-    vals, vecs = np.linalg.eigh(H)
+    vals, vecs = np.linalg.eigh(_hill_matrix(hill, 0.0, n_fourier))
     c = vecs[:, 0]
     z = np.linspace(0.0, hill.period, n_z, endpoint=False)
     y = np.exp(1j * np.outer(z, j * base)) @ c

@@ -26,6 +26,7 @@ from .diagnostics import ehrenfest_consistency, separability_test
 from .evolution import EvolutionAbort, EvolutionConfig, evolve
 from .io import (
     REPORT_FORMAT_VERSION,
+    axis_columns,
     fmt,
     write_csv,
     write_field_snapshot,
@@ -309,10 +310,10 @@ def cmd_ehrenfest(config: dict, out_dir: Path, seed, quiet: bool) -> int:
         return 3
 
     report = ehrenfest_consistency(traj)
-    rows = []
-    for i, t in enumerate(report.ts):
-        rows.append([t, report.r1[i, 0], report.r2[i, 0], report.i1[i, 0], report.i2[i, 0], report.p_mean[i, 0]])
-    write_csv(out_dir / "ehrenfest.csv", ["t", "r1", "r2", "I1", "I2", "p_mean"], rows)
+    per_axis = (report.r1, report.r2, report.i1, report.i2, report.p_mean)
+    rows = [[t] + [v for arr in per_axis for v in arr[i]] for i, t in enumerate(report.ts)]
+    header = ["t"] + axis_columns(("r1", "r2", "I1", "I2", "p_mean"), grid.dims)
+    write_csv(out_dir / "ehrenfest.csv", header, rows)
 
     scale = max(1.0, float(np.abs(report.p_mean).max()))
     tol = float(section.get("tolerance_scale", 1e-4)) * scale

@@ -41,11 +41,15 @@ def write_csv(path, header: list, rows: list) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def axis_columns(names, dims: int) -> list:
+    """Per-axis column names: bare in 1D, ``_x``/``_y`` suffixed in 2D."""
+    axes = [""] if dims == 1 else ["_x", "_y"]
+    return [name + a for name in names for a in axes]
+
+
 def observables_csv_columns(dims: int) -> list:
     cols = ["t", "norm", "E_L", "E_ME"]
-    axes = [""] if dims == 1 else ["_x", "_y"]
-    for name in ("x_mean", "p_mean", "I1", "I2"):
-        cols += [name + a for a in axes]
+    cols += axis_columns(("x_mean", "p_mean", "I1", "I2"), dims)
     cols.append("cont_residual")
     return cols
 

@@ -7,6 +7,7 @@ import nlse4 as q
 from nlse4.bands import (
     BandError,
     PhaseMode,
+    _integrate_monodromy,
     band_edge_bisection,
     band_edges,
     bloch_density_profile,
@@ -204,6 +205,85 @@ class TestFloquet:
     def test_bisection_requires_sign_change(self):
         with pytest.raises(BandError):
             band_edge_bisection(mathieu_hill(0.0), 0.5, 0.8, branch=2.0)
+
+    def test_bisection_rejects_reversed_bracket(self):
+        with pytest.raises(BandError):
+            band_edge_bisection(mathieu_hill(1.0), 0.0, -1.0, branch=2.0)
+        with pytest.raises(BandError):
+            band_edge_bisection(mathieu_hill(1.0), -0.5, -0.5, branch=2.0)
+
+    def test_bisection_rejects_nonpositive_tol(self):
+        for tol in (0.0, -1e-9):
+            with pytest.raises(BandError):
+                band_edge_bisection(mathieu_hill(1.0), -1.0, 0.0, branch=2.0, tol=tol)
+
+
+def _stepwise_monodromy(hill, a_values, n_steps):
+    """Oracle: classical per-step RK4 on the state [y, y'] for both
+    canonical initial conditions; returns the monodromy matrices
+    (2, 2, len(a_values)).  Step j starts at z = j h (an accumulated
+    ``z += h`` drifts by O(n eps), which alone moves tr M by ~1e-12)."""
+    h = hill.period / n_steps
+    y = np.zeros((2, 2, a_values.size))
+    y[0, 0, :] = 1.0
+    y[1, 1, :] = 1.0
+
+    def deriv(z, s):
+        qz = a_values + hill.modulation(np.array(z))
+        out = np.empty_like(s)
+        out[0] = s[1]
+        out[1] = -qz * s[0]
+        return out
+
+    for step in range(n_steps):
+        z = step * h
+        k1 = deriv(z, y)
+        k2 = deriv(z + 0.5 * h, y + 0.5 * h * k1)
+        k3 = deriv(z + 0.5 * h, y + 0.5 * h * k2)
+        k4 = deriv(z + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+class TestMonodromyProduct:
+    """The ordered product of closed-form RK4 step propagators against the
+    per-step RK4 oracle.  tr M is compared relative to max(1, |tr M|), the
+    scale of the step-halving acceptance; det M = m00 m11 - m01 m10 cancels
+    to ~1 from products of size |m00 m11| + |m01 m10|, which is its scale."""
+
+    HILLS = {
+        "mathieu": mathieu_hill(1.0),
+        "stationary_sin": hill_from_stationary(q.MEParams(D1=1.0, b1=0.25, b6=0.0),
+                                               amplitude=0.8, energy=0.9, constants=CON),
+    }
+
+    def test_stationary_hill_has_sin_harmonic(self):
+        hill = self.HILLS["stationary_sin"]
+        assert hill.period == pytest.approx(2 * np.pi)
+        assert any(k == 1 and sk != 0.0 for k, _, sk in hill.harmonics)
+
+    # a block holds 4096 // n_a steps: 4096 for one sample, 20 for 200
+    @pytest.mark.parametrize("name", sorted(HILLS))
+    @pytest.mark.parametrize("n_a,n_steps", [(1, 3), (1, 4096), (1, 6476),
+                                             (200, 3), (200, 20), (200, 4096), (200, 6476)])
+    def test_matches_stepwise_oracle(self, name, n_a, n_steps):
+        hill = self.HILLS[name]
+        a_values = np.linspace(-1.0, 10.0, n_a) if n_a > 1 else np.array([A0_Q1])
+        tr, det = _integrate_monodromy(hill, a_values, n_steps)
+        m = _stepwise_monodromy(hill, a_values, n_steps)
+        tr_ref = m[0, 0] + m[1, 1]
+        det_ref = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        det_scale = np.abs(m[0, 0] * m[1, 1]) + np.abs(m[0, 1] * m[1, 0])
+        assert np.all(np.abs(tr - tr_ref) <= 1e-12 * np.maximum(1.0, np.abs(tr_ref)))
+        assert np.all(np.abs(det - det_ref) <= 1e-12 * det_scale)
+
+    def test_bitwise_repeatable(self):
+        hill = self.HILLS["stationary_sin"]
+        a_values = np.linspace(-1.0, 10.0, 200)
+        first = _integrate_monodromy(hill, a_values, 6476)
+        second = _integrate_monodromy(hill, a_values, 6476)
+        for x, y in zip(first, second):
+            assert np.array_equal(x, y)
 
 
 class TestBlochStateCrossCheck:

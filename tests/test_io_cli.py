@@ -129,6 +129,17 @@ class TestBandsCommand:
         assert summary["results"]["edges"][0] == pytest.approx(-0.4551386, abs=1e-6)
         assert summary["results"]["pure_mathieu"] is True
 
+    def test_byte_identical_reruns(self, tmp_path):
+        cfg = _write_config(tmp_path, "bands.json", {
+            "version": 1,
+            "bands": {"mathieu_q": 1.0, "a_min": -1.0, "a_max": 10.0, "samples": 40},
+        })
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["bands", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
+        assert main(["bands", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
+        assert (out1 / "band_chart.csv").read_bytes() == (out2 / "band_chart.csv").read_bytes()
+        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
     def test_stationary_reduction_config(self, tmp_path):
         cfg = _write_config(tmp_path, "bands2.json", {
             "version": 1,
@@ -141,22 +152,34 @@ class TestBandsCommand:
         assert summary["results"]["pure_mathieu"] is False
 
 
+def _ehrenfest_config(dims, n):
+    me_omega = 1.0 / (0.1 * 1.0)
+    length = 5 * 2 * np.pi / np.sqrt(me_omega)
+    return {
+        "version": 1,
+        "grid": {"dims": dims, "n": n, "length": length},
+        "state": {"kind": "gaussian_packet", "params": {"t0": 0.64}},
+        "coeffs": {"preset": "me", "params": {"D1": 0.1, "b1": 0.05, "b6": 0.02}},
+        "evolution": {"dt": 1e-4, "t_end": 30e-4, "stride": 1, "ratio_floor": 1e-5},
+        "ehrenfest": {"control": False},
+    }
+
+
 class TestEhrenfestCommand:
     def test_report(self, tmp_path):
-        me_omega = 1.0 / (0.1 * 1.0)
-        length = 5 * 2 * np.pi / np.sqrt(me_omega)
-        cfg = _write_config(tmp_path, "ehr.json", {
-            "version": 1,
-            "grid": {"dims": 1, "n": 64, "length": length},
-            "state": {"kind": "gaussian_packet", "params": {"t0": 0.64}},
-            "coeffs": {"preset": "me", "params": {"D1": 0.1, "b1": 0.05, "b6": 0.02}},
-            "evolution": {"dt": 1e-4, "t_end": 30e-4, "stride": 1, "ratio_floor": 1e-5},
-            "ehrenfest": {"control": False},
-        })
+        cfg = _write_config(tmp_path, "ehr.json", _ehrenfest_config(1, 64))
         out = tmp_path / "ehr_out"
         assert main(["ehrenfest", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         header = (out / "ehrenfest.csv").read_text().splitlines()[0]
         assert header == "t,r1,r2,I1,I2,p_mean"
+
+    def test_report_2d_per_axis_columns(self, tmp_path):
+        cfg = _write_config(tmp_path, "ehr2d.json", _ehrenfest_config(2, 32))
+        out = tmp_path / "ehr2d_out"
+        assert main(["ehrenfest", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        lines = (out / "ehrenfest.csv").read_text().splitlines()
+        assert lines[0] == "t,r1_x,r1_y,r2_x,r2_y,I1_x,I1_y,I2_x,I2_y,p_mean_x,p_mean_y"
+        assert all(len(line.split(",")) == 11 for line in lines[1:])
 
 
 class TestSeparabilityCommand:

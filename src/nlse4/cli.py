@@ -133,27 +133,21 @@ def _parse_state(cfg, grid: Grid, constants: PhysicalConstants, seed_override=No
         raise ConfigError(f"state: {exc}") from exc
 
 
+#: Optional ``evolution`` keys and their types; absent keys keep the EvolutionConfig default.
+_EVOLUTION_OPTIONS = {
+    "integrator": str, "stride": int, "norm_tol": float, "eps_rho": float,
+    "gate_factor": float, "ratio_floor": float, "mask_limit": float, "filter_fraction": float,
+}
+
+
 def _parse_evolution(cfg, coeffs, constants, potential) -> EvolutionConfig:
-    _require_keys(
-        cfg, "evolution", required=("dt", "t_end"),
-        optional=("integrator", "stride", "norm_tol", "snapshots", "eps_rho", "gate_factor",
-                  "ratio_floor", "mask_limit", "filter_fraction"),
-    )
+    _require_keys(cfg, "evolution", required=("dt", "t_end"),
+                  optional=("snapshots", *_EVOLUTION_OPTIONS))
     try:
+        options = {key: kind(cfg[key]) for key, kind in _EVOLUTION_OPTIONS.items() if key in cfg}
         return EvolutionConfig(
-            dt=float(cfg["dt"]),
-            t_end=float(cfg["t_end"]),
-            coeffs=coeffs,
-            constants=constants,
-            potential=potential,
-            integrator=cfg.get("integrator", "ifrk4"),
-            stride=int(cfg.get("stride", 50)),
-            norm_tol=float(cfg.get("norm_tol", 1e-6)),
-            eps_rho=float(cfg.get("eps_rho", 1e-12)),
-            gate_factor=float(cfg.get("gate_factor", 16384.0)),
-            ratio_floor=float(cfg.get("ratio_floor", 1e-8)),
-            mask_limit=float(cfg.get("mask_limit", 0.95)),
-            filter_fraction=float(cfg.get("filter_fraction", 0.8)),
+            dt=float(cfg["dt"]), t_end=float(cfg["t_end"]), coeffs=coeffs,
+            constants=constants, potential=potential, **options,
         )
     except ConfigError:
         raise
@@ -195,24 +189,37 @@ def _finish(out_dir: Path, summary: dict, quiet: bool) -> int:
     return 0 if not failed else 1
 
 
-def cmd_evolve(config: dict, out_dir: Path, seed, quiet: bool) -> int:
-    _require_keys(config, "config", required=("version", "grid", "state", "coeffs", "evolution"),
-                  optional=("constants", "potential", "report_norm_tol"))
+def _abort(out_dir: Path, summary: dict, abort: EvolutionAbort, quiet: bool) -> int:
+    """Write the partial report of an aborted run; returns exit code 3."""
+    summary["abort"] = {"reason": abort.reason, "t_last": abort.t_last}
+    write_summary(out_dir / "summary.json", summary)
+    if not quiet:
+        print(f"numerical abort: {abort}")
+    return 3
+
+
+def _evolve_run(command: str, config: dict, out_dir: Path, seed, quiet: bool) -> tuple:
+    """Parse the run sections and evolve: ``(grid, trajectory, summary)``,
+    with trajectory None after an abort (partial report written)."""
     grid = _parse_grid(config["grid"])
     constants = _parse_constants(config.get("constants"))
     coeffs = _parse_coeffs(config["coeffs"])
     potential = _parse_potential(config.get("potential"), grid, constants)
     psi0 = _parse_state(config["state"], grid, constants, seed_override=seed)
     evcfg = _parse_evolution(config["evolution"], coeffs, constants, potential)
-
-    summary = _summary_skeleton("evolve", config)
+    summary = _summary_skeleton(command, config)
     try:
-        traj = evolve(grid, psi0, evcfg)
+        return grid, evolve(grid, psi0, evcfg), summary
     except EvolutionAbort as abort:
-        summary["abort"] = {"reason": abort.reason, "t_last": abort.t_last}
-        write_summary(out_dir / "summary.json", summary)
-        if not quiet:
-            print(f"numerical abort: {abort}")
+        _abort(out_dir, summary, abort, quiet)
+        return grid, None, summary
+
+
+def cmd_evolve(config: dict, out_dir: Path, seed, quiet: bool) -> int:
+    _require_keys(config, "config", required=("version", "grid", "state", "coeffs", "evolution"),
+                  optional=("constants", "potential", "report_norm_tol"))
+    grid, traj, summary = _evolve_run("evolve", config, out_dir, seed, quiet)
+    if traj is None:
         return 3
 
     write_observables_csv(out_dir / "observables.csv", traj)
@@ -294,19 +301,8 @@ def cmd_ehrenfest(config: dict, out_dir: Path, seed, quiet: bool) -> int:
                   optional=("constants", "potential", "ehrenfest"))
     section = config.get("ehrenfest", {})
     _require_keys(section, "ehrenfest", optional=("tolerance_scale", "control"))
-    grid = _parse_grid(config["grid"])
-    constants = _parse_constants(config.get("constants"))
-    coeffs = _parse_coeffs(config["coeffs"])
-    potential = _parse_potential(config.get("potential"), grid, constants)
-    psi0 = _parse_state(config["state"], grid, constants, seed_override=seed)
-    evcfg = _parse_evolution(config["evolution"], coeffs, constants, potential)
-
-    summary = _summary_skeleton("ehrenfest", config)
-    try:
-        traj = evolve(grid, psi0, evcfg)
-    except EvolutionAbort as abort:
-        summary["abort"] = {"reason": abort.reason, "t_last": abort.t_last}
-        write_summary(out_dir / "summary.json", summary)
+    grid, traj, summary = _evolve_run("ehrenfest", config, out_dir, seed, quiet)
+    if traj is None:
         return 3
 
     report = ehrenfest_consistency(traj)
@@ -357,9 +353,7 @@ def cmd_separability(config: dict, out_dir: Path, seed, quiet: bool) -> int:
             constants=constants,
         )
     except EvolutionAbort as abort:
-        summary["abort"] = {"reason": abort.reason, "t_last": abort.t_last}
-        write_summary(out_dir / "summary.json", summary)
-        return 3
+        return _abort(out_dir, summary, abort, quiet)
 
     tol = float(section.get("tolerance", 1e-6))
     summary["checks"].append({"name": "separability_deviation", "measured": deviation,

@@ -89,6 +89,19 @@ class CoeffSet:
         # dg: positions 1 (rho grad S channel) and 3 (diffusion channel)
         return (self.D * self.a[0], self.D * self.a[2], 0.0, 0.0, 0.0)
 
+    def explicit_rate(self, kmax: float) -> float:
+        """Explicit-stage rate at ``kmax``: k^4 for ``ext``, k^2 for ``dg``."""
+        c = abs(self.D) * (max(abs(v) for v in self.a) / 2.0 + max(abs(v) for v in self.b))
+        rate = c * kmax**4 if self.variant == "ext" else c * kmax**2
+        # the separability probe (Lap S)^2 is second order in derivatives
+        return rate + 4.0 * abs(self.D) * abs(self.x14) * kmax**2
+
+    def b1_b6(self) -> tuple:
+        """Effective (b1, b6) entering E_ME; zero for the ``dg`` family."""
+        if self.variant == "ext":
+            return self.D * self.b[0], self.D * self.b[5]
+        return 0.0, 0.0
+
     def is_divergence_family(self, tol: float = 0.0) -> bool:
         a = self.a
         if self.variant == "dg":
@@ -127,6 +140,25 @@ class MEParams:
     @property
     def is_linear(self) -> bool:
         return self.D1 == 0.0 and self.b1 == 0.0 and self.b6 == 0.0
+
+    def d_currents(self) -> tuple:
+        return (self.D1, 0.0, 0.0, 0.0, 0.0)
+
+    def explicit_rate(self, kmax: float) -> float:
+        return max(abs(self.D1) / 2.0, abs(self.b1), abs(self.b6)) * kmax**4
+
+    def b1_b6(self) -> tuple:
+        return self.b1, self.b6
+
+
+def is_linear(coeffs) -> bool:
+    """True when ``coeffs`` (a CoeffSet, MEParams, or None for the unmodified
+    equation) adds no nonlinear term; any other object is a CoeffError."""
+    if coeffs is None:
+        return True
+    if not isinstance(coeffs, (CoeffSet, MEParams)):
+        raise CoeffError(f"unsupported coefficient object {type(coeffs).__name__}")
+    return coeffs.is_linear
 
 
 def linear_coeffs() -> CoeffSet:

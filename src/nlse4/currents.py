@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoeffSet, MEParams
-from .hydro import HydroView, weighted_grad_of_ratio
+from .coeffs import CoeffError, CoeffSet, MEParams
+from .hydro import DEFAULT_EPS_RHO, HydroView, hydro_decompose, weighted_grad_of_ratio
 from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, divergence
 
 
@@ -51,11 +51,12 @@ class CurrentSet:
 
 
 def _current_couplings(couplings) -> tuple:
-    if isinstance(couplings, MEParams):
-        return (couplings.D1, 0.0, 0.0, 0.0, 0.0)
-    if isinstance(couplings, CoeffSet):
+    if isinstance(couplings, (CoeffSet, MEParams)):
         return couplings.d_currents()
-    d = tuple(float(v) for v in couplings)
+    try:
+        d = tuple(float(v) for v in couplings)
+    except TypeError:
+        raise CoeffError(f"unsupported coefficient object {type(couplings).__name__}") from None
     if len(d) != 5:
         raise ValueError(f"need 5 current couplings, got {len(d)}")
     return d
@@ -94,6 +95,7 @@ def continuity_residual(
     dt: float,
     couplings,
     constants: PhysicalConstants = NATURAL_UNITS,
+    eps_rho: float = DEFAULT_EPS_RHO,
 ) -> tuple:
     """Residual of the continuity equation over one stored snapshot pair.
 
@@ -104,9 +106,8 @@ def continuity_residual(
 
     Returns ``(abs_residual_field, signed_integral)``.  The signed integral
     equals the norm change rate and converges at the integrator's order.
+    Both snapshots are decomposed with the node-mask floor ``eps_rho``.
     """
-    from .hydro import hydro_decompose
-
     if dt <= 0:
         raise ValueError("dt must be positive")
     rho0 = np.abs(psi_before) ** 2
@@ -114,7 +115,7 @@ def continuity_residual(
     drho_dt = (rho1 - rho0) / dt
     div_avg = 0.0
     for psi in (psi_before, psi_after):
-        hv = hydro_decompose(grid, psi, max_masked_fraction=1.0)
+        hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
         div_avg = div_avg + 0.5 * divergence(grid, currents(hv, couplings, constants).total())
     resid = drho_dt + div_avg
     return np.abs(resid), float(grid.integrate(resid))

@@ -10,10 +10,10 @@ with R = sqrt(rho); the modified Ehrenfest relations read
     m d<x>/dt = <p> + I1,        d<p>/dt = -<grad V> + I2,
 
 where I1, I2 are the corrections induced by the non-Hermitian and Hermitian
-nonlinear parts.  They are computed from the same operator action that the
-evolution applies, so the residual check is end-to-end: time derivatives
-come from centered differences over stored snapshots, never from analytic
-identities.
+nonlinear parts.  They are read off the multiplier the evolution applies
+(:func:`nlse4.evolution.nonlinear_multiplier`), so the residual check is
+end-to-end: time derivatives come from centered differences over stored
+snapshots, never from analytic identities.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoeffSet, MEParams
+from .coeffs import is_linear
 from .currents import continuity_residual
-from .functionals import functional_pair
+from .evolution import nonlinear_multiplier
 from .hydro import (
     DEFAULT_EPS_RHO,
     DEFAULT_GATE_FACTOR,
@@ -75,14 +75,6 @@ def expectation_p(grid: Grid, psi: np.ndarray, constants: PhysicalConstants = NA
     return tuple(float(constants.hbar * grid.integrate((conj * d).imag)) for d in dpsi)
 
 
-def _b1_b6(coeffs) -> tuple:
-    if isinstance(coeffs, MEParams):
-        return coeffs.b1, coeffs.b6
-    if isinstance(coeffs, CoeffSet) and coeffs.variant == "ext":
-        return coeffs.D * coeffs.b[0], coeffs.D * coeffs.b[5]
-    return 0.0, 0.0
-
-
 def energy(
     grid: Grid,
     psi: np.ndarray,
@@ -104,38 +96,13 @@ def energy(
         dens = dens + potential.values * hv.rho
     e_l = float(grid.integrate(dens))
 
-    b1, b6 = _b1_b6(coeffs)
+    b1, b6 = (0.0, 0.0) if is_linear(coeffs) else coeffs.b1_b6()
     if b1 == b6:
         return e_l, e_l
     fo = fourth_order_composites(hv, gate_factor=gate_factor, ratio_floor=ratio_floor)
     rho_lap_lap_s = fo.t1 * hv.rho  # gated numerator
     e_me = e_l + hbar * (b1 - b6) * float(grid.integrate(rho_lap_lap_s))
     return e_l, e_me
-
-
-def _nonlinear_parts(grid, psi, coeffs, constants, eps_rho, gate_factor, ratio_floor):
-    """(rho * H_I, H_I, H_R, hv) for the implemented nonlinear operator.
-
-    H_I is the anti-Hermitian multiplier (continuity channel) and H_R the
-    Hermitian one, both real fields:  H_NL = i H_I + H_R with
-    H_I = -(hbar D / 2) F_a and H_R = hbar D F_b.
-    """
-    hbar = constants.hbar
-    hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
-    if coeffs is None or getattr(coeffs, "is_linear", False):
-        z = np.zeros(grid.shape)
-        return z, z, z, hv
-    if isinstance(coeffs, MEParams):
-        fo = fourth_order_composites(hv, gate_factor=gate_factor, ratio_floor=ratio_floor)
-        h_i = -(0.5 * hbar * coeffs.D1) * fo.u
-        h_r = hbar * (coeffs.b1 * fo.t1 + coeffs.b6 * fo.t6)
-    elif isinstance(coeffs, CoeffSet):
-        fa, fb = functional_pair(coeffs, hv)
-        h_i = -(0.5 * hbar * coeffs.D) * fa
-        h_r = hbar * coeffs.D * fb
-    else:
-        raise TypeError(f"unsupported coefficient object {type(coeffs).__name__}")
-    return h_i * hv.rho, h_i, h_r, hv
 
 
 def ehrenfest_corrections(
@@ -153,15 +120,21 @@ def ehrenfest_corrections(
         I1 = (2m/hbar) integral of x rho H_I
         I2 = integral of rho (2 H_I grad S - grad H_R)
 
+    with H_I = hbar Re c and H_R = -hbar Im c from the evolution's
+    multiplier c (both zero for the linear equation).
     The position-weighted integrand decays with rho, but the centered box
     coordinate still requires decayed tails, which are enforced by default.
     """
     if enforce_tails:
         check_tails(grid, psi)
     hbar, m = constants.hbar, constants.mass
-    rho_h_i, h_i, h_r, hv = _nonlinear_parts(
-        grid, psi, coeffs, constants, eps_rho, gate_factor, ratio_floor
-    )
+    hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
+    c = nonlinear_multiplier(grid, psi, coeffs, gate_factor=gate_factor, ratio_floor=ratio_floor, hv=hv)
+    if c is None:
+        h_i = h_r = np.zeros(grid.shape)
+    else:
+        h_i, h_r = hbar * c.real, -hbar * c.imag
+    rho_h_i = h_i * hv.rho
     xs = grid.coords()
     i1 = tuple(float((2.0 * m / hbar) * grid.integrate(x * rho_h_i)) for x in xs)
     # rho grad H_R = grad(rho H_R) - H_R grad rho, assembled from decaying fields
@@ -205,7 +178,9 @@ def observables_sample(
         t_prev, psi_prev = prev
         if t > t_prev:
             couplings = coeffs if coeffs is not None else (0.0,) * 5
-            _, cont = continuity_residual(grid, psi_prev, psi, t - t_prev, couplings, constants)
+            _, cont = continuity_residual(
+                grid, psi_prev, psi, t - t_prev, couplings, constants, eps_rho=eps_rho
+            )
     return ObservablesSample(
         t=t, norm=norm, e_l=e_l, e_me=e_me, x_mean=x_mean, p_mean=p_mean,
         i1=i1, i2=i2, grad_v_mean=gv, cont_residual=float(cont),

@@ -8,7 +8,9 @@ The canonical form integrated here is
 i.e. dpsi/dt = -(i/hbar)(H_L psi) - (D/2) F_a psi - i D F_b psi.  The F_a
 half feeds the continuity equation, the F_b half the phase.
 
-Two engines evaluate the nonlinear part:
+The nonlinear operator is the multiplier c(x) of :func:`nonlinear_multiplier`,
+which the Ehrenfest corrections also read.  It picks one of two engines from
+the coefficient type; every other per-type fact is a method of the type:
 
 * ``MEParams`` (the three-parameter fourth-order variant) uses the
   density-weighted composites of :mod:`nlse4.hydro`.  They are robust on
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoeffSet, MEParams, CoeffError
+from .coeffs import MEParams, is_linear
 from .functionals import functional_pair
 from .hydro import (
     DEFAULT_EPS_RHO,
@@ -64,6 +66,10 @@ DEFAULT_FILTER_FRACTION = 0.8
 
 #: Explicit-stage stability margin |lambda| dt <= RK4_STABILITY.
 RK4_STABILITY = 2.5
+
+#: Masked-fraction guard inside a run; tail-safe boxes for fourth-order work
+#: put well over a quarter of their points under the density floor.
+DEFAULT_MASK_LIMIT = 0.95
 
 
 class StabilityError(ValueError):
@@ -93,7 +99,7 @@ class EvolutionConfig:
     eps_rho: float = DEFAULT_EPS_RHO
     gate_factor: float = DEFAULT_GATE_FACTOR
     ratio_floor: float = DEFAULT_RATIO_FLOOR
-    mask_limit: float = 0.95
+    mask_limit: float = DEFAULT_MASK_LIMIT
     filter_fraction: float = DEFAULT_FILTER_FRACTION
     observables: bool = True
     store_fields: bool = True
@@ -146,27 +152,24 @@ def nonlinear_multiplier(
     eps_rho: float = DEFAULT_EPS_RHO,
     gate_factor: float = DEFAULT_GATE_FACTOR,
     ratio_floor: float = DEFAULT_RATIO_FLOOR,
-    mask_limit: float = 0.95,
+    mask_limit: float = DEFAULT_MASK_LIMIT,
     hv: HydroView | None = None,
 ):
     """The complex field c(x) with nonlinear dpsi/dt = c(x) psi, or None.
 
-    ``mask_limit`` is the masked-fraction guard passed to the decomposition;
-    evolution uses a permissive bound because tail-safe boxes for
-    fourth-order work put well over a quarter of their points under the
-    density floor.
+    H_NL = i H_I + H_R with H_I = hbar Re c (continuity channel) and
+    H_R = -hbar Im c (phase channel).  ``mask_limit`` guards the
+    decomposition made when ``hv`` is not supplied.
     """
-    if coeffs is None or getattr(coeffs, "is_linear", False):
+    if is_linear(coeffs):
         return None
     if hv is None:
         hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=mask_limit)
     if isinstance(coeffs, MEParams):
         fo = fourth_order_composites(hv, gate_factor=gate_factor, ratio_floor=ratio_floor)
         return -(0.5 * coeffs.D1) * fo.u - 1j * (coeffs.b1 * fo.t1 + coeffs.b6 * fo.t6)
-    if isinstance(coeffs, CoeffSet):
-        fa, fb = functional_pair(coeffs, hv)
-        return -(0.5 * coeffs.D) * fa - 1j * coeffs.D * fb
-    raise CoeffError(f"unsupported coefficient object {type(coeffs).__name__}")
+    fa, fb = functional_pair(coeffs, hv)
+    return -(0.5 * coeffs.D) * fa - 1j * coeffs.D * fb
 
 
 def nonlinear_rhs(
@@ -178,7 +181,7 @@ def nonlinear_rhs(
     eps_rho: float = DEFAULT_EPS_RHO,
     gate_factor: float = DEFAULT_GATE_FACTOR,
     ratio_floor: float = DEFAULT_RATIO_FLOOR,
-    mask_limit: float = 0.95,
+    mask_limit: float = DEFAULT_MASK_LIMIT,
 ) -> np.ndarray:
     """Full dpsi/dt including the kinetic and potential terms."""
     hbar, m = constants.hbar, constants.mass
@@ -210,18 +213,8 @@ def stability_bound(
     rate = 0.0
     if potential is not None:
         rate += float(np.abs(potential.values).max()) / constants.hbar
-    kM = grid.kmax
-    if coeffs is not None and not getattr(coeffs, "is_linear", False):
-        if isinstance(coeffs, MEParams):
-            c = max(abs(coeffs.D1) / 2.0, abs(coeffs.b1), abs(coeffs.b6))
-            rate += c * kM**4
-        elif isinstance(coeffs, CoeffSet):
-            c = abs(coeffs.D) * (max(abs(v) for v in coeffs.a) / 2.0 + max(abs(v) for v in coeffs.b))
-            rate += c * kM**4 if coeffs.variant == "ext" else c * kM**2
-            # the separability probe (Lap S)^2 is second order in derivatives
-            rate += 4.0 * abs(coeffs.D) * abs(coeffs.x14) * kM**2
-        else:
-            raise CoeffError(f"unsupported coefficient object {type(coeffs).__name__}")
+    if not is_linear(coeffs):
+        rate += coeffs.explicit_rate(grid.kmax)
     if rate == 0.0:
         return np.inf
     return RK4_STABILITY / rate

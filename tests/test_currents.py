@@ -99,6 +99,19 @@ class TestContinuityResidual:
         field, _ = continuity_residual(grid, traj.fields[0], traj.fields[1], dt, me)
         assert field.max() <= 1e-6
 
+    def test_sample_uses_configured_eps_rho(self):
+        grid = q.make_grid(1, 128, 24.0)
+        psi0 = q.gaussian_packet(grid, t0=1.0, p0=q.wavenumber(grid, 3))
+        me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+        dt = 1e-4
+        cfg = EvolutionConfig(dt=dt, t_end=dt, coeffs=me, stride=1, eps_rho=1e-6)
+        traj = evolve(grid, psi0, cfg)
+        before, after = traj.fields
+        _, at_run_floor = continuity_residual(grid, before, after, dt, me, eps_rho=1e-6)
+        _, at_default = continuity_residual(grid, before, after, dt, me)
+        assert traj.observables[1].cont_residual == at_run_floor
+        assert at_run_floor != at_default
+
     def test_stationary_state_terms_vanish_separately(self):
         grid = q.make_grid(1, 128, 18.0)
         psi = q.harmonic_eigenstate(grid, 0, omega=1.0)

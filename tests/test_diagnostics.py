@@ -12,7 +12,7 @@ from nlse4.diagnostics import (
     expectation_x,
     separability_test,
 )
-from nlse4.evolution import EvolutionConfig, evolve, stability_bound
+from nlse4.evolution import EvolutionConfig, evolve, nonlinear_multiplier, stability_bound
 
 from helpers import banded_localized_state, perturbed_plane_wave
 
@@ -193,3 +193,48 @@ def test_expectation_values_centered_coordinates():
     psi = q.gaussian_packet(grid, t0=1.0, x0=1.5, p0=q.wavenumber(grid, 8))
     assert expectation_x(grid, psi)[0] == pytest.approx(1.5, abs=1e-9)
     assert expectation_p(grid, psi)[0] == pytest.approx(q.wavenumber(grid, 8), rel=1e-9)
+
+
+class TestEngineParity:
+    """MEParams and its ``ext`` expansion run through different engines
+    (composites vs the generic functional pair) but describe one equation."""
+
+    @pytest.mark.parametrize("b6", [0.0, 0.02])
+    def test_me_and_expansion_agree(self, b6):
+        me = q.MEParams(D1=0.1, b1=0.05, b6=b6)
+        cs = me.expand()
+        omega = q.mode_frequency(me, CON)
+        grid = q.make_grid(1, 128, 5 * 2 * np.pi / np.sqrt(omega))
+        psi = banded_localized_state(grid, me, amplitude=0.5, sigma=0.85)
+
+        i1_me, i2_me = ehrenfest_corrections(grid, psi, me, CON)
+        i1_cs, i2_cs = ehrenfest_corrections(grid, psi, cs, CON)
+        assert abs(i1_me[0]) > 1e-2 and abs(i2_me[0]) > 1e-2
+        assert i1_cs[0] == pytest.approx(i1_me[0], abs=1e-6)
+        assert i2_cs[0] == pytest.approx(i2_me[0], abs=1e-6)
+
+        assert energy(grid, psi, None, cs, CON) == energy(grid, psi, None, me, CON)
+        hv = q.hydro_decompose(grid, psi, max_masked_fraction=1.0)
+        j_me, j_cs = q.currents(hv, me), q.currents(hv, cs)
+        assert j_cs.couplings == j_me.couplings
+        for a, b in zip([j_me.j_linear] + j_me.extras(), [j_cs.j_linear] + j_cs.extras()):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class _NotCoeffs:
+    is_linear = True  # looks linear, but is no coefficient object
+
+
+@pytest.mark.parametrize("call", [
+    lambda grid, psi, c: energy(grid, psi, None, c, CON),
+    lambda grid, psi, c: ehrenfest_corrections(grid, psi, c, CON),
+    lambda grid, psi, c: q.currents(q.hydro_decompose(grid, psi, max_masked_fraction=1.0), c),
+    lambda grid, psi, c: nonlinear_multiplier(grid, psi, c),
+    lambda grid, psi, c: stability_bound(grid, c),
+], ids=["energy", "ehrenfest_corrections", "currents", "nonlinear_multiplier", "stability_bound"])
+@pytest.mark.parametrize("bogus", [object(), _NotCoeffs()], ids=["object", "duck"])
+def test_unsupported_coefficient_object_rejected(call, bogus):
+    grid = q.make_grid(1, 128, 24.0)
+    psi = q.gaussian_packet(grid, t0=1.0)
+    with pytest.raises(q.CoeffError, match=type(bogus).__name__):
+        call(grid, psi, bogus)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nlse4 as q
-from nlse4.cli import main
+from nlse4.cli import _parse_evolution, main
 from nlse4.io import read_field_snapshot, write_field_snapshot
 
 
@@ -182,6 +182,23 @@ class TestEhrenfestCommand:
         assert all(len(line.split(",")) == 11 for line in lines[1:])
 
 
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_abort_reported(self, tmp_path, capsys, quiet):
+        cfg_data = _ehrenfest_config(1, 64)
+        cfg_data["evolution"]["norm_tol"] = 1e-30
+        cfg = _write_config(tmp_path, "ehr_abort.json", cfg_data)
+        out = tmp_path / "ehr_abort_out"
+        args = ["ehrenfest", "--config", cfg, "--out", str(out)] + (["--quiet"] if quiet else [])
+        assert main(args) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        printed = capsys.readouterr().out
+        if quiet:
+            assert printed == ""
+        else:
+            assert printed.startswith("numerical abort: ")
+            assert summary["abort"]["reason"] in printed
+
+
 class TestSeparabilityCommand:
     def test_linear_product(self, tmp_path):
         cfg = _write_config(tmp_path, "sep.json", {
@@ -207,3 +224,9 @@ def test_check_command_runs_registry(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert len(summary["checks"]) >= 20
     assert all(c["pass"] for c in summary["checks"])
+
+
+def test_evolution_defaults_come_from_config_class():
+    me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+    parsed = _parse_evolution({"dt": 1e-3, "t_end": 0.02}, me, q.NATURAL_UNITS, None)
+    assert parsed == q.EvolutionConfig(dt=1e-3, t_end=0.02, coeffs=me)

@@ -51,6 +51,8 @@ class CurrentSet:
 
 
 def _current_couplings(couplings) -> tuple:
+    if couplings is None:  # the linear equation
+        return (0.0,) * 5
     if isinstance(couplings, (CoeffSet, MEParams)):
         return couplings.d_currents()
     try:
@@ -64,7 +66,8 @@ def _current_couplings(couplings) -> tuple:
 
 def currents(hv: HydroView, couplings, constants: PhysicalConstants = NATURAL_UNITS) -> CurrentSet:
     """All currents of one state.  ``couplings`` may be MEParams, a CoeffSet
-    (divergence-family D_i = a_i D), or an explicit 5-sequence of D_i."""
+    (divergence-family D_i = a_i D), an explicit 5-sequence of D_i, or None
+    for the linear equation."""
     d = _current_couplings(couplings)
     grid = hv.grid
     hbar, m = constants.hbar, constants.mass
@@ -96,6 +99,7 @@ def continuity_residual(
     couplings,
     constants: PhysicalConstants = NATURAL_UNITS,
     eps_rho: float = DEFAULT_EPS_RHO,
+    hv_after: HydroView | None = None,
 ) -> tuple:
     """Residual of the continuity equation over one stored snapshot pair.
 
@@ -106,7 +110,9 @@ def continuity_residual(
 
     Returns ``(abs_residual_field, signed_integral)``.  The signed integral
     equals the norm change rate and converges at the integrator's order.
-    Both snapshots are decomposed with the node-mask floor ``eps_rho``.
+    Both snapshots are decomposed with the node-mask floor ``eps_rho``;
+    ``hv_after``, if given, is that decomposition of ``psi_after`` (with
+    ``max_masked_fraction=1.0``) and is used instead of a new one.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -114,8 +120,9 @@ def continuity_residual(
     rho1 = np.abs(psi_after) ** 2
     drho_dt = (rho1 - rho0) / dt
     div_avg = 0.0
-    for psi in (psi_before, psi_after):
-        hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
+    for psi, hv in ((psi_before, None), (psi_after, hv_after)):
+        if hv is None:
+            hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
         div_avg = div_avg + 0.5 * divergence(grid, currents(hv, couplings, constants).total())
     resid = drho_dt + div_avg
     return np.abs(resid), float(grid.integrate(resid))

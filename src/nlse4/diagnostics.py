@@ -29,6 +29,7 @@ from .hydro import (
     DEFAULT_EPS_RHO,
     DEFAULT_GATE_FACTOR,
     DEFAULT_RATIO_FLOOR,
+    HydroView,
     fourth_order_composites,
     hydro_decompose,
 )
@@ -84,10 +85,13 @@ def energy(
     eps_rho: float = DEFAULT_EPS_RHO,
     gate_factor: float = DEFAULT_GATE_FACTOR,
     ratio_floor: float = DEFAULT_RATIO_FLOOR,
+    hv: HydroView | None = None,
 ) -> tuple:
     """(E_L, E_ME).  The fourth-order correction vanishes identically for
-    quadratic phases and whenever b1 = b6."""
-    hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
+    quadratic phases and whenever b1 = b6.  ``hv`` is an existing
+    decomposition of ``psi`` (floor ``eps_rho``, any mask limit)."""
+    if hv is None:
+        hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
     hbar, m = constants.hbar, constants.mass
     grad_r_sq = 0.25 * hv.ratio(sum(d * d for d in hv.grad_rho))
     rho_grad_s_sq = hv.ratio(sum(ga * ga for ga in hv.g))
@@ -114,6 +118,7 @@ def ehrenfest_corrections(
     gate_factor: float = DEFAULT_GATE_FACTOR,
     ratio_floor: float = DEFAULT_RATIO_FLOOR,
     enforce_tails: bool = True,
+    hv: HydroView | None = None,
 ) -> tuple:
     """(I1, I2) per axis for one state.
 
@@ -124,11 +129,13 @@ def ehrenfest_corrections(
     multiplier c (both zero for the linear equation).
     The position-weighted integrand decays with rho, but the centered box
     coordinate still requires decayed tails, which are enforced by default.
+    ``hv`` is an existing decomposition of ``psi`` (floor ``eps_rho``).
     """
     if enforce_tails:
         check_tails(grid, psi)
     hbar, m = constants.hbar, constants.mass
-    hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
+    if hv is None:
+        hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
     c = nonlinear_multiplier(grid, psi, coeffs, gate_factor=gate_factor, ratio_floor=ratio_floor, hv=hv)
     if c is None:
         h_i = h_r = np.zeros(grid.shape)
@@ -160,13 +167,16 @@ def observables_sample(
     ratio_floor: float = DEFAULT_RATIO_FLOOR,
 ) -> ObservablesSample:
     """Assemble one observables record; ``prev`` is the previous snapshot
-    (t, psi) used for the finite-difference continuity residual."""
+    (t, psi) used for the finite-difference continuity residual.  The
+    snapshot is decomposed once, and energy, Ehrenfest corrections and
+    residual share that view."""
+    hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
     norm = float(grid.integrate(np.abs(psi) ** 2))
-    e_l, e_me = energy(grid, psi, potential, coeffs, constants, eps_rho, gate_factor, ratio_floor)
+    e_l, e_me = energy(grid, psi, potential, coeffs, constants, eps_rho, gate_factor, ratio_floor, hv=hv)
     x_mean = expectation_x(grid, psi)
     p_mean = expectation_p(grid, psi, constants)
     i1, i2 = ehrenfest_corrections(
-        grid, psi, coeffs, constants, eps_rho, gate_factor, ratio_floor, enforce_tails=False
+        grid, psi, coeffs, constants, eps_rho, gate_factor, ratio_floor, enforce_tails=False, hv=hv
     )
     if potential is not None:
         rho = np.abs(psi) ** 2
@@ -177,9 +187,8 @@ def observables_sample(
     if prev is not None:
         t_prev, psi_prev = prev
         if t > t_prev:
-            couplings = coeffs if coeffs is not None else (0.0,) * 5
             _, cont = continuity_residual(
-                grid, psi_prev, psi, t - t_prev, couplings, constants, eps_rho=eps_rho
+                grid, psi_prev, psi, t - t_prev, coeffs, constants, eps_rho=eps_rho, hv_after=hv
             )
     return ObservablesSample(
         t=t, norm=norm, e_l=e_l, e_me=e_me, x_mean=x_mean, p_mean=p_mean,

@@ -323,18 +323,16 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     for step in range(1, n_steps + 1):
         if config.integrator == "ifrk4":
             psi_hat = np.fft.fftn(psi)
-            a = N(psi)
-            psi2 = np.fft.ifftn(e_half * (psi_hat + (0.5 * dt) * np.fft.fftn(a)))
-            b = N(psi2)
-            b_hat = np.fft.fftn(b)
+            a_hat = np.fft.fftn(N(psi))
+            psi2 = np.fft.ifftn(e_half * (psi_hat + (0.5 * dt) * a_hat))
+            b_hat = np.fft.fftn(N(psi2))
             psi3 = np.fft.ifftn(e_half * psi_hat + (0.5 * dt) * b_hat)
-            c = N(psi3)
-            c_hat = np.fft.fftn(c)
+            c_hat = np.fft.fftn(N(psi3))
             psi4 = np.fft.ifftn(e_full * psi_hat + dt * e_half * c_hat)
-            d = N(psi4)
+            d_hat = np.fft.fftn(N(psi4))
             new_hat = filt * (
                 e_full * psi_hat
-                + (dt / 6.0) * (e_full * np.fft.fftn(a) + 2.0 * e_half * (b_hat + c_hat) + np.fft.fftn(d))
+                + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
             )
             psi = np.fft.ifftn(new_hat)
         else:  # plain rk4 on the full right-hand side

@@ -5,6 +5,16 @@ innermost-first (build the inner scalar field, then differentiate it
 spectrally) with no algebraic expansion.  It is exact for effectively
 nodeless states; for strongly localized states the evolution module uses
 density-weighted composites instead (see :mod:`nlse4.hydro`).
+
+Derivatives are linear, so the ``ext`` terms of one coefficient half need
+one derivative per term group, taken of the weighted inner-scalar sum:
+
+    sum_j x_j Lap I_j                = Lap(sum_j x_j I_j)               (1..5)
+    sum_j x_{5+j} g.grad I_j         = g.grad(sum_j x_{5+j} I_j)        (6..10)
+    x11, x12, x13 terms              = grad S.grad(x11 I1 + x12 I3 + x13 I2)
+
+with g = grad rho / rho.  Summing first differs from differentiating each
+inner scalar only by roundoff.
 """
 
 from __future__ import annotations
@@ -27,8 +37,10 @@ def _inner_scalars(hv: HydroView) -> list:
 def eval_functional(x, variant: str, hv: HydroView) -> np.ndarray:
     """Sum_i x_i F_i for one coefficient half, masked points zeroed.
 
-    Index order is the table in :mod:`nlse4.coeffs`.  Derivatives of inner
-    scalars are computed lazily, so zero coefficients cost nothing.
+    Index order is the table in :mod:`nlse4.coeffs`.  The ``ext`` terms are
+    summed per group before differentiating (see the module docstring), so
+    a half costs at most one Laplacian and two gradients, and a group whose
+    coefficients are all zero costs no transform.
     """
     x = tuple(float(v) for v in x)
     want = VARIANT_LENGTHS.get(variant)
@@ -48,31 +60,25 @@ def eval_functional(x, variant: str, hv: HydroView) -> np.ndarray:
                 out = out + xi * term
         return hv.zero_masked(out)
 
-    # ext: lazy per-inner gradients / Laplacians
-    lap_cache: dict = {}
-    grad_cache: dict = {}
-
-    def lap_of(j):
-        if j not in lap_cache:
-            lap_cache[j] = laplacian(grid, inner[j])
-        return lap_cache[j]
-
-    def grad_of(j):
-        if j not in grad_cache:
-            grad_cache[j] = gradient(grid, inner[j])
-        return grad_cache[j]
-
-    for j in range(5):  # terms 1..5: Lap I_j
-        if x[j] != 0.0:
-            out = out + x[j] * lap_of(j)
-    for j in range(5):  # terms 6..10: (grad rho/rho) . grad I_j
-        if x[5 + j] != 0.0:
-            out = out + x[5 + j] * hv.dot_grad_log_rho(grad_of(j))
+    # ext: derivatives are linear, so each term group differentiates one
+    # weighted sum of inner scalars; a group with zero weights costs nothing
+    lap_sum = _weighted_sum(x[0:5], inner)  # terms 1..5: Lap I_j
+    if lap_sum is not None:
+        out = out + laplacian(grid, lap_sum)
+    rho_sum = _weighted_sum(x[5:10], inner)  # terms 6..10: (grad rho/rho) . grad I_j
+    if rho_sum is not None:
+        out = out + hv.dot_grad_log_rho(gradient(grid, rho_sum))
     # terms 11..13: grad S . grad I_j for j = I1, I3, I2
-    for pos, j in ((10, 0), (11, 2), (12, 1)):
-        if x[pos] != 0.0:
-            out = out + x[pos] * hv.dot_grad_s(grad_of(j))
+    s_sum = _weighted_sum(x[10:13], (inner[0], inner[2], inner[1]))
+    if s_sum is not None:
+        out = out + hv.dot_grad_s(gradient(grid, s_sum))
     return hv.zero_masked(out)
+
+
+def _weighted_sum(weights, fields):
+    """sum_j w_j f_j over the nonzero weights, or None if all are zero."""
+    terms = [w * f for w, f in zip(weights, fields) if w != 0.0]
+    return sum(terms) if terms else None
 
 
 def functional_pair(coeffs: CoeffSet, hv: HydroView) -> tuple:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid, _ik_factor, divergence, gradient, laplacian
+from .spectral import Grid, divergence, gradient, gradient_and_laplacian, laplacian
 
 #: Default relative density floor: points with rho < eps * max(rho) are masked.
 DEFAULT_EPS_RHO = 1e-12
@@ -231,12 +231,7 @@ def fourth_order_composites(
     grid = hv.grid
     P = hv.rho_lap_s
     ratio_P = hv.ratio(P)
-    Phat = np.fft.fftn(P)
-    dP = [
-        np.fft.ifftn(_ik_factor(grid.n, grid.length, grid.dims, a) * Phat).real
-        for a in range(grid.dims)
-    ]
-    lap_P = np.fft.ifftn(-grid.k_squared() * Phat).real
+    dP, lap_P = gradient_and_laplacian(grid, P)
     q = [dPa - ratio_P * dra for dPa, dra in zip(dP, hv.grad_rho)]
     div_q = divergence(grid, q)
     r6 = hv.ratio(sum(dra * qa for dra, qa in zip(hv.grad_rho, q)))

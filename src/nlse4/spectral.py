@@ -4,6 +4,12 @@ Fields are plain numpy arrays of shape ``grid.shape`` on a uniform periodic
 box in one or two dimensions.  Differentiation is Fourier collocation, which
 is exact for band-limited data; that accuracy is what keeps fourth-order
 composite derivatives meaningful at double precision.
+
+The input dtype selects the transform.  Real fields (density, currents,
+phase composites) go through the half-spectrum transforms ``rfftn``/``irfftn``,
+which cost about half a complex transform and return real arrays; complex
+fields (the wavefunction) use the full complex transforms.  All derivative
+symbols, and with them the odd-order Nyquist rule, come from one builder.
 """
 
 from __future__ import annotations
@@ -127,59 +133,92 @@ def spectral_derivative(grid: Grid, field: np.ndarray, order: int = 1, axis: int
     if not 0 <= axis < grid.dims:
         raise ValueError(f"axis {axis} out of range for {grid.dims}D grid")
     grid.validate_field(field)
-    fac = (1j * _wavenumbers_1d(grid.n, grid.length)) ** order
+    real = np.isrealobj(field)
+    fac = _symbol(grid.n, grid.length, grid.dims, axis, order, real)
+    if real:
+        return np.fft.irfft(fac * np.fft.rfft(field, axis=axis), n=grid.n, axis=axis)
+    return np.fft.ifft(fac * np.fft.fft(field, axis=axis), axis=axis)
+
+
+@lru_cache(maxsize=128)
+def _symbol(n: int, length: float, dims: int, axis: int, order: int, half: bool) -> np.ndarray:
+    """Broadcastable symbol (i k)^order of the derivative along ``axis``.
+
+    Every derivative symbol is built here.  Odd orders zero the Nyquist mode
+    (the convention that keeps derivatives of real fields real); even orders
+    are real arrays.  ``half`` keeps only the n//2 + 1 non-negative modes, the
+    layout of a real-to-complex transform along this axis.
+    """
+    k = _wavenumbers_1d(n, length)
+    if half:
+        k = k[: n // 2 + 1]
+    fac = (1j * k) ** order
     if order % 2 == 1:
-        fac = fac.copy()
-        fac[grid.n // 2] = 0.0
-    if grid.dims == 2:
-        shape = [1, 1]
-        shape[axis] = grid.n
-        fac = fac.reshape(shape)
-    out = np.fft.ifft(fac * np.fft.fft(field, axis=axis), axis=axis)
-    if np.isrealobj(field):
-        return out.real
-    return out
-
-
-@lru_cache(maxsize=64)
-def _ik_factor(n: int, length: float, dims: int, axis: int) -> np.ndarray:
-    """Broadcastable first-derivative symbol i*k with the Nyquist mode zeroed."""
-    fac = 1j * _wavenumbers_1d(n, length).copy()
-    fac[n // 2] = 0.0
+        fac[n // 2] = 0.0
+    else:
+        fac = fac.real.copy()
     if dims == 2:
         shape = [1, 1]
-        shape[axis] = n
+        shape[axis] = fac.size
         fac = fac.reshape(shape)
     fac.flags.writeable = False
     return fac
 
 
+@lru_cache(maxsize=64)
+def _laplacian_symbol(n: int, length: float, dims: int, real: bool) -> np.ndarray:
+    """-|k|^2 on the spectrum of a full (complex) or real-to-complex transform."""
+    fac = sum(_symbol(n, length, dims, a, 2, real and a == dims - 1) for a in range(dims))
+    fac.flags.writeable = False
+    return fac
+
+
+def _ik(grid: Grid, axis: int, real: bool) -> np.ndarray:
+    """First-derivative symbol matching the spectrum of :func:`_forward`."""
+    return _symbol(grid.n, grid.length, grid.dims, axis, 1, real and axis == grid.dims - 1)
+
+
+def _forward(field: np.ndarray, real: bool) -> np.ndarray:
+    """Half-spectrum (last axis halved) of a real field, full spectrum otherwise."""
+    return np.fft.rfftn(field) if real else np.fft.fftn(field)
+
+
+def _inverse(grid: Grid, fhat: np.ndarray, real: bool) -> np.ndarray:
+    if real:
+        return np.fft.irfftn(fhat, s=grid.shape, axes=tuple(range(grid.dims)))
+    return np.fft.ifftn(fhat)
+
+
 def gradient(grid: Grid, field: np.ndarray) -> list:
     """First derivative along every axis."""
     grid.validate_field(field)
-    fhat = np.fft.fftn(field)
-    out = []
-    for a in range(grid.dims):
-        d = np.fft.ifftn(_ik_factor(grid.n, grid.length, grid.dims, a) * fhat)
-        out.append(d.real if np.isrealobj(field) else d)
-    return out
+    real = np.isrealobj(field)
+    fhat = _forward(field, real)
+    return [_inverse(grid, _ik(grid, a, real) * fhat, real) for a in range(grid.dims)]
+
+
+def gradient_and_laplacian(grid: Grid, field: np.ndarray) -> tuple:
+    """(gradient, Laplacian) of one field from a single forward transform."""
+    grid.validate_field(field)
+    real = np.isrealobj(field)
+    fhat = _forward(field, real)
+    grad = [_inverse(grid, _ik(grid, a, real) * fhat, real) for a in range(grid.dims)]
+    lap = _inverse(grid, _laplacian_symbol(grid.n, grid.length, grid.dims, real) * fhat, real)
+    return grad, lap
 
 
 def divergence(grid: Grid, fields: list) -> np.ndarray:
     """Divergence of a vector field given as one array per axis."""
+    real = all(np.isrealobj(f) for f in fields)
     acc = 0.0
     for a, f in enumerate(fields):
         grid.validate_field(f)
-        acc = acc + _ik_factor(grid.n, grid.length, grid.dims, a) * np.fft.fftn(f)
-    out = np.fft.ifftn(acc)
-    if all(np.isrealobj(f) for f in fields):
-        return out.real
-    return out
+        acc = acc + _ik(grid, a, real) * _forward(f, real)
+    return _inverse(grid, acc, real)
 
 
 def laplacian(grid: Grid, field: np.ndarray) -> np.ndarray:
     grid.validate_field(field)
-    out = np.fft.ifftn(-grid.k_squared() * np.fft.fftn(field))
-    if np.isrealobj(field):
-        return out.real
-    return out
+    real = np.isrealobj(field)
+    fhat = _forward(field, real)
+    return _inverse(grid, _laplacian_symbol(grid.n, grid.length, grid.dims, real) * fhat, real)

@@ -59,6 +59,15 @@ class TestCurrents:
         assert np.abs(total[0] - cs.j_linear[0]).max() == 0.0
 
 
+    def test_none_couplings_are_the_linear_equation(self):
+        grid = q.make_grid(1, 64, 2 * np.pi)
+        hv = hydro_decompose(grid, perturbed_plane_wave(grid, seed=4))
+        none, zeros = currents(hv, None), currents(hv, (0.0,) * 5)
+        assert none.couplings == zeros.couplings == (0.0,) * 5
+        for a, b in zip([none.j_linear] + none.extras(), [zeros.j_linear] + zeros.extras()):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 class TestFormEquivalence:
     def test_five_currents_match_functional_gradient(self):
         """Divergence-family currents equal rho grad F with the second-order
@@ -111,6 +120,16 @@ class TestContinuityResidual:
         _, at_default = continuity_residual(grid, before, after, dt, me)
         assert traj.observables[1].cont_residual == at_run_floor
         assert at_run_floor != at_default
+
+    def test_supplied_after_view_matches_own_decomposition(self):
+        grid = q.make_grid(1, 128, 2 * np.pi)
+        me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+        before = perturbed_plane_wave(grid, seed=3, cutoff=5, amplitude=0.3)
+        after = perturbed_plane_wave(grid, seed=4, cutoff=5, amplitude=0.3)
+        hv = hydro_decompose(grid, after, eps_rho=1e-6, max_masked_fraction=1.0)
+        own = continuity_residual(grid, before, after, 1e-3, me, eps_rho=1e-6)
+        shared = continuity_residual(grid, before, after, 1e-3, me, eps_rho=1e-6, hv_after=hv)
+        assert np.array_equal(own[0], shared[0]) and own[1] == shared[1]
 
     def test_stationary_state_terms_vanish_separately(self):
         grid = q.make_grid(1, 128, 18.0)

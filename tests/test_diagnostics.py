@@ -1,5 +1,7 @@
 """Energies, Ehrenfest residuals, separability harness."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from nlse4.diagnostics import (
     energy,
     expectation_p,
     expectation_x,
+    observables_sample,
     separability_test,
 )
 from nlse4.evolution import EvolutionConfig, evolve, nonlinear_multiplier, stability_bound
@@ -219,6 +222,48 @@ class TestEngineParity:
         assert j_cs.couplings == j_me.couplings
         for a, b in zip([j_me.j_linear] + j_me.extras(), [j_cs.j_linear] + j_cs.extras()):
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestSharedDecomposition:
+    """One observables sample decomposes its snapshot once and hands the
+    view to energy, Ehrenfest corrections and continuity residual."""
+
+    COEFFS = [None, q.MEParams(D1=0.1, b1=0.05, b6=0.02),
+              q.ext_coeffs(a=[0.1, 0.05, 0.02, 0.03, 0.01] * 2 + [0.0] * 3,
+                           b=[0.05, 0.01, 0.02, 0.01, 0.01, 0.02, 0.01, 0.0, 0.01, 0.0, 0.01, 0.0, 0.0])]
+
+    @staticmethod
+    def state(eps_rho):
+        grid = q.make_grid(1, 128, 2 * np.pi)
+        psi = perturbed_plane_wave(grid, seed=5, cutoff=5, amplitude=0.3)
+        return grid, psi, q.hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
+
+    @pytest.mark.parametrize("coeffs", COEFFS, ids=["linear", "me", "ext"])
+    def test_supplied_view_gives_identical_results(self, coeffs):
+        grid, psi, hv = self.state(1e-6)
+        pot = q.harmonic_potential(grid, 1.0)
+        assert (energy(grid, psi, pot, coeffs, CON, eps_rho=1e-6, hv=hv)
+                == energy(grid, psi, pot, coeffs, CON, eps_rho=1e-6))
+        assert (ehrenfest_corrections(grid, psi, coeffs, CON, eps_rho=1e-6, enforce_tails=False, hv=hv)
+                == ehrenfest_corrections(grid, psi, coeffs, CON, eps_rho=1e-6, enforce_tails=False))
+
+    @pytest.mark.parametrize("coeffs", COEFFS, ids=["linear", "me", "ext"])
+    def test_sample_decomposes_at_most_once_per_snapshot(self, coeffs, monkeypatch):
+        calls = []
+        original = q.hydro_decompose
+        # by full name: the package re-exports the function ``currents``
+        for name in ("diagnostics", "currents", "evolution"):
+            mod = importlib.import_module(f"nlse4.{name}")
+            monkeypatch.setattr(mod, "hydro_decompose",
+                                lambda *a, **k: calls.append(1) or original(*a, **k))
+        grid, psi, _ = self.state(1e-12)
+        observables_sample(grid, psi, 0.0, None, coeffs, CON)
+        assert len(calls) == 1
+        calls.clear()
+        later = psi * np.exp(0.01j)
+        sample = observables_sample(grid, later, 1e-3, None, coeffs, CON, prev=(0.0, psi))
+        assert len(calls) <= 2
+        assert np.isfinite(sample.cont_residual)
 
 
 class _NotCoeffs:

@@ -5,7 +5,8 @@ import pytest
 
 import nlse4 as q
 from nlse4.coeffs import CoeffError
-from nlse4.functionals import eval_functional, forbidden_term, homogeneity_check
+import nlse4.functionals as functionals
+from nlse4.functionals import _inner_scalars, eval_functional, forbidden_term, homogeneity_check
 from nlse4.hydro import hydro_decompose
 from nlse4.spectral import gradient, laplacian, spectral_derivative
 
@@ -68,6 +69,69 @@ class TestEvalFunctional:
         hv = hydro_decompose(grid, q.random_state(grid, seed=1, cutoff=6))
         with pytest.raises(CoeffError):
             eval_functional((1.0,) * 5, "ext", hv)
+
+
+def per_term_ext(x, hv):
+    """Reference ext evaluation: one derivative per nonzero term, each inner
+    scalar differentiated on its own (no grouping by linearity)."""
+    grid = hv.grid
+    inner = _inner_scalars(hv)
+    out = np.zeros(grid.shape)
+    for j in range(5):  # terms 1..5: Lap I_j
+        if x[j] != 0.0:
+            out = out + x[j] * laplacian(grid, inner[j])
+    for j in range(5):  # terms 6..10: (grad rho/rho) . grad I_j
+        if x[5 + j] != 0.0:
+            out = out + x[5 + j] * hv.dot_grad_log_rho(gradient(grid, inner[j]))
+    for pos, j in ((10, 0), (11, 2), (12, 1)):  # terms 11..13: grad S . grad I_j
+        if x[pos] != 0.0:
+            out = out + x[pos] * hv.dot_grad_s(gradient(grid, inner[j]))
+    return hv.zero_masked(out)
+
+
+class TestGroupedExtEvaluation:
+    GROUPS = (range(0, 5), range(5, 10), range(10, 13))
+
+    @staticmethod
+    def views():
+        for dims, n in ((1, 128), (2, 32)):
+            grid = q.make_grid(dims, n, 2 * np.pi)
+            yield hydro_decompose(grid, perturbed_plane_wave(grid, seed=12, cutoff=4, amplitude=0.3))
+
+    def coefficient_vectors(self):
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            yield rng.normal(size=13)
+        for dead in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
+            x = rng.normal(size=13) * (rng.random(13) < 0.6)
+            for g in dead:
+                x[list(self.GROUPS[g])] = 0.0
+            yield x
+
+    def test_matches_per_term_oracle(self):
+        for hv in self.views():
+            assert hv.masked_fraction == 0.0
+            for x in self.coefficient_vectors():
+                ref = per_term_ext(x, hv)
+                got = eval_functional(x, "ext", hv)
+                assert np.abs(got - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1e-300)
+
+    def test_zero_group_costs_no_transform(self, monkeypatch):
+        calls = []
+        for name in ("gradient", "laplacian"):
+            original = getattr(functionals, name)
+            monkeypatch.setattr(
+                functionals, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+            )
+        hv = next(self.views())
+        for live, expected in (((), []), ((0,), ["laplacian"]), ((1, 2), ["gradient"] * 2),
+                               ((0, 1, 2), ["laplacian", "gradient", "gradient"])):
+            x = np.zeros(13)
+            for g in live:
+                x[list(self.GROUPS[g])] = 0.1
+            calls.clear()
+            eval_functional(x, "ext", hv)
+            assert calls == expected
 
 
 class TestHomogeneity:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import nlse4 as q
-from nlse4.spectral import GridError, divergence, gradient, laplacian, spectral_derivative
+from nlse4.spectral import (
+    GridError,
+    divergence,
+    gradient,
+    gradient_and_laplacian,
+    laplacian,
+    spectral_derivative,
+)
 
 
 class TestMakeGrid:
@@ -103,3 +110,61 @@ def test_real_input_gives_real_output():
     grid = q.make_grid(1, 64, 3.0)
     f = np.cos(2 * np.pi * grid.axis_coords() / grid.length)
     assert spectral_derivative(grid, f).dtype == np.float64
+
+
+class TestRealFieldPath:
+    """Real fields go through the half-spectrum transforms; the same data
+    cast to complex takes the full complex path."""
+
+    @staticmethod
+    def field(grid, seed):
+        return q.random_state(grid, seed=seed, cutoff=10, amplitude=0.5).real
+
+    @staticmethod
+    def assert_parity(real_out, complex_out):
+        assert real_out.dtype == np.float64
+        assert np.iscomplexobj(complex_out)
+        scale = np.abs(complex_out).max()
+        assert np.abs(real_out - complex_out).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_gradient_divergence_laplacian(self, dims):
+        grid = q.make_grid(dims, 64, 7.0)
+        f = self.field(grid, 1)
+        for d_real, d_cplx in zip(gradient(grid, f), gradient(grid, f + 0j)):
+            self.assert_parity(d_real, d_cplx)
+        self.assert_parity(laplacian(grid, f), laplacian(grid, f + 0j))
+        vec = [self.field(grid, 2 + a) for a in range(dims)]
+        self.assert_parity(divergence(grid, vec), divergence(grid, [v + 0j for v in vec]))
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_odd_order_spectral_derivative(self, dims, order):
+        grid = q.make_grid(dims, 64, 7.0)
+        f = self.field(grid, 5)
+        for axis in range(dims):
+            self.assert_parity(
+                spectral_derivative(grid, f, order=order, axis=axis),
+                spectral_derivative(grid, f + 0j, order=order, axis=axis),
+            )
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_odd_orders_zero_nyquist_mode_on_both_paths(self, dims):
+        grid = q.make_grid(dims, 32, 5.0)
+        nyquist = (-1.0) ** np.arange(grid.n)  # cos(k_max x_j) up to sign
+        f = nyquist if dims == 1 else np.outer(nyquist, nyquist)
+        for field in (f, f + 0j):
+            for order in (1, 3):
+                for axis in range(dims):
+                    assert np.abs(spectral_derivative(grid, field, order, axis)).max() <= 1e-12
+            assert max(np.abs(d).max() for d in gradient(grid, field)) <= 1e-12
+            assert np.abs(divergence(grid, [field] * dims)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_gradient_and_laplacian_share_one_transform(self, dims):
+        grid = q.make_grid(dims, 64, 7.0)
+        for f in (self.field(grid, 6), q.random_state(grid, seed=6, cutoff=10)):
+            grad, lap = gradient_and_laplacian(grid, f)
+            for a, b in zip(grad, gradient(grid, f)):
+                assert np.array_equal(a, b)
+            assert np.array_equal(lap, laplacian(grid, f))

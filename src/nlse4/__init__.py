@@ -28,6 +28,8 @@ from .states import (
     harmonic_potential,
     zero_potential,
     wavenumber,
+    BoostError,
+    galilean_boost,
 )
 from .coeffs import (
     CoeffSet,
@@ -41,15 +43,11 @@ from .coeffs import (
 from .functionals import eval_functional, functional_pair, forbidden_term, homogeneity_check
 from .currents import CurrentSet, currents, continuity_residual, effective_mass
 from .evolution import (
-    BoostError,
     EvolutionAbort,
     EvolutionConfig,
-    GaugeFormError,
     StabilityError,
     Trajectory,
     evolve,
-    galilean_boost,
-    gauge_form_residual,
     nonlinear_rhs,
     stability_bound,
     suggest_dt,
@@ -72,12 +70,14 @@ from .bands import (
 )
 from .diagnostics import (
     EhrenfestReport,
+    GaugeFormError,
     ObservablesSample,
     ehrenfest_consistency,
     ehrenfest_corrections,
     energy,
     expectation_p,
     expectation_x,
+    gauge_form_residual,
     observables_sample,
     separability_test,
 )

@@ -84,14 +84,6 @@ class PhaseMode:
         x = grid.axis_coords()
         return self.amplitude * np.cos(np.sqrt(self.omega) * x + self.phase) + self.drift
 
-    def phase_profile(self, grid: Grid) -> np.ndarray:
-        """S(x) integrating the mode with zero mean slope addition."""
-        if grid.dims != 1:
-            raise BandError("phase modes are one-dimensional")
-        x = grid.axis_coords()
-        k = np.sqrt(self.omega)
-        return (self.amplitude / k) * np.sin(k * x + self.phase) + self.drift * x
-
 
 def stationary_flux_residual(
     grid: Grid,

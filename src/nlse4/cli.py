@@ -135,8 +135,8 @@ def _parse_state(cfg, grid: Grid, constants: PhysicalConstants, seed_override=No
 
 #: Optional ``evolution`` keys and their types; absent keys keep the EvolutionConfig default.
 _EVOLUTION_OPTIONS = {
-    "integrator": str, "stride": int, "norm_tol": float, "eps_rho": float,
-    "gate_factor": float, "ratio_floor": float, "mask_limit": float, "filter_fraction": float,
+    "stride": int, "norm_tol": float, "eps_rho": float, "gate_factor": float,
+    "ratio_floor": float, "mask_limit": float, "filter_fraction": float,
 }
 
 

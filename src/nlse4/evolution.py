@@ -1,4 +1,4 @@
-"""Time evolution of the modified equation.
+"""Time stepping of the modified equation.
 
 The canonical form integrated here is
 
@@ -22,10 +22,10 @@ the coefficient type; every other per-type fact is a method of the type:
   band-limited random states); strongly localized states should prefer the
   three-parameter engine.
 
-The default integrator is an integrating-factor RK4: the stiff kinetic part
-advances exactly in Fourier space every stage, leaving only potential and
-nonlinear terms to the explicit scheme.  Norm drift beyond tolerance aborts
-the run rather than renormalizing, so continuity bugs cannot hide.
+Time stepping is integrating-factor RK4, the only scheme: the stiff kinetic
+part advances exactly in Fourier space every stage, leaving only potential
+and nonlinear terms to the explicit scheme.  Norm drift beyond tolerance
+aborts the run rather than renormalizing, so continuity bugs cannot hide.
 
 A dynamical property worth knowing when planning runs: linearizing the
 three-parameter variant around a smooth active state (natural units) gives
@@ -93,7 +93,6 @@ class EvolutionConfig:
     coeffs: object = None  # CoeffSet | MEParams | None for linear
     constants: PhysicalConstants = NATURAL_UNITS
     potential: Potential | None = None
-    integrator: str = "ifrk4"
     stride: int = 50
     norm_tol: float = 1e-6
     eps_rho: float = DEFAULT_EPS_RHO
@@ -102,15 +101,12 @@ class EvolutionConfig:
     mask_limit: float = DEFAULT_MASK_LIMIT
     filter_fraction: float = DEFAULT_FILTER_FRACTION
     observables: bool = True
-    store_fields: bool = True
 
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ValueError("dt must be positive")
         if not (self.t_end > 0.0 and np.isfinite(self.t_end)):
             raise ValueError("t_end must be positive")
-        if self.integrator not in ("ifrk4", "rk4"):
-            raise ValueError(f"integrator must be 'ifrk4' or 'rk4', got {self.integrator!r}")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
 
@@ -135,8 +131,7 @@ class Trajectory:
         if self.ts and t <= self.ts[-1]:
             raise ValueError("snapshot times must be strictly increasing")
         self.ts.append(t)
-        if self.config.store_fields:
-            self.fields.append(psi.copy())
+        self.fields.append(psi.copy())
         if sample is not None:
             self.observables.append(sample)
 
@@ -172,6 +167,18 @@ def nonlinear_multiplier(
     return -(0.5 * coeffs.D) * fa - 1j * coeffs.D * fb
 
 
+def _explicit_rhs(grid: Grid, psi: np.ndarray, pot_vals, coeffs, hbar: float, **gates):
+    """Potential plus nonlinear part of dpsi/dt, or None when both vanish."""
+    out = None
+    if pot_vals is not None:
+        out = (-1j / hbar) * pot_vals * psi
+    mult = nonlinear_multiplier(grid, psi, coeffs, **gates)
+    if mult is not None:
+        term = mult * psi
+        out = term if out is None else out + term
+    return out
+
+
 def nonlinear_rhs(
     grid: Grid,
     psi: np.ndarray,
@@ -186,15 +193,11 @@ def nonlinear_rhs(
     """Full dpsi/dt including the kinetic and potential terms."""
     hbar, m = constants.hbar, constants.mass
     out = -1j / hbar * (-(hbar**2) / (2.0 * m) * laplacian(grid, psi))
-    if potential is not None:
-        out = out - 1j / hbar * potential.values * psi
-    mult = nonlinear_multiplier(
-        grid, psi, coeffs, eps_rho=eps_rho, gate_factor=gate_factor,
-        ratio_floor=ratio_floor, mask_limit=mask_limit,
+    explicit = _explicit_rhs(
+        grid, psi, potential.values if potential is not None else None, coeffs, hbar,
+        eps_rho=eps_rho, gate_factor=gate_factor, ratio_floor=ratio_floor, mask_limit=mask_limit,
     )
-    if mult is not None:
-        out = out + mult * psi
-    return out
+    return out if explicit is None else out + explicit
 
 
 def stability_bound(
@@ -257,22 +260,12 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     filt = _filter_mask(grid, config.filter_fraction)
 
     pot_vals = config.potential.values if config.potential is not None else None
+    gates = dict(eps_rho=config.eps_rho, gate_factor=config.gate_factor,
+                 ratio_floor=config.ratio_floor, mask_limit=config.mask_limit)
 
     def N(p):
-        out = None
-        if pot_vals is not None:
-            out = (-1j / hbar) * pot_vals * p
-        mult = nonlinear_multiplier(
-            grid, p, config.coeffs, eps_rho=config.eps_rho,
-            gate_factor=config.gate_factor, ratio_floor=config.ratio_floor,
-            mask_limit=config.mask_limit,
-        )
-        if mult is not None:
-            term = mult * p
-            out = term if out is None else out + term
-        if out is None:
-            return np.zeros_like(p)
-        return out
+        out = _explicit_rhs(grid, p, pot_vals, config.coeffs, hbar, **gates)
+        return np.zeros_like(p) if out is None else out
 
     traj = Trajectory(grid=grid, config=config)
     prev_snapshot = None
@@ -304,11 +297,7 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     # annihilates (quadratic phases, eigenstates) the explicit stage is
     # potential-limited, and the norm guard below catches any activation
     # later in the run.
-    mult0 = nonlinear_multiplier(
-        grid, psi, config.coeffs, eps_rho=config.eps_rho,
-        gate_factor=config.gate_factor, ratio_floor=config.ratio_floor,
-        mask_limit=config.mask_limit,
-    )
+    mult0 = nonlinear_multiplier(grid, psi, config.coeffs, **gates)
     active = mult0 is not None and float(np.abs(mult0).max()) > 0.0
     bound = stability_bound(
         grid, config.coeffs if active else None, config.constants, config.potential
@@ -321,32 +310,19 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     dt = config.dt
     t = 0.0
     for step in range(1, n_steps + 1):
-        if config.integrator == "ifrk4":
-            psi_hat = np.fft.fftn(psi)
-            a_hat = np.fft.fftn(N(psi))
-            psi2 = np.fft.ifftn(e_half * (psi_hat + (0.5 * dt) * a_hat))
-            b_hat = np.fft.fftn(N(psi2))
-            psi3 = np.fft.ifftn(e_half * psi_hat + (0.5 * dt) * b_hat)
-            c_hat = np.fft.fftn(N(psi3))
-            psi4 = np.fft.ifftn(e_full * psi_hat + dt * e_half * c_hat)
-            d_hat = np.fft.fftn(N(psi4))
-            new_hat = filt * (
-                e_full * psi_hat
-                + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
-            )
-            psi = np.fft.ifftn(new_hat)
-        else:  # plain rk4 on the full right-hand side
-
-            def rhs(p):
-                kin = np.fft.ifftn(-grid.k_squared() * np.fft.fftn(p))
-                return (1j * hbar / (2.0 * m)) * kin + N(p)
-
-            k1 = rhs(psi)
-            k2 = rhs(psi + 0.5 * dt * k1)
-            k3 = rhs(psi + 0.5 * dt * k2)
-            k4 = rhs(psi + dt * k3)
-            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            psi = np.fft.ifftn(filt * np.fft.fftn(psi))
+        psi_hat = np.fft.fftn(psi)
+        a_hat = np.fft.fftn(N(psi))
+        psi2 = np.fft.ifftn(e_half * (psi_hat + (0.5 * dt) * a_hat))
+        b_hat = np.fft.fftn(N(psi2))
+        psi3 = np.fft.ifftn(e_half * psi_hat + (0.5 * dt) * b_hat)
+        c_hat = np.fft.fftn(N(psi3))
+        psi4 = np.fft.ifftn(e_full * psi_hat + dt * e_half * c_hat)
+        d_hat = np.fft.fftn(N(psi4))
+        new_hat = filt * (
+            e_full * psi_hat
+            + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
+        )
+        psi = np.fft.ifftn(new_hat)
         t = step * dt
 
         norm = float((psi.real**2 + psi.imag**2).sum() * vol)
@@ -363,119 +339,3 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
 
     return traj
 
-
-class BoostError(ValueError):
-    """Boost velocity incommensurate with the periodic box."""
-
-
-def galilean_boost(
-    grid: Grid,
-    psi: np.ndarray,
-    v,
-    t: float = 0.0,
-    constants: PhysicalConstants = NATURAL_UNITS,
-    beta: float = 1.0,
-) -> np.ndarray:
-    """Boost a snapshot taken at time ``t`` into the frame moving with -v.
-
-    psi'(x) = psi(x - v t) * exp(i m_b (v.x - |v|^2 t / 2) / hbar)
-
-    with m_b = m / beta (the ``beta`` hook applies the effective-mass
-    rescaling of the second-order family; beta = 1 is the plain boost).
-    A plane wave k maps to k + m_b v / hbar, and boosting commutes with the
-    free evolution exactly.  Each m_b v_a L / hbar must be a multiple of
-    2 pi so the boost phase is continuous across the periodic box.
-    """
-    grid.validate_field(psi)
-    hbar, m = constants.hbar, constants.mass
-    if beta == 0.0:
-        raise BoostError("beta must be nonzero")
-    m_b = m / beta
-    vs = np.atleast_1d(np.asarray(v, dtype=float))
-    if vs.size == 1 and grid.dims == 2:
-        vs = np.repeat(vs, 2)
-    if vs.size != grid.dims:
-        raise BoostError(f"need one velocity component per axis, got {vs.size}")
-    for va in vs:
-        q = m_b * va * grid.length / (2.0 * np.pi * hbar)
-        if abs(q - round(q)) > 1e-9:
-            raise BoostError(
-                f"velocity component {va} is incommensurate: m v L / hbar = {q} * 2 pi must be integral"
-            )
-    # translation by v t via exact Fourier shift
-    psi_hat = np.fft.fftn(psi)
-    shift = 1.0
-    for a in range(grid.dims):
-        shift = shift * np.exp(-1j * grid.k_along(a) * (vs[a] * t))
-    shifted = np.fft.ifftn(psi_hat * shift)
-    xs = grid.coords()
-    phase = sum(m_b * vs[a] * xs[a] for a in range(grid.dims)) - 0.5 * m_b * float(vs @ vs) * t
-    return shifted * np.exp(1j * phase / hbar)
-
-
-class GaugeFormError(ValueError):
-    """Vector-potential form undefined for the requested parameters."""
-
-
-def gauge_form_residual(
-    grid: Grid,
-    psi: np.ndarray,
-    me: MEParams,
-    constants: PhysicalConstants = NATURAL_UNITS,
-    eps_rho: float = DEFAULT_EPS_RHO,
-) -> float:
-    """Pointwise gap between the vector-potential form and the canonical
-    Hamiltonian form of the three-parameter variant.
-
-    The vector potential is A = a grad(Lap S) with a = -m D1 / hbar and
-    c1 = 2 m b1 / a, c2 = 2 m b6 / a:
-
-        i dpsi/dt = -(1/2m)(grad - iA)^2 psi - (1/2m) A^2 psi
-                    + (c1/2m)(div A) psi
-                    + (1/2m)[c2 Re(w) + 2 Im(w)] psi,   w = A.grad(psi)/psi,
-
-    written in natural units (hbar = 1 is required).  The two forms agree
-    identically for b6 = 0; for b6 != 0 the c2 channel carries a constant
-    factor-of-two discrepancy (measured residual = |b6/2| max|T6 psi|),
-    which is reported rather than silently absorbed.
-    """
-    if constants.hbar != 1.0:
-        raise GaugeFormError("vector-potential form is defined in natural units (hbar = 1)")
-    m = constants.mass
-    a_const = -m * me.D1 / constants.hbar
-    if a_const == 0.0 and (me.b1 != 0.0 or me.b6 != 0.0):
-        raise GaugeFormError("a = 0 (D1 = 0) with nonzero b1/b6: c1, c2 undefined")
-
-    from .spectral import gradient, divergence
-
-    hv = hydro_decompose(grid, psi, eps_rho=eps_rho)
-    lap_psi = laplacian(grid, psi)
-    grad_lap_s = gradient(grid, hv.lap_s)
-    t1 = hv.zero_masked(laplacian(grid, hv.lap_s))
-    t6 = hv.zero_masked(hv.dot_grad_log_rho(grad_lap_s))
-
-    op16 = -(1.0 / (2.0 * m)) * lap_psi + (
-        -0.5j * me.D1 * (t1 + t6) + (me.b1 * t1 + me.b6 * t6)
-    ) * psi
-
-    if a_const == 0.0:
-        op23 = -(1.0 / (2.0 * m)) * lap_psi
-    else:
-        A = [a_const * comp for comp in grad_lap_s]
-        div_A = divergence(grid, A)
-        dpsi = gradient(grid, psi)
-        A_dot_grad = sum(Aa * da for Aa, da in zip(A, dpsi))
-        A_sq = sum(Aa * Aa for Aa in A)
-        cov = lap_psi - 1j * div_A * psi - 2j * A_dot_grad - A_sq * psi
-        w = np.where(hv.mask, 0.0, A_dot_grad * psi.conj() / hv.safe_rho)
-        c1 = 2.0 * m * me.b1 / a_const
-        c2 = 2.0 * m * me.b6 / a_const
-        op23 = (
-            -(1.0 / (2.0 * m)) * cov
-            - (1.0 / (2.0 * m)) * A_sq * psi
-            + (c1 / (2.0 * m)) * div_A * psi
-            + (1.0 / (2.0 * m)) * (c2 * w.real + 2.0 * w.imag) * psi
-        )
-
-    diff = np.where(hv.mask, 0.0, op23 - op16)
-    return float(np.abs(diff).max())

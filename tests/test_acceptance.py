@@ -11,11 +11,12 @@ import pytest
 
 import nlse4 as q
 from nlse4.cli import main as cli_main
-from nlse4.diagnostics import ehrenfest_consistency, separability_test
-from nlse4.evolution import EvolutionConfig, evolve, galilean_boost, gauge_form_residual, stability_bound
+from nlse4.diagnostics import ehrenfest_consistency, gauge_form_residual, separability_test
+from nlse4.evolution import EvolutionConfig, evolve, stability_bound
 from nlse4.functionals import eval_functional, homogeneity_check
 from nlse4.hydro import hydro_decompose
 from nlse4.spectral import gradient
+from nlse4.states import galilean_boost
 
 from helpers import banded_localized_state, perturbed_plane_wave
 

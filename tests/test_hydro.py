@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nlse4 as q
+from nlse4.checks import check_hydro_scaling_invariance
 from nlse4.hydro import MaskOverflowError, fourth_order_composites, hydro_decompose
 from nlse4.spectral import spectral_derivative
 
@@ -55,6 +56,13 @@ class TestDecomposition:
                 (hv.lap_rho_over_rho, hv2.lap_rho_over_rho),
             ]:
                 assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
+
+    def test_scaling_invariance_check_passes_every_seed(self):
+        """The registry check bounds the same deviation in the same relative
+        form, so roundoff alone never fails it."""
+        for seed in range(40):
+            result = check_hydro_scaling_invariance(seed)
+            assert result.passed, (seed, result.measured)
 
     def test_roundtrip_gradient(self):
         grid = q.make_grid(1, 128, 7.0)

@@ -1,12 +1,14 @@
 """Serialization formats and the command-line driver."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nlse4 as q
-from nlse4.cli import _parse_evolution, main
+from nlse4.cli import _EVOLUTION_OPTIONS, _parse_evolution, main
 from nlse4.io import read_field_snapshot, write_field_snapshot
 
 
@@ -87,9 +89,13 @@ class TestEvolveCommand:
             out2 / "fields" / "snapshot_000000.fld"
         ).read_bytes()
 
-    def test_unknown_key_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("section, table", [
+        ("grid", {"dims": 1, "n": 64, "length": 20.0, "bogus": 1}),
+        ("evolution", {**EVOLVE_CONFIG["evolution"], "integrator": "rk4"}),
+    ], ids=["grid-bogus", "evolution-integrator"])
+    def test_unknown_key_exits_2(self, tmp_path, section, table):
         bad = dict(EVOLVE_CONFIG)
-        bad["grid"] = {"dims": 1, "n": 64, "length": 20.0, "bogus": 1}
+        bad[section] = table
         cfg = _write_config(tmp_path, "bad.json", bad)
         out = tmp_path / "out_bad"
         assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 2
@@ -230,3 +236,16 @@ def test_evolution_defaults_come_from_config_class():
     me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
     parsed = _parse_evolution({"dt": 1e-3, "t_end": 0.02}, me, q.NATURAL_UNITS, None)
     assert parsed == q.EvolutionConfig(dt=1e-3, t_end=0.02, coeffs=me)
+
+
+def test_config_doc_evolution_table_matches_code():
+    """docs/config.md lists exactly the accepted evolution keys, and each
+    documented default is the EvolutionConfig default."""
+    text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    section = text.split("### `evolution`", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
+    documented = {key.strip().strip("`"): default.strip() for key, _, default in rows}
+    assert set(documented) == {"dt", "t_end", "snapshots", *_EVOLUTION_OPTIONS}
+    defaults = {f.name: f.default for f in dataclasses.fields(q.EvolutionConfig)}
+    for key, kind in _EVOLUTION_OPTIONS.items():
+        assert kind(documented[key]) == defaults[key], key

@@ -50,7 +50,6 @@ from .evolution import (
     evolve,
     nonlinear_rhs,
     stability_bound,
-    suggest_dt,
 )
 from .bands import (
     BandError,

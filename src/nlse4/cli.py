@@ -140,9 +140,11 @@ _EVOLUTION_OPTIONS = {
 }
 
 
-def _parse_evolution(cfg, coeffs, constants, potential) -> EvolutionConfig:
+def _parse_evolution(cfg, coeffs, constants, potential, snapshots: bool = False) -> EvolutionConfig:
+    """The run's EvolutionConfig; ``snapshots`` admits the key of that name,
+    which only a command that writes field snapshots may accept."""
     _require_keys(cfg, "evolution", required=("dt", "t_end"),
-                  optional=("snapshots", *_EVOLUTION_OPTIONS))
+                  optional=(*(("snapshots",) if snapshots else ()), *_EVOLUTION_OPTIONS))
     try:
         options = {key: kind(cfg[key]) for key, kind in _EVOLUTION_OPTIONS.items() if key in cfg}
         return EvolutionConfig(
@@ -206,7 +208,8 @@ def _evolve_run(command: str, config: dict, out_dir: Path, seed, quiet: bool) ->
     coeffs = _parse_coeffs(config["coeffs"])
     potential = _parse_potential(config.get("potential"), grid, constants)
     psi0 = _parse_state(config["state"], grid, constants, seed_override=seed)
-    evcfg = _parse_evolution(config["evolution"], coeffs, constants, potential)
+    evcfg = _parse_evolution(config["evolution"], coeffs, constants, potential,
+                             snapshots=command == "evolve")
     summary = _summary_skeleton(command, config)
     try:
         return grid, evolve(grid, psi0, evcfg), summary

@@ -91,6 +91,11 @@ def currents(hv: HydroView, couplings, constants: PhysicalConstants = NATURAL_UN
     return CurrentSet(j_linear=j_lin, j1=j1, j2=j2, j3=j3, j4=j4, j5=j5, couplings=d)
 
 
+def current_divergence(hv: HydroView, couplings, constants: PhysicalConstants = NATURAL_UNITS) -> np.ndarray:
+    """div of the total current (linear plus the five extras) of one state."""
+    return divergence(hv.grid, currents(hv, couplings, constants).total())
+
+
 def continuity_residual(
     grid: Grid,
     psi_before: np.ndarray,
@@ -99,7 +104,8 @@ def continuity_residual(
     couplings,
     constants: PhysicalConstants = NATURAL_UNITS,
     eps_rho: float = DEFAULT_EPS_RHO,
-    hv_after: HydroView | None = None,
+    div_before: np.ndarray | None = None,
+    div_after: np.ndarray | None = None,
 ) -> tuple:
     """Residual of the continuity equation over one stored snapshot pair.
 
@@ -111,8 +117,10 @@ def continuity_residual(
     Returns ``(abs_residual_field, signed_integral)``.  The signed integral
     equals the norm change rate and converges at the integrator's order.
     Both snapshots are decomposed with the node-mask floor ``eps_rho``;
-    ``hv_after``, if given, is that decomposition of ``psi_after`` (with
-    ``max_masked_fraction=1.0``) and is used instead of a new one.
+    ``div_before``/``div_after``, if given, are the
+    :func:`current_divergence` of that decomposition (with
+    ``max_masked_fraction=1.0``) and replace it, so a run that keeps the
+    previous snapshot's divergence never decomposes that snapshot again.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -120,10 +128,11 @@ def continuity_residual(
     rho1 = np.abs(psi_after) ** 2
     drho_dt = (rho1 - rho0) / dt
     div_avg = 0.0
-    for psi, hv in ((psi_before, None), (psi_after, hv_after)):
-        if hv is None:
+    for psi, div in ((psi_before, div_before), (psi_after, div_after)):
+        if div is None:
             hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
-        div_avg = div_avg + 0.5 * divergence(grid, currents(hv, couplings, constants).total())
+            div = current_divergence(hv, couplings, constants)
+        div_avg = div_avg + 0.5 * div
     resid = drho_dt + div_avg
     return np.abs(resid), float(grid.integrate(resid))
 

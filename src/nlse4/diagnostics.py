@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import MEParams, is_linear
-from .currents import continuity_residual
+from .currents import continuity_residual, current_divergence
 from .evolution import nonlinear_multiplier
 from .hydro import (
     DEFAULT_EPS_RHO,
@@ -121,6 +121,7 @@ def ehrenfest_corrections(
     ratio_floor: float = DEFAULT_RATIO_FLOOR,
     enforce_tails: bool = True,
     hv: HydroView | None = None,
+    mult: np.ndarray | None = None,
 ) -> tuple:
     """(I1, I2) per axis for one state.
 
@@ -131,14 +132,18 @@ def ehrenfest_corrections(
     multiplier c (both zero for the linear equation).
     The position-weighted integrand decays with rho, but the centered box
     coordinate still requires decayed tails, which are enforced by default.
-    ``hv`` is an existing decomposition of ``psi`` (floor ``eps_rho``).
+    ``hv`` is an existing decomposition of ``psi`` (floor ``eps_rho``) and
+    ``mult`` the multiplier c already built from it; either is computed
+    here when not supplied.
     """
     if enforce_tails:
         check_tails(grid, psi)
     hbar, m = constants.hbar, constants.mass
     if hv is None:
         hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
-    c = nonlinear_multiplier(grid, psi, coeffs, gate_factor=gate_factor, ratio_floor=ratio_floor, hv=hv)
+    c = mult
+    if c is None:
+        c = nonlinear_multiplier(grid, psi, coeffs, gate_factor=gate_factor, ratio_floor=ratio_floor, hv=hv)
     if c is None:
         h_i = h_r = np.zeros(grid.shape)
     else:
@@ -167,18 +172,30 @@ def observables_sample(
     eps_rho: float = DEFAULT_EPS_RHO,
     gate_factor: float = DEFAULT_GATE_FACTOR,
     ratio_floor: float = DEFAULT_RATIO_FLOOR,
+    hv: HydroView | None = None,
+    mult: np.ndarray | None = None,
+    div_j: np.ndarray | None = None,
+    prev_div_j: np.ndarray | None = None,
 ) -> ObservablesSample:
     """Assemble one observables record; ``prev`` is the previous snapshot
-    (t, psi) used for the finite-difference continuity residual.  The
-    snapshot is decomposed once, and energy, Ehrenfest corrections and
-    residual share that view."""
-    hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
+    (t, psi) used for the finite-difference continuity residual.
+
+    The snapshot is decomposed once, and energy, Ehrenfest corrections and
+    residual share that view.  A caller that already holds them passes the
+    view ``hv`` (floor ``eps_rho``, any mask limit), the multiplier
+    ``mult`` built from it, this snapshot's current divergence ``div_j`` and
+    the previous snapshot's ``prev_div_j``; each one not supplied is
+    computed here.
+    """
+    if hv is None:
+        hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
     norm = float(grid.integrate(np.abs(psi) ** 2))
     e_l, e_me = energy(grid, psi, potential, coeffs, constants, eps_rho, gate_factor, ratio_floor, hv=hv)
     x_mean = expectation_x(grid, psi)
     p_mean = expectation_p(grid, psi, constants)
     i1, i2 = ehrenfest_corrections(
-        grid, psi, coeffs, constants, eps_rho, gate_factor, ratio_floor, enforce_tails=False, hv=hv
+        grid, psi, coeffs, constants, eps_rho, gate_factor, ratio_floor, enforce_tails=False,
+        hv=hv, mult=mult,
     )
     if potential is not None:
         rho = np.abs(psi) ** 2
@@ -189,8 +206,11 @@ def observables_sample(
     if prev is not None:
         t_prev, psi_prev = prev
         if t > t_prev:
+            if div_j is None:
+                div_j = current_divergence(hv, coeffs, constants)
             _, cont = continuity_residual(
-                grid, psi_prev, psi, t - t_prev, coeffs, constants, eps_rho=eps_rho, hv_after=hv
+                grid, psi_prev, psi, t - t_prev, coeffs, constants, eps_rho=eps_rho,
+                div_before=prev_div_j, div_after=div_j,
             )
     return ObservablesSample(
         t=t, norm=norm, e_l=e_l, e_me=e_me, x_mean=x_mean, p_mean=p_mean,

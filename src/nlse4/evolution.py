@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import MEParams, is_linear
+from .currents import current_divergence
 from .functionals import functional_pair
 from .hydro import (
     DEFAULT_EPS_RHO,
@@ -167,12 +168,12 @@ def nonlinear_multiplier(
     return -(0.5 * coeffs.D) * fa - 1j * coeffs.D * fb
 
 
-def _explicit_rhs(grid: Grid, psi: np.ndarray, pot_vals, coeffs, hbar: float, **gates):
-    """Potential plus nonlinear part of dpsi/dt, or None when both vanish."""
+def _explicit_rhs(psi: np.ndarray, pot_vals, mult, hbar: float):
+    """Potential plus nonlinear part of dpsi/dt, or None when both vanish;
+    ``mult`` is the nonlinear multiplier of psi (None for the linear equation)."""
     out = None
     if pot_vals is not None:
         out = (-1j / hbar) * pot_vals * psi
-    mult = nonlinear_multiplier(grid, psi, coeffs, **gates)
     if mult is not None:
         term = mult * psi
         out = term if out is None else out + term
@@ -193,10 +194,9 @@ def nonlinear_rhs(
     """Full dpsi/dt including the kinetic and potential terms."""
     hbar, m = constants.hbar, constants.mass
     out = -1j / hbar * (-(hbar**2) / (2.0 * m) * laplacian(grid, psi))
-    explicit = _explicit_rhs(
-        grid, psi, potential.values if potential is not None else None, coeffs, hbar,
-        eps_rho=eps_rho, gate_factor=gate_factor, ratio_floor=ratio_floor, mask_limit=mask_limit,
-    )
+    mult = nonlinear_multiplier(grid, psi, coeffs, eps_rho=eps_rho, gate_factor=gate_factor,
+                                ratio_floor=ratio_floor, mask_limit=mask_limit)
+    explicit = _explicit_rhs(psi, potential.values if potential is not None else None, mult, hbar)
     return out if explicit is None else out + explicit
 
 
@@ -223,13 +223,6 @@ def stability_bound(
     return RK4_STABILITY / rate
 
 
-def suggest_dt(grid, coeffs, constants=NATURAL_UNITS, potential=None, safety: float = 0.3) -> float:
-    bound = stability_bound(grid, coeffs, constants, potential)
-    if not np.isfinite(bound):
-        return 1e-3
-    return safety * bound
-
-
 def _filter_mask(grid: Grid, fraction: float) -> np.ndarray:
     if fraction >= 1.0:
         return np.ones(grid.shape)
@@ -250,6 +243,8 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     n_steps = config.n_steps()
 
     hbar, m = config.constants.hbar, config.constants.mass
+    coeffs = config.coeffs
+    nonlinear = not is_linear(coeffs)
     psi = np.ascontiguousarray(psi0, dtype=complex)
     vol = grid.cell_volume
     norm0 = float((np.abs(psi) ** 2).sum() * vol)
@@ -260,64 +255,70 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     filt = _filter_mask(grid, config.filter_fraction)
 
     pot_vals = config.potential.values if config.potential is not None else None
-    gates = dict(eps_rho=config.eps_rho, gate_factor=config.gate_factor,
-                 ratio_floor=config.ratio_floor, mask_limit=config.mask_limit)
 
-    def N(p):
-        out = _explicit_rhs(grid, p, pot_vals, config.coeffs, hbar, **gates)
+    def derive(p, p_hat, limit):
+        """The view and the nonlinear multiplier of one state, built once."""
+        hv = hydro_decompose(grid, p, eps_rho=config.eps_rho, max_masked_fraction=limit, psi_hat=p_hat)
+        return hv, nonlinear_multiplier(grid, p, coeffs, gate_factor=config.gate_factor,
+                                        ratio_floor=config.ratio_floor, hv=hv)
+
+    def stage_terms(p, p_hat):
+        """(view, multiplier) of a stage input; the mask guard applies."""
+        return derive(p, p_hat, config.mask_limit) if nonlinear else (None, None)
+
+    def N(p, mult):
+        out = _explicit_rhs(p, pot_vals, mult, hbar)
         return np.zeros_like(p) if out is None else out
 
     traj = Trajectory(grid=grid, config=config)
-    prev_snapshot = None
+    prev_snapshot = prev_div = None
 
-    def record(t, p):
-        nonlocal prev_snapshot
+    def record(t, p, p_hat, hv, mult):
+        """Store one snapshot; its sample reads the state's view, multiplier
+        and current divergence, and the divergence is kept for the next
+        sample's continuity residual."""
+        nonlocal prev_snapshot, prev_div
         sample = None
         if config.observables:
+            if hv is None:  # no stage reads this state: sampled without the mask guard
+                hv, mult = derive(p, p_hat, 1.0)
+            div_j = current_divergence(hv, coeffs, config.constants)
             sample = observables_sample(
-                grid,
-                p,
-                t,
-                config.potential,
-                config.coeffs,
-                config.constants,
-                prev=prev_snapshot,
-                eps_rho=config.eps_rho,
-                gate_factor=config.gate_factor,
-                ratio_floor=config.ratio_floor,
+                grid, p, t, config.potential, coeffs, config.constants,
+                prev=prev_snapshot, eps_rho=config.eps_rho, gate_factor=config.gate_factor,
+                ratio_floor=config.ratio_floor, hv=hv, mult=mult, div_j=div_j, prev_div_j=prev_div,
             )
+            prev_div = div_j
         traj.append(t, p, sample)
-        prev_snapshot = (t, p.copy())
+        prev_snapshot = (t, traj.fields[-1])
 
     # initial state passes through the band-limit filter once
     psi = np.fft.ifftn(filt * np.fft.fftn(psi))
+    psi_hat = np.fft.fftn(psi)
+    hv, mult = stage_terms(psi, psi_hat)
 
     # Step-size guard.  The k_max^4 nonlinear rate only binds when the
     # nonlinearity is actually active on the initial state; on states it
     # annihilates (quadratic phases, eigenstates) the explicit stage is
     # potential-limited, and the norm guard below catches any activation
     # later in the run.
-    mult0 = nonlinear_multiplier(grid, psi, config.coeffs, **gates)
-    active = mult0 is not None and float(np.abs(mult0).max()) > 0.0
-    bound = stability_bound(
-        grid, config.coeffs if active else None, config.constants, config.potential
-    )
+    active = mult is not None and float(np.abs(mult).max()) > 0.0
+    bound = stability_bound(grid, coeffs if active else None, config.constants, config.potential)
     if config.dt > bound:
         raise StabilityError(f"dt = {config.dt:.3e} exceeds stability bound {bound:.3e}")
 
-    record(0.0, psi)
+    record(0.0, psi, psi_hat, hv, mult)
 
     dt = config.dt
     t = 0.0
     for step in range(1, n_steps + 1):
-        psi_hat = np.fft.fftn(psi)
-        a_hat = np.fft.fftn(N(psi))
+        a_hat = np.fft.fftn(N(psi, mult))
         psi2 = np.fft.ifftn(e_half * (psi_hat + (0.5 * dt) * a_hat))
-        b_hat = np.fft.fftn(N(psi2))
+        b_hat = np.fft.fftn(N(psi2, stage_terms(psi2, None)[1]))
         psi3 = np.fft.ifftn(e_half * psi_hat + (0.5 * dt) * b_hat)
-        c_hat = np.fft.fftn(N(psi3))
+        c_hat = np.fft.fftn(N(psi3, stage_terms(psi3, None)[1]))
         psi4 = np.fft.ifftn(e_full * psi_hat + dt * e_half * c_hat)
-        d_hat = np.fft.fftn(N(psi4))
+        d_hat = np.fft.fftn(N(psi4, stage_terms(psi4, None)[1]))
         new_hat = filt * (
             e_full * psi_hat
             + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
@@ -334,8 +335,16 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
                 t - dt,
                 traj,
             )
-        if step % config.stride == 0 or step == n_steps:
-            record(t, psi)
+        # Each state is transformed and derived once: as the next step's
+        # stage a, and by its sample when it is taken.
+        last = step == n_steps
+        sampled = step % config.stride == 0 or last
+        psi_hat = hv = mult = None
+        if not last or (sampled and config.observables):
+            psi_hat = np.fft.fftn(psi)
+        if not last:
+            hv, mult = stage_terms(psi, psi_hat)
+        if sampled:
+            record(t, psi, psi_hat, hv, mult)
 
     return traj
-

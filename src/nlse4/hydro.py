@@ -111,18 +111,21 @@ def hydro_decompose(
     psi: np.ndarray,
     eps_rho: float = DEFAULT_EPS_RHO,
     max_masked_fraction: float = 0.25,
+    psi_hat: np.ndarray | None = None,
 ) -> HydroView:
     """Decompose psi into density, phase gradients and their Laplacians.
 
     ``eps_rho`` is relative to max(rho).  Raises :class:`MaskOverflowError`
     if more than ``max_masked_fraction`` of the grid is below the floor.
+    ``psi_hat``, if given, is the spectrum ``fftn(psi)`` (or the spectrum psi
+    was synthesized from) and replaces the forward transform of psi.
     """
     grid.validate_field(psi)
     if not np.all(np.isfinite(psi)):
         raise ValueError("wavefunction contains non-finite samples")
 
     psi = np.ascontiguousarray(psi, dtype=complex)
-    dpsi = gradient(grid, psi)
+    dpsi = gradient(grid, psi, psi_hat)
     rho = (psi.real**2 + psi.imag**2)
     conj = psi.conj()
     g = [(conj * d).imag for d in dpsi]

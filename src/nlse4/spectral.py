@@ -189,11 +189,16 @@ def _inverse(grid: Grid, fhat: np.ndarray, real: bool) -> np.ndarray:
     return np.fft.ifftn(fhat)
 
 
-def gradient(grid: Grid, field: np.ndarray) -> list:
-    """First derivative along every axis."""
+def gradient(grid: Grid, field: np.ndarray, field_hat: np.ndarray | None = None) -> list:
+    """First derivative along every axis.
+
+    ``field_hat`` is the field's spectrum in the layout of :func:`_forward`
+    (``fftn`` of a complex field, ``rfftn`` of a real one); a caller that
+    already holds it passes it to skip the forward transform.
+    """
     grid.validate_field(field)
     real = np.isrealobj(field)
-    fhat = _forward(field, real)
+    fhat = _forward(field, real) if field_hat is None else field_hat
     return [_inverse(grid, _ik(grid, a, real) * fhat, real) for a in range(grid.dims)]
 
 

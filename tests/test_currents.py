@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nlse4 as q
-from nlse4.currents import continuity_residual, currents, effective_mass
+from nlse4.currents import continuity_residual, current_divergence, currents, effective_mass
 from nlse4.evolution import EvolutionConfig, evolve
 from nlse4.functionals import eval_functional
 from nlse4.hydro import hydro_decompose, weighted_grad_of_ratio
@@ -128,7 +128,8 @@ class TestContinuityResidual:
         after = perturbed_plane_wave(grid, seed=4, cutoff=5, amplitude=0.3)
         hv = hydro_decompose(grid, after, eps_rho=1e-6, max_masked_fraction=1.0)
         own = continuity_residual(grid, before, after, 1e-3, me, eps_rho=1e-6)
-        shared = continuity_residual(grid, before, after, 1e-3, me, eps_rho=1e-6, hv_after=hv)
+        shared = continuity_residual(grid, before, after, 1e-3, me, eps_rho=1e-6,
+                                     div_after=current_divergence(hv, me))
         assert np.array_equal(own[0], shared[0]) and own[1] == shared[1]
 
     def test_stationary_state_terms_vanish_separately(self):

@@ -266,6 +266,62 @@ class TestSharedDecomposition:
         assert np.isfinite(sample.cont_residual)
 
 
+class TestSharedStateDerivation:
+    """evolve derives each state once (one view, one multiplier) and hands
+    the result, with the carried current divergence of the previous sample,
+    to the observables sample; sharing changes no bit of any sample."""
+
+    EXT = TestSharedDecomposition.COEFFS[2]
+
+    @classmethod
+    def runs(cls):
+        me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+        grid1 = q.make_grid(1, 128, 2 * np.pi)
+        grid2 = q.make_grid(2, 32, 2 * np.pi)
+        return [
+            (grid1, perturbed_plane_wave(grid1, seed=5, cutoff=5, amplitude=0.3), me, 5),
+            (grid2, q.random_state(grid2, seed=3, cutoff=4, amplitude=0.3), cls.EXT, 4),
+        ]
+
+    @staticmethod
+    def evolve_counted(grid, psi0, coeffs, steps, monkeypatch):
+        counts = {"hydro_decompose": 0, "nonlinear_multiplier": 0}
+        for fname, original in (("hydro_decompose", q.hydro_decompose),
+                                ("nonlinear_multiplier", nonlinear_multiplier)):
+            def counted(*a, _name=fname, _original=original, **k):
+                counts[_name] += 1
+                return _original(*a, **k)
+            for name in ("diagnostics", "currents", "evolution"):
+                mod = importlib.import_module(f"nlse4.{name}")
+                if hasattr(mod, fname):
+                    monkeypatch.setattr(mod, fname, counted)
+        dt = 0.2 * stability_bound(grid, coeffs)
+        cfg = EvolutionConfig(dt=dt, t_end=steps * dt, coeffs=coeffs, stride=1, norm_tol=1e-4)
+        traj = evolve(grid, psi0, cfg)
+        monkeypatch.undo()
+        return traj, cfg, counts
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["1d_me", "2d_ext"])
+    def test_each_state_derived_once(self, case, monkeypatch):
+        grid, psi0, coeffs, steps = self.runs()[case]
+        _, _, counts = self.evolve_counted(grid, psi0, coeffs, steps, monkeypatch)
+        assert counts == {"hydro_decompose": 4 * steps + 1, "nonlinear_multiplier": 4 * steps + 1}
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["1d_me", "2d_ext"])
+    def test_rows_equal_standalone_samples(self, case, monkeypatch):
+        grid, psi0, coeffs, steps = self.runs()[case]
+        traj, cfg, _ = self.evolve_counted(grid, psi0, coeffs, steps, monkeypatch)
+        assert len(traj.observables) == steps + 1
+        for i, (t, psi) in enumerate(zip(traj.ts, traj.fields)):
+            prev = (traj.ts[i - 1], traj.fields[i - 1]) if i else None
+            alone = observables_sample(
+                grid, psi, t, None, coeffs, CON, prev=prev, eps_rho=cfg.eps_rho,
+                gate_factor=cfg.gate_factor, ratio_floor=cfg.ratio_floor,
+            )
+            assert repr(traj.observables[i]) == repr(alone)
+        assert any(s.cont_residual != 0.0 for s in traj.observables[1:])
+
+
 class _NotCoeffs:
     is_linear = True  # looks linear, but is no coefficient object
 

@@ -7,6 +7,7 @@ import nlse4 as q
 from nlse4.diagnostics import GaugeFormError, gauge_form_residual
 from nlse4.evolution import (
     DEFAULT_FILTER_FRACTION,
+    DEFAULT_MASK_LIMIT,
     EvolutionAbort,
     EvolutionConfig,
     StabilityError,
@@ -95,6 +96,65 @@ class TestEvolve:
             k4 = rhs(psi + dt * k3)
             psi = band_filter(psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         assert np.abs(a.final - psi).max() <= 1e-7
+
+    @staticmethod
+    def retransforming_if_rk4(grid, psi0, cfg):
+        """IF-RK4 that takes every stage input's view from a new forward
+        transform of that input: the oracle for the stepper, which reads the
+        views of stages b, c and d off the spectra it synthesizes them from."""
+        e_half = np.exp(-1j * grid.k_squared() / 2.0 * (cfg.dt / 2.0))
+        e_full = e_half * e_half
+        filt = _filter_mask(grid, cfg.filter_fraction)
+        dt = cfg.dt
+
+        def N(p):
+            return nonlinear_multiplier(grid, p, cfg.coeffs, eps_rho=cfg.eps_rho,
+                                        gate_factor=cfg.gate_factor, ratio_floor=cfg.ratio_floor,
+                                        mask_limit=cfg.mask_limit) * p
+
+        fft, ifft = np.fft.fftn, np.fft.ifftn
+        psi = ifft(filt * fft(psi0))
+        for _ in range(cfg.n_steps()):
+            psi_hat = fft(psi)
+            a_hat = fft(N(psi))
+            b_hat = fft(N(ifft(e_half * (psi_hat + (0.5 * dt) * a_hat))))
+            c_hat = fft(N(ifft(e_half * psi_hat + (0.5 * dt) * b_hat)))
+            d_hat = fft(N(ifft(e_full * psi_hat + dt * e_half * c_hat)))
+            psi = ifft(filt * (e_full * psi_hat + (dt / 6.0) * (
+                e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)))
+        return psi
+
+    @pytest.mark.parametrize("dims", [1, 2], ids=["1d_me", "2d_ext"])
+    def test_stage_spectrum_reuse_agrees_with_retransforming_oracle(self, dims):
+        if dims == 1:
+            grid = q.make_grid(1, 128, 2 * np.pi)
+            psi0 = perturbed_plane_wave(grid, seed=5, cutoff=5, amplitude=0.3)
+            coeffs = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+        else:
+            grid = q.make_grid(2, 32, 2 * np.pi)
+            psi0 = q.random_state(grid, seed=3, cutoff=4, amplitude=0.3)
+            coeffs = q.ext_coeffs(a=[0.1, 0.05, 0.02, 0.03, 0.01] * 2 + [0.0] * 3,
+                                  b=[0.05, 0.01, 0.02, 0.01, 0.01, 0.02, 0.01, 0.0, 0.01, 0.0, 0.01, 0.0, 0.0])
+        dt = 0.2 * stability_bound(grid, coeffs)
+        cfg = EvolutionConfig(dt=dt, t_end=10 * dt, coeffs=coeffs, stride=100,
+                              observables=False, norm_tol=1e-4)
+        oracle = self.retransforming_if_rk4(grid, psi0, cfg)
+        final = evolve(grid, psi0, cfg).final
+        assert np.abs(final - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_mask_guard_on_nonlinear_initial_state_only(self):
+        """mask_limit guards the decompositions the stepper reads; a linear
+        run decomposes only to sample, without the guard."""
+        grid = q.make_grid(1, 128, 24.0)
+        psi0 = q.gaussian_packet(grid, t0=1.0)
+        masked = q.hydro_decompose(grid, psi0, max_masked_fraction=1.0).masked_fraction
+        limit = 0.5 * masked
+        assert 0.0 < limit < DEFAULT_MASK_LIMIT
+        shared = dict(dt=1e-3, t_end=2e-3, stride=1, mask_limit=limit)
+        with pytest.raises(q.MaskOverflowError):
+            evolve(grid, psi0, EvolutionConfig(coeffs=q.MEParams(D1=0.1, b1=0.05, b6=0.02), **shared))
+        traj = evolve(grid, psi0, EvolutionConfig(coeffs=None, **shared))
+        assert len(traj.observables) == 3
 
     def test_stability_bound_enforced(self):
         grid = q.make_grid(1, 128, 2 * np.pi)

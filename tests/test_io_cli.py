@@ -188,6 +188,16 @@ class TestEhrenfestCommand:
         assert all(len(line.split(",")) == 11 for line in lines[1:])
 
 
+    def test_snapshots_key_rejected(self, tmp_path, capsys):
+        """ehrenfest writes no field snapshots, so it refuses the key."""
+        cfg_data = _ehrenfest_config(1, 64)
+        cfg_data["evolution"]["snapshots"] = True
+        cfg = _write_config(tmp_path, "ehr_snap.json", cfg_data)
+        out = tmp_path / "ehr_snap_out"
+        assert main(["ehrenfest", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "'snapshots'" in capsys.readouterr().err
+        assert not (out / "fields").exists()
+
     @pytest.mark.parametrize("quiet", [False, True])
     def test_abort_reported(self, tmp_path, capsys, quiet):
         cfg_data = _ehrenfest_config(1, 64)

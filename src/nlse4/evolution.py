@@ -312,13 +312,17 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     dt = config.dt
     t = 0.0
     for step in range(1, n_steps + 1):
+        # stages b, c and d are decomposed from the spectra they are made of
         a_hat = np.fft.fftn(N(psi, mult))
-        psi2 = np.fft.ifftn(e_half * (psi_hat + (0.5 * dt) * a_hat))
-        b_hat = np.fft.fftn(N(psi2, stage_terms(psi2, None)[1]))
-        psi3 = np.fft.ifftn(e_half * psi_hat + (0.5 * dt) * b_hat)
-        c_hat = np.fft.fftn(N(psi3, stage_terms(psi3, None)[1]))
-        psi4 = np.fft.ifftn(e_full * psi_hat + dt * e_half * c_hat)
-        d_hat = np.fft.fftn(N(psi4, stage_terms(psi4, None)[1]))
+        psi2_hat = e_half * (psi_hat + (0.5 * dt) * a_hat)
+        psi2 = np.fft.ifftn(psi2_hat)
+        b_hat = np.fft.fftn(N(psi2, stage_terms(psi2, psi2_hat)[1]))
+        psi3_hat = e_half * psi_hat + (0.5 * dt) * b_hat
+        psi3 = np.fft.ifftn(psi3_hat)
+        c_hat = np.fft.fftn(N(psi3, stage_terms(psi3, psi3_hat)[1]))
+        psi4_hat = e_full * psi_hat + dt * e_half * c_hat
+        psi4 = np.fft.ifftn(psi4_hat)
+        d_hat = np.fft.fftn(N(psi4, stage_terms(psi4, psi4_hat)[1]))
         new_hat = filt * (
             e_full * psi_hat
             + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)

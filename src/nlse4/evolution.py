@@ -27,6 +27,23 @@ part advances exactly in Fourier space every stage, leaving only potential
 and nonlinear terms to the explicit scheme.  Norm drift beyond tolerance
 aborts the run rather than renormalizing, so continuity bugs cannot hide.
 
+Every state the run touches is derived once, and each stage reuses:
+
+* stage a: the step's state, its spectrum fftn(psi), its hydrodynamic view
+  and its multiplier, all built when the state was made (the initial state
+  before the step-size guard, which reads the same multiplier);
+* stages b, c and d: the spectrum each is synthesized from (the argument of
+  its ifftn), so their views cost no forward transform;
+* the observables sample of a state: that state's view and multiplier, its
+  current divergence computed once, and the previous sample's divergence,
+  carried forward for the continuity residual.
+
+Sampled states and stage a use fftn(psi), so a sample recomputed standalone
+from the stored fields matches the run bit for bit.  The mask guard
+(``mask_limit``) applies to every stage input of a nonlinear run, the
+initial state included; a state that is only sampled (the final one, or any
+state of a linear run) is decomposed without it.
+
 A dynamical property worth knowing when planning runs: linearizing the
 three-parameter variant around a smooth active state (natural units) gives
 perturbation growth at wavenumbers q with D1 q^2 > 1,
@@ -339,16 +356,12 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
                 t - dt,
                 traj,
             )
-        # Each state is transformed and derived once: as the next step's
-        # stage a, and by its sample when it is taken.
+        # Each state is transformed and derived once, for the next step's
+        # stage a and for its sample.
+        psi_hat = np.fft.fftn(psi)
         last = step == n_steps
-        sampled = step % config.stride == 0 or last
-        psi_hat = hv = mult = None
-        if not last or (sampled and config.observables):
-            psi_hat = np.fft.fftn(psi)
-        if not last:
-            hv, mult = stage_terms(psi, psi_hat)
-        if sampled:
+        hv, mult = (None, None) if last else stage_terms(psi, psi_hat)
+        if last or step % config.stride == 0:
             record(t, psi, psi_hat, hv, mult)
 
     return traj

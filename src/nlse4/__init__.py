@@ -26,7 +26,6 @@ from .states import (
     coherent_state,
     random_state,
     harmonic_potential,
-    zero_potential,
     wavenumber,
     BoostError,
     galilean_boost,
@@ -41,7 +40,7 @@ from .coeffs import (
     dg_linearizable,
 )
 from .functionals import eval_functional, functional_pair, forbidden_term, homogeneity_check
-from .currents import CurrentSet, currents, continuity_residual, effective_mass
+from .currents import CurrentSet, currents, continuity_residual
 from .evolution import (
     EvolutionAbort,
     EvolutionConfig,

@@ -135,12 +135,3 @@ def continuity_residual(
         div_avg = div_avg + 0.5 * div
     resid = drho_dt + div_avg
     return np.abs(resid), float(grid.integrate(resid))
-
-
-def effective_mass(m: float, D: float, hbar: float) -> tuple:
-    """Mass rescaling m* = m / (1 + D m / hbar) of the second-order
-    divergence family; returns (m_star, beta)."""
-    beta = 1.0 + D * m / hbar
-    if abs(beta) < 1e-300:
-        raise ZeroDivisionError("effective mass is singular: 1 + D m / hbar = 0")
-    return m / beta, beta

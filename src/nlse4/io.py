@@ -2,7 +2,9 @@
 
 CSV files carry 17-significant-digit floats (full round-trip precision);
 JSON summaries are written with sorted keys and no timestamps, so identical
-runs produce byte-identical artifacts.
+runs produce byte-identical artifacts.  JSON has no NaN or infinity, so a
+non-finite float (the measured value of a check that raised) is written to
+a summary as ``null``; CSV keeps ``nan``.
 
 Field snapshot binary layout (little-endian):
 
@@ -19,6 +21,7 @@ Field snapshot binary layout (little-endian):
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +72,19 @@ def write_observables_csv(path, trajectory) -> None:
     write_csv(path, observables_csv_columns(dims), observables_rows(trajectory.observables, dims))
 
 
+def _finite_or_null(value):
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_summary(path, summary: dict) -> None:
-    Path(path).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(_finite_or_null(summary), sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def write_field_snapshot(path, grid: Grid, field: np.ndarray) -> None:

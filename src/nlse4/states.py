@@ -29,11 +29,6 @@ class Potential:
     grad: tuple
 
 
-def zero_potential(grid: Grid) -> Potential:
-    z = np.zeros(grid.shape)
-    return Potential(values=z, grad=tuple(np.zeros(grid.shape) for _ in range(grid.dims)))
-
-
 def harmonic_potential(grid: Grid, omega: float, constants: PhysicalConstants = NATURAL_UNITS) -> Potential:
     """V = (m omega^2 / 2) |x|^2 on centered coordinates."""
     xs = grid.coords()
@@ -249,7 +244,8 @@ def galilean_boost(
     psi'(x) = psi(x - v t) * exp(i m_b (v.x - |v|^2 t / 2) / hbar)
 
     with m_b = m / beta (the ``beta`` hook applies the effective-mass
-    rescaling of the second-order family; beta = 1 is the plain boost).
+    rescaling of the second-order family, beta = 1 + D m / hbar; beta = 1
+    is the plain boost).
     A plane wave k maps to k + m_b v / hbar, and boosting commutes with the
     free evolution exactly.  Each m_b v_a L / hbar must be a multiple of
     2 pi so the boost phase is continuous across the periodic box.

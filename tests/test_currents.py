@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nlse4 as q
-from nlse4.currents import continuity_residual, current_divergence, currents, effective_mass
+from nlse4.currents import continuity_residual, current_divergence, currents
 from nlse4.evolution import EvolutionConfig, evolve
 from nlse4.functionals import eval_functional
 from nlse4.hydro import hydro_decompose, weighted_grad_of_ratio
@@ -147,21 +147,6 @@ class TestContinuityResidual:
         cs = currents(hv, (0.0,) * 5)
         div = q.divergence(grid, cs.total())
         assert np.abs(div).max() <= 1e-10
-
-
-class TestEffectiveMass:
-    def test_linear_limit(self):
-        m_star, beta = effective_mass(1.0, 0.0, 1.0)
-        assert m_star == 1.0 and beta == 1.0
-
-    def test_half_mass(self):
-        m_star, beta = effective_mass(1.0, 1.0, 1.0)
-        assert m_star == pytest.approx(0.5)
-        assert beta == pytest.approx(2.0)
-
-    def test_singular_pole(self):
-        with pytest.raises(ZeroDivisionError):
-            effective_mass(1.0, -1.0, 1.0)
 
 
 def test_divergence_family_norm_conservation():

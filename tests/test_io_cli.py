@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nlse4 as q
+from nlse4 import checks
 from nlse4.cli import _EVOLUTION_OPTIONS, _parse_evolution, main
 from nlse4.io import read_field_snapshot, write_field_snapshot
 
@@ -236,10 +237,34 @@ def test_check_command_runs_registry(tmp_path):
     cfg = _write_config(tmp_path, "check.json", {"version": 1, "seed": 0})
     out = tmp_path / "check_out"
     code = main(["check", "--config", cfg, "--out", str(out), "--quiet"])
-    assert code == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert len(summary["checks"]) >= 20
-    assert all(c["pass"] for c in summary["checks"])
+    assert [c["name"] for c in summary["checks"]] == [
+        fn.__name__.removeprefix("check_") for fn in checks.ALL_CHECKS
+    ]
+    assert len((out / "checks.csv").read_text().splitlines()) == 1 + len(checks.ALL_CHECKS)
+    failed = [f"{c['name']}: {c['measured']} vs {c['tolerance']}" for c in summary["checks"] if not c["pass"]]
+    assert not failed, failed
+    assert code == 0
+
+
+def test_raising_check_reported_as_valid_json(tmp_path, monkeypatch):
+    """A check that raises is a failed check whose non-finite measured value
+    is null in the summary (strict JSON) and nan in the CSV."""
+    def check_broken(seed=0):
+        raise RuntimeError("broken")
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", [check_broken])
+    cfg = _write_config(tmp_path, "check.json", {"version": 1})
+    out = tmp_path / "check_out"
+    assert main(["check", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    [entry] = summary["checks"]
+    assert entry["name"] == "broken" and entry["measured"] is None and not entry["pass"]
+    assert "RuntimeError: broken" in entry["note"]
+    assert (out / "checks.csv").read_text().splitlines()[1] == "0,nan,0,0"
 
 
 def test_evolution_defaults_come_from_config_class():

@@ -126,8 +126,6 @@ def test_check_tails_threshold():
 
 def test_potentials():
     grid = q.make_grid(2, 32, 8.0)
-    zero = q.zero_potential(grid)
-    assert zero.values.shape == grid.shape and len(zero.grad) == 2
     ho = q.harmonic_potential(grid, omega=2.0)
     X, Y = grid.coords()
     assert np.abs(ho.values - 2.0 * (X**2 + Y**2)).max() <= 1e-12

@@ -5,6 +5,14 @@ import numpy as np
 import nlse4 as q
 
 
+def perturbed_gaussian(grid, seed=11, amplitude=0.1, cutoff=12, t0=1.0):
+    """Gaussian packet with a band-limited multiplicative perturbation."""
+    base = q.gaussian_packet(grid, t0=t0)
+    pert = q.random_state(grid, seed=seed, cutoff=cutoff, amplitude=0.3)
+    psi = base * (1.0 + amplitude * pert / np.abs(pert).max())
+    return psi / np.sqrt(grid.integrate(np.abs(psi) ** 2))
+
+
 def perturbed_plane_wave(grid, seed=3, cutoff=6, amplitude=0.35):
     """Nodeless fully periodic state with active phase structure."""
     return q.random_state(grid, seed=seed, cutoff=cutoff, amplitude=amplitude)

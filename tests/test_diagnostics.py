@@ -134,6 +134,25 @@ class TestEhrenfestConsistency:
         assert report.max_r1 <= 1e-6
         assert report.max_r2 <= 1e-6
 
+    def test_me_band_state_needs_correction(self):
+        # Short window and raised ratio floor: around localized states the
+        # deep-tail shell rho/max in [1e-8, 1e-5] hosts a violent phase
+        # instability (rate ~ (D1/2)|grad rho/rho| k^3), so the fourth-order
+        # ratios are cut at 1e-5 here and the run kept to a few ms.
+        me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+        omega = q.mode_frequency(me, CON)
+        grid = q.make_grid(1, 64, 5 * 2 * np.pi / np.sqrt(omega))
+        psi0 = banded_localized_state(grid, me, amplitude=0.5, sigma=0.85)
+        cfg = EvolutionConfig(dt=1e-4, t_end=42e-4, coeffs=me, stride=1,
+                              ratio_floor=1e-5, norm_tol=1e-5)
+        traj = evolve(grid, psi0, cfg)
+        report = ehrenfest_consistency(traj)
+        control = ehrenfest_consistency(traj, include_i1=False)
+        scale = max(1.0, float(np.abs(report.p_mean).max()))
+        assert np.abs(report.i1).max() > 1e-3
+        assert report.max_r1 <= 1e-4 * scale
+        assert control.max_r1 >= 10.0 * report.max_r1
+
 
 class TestSeparability:
     def test_linear_free_gaussians_factorize(self):
@@ -143,6 +162,27 @@ class TestSeparability:
         dev = separability_test(grid, psi1, psi2, None, None, None,
                                 t_end=0.3, dt=2e-3, stride=50)
         assert dev <= 1e-8
+
+    def test_me_product_state(self):
+        grid = q.make_grid(1, 64, 18.0)
+        psi1 = q.gaussian_packet(grid, t0=1.0)
+        psi2 = q.harmonic_eigenstate(grid, 0, omega=1.0)
+        pot2 = q.harmonic_potential(grid, 1.0)
+        me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+        dev = separability_test(grid, psi1, psi2, None, pot2, me,
+                                t_end=0.5, dt=2e-3, stride=50)
+        assert dev <= 1e-6
+
+    def test_forbidden_term_breaks_separability(self):
+        # the (Lap S)^2 probe couples the factors through the cross term
+        # 2 Lap S_1 Lap S_2; a short window suffices to show the violation
+        grid = q.make_grid(1, 64, 2 * np.pi)
+        psi1 = perturbed_plane_wave(grid, seed=7, cutoff=5, amplitude=0.3)
+        psi2 = perturbed_plane_wave(grid, seed=8, cutoff=5, amplitude=0.3)
+        cs = q.ext_coeffs(a=[0.0] * 13, b=[0.0] * 13, x14=0.5)
+        dev = separability_test(grid, psi1, psi2, None, None, cs,
+                                t_end=1e-3, dt=1e-4, stride=5)
+        assert dev >= 1e-3
 
     def test_grid_size_cap(self):
         grid = q.make_grid(1, 256, 20.0)

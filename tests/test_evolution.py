@@ -19,7 +19,7 @@ from nlse4.evolution import (
 )
 from nlse4.states import BoostError, galilean_boost
 
-from helpers import perturbed_plane_wave
+from helpers import perturbed_gaussian, perturbed_plane_wave
 
 
 class TestNonlinearRHS:
@@ -45,6 +45,14 @@ class TestNonlinearRHS:
 
 
 class TestEvolve:
+    def test_linear_free_gaussian_oracle(self):
+        grid = q.make_grid(1, 128, 24.0)
+        psi0 = q.gaussian_packet(grid, t0=1.0)
+        traj = evolve(grid, psi0, EvolutionConfig(dt=1e-3, t_end=1.0, coeffs=None,
+                                                  stride=500, observables=False))
+        exact = q.gaussian_packet(grid, t0=1.0, t=1.0)
+        assert np.abs(traj.final - exact).max() <= 1e-6
+
     def test_moving_packet_oracle(self):
         grid = q.make_grid(1, 128, 30.0)
         p0 = q.wavenumber(grid, 12)
@@ -211,6 +219,44 @@ class TestGalileanBoost:
         boosted = galilean_boost(grid, pw, v, t=0.0, beta=2.0)  # m/beta halves the kick
         assert np.abs(boosted - q.plane_wave(grid, 4)).max() <= 1e-13
 
+    def test_me_boost_commutes_with_evolution(self):
+        grid = q.make_grid(1, 128, 2 * np.pi)
+        psi0 = perturbed_plane_wave(grid, seed=3, cutoff=6, amplitude=0.35)
+        me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+        v = q.wavenumber(grid, 3)
+        dt = 0.5 * stability_bound(grid, me)
+        nst = int(round(0.002 / dt))
+        T = nst * dt
+
+        def run(psi):
+            cfg = EvolutionConfig(dt=dt, t_end=T, coeffs=me, stride=10**6,
+                                  observables=False, norm_tol=1e-4)
+            return evolve(grid, psi, cfg).final
+
+        ab = run(galilean_boost(grid, psi0, v, 0.0))
+        ba = galilean_boost(grid, run(psi0), v, T)
+        assert np.abs(ab - ba).max() <= 1e-6
+
+    def test_galilean_breaking_term_fails_commutation(self):
+        grid = q.make_grid(1, 128, 2 * np.pi)
+        psi0 = perturbed_plane_wave(grid, seed=3, cutoff=6, amplitude=0.35)
+        bad_b = [0.0] * 13
+        bad_b[3] = 0.01  # Lap((grad rho/rho).grad S): carries bare grad S
+        cs = q.ext_coeffs(a=[0.0] * 13, b=bad_b)
+        v = q.wavenumber(grid, 3)
+        dt = 0.5 * stability_bound(grid, cs)
+        nst = int(round(5e-4 / dt))
+        T = nst * dt
+
+        def run(psi):
+            cfg = EvolutionConfig(dt=dt, t_end=T, coeffs=cs, stride=10**6,
+                                  observables=False, norm_tol=1e-4)
+            return evolve(grid, psi, cfg).final
+
+        ab = run(galilean_boost(grid, psi0, v, 0.0))
+        ba = galilean_boost(grid, run(psi0), v, T)
+        assert np.abs(ab - ba).max() >= 10 * 1e-6
+
 
 class TestGaugeForm:
     def test_all_zero_is_exact(self):
@@ -230,6 +276,19 @@ class TestGaugeForm:
             psi = q.random_state(grid, seed=int(rng.integers(1 << 30)), cutoff=6, amplitude=0.3)
             assert gauge_form_residual(grid, psi, q.MEParams(D1=0.2, b1=0.05, b6=0.0)) <= 1e-8
 
+    def test_b6_channel_constant_factor(self):
+        """The printed vector-potential coupling drives the density-gradient
+        channel at half weight; the measured residual matches that constant
+        factor instead of being random."""
+        grid = q.make_grid(1, 256, 2 * np.pi)
+        psi = q.random_state(grid, seed=12, cutoff=6, amplitude=0.3)
+        me = q.MEParams(D1=0.2, b1=0.05, b6=0.1)
+        resid = gauge_form_residual(grid, psi, me)
+        hv = q.hydro_decompose(grid, psi)
+        t6 = hv.zero_masked(hv.dot_grad_log_rho(q.gradient(grid, hv.lap_s)))
+        predicted = np.abs(0.5 * me.b6 * t6 * psi).max()
+        assert resid == pytest.approx(predicted, rel=1e-6)
+
     def test_zero_coupling_with_b_rejected(self):
         grid = q.make_grid(1, 64, 2 * np.pi)
         psi = q.plane_wave(grid, 1)
@@ -241,6 +300,18 @@ class TestGaugeForm:
         psi = q.plane_wave(grid, 1)
         with pytest.raises(GaugeFormError):
             gauge_form_residual(grid, psi, q.MEParams(D1=0.1), q.PhysicalConstants(hbar=2.0))
+
+
+def test_me_norm_conservation_with_active_nonlinearity():
+    grid = q.make_grid(1, 256, 24.0)
+    psi0 = perturbed_gaussian(grid, seed=11)
+    me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+    cfg = EvolutionConfig(dt=2e-6, t_end=2e-3, coeffs=me, stride=1000,
+                          observables=False, norm_tol=1e-5)
+    traj = evolve(grid, psi0, cfg)
+    mult = nonlinear_multiplier(grid, psi0, me)
+    assert np.abs(mult).max() > 0.01  # the nonlinearity is genuinely active
+    assert abs(grid.integrate(np.abs(traj.final) ** 2) - 1.0) <= 1e-8
 
 
 def test_me_oscillator_eigenstates_unmodified():

@@ -227,3 +227,22 @@ class TestStructuralAudits:
         f = eval_functional(x, "ext", hydro_decompose(grid, psi))
         fb = eval_functional(x, "ext", hydro_decompose(grid, boosted))
         assert np.abs(f - fb).max() <= 1e-10 * max(1.0, np.abs(f).max())
+
+    def test_each_ext_term_separable_and_forbidden_not(self):
+        grid = q.make_grid(1, 64, 2 * np.pi)
+        psi1 = perturbed_plane_wave(grid, seed=7, cutoff=5, amplitude=0.3)
+        psi2 = perturbed_plane_wave(grid, seed=8, cutoff=5, amplitude=0.3)
+        grid2 = q.make_grid(2, 64, 2 * np.pi)
+        hv1 = hydro_decompose(grid, psi1)
+        hv2 = hydro_decompose(grid, psi2)
+        hv12 = hydro_decompose(grid2, np.outer(psi1, psi2))
+        for term in range(13):
+            x = np.zeros(13)
+            x[term] = 1.0
+            f12 = eval_functional(x, "ext", hv12)
+            split = eval_functional(x, "ext", hv1)[:, None] + eval_functional(x, "ext", hv2)[None, :]
+            scale = max(1.0, np.abs(f12).max())
+            assert np.abs(f12 - split).max() <= 1e-10 * scale, f"term {term + 1}"
+        probe12 = forbidden_term(hv12, 1.0)
+        split = forbidden_term(hv1, 1.0)[:, None] + forbidden_term(hv2, 1.0)[None, :]
+        assert np.abs(probe12 - split).max() > 1e-3

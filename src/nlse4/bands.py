@@ -283,6 +283,14 @@ class FloquetResult:
 # bounds the temporaries of _integrate_monodromy independently of n_steps.
 _BLOCK_ELEMENTS = 2**12
 
+# Step-halving acceptance of the monodromy: the largest change of any
+# discriminant relative to max(1, |tr M|), and the most doublings tried.
+_MONODROMY_RTOL = 1e-10
+_MAX_DOUBLINGS = 6
+
+# Fourier modes j = -_N_FOURIER.._N_FOURIER of the truncated Hill operator.
+_N_FOURIER = 48
+
 
 def _matmul22(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     """b @ a for stacks of 2x2 matrices laid out as (2, 2, ...)."""
@@ -335,19 +343,13 @@ def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int)
     return tr, det
 
 
-def floquet_analyze(
-    hill: HillEquation,
-    a_values,
-    rtol: float = 1e-10,
-    base_steps: int = 1024,
-    max_doublings: int = 6,
-) -> list:
+def floquet_analyze(hill: HillEquation, a_values, base_steps: int = 1024) -> list:
     """Monodromy discriminant, determinant, characteristic exponent and
     stability flag at each constant-coefficient sample.
 
     Integration uses fixed-step RK4, accepted once step halving changes no
-    discriminant by more than ``rtol`` (relative to max(1, |tr M|));
-    otherwise the step count doubles, up to ``max_doublings``.
+    discriminant by more than ``_MONODROMY_RTOL`` (relative to max(1, |tr M|));
+    otherwise the step count doubles, up to ``_MAX_DOUBLINGS`` times.
     """
     a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
     if a_values.size < 1:
@@ -357,15 +359,15 @@ def floquet_analyze(
     n = max(base_steps, int(base_steps * np.sqrt(scale)))
     tr_prev, det_prev = _integrate_monodromy(hill, a_values, n)
     achieved = np.inf
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         n *= 2
         tr, det = _integrate_monodromy(hill, a_values, n)
         achieved = float(np.max(np.abs(tr - tr_prev) / np.maximum(1.0, np.abs(tr))))
         tr_prev, det_prev = tr, det
-        if achieved <= rtol:
+        if achieved <= _MONODROMY_RTOL:
             break
     else:
-        raise ODEToleranceError(f"monodromy tolerance {rtol} not met (reached {achieved:.2e})")
+        raise ODEToleranceError(f"monodromy tolerance {_MONODROMY_RTOL} not met (reached {achieved:.2e})")
 
     T = hill.period
     results = []
@@ -383,18 +385,12 @@ def floquet_analyze(
     return results
 
 
-def _discriminant(hill: HillEquation, a: float, rtol: float = 1e-10) -> float:
-    return floquet_analyze(hill, [a], rtol=rtol)[0].tr_m
+def _discriminant(hill: HillEquation, a: float) -> float:
+    return floquet_analyze(hill, [a])[0].tr_m
 
 
-def band_edge_bisection(
-    hill: HillEquation,
-    a_lo: float,
-    a_hi: float,
-    branch: float,
-    tol: float = 1e-8,
-    rtol: float = 1e-10,
-) -> float:
+def band_edge_bisection(hill: HillEquation, a_lo: float, a_hi: float, branch: float,
+                        tol: float = 1e-8) -> float:
     """Locate a band edge by bisection on tr M - branch (branch is +2 or -2).
 
     Requires a sign change of tr M - branch over [a_lo, a_hi]; tangential
@@ -407,8 +403,8 @@ def band_edge_bisection(
         raise BandError(f"bracket [{a_lo}, {a_hi}] is empty or reversed")
     if not tol > 0.0:
         raise BandError("tol must be positive")
-    f_lo = _discriminant(hill, a_lo, rtol) - branch
-    f_hi = _discriminant(hill, a_hi, rtol) - branch
+    f_lo = _discriminant(hill, a_lo) - branch
+    f_hi = _discriminant(hill, a_hi) - branch
     if f_lo == 0.0:
         return a_lo
     if f_hi == 0.0:
@@ -417,7 +413,7 @@ def band_edge_bisection(
         raise BandError(f"tr M - ({branch:+g}) does not change sign over [{a_lo}, {a_hi}]")
     while a_hi - a_lo > tol:
         mid = 0.5 * (a_lo + a_hi)
-        f_mid = _discriminant(hill, mid, rtol) - branch
+        f_mid = _discriminant(hill, mid) - branch
         if f_mid == 0.0:
             return mid
         if f_lo * f_mid < 0.0:
@@ -427,15 +423,15 @@ def band_edge_bisection(
     return 0.5 * (a_lo + a_hi)
 
 
-def _hill_matrix(hill: HillEquation, mu: float, n_fourier: int) -> np.ndarray:
+def _hill_matrix(hill: HillEquation, mu: float) -> np.ndarray:
     """Hermitian matrix of -d^2/dz^2 - modulation(z) in the Fourier basis
-    exp(i (mu + j w0) z), j = -n_fourier..n_fourier, w0 = 2 pi / period."""
+    exp(i (mu + j w0) z), j = -_N_FOURIER.._N_FOURIER, w0 = 2 pi / period."""
     base = _TWO_PI / hill.period
     fourier = {}
     for k, ck, sk in hill.harmonics:
         m = round(k / base)
         fourier[m] = fourier.get(m, 0.0) + 0.5 * (ck - 1j * sk)
-    j = np.arange(-n_fourier, n_fourier + 1)
+    j = np.arange(-_N_FOURIER, _N_FOURIER + 1)
     H = np.diag(((mu + j * base) ** 2).astype(complex))
     for m, coeff in fourier.items():
         idx = np.arange(len(j) - m)
@@ -444,7 +440,7 @@ def _hill_matrix(hill: HillEquation, mu: float, n_fourier: int) -> np.ndarray:
     return H
 
 
-def band_edges(hill: HillEquation, a_min: float, a_max: float, n_fourier: int = 48) -> dict:
+def band_edges(hill: HillEquation, a_min: float, a_max: float) -> dict:
     """Band edges (periodic and antiperiodic eigenvalues of the Hill
     operator) inside [a_min, a_max], via a truncated Fourier basis.
 
@@ -453,25 +449,25 @@ def band_edges(hill: HillEquation, a_min: float, a_max: float, n_fourier: int = 
     tr M = +2) and mu = w0/2 (antiperiodic, tr M = -2).
     """
     base = _TWO_PI / hill.period
-    per = np.linalg.eigvalsh(_hill_matrix(hill, 0.0, n_fourier))
-    anti = np.linalg.eigvalsh(_hill_matrix(hill, 0.5 * base, n_fourier))
+    per = np.linalg.eigvalsh(_hill_matrix(hill, 0.0))
+    anti = np.linalg.eigvalsh(_hill_matrix(hill, 0.5 * base))
     per = per[(per >= a_min) & (per <= a_max)]
     anti = anti[(anti >= a_min) & (anti <= a_max)]
     edges = np.sort(np.concatenate([per, anti]))
     return {"periodic": per, "antiperiodic": anti, "edges": edges}
 
 
-def bloch_density_profile(hill: HillEquation, n_fourier: int = 48, n_z: int = 256) -> tuple:
+def bloch_density_profile(hill: HillEquation) -> tuple:
     """(a0, fourier_coeffs) of the nodeless ground periodic solution.
 
     Returns the lowest periodic eigenvalue and the Fourier coefficients c_j
     of y(z) = sum_j c_j exp(i j w0 z), normalized so max y = 1 and y > 0.
     """
     base = _TWO_PI / hill.period
-    j = np.arange(-n_fourier, n_fourier + 1)
-    vals, vecs = np.linalg.eigh(_hill_matrix(hill, 0.0, n_fourier))
+    j = np.arange(-_N_FOURIER, _N_FOURIER + 1)
+    vals, vecs = np.linalg.eigh(_hill_matrix(hill, 0.0))
     c = vecs[:, 0]
-    z = np.linspace(0.0, hill.period, n_z, endpoint=False)
+    z = np.linspace(0.0, hill.period, 256, endpoint=False)
     y = np.exp(1j * np.outer(z, j * base)) @ c
     # ground periodic solution is nodeless: rotate to the real axis, fix sign
     phase = y[np.argmax(np.abs(y))]

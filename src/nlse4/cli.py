@@ -1,10 +1,12 @@
 """Command-line driver: evolve / bands / check / ehrenfest / separability.
 
 Configuration is a JSON document validated against the schema documented in
-the README (and docs/config.md); unknown keys are rejected so typos cannot
-silently change a run.  All artifacts (CSV, summary JSON, field snapshots)
-are byte-stable for identical configurations: no timestamps, sorted JSON
-keys, 17-significant-digit floats.
+the README (and docs/config.md).  Each section is read through one key table
+(key -> converter): unknown keys and values that do not convert are errors,
+so typos cannot silently change a run, and only the keys present are passed
+on, so each default belongs to the library function that receives them.  All
+artifacts (CSV, summary JSON, field snapshots) are byte-stable for identical
+configurations: no timestamps, sorted JSON keys, 17-significant-digit floats.
 
 Exit codes: 0 all checks passed; 1 at least one check failed (report still
 written); 2 configuration error; 3 numerical abort (partial report written).
@@ -33,105 +35,117 @@ from .io import (
     write_observables_csv,
     write_summary,
 )
-from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, make_grid
+from .spectral import Grid, PhysicalConstants, make_grid
 from .states import harmonic_potential, make_state
 
 CONFIG_VERSION = 1
+
+#: Seed of checks and ``random`` states when neither config nor ``--seed`` sets one.
+_DEFAULT_SEED = 0
 
 
 class ConfigError(ValueError):
     """Configuration file malformed or inconsistent."""
 
 
-def _require_keys(section: dict, where: str, required=(), optional=()):
+def _raw(value):
+    """Converter of a value checked elsewhere: a nested section, ``version``, a name."""
+    return value
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _read_section(section, where: str, keys: dict, required=()) -> dict:
+    """The keys present in ``section``, each converted by the ``keys`` table
+    (allowed key -> converter); absent optional keys stay absent, so their
+    defaults are the ones of the function the dict is passed to."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected an object")
-    allowed = set(required) | set(optional)
     for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{where}: unknown key {key!r} (allowed: {sorted(allowed)})")
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r} (allowed: {sorted(keys)})")
     for key in required:
         if key not in section:
             raise ConfigError(f"{where}: missing required key {key!r}")
+    converted = {}
+    try:
+        for key, value in section.items():
+            converted[key] = keys[key](value)
+    except Exception as exc:
+        raise ConfigError(f"{where}.{key}: {exc}") from exc
+    return converted
+
+
+def _construct(where: str, builder, *args, **kwargs):
+    """``builder(*args, **kwargs)``, with its errors reported as ConfigErrors."""
+    try:
+        return builder(*args, **kwargs)
+    except Exception as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_grid(cfg: dict) -> Grid:
-    _require_keys(cfg, "grid", required=("dims", "n", "length"))
-    try:
-        return make_grid(int(cfg["dims"]), int(cfg["n"]), float(cfg["length"]))
-    except Exception as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    keys = {"dims": int, "n": int, "length": float}
+    return _construct("grid", make_grid, **_read_section(cfg, "grid", keys, required=tuple(keys)))
 
 
 def _parse_constants(cfg) -> PhysicalConstants:
-    if cfg is None:
-        return NATURAL_UNITS
-    _require_keys(cfg, "constants", optional=("hbar", "mass"))
-    try:
-        return PhysicalConstants(hbar=float(cfg.get("hbar", 1.0)), mass=float(cfg.get("mass", 1.0)))
-    except Exception as exc:
-        raise ConfigError(f"constants: {exc}") from exc
+    keys = _read_section({} if cfg is None else cfg, "constants", {"hbar": float, "mass": float})
+    return _construct("constants", PhysicalConstants, **keys)
 
 
-def _parse_coeffs(cfg):
-    _require_keys(cfg, "coeffs", required=("preset",), optional=("params",))
-    preset = cfg["preset"]
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("coeffs.params: expected an object")
-    try:
-        if preset == "linear":
-            _require_keys(params, "coeffs.params")
-            return linear_coeffs()
-        if preset == "me":
-            _require_keys(params, "coeffs.params", required=("D1",), optional=("b1", "b6"))
-            return MEParams(D1=float(params["D1"]), b1=float(params.get("b1", 0.0)),
-                            b6=float(params.get("b6", 0.0)))
-        if preset == "dg":
-            _require_keys(params, "coeffs.params", optional=("a", "b", "D"))
-            return dg_coeffs(a=params.get("a", (1.0, 1.0, 0.0, 0.0, 0.0)),
-                             b=params.get("b", (0.0,) * 5), D=float(params.get("D", 1.0)))
-        if preset == "dg-linearizable":
-            _require_keys(params, "coeffs.params", required=("d1", "d2"))
-            return dg_linearizable(float(params["d1"]), float(params["d2"]))
-        if preset == "ext":
-            _require_keys(params, "coeffs.params", required=("a", "b"), optional=("D", "x14"))
-            return ext_coeffs(a=params["a"], b=params["b"], D=float(params.get("D", 1.0)),
-                              x14=float(params.get("x14", 0.0)))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"coeffs: {exc}") from exc
-    raise ConfigError(f"coeffs.preset: unknown preset {preset!r}")
+#: preset -> (builder, required params, optional params), params as key tables;
+#: each builder receives the run's constants, then the params present.
+_COEFF_PRESETS = {
+    "linear": (lambda constants: linear_coeffs(), {}, {}),
+    "me": (lambda constants, **p: MEParams(**p), {"D1": float}, {"b1": float, "b6": float}),
+    "dg": (lambda constants, **p: dg_coeffs(**p), {}, {"a": _floats, "b": _floats, "D": float}),
+    "dg-linearizable": (lambda constants, **p: dg_linearizable(**p, constants=constants),
+                        {"d1": float, "d2": float}, {}),
+    "ext": (lambda constants, **p: ext_coeffs(**p), {"a": _floats, "b": _floats}, {"D": float, "x14": float}),
+}
+
+
+def _parse_coeffs(cfg, constants: PhysicalConstants):
+    section = _read_section(cfg, "coeffs", {"preset": _raw, "params": _raw}, required=("preset",))
+    preset = section["preset"]
+    if not isinstance(preset, str) or preset not in _COEFF_PRESETS:
+        raise ConfigError(f"coeffs.preset: unknown preset {preset!r}")
+    builder, required, optional = _COEFF_PRESETS[preset]
+    params = _read_section(section.get("params", {}), "coeffs.params", {**required, **optional}, required)
+    return _construct("coeffs", builder, constants, **params)
 
 
 def _parse_potential(cfg, grid: Grid, constants: PhysicalConstants):
     if cfg is None:
         return None
-    _require_keys(cfg, "potential", required=("kind",), optional=("omega",))
-    kind = cfg["kind"]
+    section = _read_section(cfg, "potential", {"kind": _raw, "omega": float}, required=("kind",))
+    kind = section["kind"]
     if kind == "none":
         return None
     if kind == "harmonic":
-        if "omega" not in cfg:
+        if "omega" not in section:
             raise ConfigError("potential: harmonic kind requires 'omega'")
-        return harmonic_potential(grid, float(cfg["omega"]), constants)
+        return harmonic_potential(grid, section["omega"], constants)
     raise ConfigError(f"potential.kind: unknown kind {kind!r}")
 
 
 def _parse_state(cfg, grid: Grid, constants: PhysicalConstants, seed_override=None):
-    _require_keys(cfg, "state", required=("kind",), optional=("params", "seed"))
-    params = dict(cfg.get("params", {}))
-    if cfg["kind"] == "random":
-        seed = seed_override if seed_override is not None else cfg.get("seed", params.pop("seed", 0))
-        params["seed"] = int(seed)
+    section = _read_section(cfg, "state", {"kind": _raw, "params": dict, "seed": int}, required=("kind",))
+    params = section.get("params", {})
     try:
-        return make_state(grid, cfg["kind"], constants=constants, **params)
-    except TypeError as exc:
-        raise ConfigError(f"state: {exc}") from exc
+        if section["kind"] == "random":
+            seed = section.get("seed", params.pop("seed", _DEFAULT_SEED))
+            params["seed"] = int(seed_override if seed_override is not None else seed)
+        return make_state(grid, section["kind"], constants=constants, **params)
     except Exception as exc:
         raise ConfigError(f"state: {exc}") from exc
 
+
+#: Required ``evolution`` keys and their types.
+_EVOLUTION_SPAN = {"dt": float, "t_end": float}
 
 #: Optional ``evolution`` keys and their types; absent keys keep the EvolutionConfig default.
 _EVOLUTION_OPTIONS = {
@@ -143,18 +157,13 @@ _EVOLUTION_OPTIONS = {
 def _parse_evolution(cfg, coeffs, constants, potential, snapshots: bool = False) -> EvolutionConfig:
     """The run's EvolutionConfig; ``snapshots`` admits the key of that name,
     which only a command that writes field snapshots may accept."""
-    _require_keys(cfg, "evolution", required=("dt", "t_end"),
-                  optional=(*(("snapshots",) if snapshots else ()), *_EVOLUTION_OPTIONS))
-    try:
-        options = {key: kind(cfg[key]) for key, kind in _EVOLUTION_OPTIONS.items() if key in cfg}
-        return EvolutionConfig(
-            dt=float(cfg["dt"]), t_end=float(cfg["t_end"]), coeffs=coeffs,
-            constants=constants, potential=potential, **options,
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"evolution: {exc}") from exc
+    keys = {**_EVOLUTION_SPAN, **({"snapshots": bool} if snapshots else {}), **_EVOLUTION_OPTIONS}
+    options = _read_section(cfg, "evolution", keys, required=tuple(_EVOLUTION_SPAN))
+    options.pop("snapshots", None)
+    config = _construct("evolution", EvolutionConfig, coeffs=coeffs, constants=constants,
+                        potential=potential, **options)
+    _construct("evolution", config.n_steps)  # t_end must be a whole number of steps
+    return config
 
 
 def load_config(path) -> dict:
@@ -169,6 +178,11 @@ def load_config(path) -> dict:
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config must declare \"version\": {CONFIG_VERSION}")
     return raw
+
+
+#: Top-level sections of the commands that evolve one state.
+_RUN_REQUIRED = ("version", "grid", "state", "coeffs", "evolution")
+_RUN_SECTIONS = dict.fromkeys((*_RUN_REQUIRED, "constants", "potential"), _raw)
 
 
 def _summary_skeleton(command: str, config: dict) -> dict:
@@ -205,7 +219,7 @@ def _evolve_run(command: str, config: dict, out_dir: Path, seed, quiet: bool) ->
     with trajectory None after an abort (partial report written)."""
     grid = _parse_grid(config["grid"])
     constants = _parse_constants(config.get("constants"))
-    coeffs = _parse_coeffs(config["coeffs"])
+    coeffs = _parse_coeffs(config["coeffs"], constants)
     potential = _parse_potential(config.get("potential"), grid, constants)
     psi0 = _parse_state(config["state"], grid, constants, seed_override=seed)
     evcfg = _parse_evolution(config["evolution"], coeffs, constants, potential,
@@ -219,14 +233,13 @@ def _evolve_run(command: str, config: dict, out_dir: Path, seed, quiet: bool) ->
 
 
 def cmd_evolve(config: dict, out_dir: Path, seed, quiet: bool) -> int:
-    _require_keys(config, "config", required=("version", "grid", "state", "coeffs", "evolution"),
-                  optional=("constants", "potential", "report_norm_tol"))
+    top = _read_section(config, "config", {**_RUN_SECTIONS, "report_norm_tol": float}, _RUN_REQUIRED)
     grid, traj, summary = _evolve_run("evolve", config, out_dir, seed, quiet)
     if traj is None:
         return 3
 
     write_observables_csv(out_dir / "observables.csv", traj)
-    if config["evolution"].get("snapshots", False):
+    if config["evolution"].get("snapshots"):
         snap_dir = out_dir / "fields"
         snap_dir.mkdir(exist_ok=True)
         for i, (t, field) in enumerate(zip(traj.ts, traj.fields)):
@@ -234,7 +247,7 @@ def cmd_evolve(config: dict, out_dir: Path, seed, quiet: bool) -> int:
 
     norms = [s.norm for s in traj.observables]
     drift = max(abs(n - norms[0]) for n in norms)
-    tol = float(config.get("report_norm_tol", 1e-8))
+    tol = top.get("report_norm_tol", 1e-8)
     summary["checks"].append({"name": "norm_drift", "measured": drift, "tolerance": tol,
                               "pass": drift <= tol, "note": f"{len(traj.ts)} snapshots"})
     summary["results"] = {
@@ -247,8 +260,8 @@ def cmd_evolve(config: dict, out_dir: Path, seed, quiet: bool) -> int:
 
 
 def cmd_check(config: dict, out_dir: Path, seed, quiet: bool) -> int:
-    _require_keys(config, "config", required=("version",), optional=("seed",))
-    run_seed = int(seed if seed is not None else config.get("seed", 0))
+    top = _read_section(config, "config", {"version": _raw, "seed": int}, required=("version",))
+    run_seed = seed if seed is not None else top.get("seed", _DEFAULT_SEED)
     results = checks_mod.run_all(run_seed)
     summary = _summary_skeleton("check", config)
     summary["seed"] = run_seed
@@ -258,23 +271,27 @@ def cmd_check(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     return _finish(out_dir, summary, quiet)
 
 
-def cmd_bands(config: dict, out_dir: Path, seed, quiet: bool) -> int:
-    _require_keys(config, "config", required=("version", "bands"), optional=("constants",))
-    constants = _parse_constants(config.get("constants"))
-    section = config["bands"]
-    _require_keys(section, "bands", required=("a_min", "a_max", "samples"),
-                  optional=("mathieu_q", "D1", "b1", "amplitude", "energy"))
-    if "mathieu_q" in section:
-        hill = mathieu_hill(float(section["mathieu_q"]))
-    else:
-        for key in ("D1", "amplitude", "energy"):
-            if key not in section:
-                raise ConfigError("bands: need either mathieu_q or (D1, amplitude, energy[, b1])")
-        me = MEParams(D1=float(section["D1"]), b1=float(section.get("b1", 0.0)), b6=0.0)
-        hill = hill_from_stationary(me, float(section["amplitude"]), float(section["energy"]), constants)
+#: ``bands`` keys: the sweep, then either ``mathieu_q`` or the stationary reduction.
+_BANDS_KEYS = {
+    "a_min": float, "a_max": float, "samples": int, "mathieu_q": float,
+    "D1": float, "b1": float, "amplitude": float, "energy": float,
+}
 
-    a_min, a_max = float(section["a_min"]), float(section["a_max"])
-    samples = int(section["samples"])
+
+def cmd_bands(config: dict, out_dir: Path, seed, quiet: bool) -> int:
+    top = _read_section(config, "config", dict.fromkeys(("version", "bands", "constants"), _raw),
+                        required=("version", "bands"))
+    constants = _parse_constants(top.get("constants"))
+    section = _read_section(top["bands"], "bands", _BANDS_KEYS, required=("a_min", "a_max", "samples"))
+    if "mathieu_q" in section:
+        hill = _construct("bands", mathieu_hill, section["mathieu_q"])
+    elif all(key in section for key in ("D1", "amplitude", "energy")):
+        me = _construct("bands", MEParams, **{key: section[key] for key in ("D1", "b1") if key in section})
+        hill = _construct("bands", hill_from_stationary, me, section["amplitude"], section["energy"], constants)
+    else:
+        raise ConfigError("bands: need either mathieu_q or (D1, amplitude, energy[, b1])")
+
+    a_min, a_max, samples = section["a_min"], section["a_max"], section["samples"]
     if samples < 2:
         raise ConfigError("bands.samples: need at least 2")
     a_values = np.linspace(a_min, a_max, samples)
@@ -299,11 +316,9 @@ def cmd_bands(config: dict, out_dir: Path, seed, quiet: bool) -> int:
 
 
 def cmd_ehrenfest(config: dict, out_dir: Path, seed, quiet: bool) -> int:
-    _require_keys(config, "config",
-                  required=("version", "grid", "state", "coeffs", "evolution"),
-                  optional=("constants", "potential", "ehrenfest"))
-    section = config.get("ehrenfest", {})
-    _require_keys(section, "ehrenfest", optional=("tolerance_scale", "control"))
+    top = _read_section(config, "config", {**_RUN_SECTIONS, "ehrenfest": _raw}, _RUN_REQUIRED)
+    section = _read_section(top.get("ehrenfest", {}), "ehrenfest",
+                            {"tolerance_scale": float, "control": bool})
     grid, traj, summary = _evolve_run("ehrenfest", config, out_dir, seed, quiet)
     if traj is None:
         return 3
@@ -315,7 +330,7 @@ def cmd_ehrenfest(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     write_csv(out_dir / "ehrenfest.csv", header, rows)
 
     scale = max(1.0, float(np.abs(report.p_mean).max()))
-    tol = float(section.get("tolerance_scale", 1e-4)) * scale
+    tol = section.get("tolerance_scale", 1e-4) * scale
     summary["checks"].append({"name": "ehrenfest_r1", "measured": report.max_r1, "tolerance": tol,
                               "pass": report.max_r1 <= tol, "note": "m d<x>/dt - <p> - I1"})
     if section.get("control", True):
@@ -330,35 +345,32 @@ def cmd_ehrenfest(config: dict, out_dir: Path, seed, quiet: bool) -> int:
 
 
 def cmd_separability(config: dict, out_dir: Path, seed, quiet: bool) -> int:
-    _require_keys(config, "config",
-                  required=("version", "grid", "coeffs", "evolution", "separability"),
-                  optional=("constants",))
-    section = config["separability"]
-    _require_keys(section, "separability", required=("state1", "state2"),
-                  optional=("potential1", "potential2", "tolerance"))
-    grid = _parse_grid(config["grid"])
+    required = ("version", "grid", "coeffs", "evolution", "separability")
+    top = _read_section(config, "config", dict.fromkeys((*required, "constants"), _raw), required)
+    section = _read_section(top["separability"], "separability",
+                            {**dict.fromkeys(("state1", "state2", "potential1", "potential2"), _raw),
+                             "tolerance": float},
+                            required=("state1", "state2"))
+    grid = _parse_grid(top["grid"])
     if grid.dims != 1:
         raise ConfigError("separability: grid must be one-dimensional (the product grid is built internally)")
-    constants = _parse_constants(config.get("constants"))
-    coeffs = _parse_coeffs(config["coeffs"])
+    constants = _parse_constants(top.get("constants"))
+    coeffs = _parse_coeffs(top["coeffs"], constants)
     psi1 = _parse_state(section["state1"], grid, constants, seed_override=seed)
     psi2 = _parse_state(section["state2"], grid, constants)
     pot1 = _parse_potential(section.get("potential1"), grid, constants)
     pot2 = _parse_potential(section.get("potential2"), grid, constants)
-    ev = config["evolution"]
-    _require_keys(ev, "evolution", required=("dt", "t_end"), optional=("stride",))
+    span = _read_section(top["evolution"], "evolution",
+                         {**_EVOLUTION_SPAN, "stride": _EVOLUTION_OPTIONS["stride"]},
+                         required=tuple(_EVOLUTION_SPAN))
 
     summary = _summary_skeleton("separability", config)
     try:
-        deviation = separability_test(
-            grid, psi1, psi2, pot1, pot2, coeffs,
-            t_end=float(ev["t_end"]), dt=float(ev["dt"]), stride=int(ev.get("stride", 50)),
-            constants=constants,
-        )
+        deviation = separability_test(grid, psi1, psi2, pot1, pot2, coeffs, constants=constants, **span)
     except EvolutionAbort as abort:
         return _abort(out_dir, summary, abort, quiet)
 
-    tol = float(section.get("tolerance", 1e-6))
+    tol = section.get("tolerance", 1e-6)
     summary["checks"].append({"name": "separability_deviation", "measured": deviation,
                               "tolerance": tol, "pass": deviation <= tol,
                               "note": "max |psi_2D - psi_1 x psi_2| over sampled times"})

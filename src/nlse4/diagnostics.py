@@ -28,7 +28,7 @@ import numpy as np
 
 from .coeffs import MEParams, is_linear
 from .currents import continuity_residual, current_divergence
-from .evolution import nonlinear_multiplier
+from .evolution import EvolutionConfig, evolve, nonlinear_multiplier
 from .hydro import (
     DEFAULT_EPS_RHO,
     DEFAULT_GATE_FACTOR,
@@ -37,7 +37,7 @@ from .hydro import (
     fourth_order_composites,
     hydro_decompose,
 )
-from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, divergence, gradient, laplacian
+from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, divergence, gradient, laplacian, make_grid
 from .states import Potential, check_tails
 
 
@@ -229,8 +229,6 @@ class EhrenfestReport:
     i1: np.ndarray
     i2: np.ndarray
     p_mean: np.ndarray
-    include_i1: bool
-    include_i2: bool
 
     @property
     def max_r1(self) -> float:
@@ -241,7 +239,7 @@ class EhrenfestReport:
         return float(np.abs(self.r2).max())
 
 
-def ehrenfest_consistency(trajectory, include_i1: bool = True, include_i2: bool = True) -> EhrenfestReport:
+def ehrenfest_consistency(trajectory, include_i1: bool = True) -> EhrenfestReport:
     """Residuals r1 = m d<x>/dt - <p> - I1 and r2 = d<p>/dt + <grad V> - I2
     from a trajectory's sampled observables.  ``include_i1=False`` zeroes
     the correction, the negative control showing it is needed."""
@@ -262,11 +260,8 @@ def ehrenfest_consistency(trajectory, include_i1: bool = True, include_i2: bool 
     dp_dt = (ps[2:] - ps[:-2]) / (2.0 * h)
     mid = slice(1, -1)
     r1 = m * dx_dt - ps[mid] - (i1[mid] if include_i1 else 0.0)
-    r2 = dp_dt + gv[mid] - (i2[mid] if include_i2 else 0.0)
-    return EhrenfestReport(
-        ts=ts[mid], r1=r1, r2=r2, i1=i1[mid], i2=i2[mid], p_mean=ps[mid],
-        include_i1=include_i1, include_i2=include_i2,
-    )
+    r2 = dp_dt + gv[mid] - i2[mid]
+    return EhrenfestReport(ts=ts[mid], r1=r1, r2=r2, i1=i1[mid], i2=i2[mid], p_mean=ps[mid])
 
 
 #: Density floor of the joint 2D run in :func:`separability_test`.
@@ -282,7 +277,7 @@ def separability_test(
     coeffs,
     t_end: float,
     dt: float,
-    stride: int = 50,
+    stride: int = EvolutionConfig.stride,
     constants: PhysicalConstants = NATURAL_UNITS,
 ) -> float:
     """Max deviation between a jointly evolved product state and the tensor
@@ -294,9 +289,6 @@ def separability_test(
     densities.  Grids above 128 points per axis are rejected (the 2D state
     would not be desk-scale).
     """
-    from .evolution import EvolutionConfig, evolve
-    from .spectral import make_grid
-
     if grid.dims != 1:
         raise ValueError("separability test composes two 1D subsystems")
     if grid.n > 128:

@@ -203,16 +203,11 @@ def nonlinear_rhs(
     potential: Potential | None,
     coeffs,
     constants: PhysicalConstants = NATURAL_UNITS,
-    eps_rho: float = DEFAULT_EPS_RHO,
-    gate_factor: float = DEFAULT_GATE_FACTOR,
-    ratio_floor: float = DEFAULT_RATIO_FLOOR,
-    mask_limit: float = DEFAULT_MASK_LIMIT,
 ) -> np.ndarray:
     """Full dpsi/dt including the kinetic and potential terms."""
     hbar, m = constants.hbar, constants.mass
     out = -1j / hbar * (-(hbar**2) / (2.0 * m) * laplacian(grid, psi))
-    mult = nonlinear_multiplier(grid, psi, coeffs, eps_rho=eps_rho, gate_factor=gate_factor,
-                                ratio_floor=ratio_floor, mask_limit=mask_limit)
+    mult = nonlinear_multiplier(grid, psi, coeffs)
     explicit = _explicit_rhs(psi, potential.values if potential is not None else None, mult, hbar)
     return out if explicit is None else out + explicit
 

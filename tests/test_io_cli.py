@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,14 @@ import pytest
 
 import nlse4 as q
 from nlse4 import checks
-from nlse4.cli import _EVOLUTION_OPTIONS, _parse_evolution, main
+from nlse4.cli import (
+    _COEFF_PRESETS,
+    _EVOLUTION_OPTIONS,
+    _parse_coeffs,
+    _parse_constants,
+    _parse_evolution,
+    main,
+)
 from nlse4.io import read_field_snapshot, write_field_snapshot
 
 
@@ -284,3 +292,98 @@ def test_config_doc_evolution_table_matches_code():
     defaults = {f.name: f.default for f in dataclasses.fields(q.EvolutionConfig)}
     for key, kind in _EVOLUTION_OPTIONS.items():
         assert kind(documented[key]) == defaults[key], key
+
+
+def test_section_defaults_come_from_library():
+    """A config that omits every optional key parses to the library's defaults."""
+    constants = _parse_constants({})
+    assert constants == _parse_constants(None) == q.PhysicalConstants()
+    assert _parse_coeffs({"preset": "me", "params": {"D1": 0.1}}, constants) == q.MEParams(D1=0.1)
+    assert _parse_coeffs({"preset": "dg"}, constants) == q.dg_coeffs()
+    a, b = [0.1] * 13, [0.05] * 13
+    assert _parse_coeffs({"preset": "ext", "params": {"a": a, "b": b}}, constants) == q.ext_coeffs(a, b)
+
+
+def test_config_doc_constants_and_coeffs_tables_match_code():
+    """docs/config.md gives the PhysicalConstants defaults, and each coeffs
+    preset row names exactly the params that preset accepts."""
+    text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+
+    def table_rows(heading):
+        section = text.split(f"### `{heading}`", 1)[1].split("\n#", 1)[0]
+        return [[cell.strip() for cell in line.split("|")[1:-1]]
+                for line in section.splitlines() if line.startswith("| `")]
+
+    documented = {key.strip("`"): float(default) for key, _, default in table_rows("constants")}
+    assert documented == {f.name: f.default for f in dataclasses.fields(q.PhysicalConstants)}
+    presets = {preset.strip("`"): set(re.findall(r"`(\w+)`", params))
+               for preset, params in table_rows("coeffs")}
+    assert presets == {name: {*required, *optional}
+                       for name, (_, required, optional) in _COEFF_PRESETS.items()}
+
+
+SEPARABILITY_CONFIG = {
+    "version": 1,
+    "grid": {"dims": 1, "n": 64, "length": 20.0},
+    "coeffs": {"preset": "linear"},
+    "evolution": {"dt": 2e-3, "t_end": 0.1},
+    "separability": {
+        "state1": {"kind": "gaussian_packet", "params": {"t0": 1.0}},
+        "state2": {"kind": "gaussian_packet", "params": {"t0": 1.3}},
+    },
+}
+
+STATIONARY_BANDS_CONFIG = {
+    "version": 1,
+    "bands": {"D1": 1.0, "amplitude": 0.6, "energy": 0.5, "a_min": -1.0, "a_max": 4.0, "samples": 20},
+}
+
+
+@pytest.mark.parametrize("command, config, path, value", [
+    ("bands", STATIONARY_BANDS_CONFIG, ("bands", "samples"), "many"),
+    ("bands", STATIONARY_BANDS_CONFIG, ("bands", "D1"), -1),
+    ("evolve", {**EVOLVE_CONFIG, "potential": {"kind": "harmonic"}}, ("potential", "omega"), "stiff"),
+    ("ehrenfest", _ehrenfest_config(1, 64), ("ehrenfest", "tolerance_scale"), "x"),
+    ("separability", SEPARABILITY_CONFIG, ("separability", "tolerance"), "tight"),
+    ("separability", SEPARABILITY_CONFIG, ("evolution", "dt"), "tiny"),
+    ("evolve", EVOLVE_CONFIG, ("report_norm_tol",), "loose"),
+    ("evolve", EVOLVE_CONFIG, ("evolution", "dt"), 3e-3),
+], ids=["bands-samples", "bands-D1", "potential-omega", "ehrenfest-tolerance_scale",
+        "separability-tolerance", "separability-dt", "report_norm_tol", "evolution-dt-not-dividing"])
+def test_malformed_value_exits_2(tmp_path, capsys, command, config, path, value):
+    """A value that does not convert, or that its constructor rejects, is a
+    configuration error reported before any run, not a traceback."""
+    cfg_data = json.loads(json.dumps(config))
+    *sections, key = path
+    table = cfg_data
+    for name in sections:
+        table = table[name]
+    table[key] = value
+    cfg = _write_config(tmp_path, "bad.json", cfg_data)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (out / "summary.json").exists()
+
+
+def test_dg_linearizable_preset_uses_configured_constants(tmp_path):
+    """The preset's coefficients carry the configured hbar/m, so the CLI run
+    equals a library run with dg_linearizable(d1, d2, constants)."""
+    cfg = _write_config(tmp_path, "dglin.json", {
+        "version": 1,
+        "grid": {"dims": 1, "n": 128, "length": 2 * np.pi},
+        "constants": {"mass": 2.0},
+        "state": {"kind": "random", "seed": 5, "params": {"cutoff": 6, "amplitude": 0.3}},
+        "coeffs": {"preset": "dg-linearizable", "params": {"d1": 0.3, "d2": -0.2}},
+        "evolution": {"dt": 1e-4, "t_end": 0.01, "stride": 50, "snapshots": True},
+    })
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    _, final = read_field_snapshot(sorted((out / "fields").iterdir())[-1])
+
+    constants = q.PhysicalConstants(mass=2.0)
+    grid = q.make_grid(1, 128, 2 * np.pi)
+    psi0 = q.random_state(grid, seed=5, cutoff=6, amplitude=0.3, constants=constants)
+    config = q.EvolutionConfig(dt=1e-4, t_end=0.01, coeffs=q.dg_linearizable(0.3, -0.2, constants),
+                               constants=constants, stride=50)
+    assert np.array_equal(final, q.evolve(grid, psi0, config).final)

@@ -24,7 +24,7 @@ import numpy as np
 from . import checks as checks_mod
 from .bands import band_edges, floquet_analyze, hill_from_stationary, mathieu_hill
 from .coeffs import MEParams, dg_coeffs, dg_linearizable, ext_coeffs, linear_coeffs
-from .diagnostics import ehrenfest_consistency, separability_test
+from .diagnostics import SEPARABILITY_MAX_N, ehrenfest_consistency, separability_test
 from .evolution import EvolutionAbort, EvolutionConfig, evolve
 from .io import (
     REPORT_FORMAT_VERSION,
@@ -354,6 +354,9 @@ def cmd_separability(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     grid = _parse_grid(top["grid"])
     if grid.dims != 1:
         raise ConfigError("separability: grid must be one-dimensional (the product grid is built internally)")
+    if grid.n > SEPARABILITY_MAX_N:
+        raise ConfigError(f"separability: grid.n must be at most {SEPARABILITY_MAX_N} "
+                          "(the product grid is n^2)")
     constants = _parse_constants(top.get("constants"))
     coeffs = _parse_coeffs(top["coeffs"], constants)
     psi1 = _parse_state(section["state1"], grid, constants, seed_override=seed)
@@ -363,6 +366,9 @@ def cmd_separability(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     span = _read_section(top["evolution"], "evolution",
                          {**_EVOLUTION_SPAN, "stride": _EVOLUTION_OPTIONS["stride"]},
                          required=tuple(_EVOLUTION_SPAN))
+    # the three runs share dt, t_end and stride; check them before the first
+    runs = _construct("evolution", EvolutionConfig, **span)
+    _construct("evolution", runs.n_steps)  # t_end must be a whole number of steps
 
     summary = _summary_skeleton("separability", config)
     try:

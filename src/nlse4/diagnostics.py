@@ -34,7 +34,6 @@ from .hydro import (
     DEFAULT_GATE_FACTOR,
     DEFAULT_RATIO_FLOOR,
     HydroView,
-    fourth_order_composites,
     hydro_decompose,
 )
 from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, divergence, gradient, laplacian, make_grid
@@ -105,7 +104,7 @@ def energy(
     b1, b6 = (0.0, 0.0) if is_linear(coeffs) else coeffs.b1_b6()
     if b1 == b6:
         return e_l, e_l
-    fo = fourth_order_composites(hv, gate_factor=gate_factor, ratio_floor=ratio_floor)
+    fo = hv.fourth_order(gate_factor, ratio_floor)
     rho_lap_lap_s = fo.t1 * hv.rho  # gated numerator
     e_me = e_l + hbar * (b1 - b6) * float(grid.integrate(rho_lap_lap_s))
     return e_l, e_me
@@ -267,6 +266,9 @@ def ehrenfest_consistency(trajectory, include_i1: bool = True) -> EhrenfestRepor
 #: Density floor of the joint 2D run in :func:`separability_test`.
 _PRODUCT_EPS_RHO = 1e-14
 
+#: Largest 1D grid :func:`separability_test` accepts; its product grid is n^2.
+SEPARABILITY_MAX_N = 128
+
 
 def separability_test(
     grid: Grid,
@@ -291,8 +293,8 @@ def separability_test(
     """
     if grid.dims != 1:
         raise ValueError("separability test composes two 1D subsystems")
-    if grid.n > 128:
-        raise ValueError("2D product grid capped at 128^2")
+    if grid.n > SEPARABILITY_MAX_N:
+        raise ValueError(f"2D product grid capped at {SEPARABILITY_MAX_N}^2")
 
     grid2 = make_grid(2, grid.n, grid.length)
     psi_2d = np.outer(psi1, psi2)

@@ -38,6 +38,13 @@ Every state the run touches is derived once, and each stage reuses:
   current divergence computed once, and the previous sample's divergence,
   carried forward for the continuity residual.
 
+A stage builds what its multiplier reads and no more: the view's ratio
+fields are derived on first read (the generic engine reads them, the
+three-parameter engine does not), and the three-parameter composites are
+built once per view, so a sample's energy reuses the multiplier's.  All
+transforms, the nine of each step included, go through the spectral
+helpers, which call the one-axis transforms directly on 1D fields.
+
 Sampled states and stage a use fftn(psi), so a sample recomputed standalone
 from the stored fields matches the run bit for bit.  The mask guard
 (``mask_limit``) applies to every stage input of a nonlinear run, the
@@ -71,10 +78,9 @@ from .hydro import (
     DEFAULT_GATE_FACTOR,
     DEFAULT_RATIO_FLOOR,
     HydroView,
-    fourth_order_composites,
     hydro_decompose,
 )
-from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, laplacian
+from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, _forward, _inverse, laplacian
 from .states import Potential
 
 #: Fraction of the Nyquist wavenumber above which modes are zeroed each step.
@@ -179,7 +185,7 @@ def nonlinear_multiplier(
     if hv is None:
         hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=mask_limit)
     if isinstance(coeffs, MEParams):
-        fo = fourth_order_composites(hv, gate_factor=gate_factor, ratio_floor=ratio_floor)
+        fo = hv.fourth_order(gate_factor, ratio_floor)
         return -(0.5 * coeffs.D1) * fo.u - 1j * (coeffs.b1 * fo.t1 + coeffs.b6 * fo.t6)
     fa, fb = functional_pair(coeffs, hv)
     return -(0.5 * coeffs.D) * fa - 1j * coeffs.D * fb
@@ -305,8 +311,8 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
         prev_snapshot = (t, traj.fields[-1])
 
     # initial state passes through the band-limit filter once
-    psi = np.fft.ifftn(filt * np.fft.fftn(psi))
-    psi_hat = np.fft.fftn(psi)
+    psi = _inverse(grid, filt * _forward(psi, False), False)
+    psi_hat = _forward(psi, False)
     hv, mult = stage_terms(psi, psi_hat)
 
     # Step-size guard.  The k_max^4 nonlinear rate only binds when the
@@ -325,21 +331,21 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     t = 0.0
     for step in range(1, n_steps + 1):
         # stages b, c and d are decomposed from the spectra they are made of
-        a_hat = np.fft.fftn(N(psi, mult))
+        a_hat = _forward(N(psi, mult), False)
         psi2_hat = e_half * (psi_hat + (0.5 * dt) * a_hat)
-        psi2 = np.fft.ifftn(psi2_hat)
-        b_hat = np.fft.fftn(N(psi2, stage_terms(psi2, psi2_hat)[1]))
+        psi2 = _inverse(grid, psi2_hat, False)
+        b_hat = _forward(N(psi2, stage_terms(psi2, psi2_hat)[1]), False)
         psi3_hat = e_half * psi_hat + (0.5 * dt) * b_hat
-        psi3 = np.fft.ifftn(psi3_hat)
-        c_hat = np.fft.fftn(N(psi3, stage_terms(psi3, psi3_hat)[1]))
+        psi3 = _inverse(grid, psi3_hat, False)
+        c_hat = _forward(N(psi3, stage_terms(psi3, psi3_hat)[1]), False)
         psi4_hat = e_full * psi_hat + dt * e_half * c_hat
-        psi4 = np.fft.ifftn(psi4_hat)
-        d_hat = np.fft.fftn(N(psi4, stage_terms(psi4, psi4_hat)[1]))
+        psi4 = _inverse(grid, psi4_hat, False)
+        d_hat = _forward(N(psi4, stage_terms(psi4, psi4_hat)[1]), False)
         new_hat = filt * (
             e_full * psi_hat
             + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
         )
-        psi = np.fft.ifftn(new_hat)
+        psi = _inverse(grid, new_hat, False)
         t = step * dt
 
         norm = float((psi.real**2 + psi.imag**2).sum() * vol)
@@ -353,7 +359,7 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
             )
         # Each state is transformed and derived once, for the next step's
         # stage a and for its sample.
-        psi_hat = np.fft.fftn(psi)
+        psi_hat = _forward(psi, False)
         last = step == n_steps
         hv, mult = (None, None) if last else stage_terms(psi, psi_hat)
         if last or step % config.stride == 0:

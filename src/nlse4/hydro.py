@@ -11,6 +11,13 @@ combined pointwise, so 2pi branch cuts in S never enter.  Points where the
 density falls below a floor ("nodes") carry zeroed derived fields and are
 excluded from volume integrals; that exclusion is a documented bias source.
 
+A decomposition builds only these smooth fields, the Laplacian of rho, the
+weighted Laplacian rho*Lap S, the node mask and two reductions (max(rho),
+read by the node floor, the noise gate and the ratio floor, and the masked
+fraction).  The ratio fields grad S, grad log rho, Lap S and Lap rho / rho
+are derived on first read: the generic functional engine, diagnostics and
+checks read them, the three-parameter engine does not.
+
 Fourth-order composites (e.g. rho*Lap(Lap S)) are assembled from
 density-weighted numerators that decay with rho, and are zeroed wherever the
 numerator falls below a spectral roundoff floor.  Consequences:
@@ -24,6 +31,7 @@ numerator falls below a spectral roundoff floor.  Consequences:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,31 +74,45 @@ class MaskOverflowError(ValueError):
 class HydroView:
     """Derived hydrodynamic fields of one wavefunction.
 
-    ``grad_s``/``grad_log_rho`` are lists with one array per axis.  ``mask``
-    is True at points below the density floor; derived ratio fields are zero
-    there.  The smooth numerators (``g``, ``grad_rho``, ``rho_lap_s`` ...)
-    are kept because every higher composite is built from them.
+    A decomposition builds the smooth numerators (``g``, ``grad_rho``,
+    ``lap_rho``, ``rho_lap_s``), the node ``mask`` (True at points below the
+    density floor), ``safe_rho`` and the reductions ``rho_max`` and
+    ``masked_fraction``; every higher composite is built from these.  The
+    ratio fields ``grad_s``/``grad_log_rho`` (lists with one array per axis),
+    ``lap_s`` and ``lap_rho_over_rho`` are zero at masked points and are
+    derived on first read: the three-parameter engine never reads them.
     """
 
     grid: Grid
     psi: np.ndarray
     rho: np.ndarray
-    grad_s: list
-    grad_log_rho: list
-    lap_s: np.ndarray
-    lap_rho_over_rho: np.ndarray
     mask: np.ndarray
     floor: float
+    rho_max: float
+    masked_fraction: float
     # smooth building blocks
-    g: list = field(repr=False, default=None)
-    grad_rho: list = field(repr=False, default=None)
-    lap_rho: np.ndarray = field(repr=False, default=None)
-    rho_lap_s: np.ndarray = field(repr=False, default=None)
-    safe_rho: np.ndarray = field(repr=False, default=None)
+    g: list = field(repr=False)
+    grad_rho: list = field(repr=False)
+    lap_rho: np.ndarray = field(repr=False)
+    rho_lap_s: np.ndarray = field(repr=False)
+    safe_rho: np.ndarray = field(repr=False)
+    _fourth_order: dict = field(repr=False, default_factory=dict)
 
-    @property
-    def masked_fraction(self) -> float:
-        return float(self.mask.mean())
+    @cached_property
+    def grad_s(self) -> list:
+        return [self.ratio(ga) for ga in self.g]
+
+    @cached_property
+    def grad_log_rho(self) -> list:
+        return [self.ratio(dra) for dra in self.grad_rho]
+
+    @cached_property
+    def lap_s(self) -> np.ndarray:
+        return self.ratio(self.rho_lap_s)
+
+    @cached_property
+    def lap_rho_over_rho(self) -> np.ndarray:
+        return self.ratio(self.lap_rho)
 
     def zero_masked(self, arr: np.ndarray) -> np.ndarray:
         return np.where(self.mask, 0.0, arr)
@@ -105,6 +127,17 @@ class HydroView:
     def dot_grad_log_rho(self, vec: list) -> np.ndarray:
         return sum(v * s for v, s in zip(vec, self.grad_log_rho))
 
+    def fourth_order(self, gate_factor: float = DEFAULT_GATE_FACTOR,
+                     ratio_floor: float = DEFAULT_RATIO_FLOOR) -> "FourthOrder":
+        """:func:`fourth_order_composites` of this view, built once per
+        ``(gate_factor, ratio_floor)``; the multiplier and the energy of a
+        sampled state share them."""
+        key = (gate_factor, ratio_floor)
+        fo = self._fourth_order.get(key)
+        if fo is None:
+            fo = self._fourth_order[key] = fourth_order_composites(self, gate_factor, ratio_floor)
+        return fo
+
 
 def hydro_decompose(
     grid: Grid,
@@ -113,7 +146,8 @@ def hydro_decompose(
     max_masked_fraction: float = 0.25,
     psi_hat: np.ndarray | None = None,
 ) -> HydroView:
-    """Decompose psi into density, phase gradients and their Laplacians.
+    """Decompose psi into density, its phase-current numerators and their
+    derivatives.
 
     ``eps_rho`` is relative to max(rho).  Raises :class:`MaskOverflowError`
     if more than ``max_masked_fraction`` of the grid is below the floor.
@@ -132,33 +166,27 @@ def hydro_decompose(
     grad_rho = [2.0 * (conj * d).real for d in dpsi]
     lap_rho = laplacian(grid, rho)
 
-    floor = eps_rho * rho.max()
+    rho_max = float(rho.max())
+    floor = eps_rho * rho_max
     mask = rho < floor
-    frac = float(mask.mean())
+    frac = np.count_nonzero(mask) / mask.size
     if frac > max_masked_fraction:
         raise MaskOverflowError(frac, max_masked_fraction)
 
     safe_rho = np.where(mask, 1.0, rho)
-    grad_s = [np.where(mask, 0.0, ga / safe_rho) for ga in g]
-    grad_log_rho = [np.where(mask, 0.0, dra / safe_rho) for dra in grad_rho]
-
     # rho*Lap S = div g - grad_rho . g / rho, all built from smooth fields
     div_g = divergence(grid, g)
     dot = sum(dra * ga for dra, ga in zip(grad_rho, g))
     rho_lap_s = div_g - np.where(mask, 0.0, dot / safe_rho)
-    lap_s = np.where(mask, 0.0, rho_lap_s / safe_rho)
-    lap_rho_over_rho = np.where(mask, 0.0, lap_rho / safe_rho)
 
     return HydroView(
         grid=grid,
         psi=psi,
         rho=rho,
-        grad_s=grad_s,
-        grad_log_rho=grad_log_rho,
-        lap_s=lap_s,
-        lap_rho_over_rho=lap_rho_over_rho,
         mask=mask,
-        floor=float(floor),
+        floor=floor,
+        rho_max=rho_max,
+        masked_fraction=frac,
         g=g,
         grad_rho=grad_rho,
         lap_rho=lap_rho,
@@ -191,7 +219,7 @@ def noise_gate(hv: HydroView, gate_factor: float = DEFAULT_GATE_FACTOR) -> float
         max(abs(ga).max() for ga in hv.g),
         max(abs(da).max() for da in hv.grad_rho),
         abs(hv.rho_lap_s).max(),
-        hv.rho.max(),
+        hv.rho_max,
     )
     return gate_factor * _EPS * kM**3 * scale
 
@@ -241,14 +269,16 @@ def fourth_order_composites(
     r1 = lap_P - 2.0 * r6 - ratio_P * hv.lap_rho
 
     gate = noise_gate(hv, gate_factor)
-    dens_ok = hv.rho >= ratio_floor * hv.rho.max()
-    u = _gated_ratio(hv, div_q, gate, dens_ok)
-    t1 = _gated_ratio(hv, r1, gate, dens_ok)
-    t6 = _gated_ratio(hv, r6, gate, dens_ok)
+    dense = ~hv.mask & (hv.rho >= ratio_floor * hv.rho_max)
+    u = _gated_ratio(hv, div_q, gate, dense)
+    t1 = _gated_ratio(hv, r1, gate, dense)
+    t6 = _gated_ratio(hv, r6, gate, dense)
     return FourthOrder(q=q, div_q=div_q, r1=r1, r6=r6, u=u, t1=t1, t6=t6,
                        gate=gate, ratio_floor=ratio_floor)
 
 
-def _gated_ratio(hv: HydroView, numerator: np.ndarray, gate: float, dens_ok: np.ndarray) -> np.ndarray:
-    keep = (~hv.mask) & dens_ok & (np.abs(numerator) > gate)
+def _gated_ratio(hv: HydroView, numerator: np.ndarray, gate: float, dense: np.ndarray) -> np.ndarray:
+    """numerator / rho where ``dense`` (unmasked, above the ratio floor) and
+    the numerator clears the noise gate, zero elsewhere."""
+    keep = dense & (np.abs(numerator) > gate)
     return np.where(keep, numerator / hv.safe_rho, 0.0)

@@ -179,11 +179,20 @@ def _ik(grid: Grid, axis: int, real: bool) -> np.ndarray:
 
 
 def _forward(field: np.ndarray, real: bool) -> np.ndarray:
-    """Half-spectrum (last axis halved) of a real field, full spectrum otherwise."""
+    """Half-spectrum (last axis halved) of a real field, full spectrum otherwise.
+
+    A 1D field goes straight to the one-axis transform, which is the kernel
+    the n-D transforms run per axis, without their shape handling.
+    """
+    if field.ndim == 1:
+        return np.fft.rfft(field) if real else np.fft.fft(field)
     return np.fft.rfftn(field) if real else np.fft.fftn(field)
 
 
 def _inverse(grid: Grid, fhat: np.ndarray, real: bool) -> np.ndarray:
+    """Inverse of :func:`_forward` onto ``grid``."""
+    if grid.dims == 1:
+        return np.fft.irfft(fhat, grid.n) if real else np.fft.ifft(fhat)
     if real:
         return np.fft.irfftn(fhat, s=grid.shape, axes=tuple(range(grid.dims)))
     return np.fft.ifftn(fhat)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 import nlse4 as q
+from nlse4 import hydro
 from nlse4.checks import check_hydro_scaling_invariance
+from nlse4.diagnostics import energy
+from nlse4.evolution import nonlinear_multiplier
 from nlse4.hydro import MaskOverflowError, fourth_order_composites, hydro_decompose
 from nlse4.spectral import spectral_derivative
 
-from helpers import perturbed_plane_wave
+from helpers import perturbed_gaussian, perturbed_plane_wave
 
 
 class TestDecomposition:
@@ -84,6 +87,61 @@ class TestDecomposition:
         psi[3] = np.nan
         with pytest.raises(ValueError):
             hydro_decompose(grid, psi)
+
+
+RATIO_FIELDS = ("grad_s", "grad_log_rho", "lap_s", "lap_rho_over_rho")
+
+
+def _masked_and_nodeless_views():
+    """A localized Gaussian with masked tails and a nodeless random state."""
+    grid = q.make_grid(1, 128, 24.0)
+    masked = hydro_decompose(grid, perturbed_gaussian(grid), max_masked_fraction=0.95)
+    assert masked.masked_fraction > 0.0
+    nodeless = hydro_decompose(grid, perturbed_plane_wave(grid))
+    assert nodeless.masked_fraction == 0.0
+    return {"masked_gaussian": masked, "nodeless_random": nodeless}
+
+
+class TestLazyRatioFields:
+    """The ratio fields are derived on first read from the stored numerators."""
+
+    @pytest.mark.parametrize("state", ["masked_gaussian", "nodeless_random"])
+    def test_equal_eager_formulas_bit_for_bit(self, state):
+        hv = _masked_and_nodeless_views()[state]
+        mask, safe_rho = hv.mask, hv.safe_rho
+        eager = {
+            "grad_s": [np.where(mask, 0.0, ga / safe_rho) for ga in hv.g],
+            "grad_log_rho": [np.where(mask, 0.0, dra / safe_rho) for dra in hv.grad_rho],
+            "lap_s": np.where(mask, 0.0, hv.rho_lap_s / safe_rho),
+            "lap_rho_over_rho": np.where(mask, 0.0, hv.lap_rho / safe_rho),
+        }
+        for name, expected in eager.items():
+            assert np.array_equal(getattr(hv, name), expected), name
+        assert hv.rho_max == hv.rho.max()
+        assert hv.masked_fraction == float(hv.mask.mean())
+
+    @pytest.mark.parametrize("state", ["masked_gaussian", "nodeless_random"])
+    def test_me_multiplier_builds_none_of_them(self, state):
+        hv = _masked_and_nodeless_views()[state]
+        nonlinear_multiplier(hv.grid, hv.psi, q.MEParams(0.1, 0.05, 0.02), hv=hv)
+        assert not set(RATIO_FIELDS) & set(vars(hv))
+
+    def test_energy_reuses_the_multiplier_composites(self, monkeypatch):
+        """The ME energy of a state reads the composites its multiplier built."""
+        grid = q.make_grid(1, 128, 24.0)
+        psi = perturbed_gaussian(grid)
+        me = q.MEParams(0.1, 0.05, 0.02)
+        fresh = energy(grid, psi, None, me)
+        built = []
+        original = hydro.fourth_order_composites
+        monkeypatch.setattr(hydro, "fourth_order_composites",
+                            lambda *args: built.append(args) or original(*args))
+        hv = hydro_decompose(grid, psi, max_masked_fraction=1.0)
+        nonlinear_multiplier(grid, psi, me, hv=hv)
+        assert energy(grid, psi, None, me, hv=hv) == fresh
+        assert len(built) == 1
+        hv.fourth_order(gate_factor=0.0)  # other gate settings are built anew
+        assert len(built) == 2
 
 
 class TestFourthOrderComposites:

@@ -348,8 +348,12 @@ STATIONARY_BANDS_CONFIG = {
     ("separability", SEPARABILITY_CONFIG, ("evolution", "dt"), "tiny"),
     ("evolve", EVOLVE_CONFIG, ("report_norm_tol",), "loose"),
     ("evolve", EVOLVE_CONFIG, ("evolution", "dt"), 3e-3),
+    ("separability", SEPARABILITY_CONFIG, ("grid", "n"), 256),
+    ("separability", SEPARABILITY_CONFIG, ("evolution", "dt"), -1),
+    ("separability", SEPARABILITY_CONFIG, ("evolution", "dt"), 3e-3),
 ], ids=["bands-samples", "bands-D1", "potential-omega", "ehrenfest-tolerance_scale",
-        "separability-tolerance", "separability-dt", "report_norm_tol", "evolution-dt-not-dividing"])
+        "separability-tolerance", "separability-dt", "report_norm_tol", "evolution-dt-not-dividing",
+        "separability-n-above-cap", "separability-dt-negative", "separability-dt-not-dividing"])
 def test_malformed_value_exits_2(tmp_path, capsys, command, config, path, value):
     """A value that does not convert, or that its constructor rejects, is a
     configuration error reported before any run, not a traceback."""

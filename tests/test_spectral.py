@@ -6,6 +6,8 @@ import pytest
 import nlse4 as q
 from nlse4.spectral import (
     GridError,
+    _forward,
+    _inverse,
     divergence,
     gradient,
     gradient_and_laplacian,
@@ -104,6 +106,20 @@ def test_integrate_periodic_exactness():
     grid = q.make_grid(1, 64, 2 * np.pi)
     x = grid.axis_coords()
     assert grid.integrate(np.cos(3 * x) ** 2) == pytest.approx(np.pi, abs=1e-12)
+
+
+def test_1d_transforms_equal_nd_transforms_bit_for_bit():
+    """On 1D fields the helpers call the one-axis transforms directly; the
+    n-D transforms run the same kernel, so the results are identical."""
+    grid = q.make_grid(1, 256, 5.0)
+    rng = np.random.default_rng(4)
+    real = rng.standard_normal(grid.n)
+    cplx = real + 1j * rng.standard_normal(grid.n)
+    real_hat, cplx_hat = np.fft.rfftn(real), np.fft.fftn(cplx)
+    assert np.array_equal(_forward(real, True), real_hat)
+    assert np.array_equal(_forward(cplx, False), cplx_hat)
+    assert np.array_equal(_inverse(grid, real_hat, True), np.fft.irfftn(real_hat, s=grid.shape, axes=(0,)))
+    assert np.array_equal(_inverse(grid, cplx_hat, False), np.fft.ifftn(cplx_hat))
 
 
 def test_real_input_gives_real_output():

@@ -104,7 +104,7 @@ def energy(
     b1, b6 = (0.0, 0.0) if is_linear(coeffs) else coeffs.b1_b6()
     if b1 == b6:
         return e_l, e_l
-    fo = hv.fourth_order(gate_factor, ratio_floor)
+    fo = hv.fourth_order(gate_factor, ratio_floor, keep=False)
     rho_lap_lap_s = fo.t1 * hv.rho  # gated numerator
     e_me = e_l + hbar * (b1 - b6) * float(grid.integrate(rho_lap_lap_s))
     return e_l, e_me

@@ -87,7 +87,6 @@ class HydroView:
     psi: np.ndarray
     rho: np.ndarray
     mask: np.ndarray
-    floor: float
     rho_max: float
     masked_fraction: float
     # smooth building blocks
@@ -128,14 +127,22 @@ class HydroView:
         return sum(v * s for v, s in zip(vec, self.grad_log_rho))
 
     def fourth_order(self, gate_factor: float = DEFAULT_GATE_FACTOR,
-                     ratio_floor: float = DEFAULT_RATIO_FLOOR) -> "FourthOrder":
-        """:func:`fourth_order_composites` of this view, built once per
-        ``(gate_factor, ratio_floor)``; the multiplier and the energy of a
-        sampled state share them."""
+                     ratio_floor: float = DEFAULT_RATIO_FLOOR, keep: bool = True) -> "FourthOrder":
+        """:func:`fourth_order_composites` of this view, built at most once
+        per ``(gate_factor, ratio_floor)``: composites built with ``keep``
+        stay on the view and are returned to every later call.
+
+        The multiplier keeps them, so the energy of a sampled state reuses
+        them; the energy passes ``keep=False``, because when it is the only
+        reader (the generic engine) the view would otherwise hold eight more
+        arrays through the next step, which measurably slows 2D runs.
+        """
         key = (gate_factor, ratio_floor)
         fo = self._fourth_order.get(key)
         if fo is None:
-            fo = self._fourth_order[key] = fourth_order_composites(self, gate_factor, ratio_floor)
+            fo = fourth_order_composites(self, gate_factor, ratio_floor)
+            if keep:
+                self._fourth_order[key] = fo
         return fo
 
 
@@ -167,8 +174,7 @@ def hydro_decompose(
     lap_rho = laplacian(grid, rho)
 
     rho_max = float(rho.max())
-    floor = eps_rho * rho_max
-    mask = rho < floor
+    mask = rho < eps_rho * rho_max
     frac = np.count_nonzero(mask) / mask.size
     if frac > max_masked_fraction:
         raise MaskOverflowError(frac, max_masked_fraction)
@@ -184,7 +190,6 @@ def hydro_decompose(
         psi=psi,
         rho=rho,
         mask=mask,
-        floor=floor,
         rho_max=rho_max,
         masked_fraction=frac,
         g=g,

@@ -142,6 +142,11 @@ class TestLazyRatioFields:
         assert len(built) == 1
         hv.fourth_order(gate_factor=0.0)  # other gate settings are built anew
         assert len(built) == 2
+        # composites the energy builds for itself are not kept on the view
+        alone = hydro_decompose(grid, psi, max_masked_fraction=1.0)
+        energy(grid, psi, None, me, hv=alone)
+        energy(grid, psi, None, me, hv=alone)
+        assert len(built) == 4
 
 
 class TestFourthOrderComposites:

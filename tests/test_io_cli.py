@@ -351,9 +351,11 @@ STATIONARY_BANDS_CONFIG = {
     ("separability", SEPARABILITY_CONFIG, ("grid", "n"), 256),
     ("separability", SEPARABILITY_CONFIG, ("evolution", "dt"), -1),
     ("separability", SEPARABILITY_CONFIG, ("evolution", "dt"), 3e-3),
+    ("separability", SEPARABILITY_CONFIG, ("evolution", "stride"), 0),
 ], ids=["bands-samples", "bands-D1", "potential-omega", "ehrenfest-tolerance_scale",
         "separability-tolerance", "separability-dt", "report_norm_tol", "evolution-dt-not-dividing",
-        "separability-n-above-cap", "separability-dt-negative", "separability-dt-not-dividing"])
+        "separability-n-above-cap", "separability-dt-negative", "separability-dt-not-dividing",
+        "separability-stride-zero"])
 def test_malformed_value_exits_2(tmp_path, capsys, command, config, path, value):
     """A value that does not convert, or that its constructor rejects, is a
     configuration error reported before any run, not a traceback."""

@@ -128,9 +128,9 @@ class HydroView:
 
     def fourth_order(self, gate_factor: float = DEFAULT_GATE_FACTOR,
                      ratio_floor: float = DEFAULT_RATIO_FLOOR, keep: bool = True) -> "FourthOrder":
-        """:func:`fourth_order_composites` of this view, built at most once
-        per ``(gate_factor, ratio_floor)``: composites built with ``keep``
-        stay on the view and are returned to every later call.
+        """:func:`fourth_order_composites` of this view.  Composites built
+        with ``keep`` stay on the view, and every later call with the same
+        ``(gate_factor, ratio_floor)`` returns them.
 
         The multiplier keeps them, so the energy of a sampled state reuses
         them; the energy passes ``keep=False``, because when it is the only

@@ -304,7 +304,8 @@ def check_dt_convergence(seed=0):
     err0 = np.abs(traj.final - ref).max()
     err1 = np.abs(final(dt0 / 2.0).final - ref).max()
     ratio = err0 / max(err1, 1e-300)
-    _, integral = continuity_residual(grid, traj.fields[-2], traj.fields[-1], dt0, _ME_PRESET)
+    _, integral = continuity_residual(grid, traj.fields[-2], traj.fields[-1],
+                                      traj.ts[-1] - traj.ts[-2], _ME_PRESET)
     note = f"state errors {err0:.2e} -> {err1:.2e}; residual integral floor {abs(integral):.1e}"
     return _result("dt_convergence", ratio, 12.0, larger_is_pass=True, note=note)
 

@@ -16,6 +16,11 @@ nonlinear parts.  They are read off the multiplier the evolution applies
 end-to-end: time derivatives come from centered differences over stored
 snapshots, never from analytic identities.
 
+The low-density gates (node floor, noise gate, ratio floor) are fixed per
+view: a caller that wants other gates than the defaults passes a view
+decomposed at them (``hv``), and every quantity of one sample reads the
+same gates.
+
 :func:`gauge_form_residual` compares the three-parameter variant's canonical
 Hamiltonian form against its vector-potential form on one state.
 """
@@ -29,13 +34,7 @@ import numpy as np
 from .coeffs import MEParams, is_linear
 from .currents import continuity_residual, current_divergence
 from .evolution import EvolutionConfig, evolve, nonlinear_multiplier
-from .hydro import (
-    DEFAULT_EPS_RHO,
-    DEFAULT_GATE_FACTOR,
-    DEFAULT_RATIO_FLOOR,
-    HydroView,
-    hydro_decompose,
-)
+from .hydro import DEFAULT_EPS_RHO, HydroView, hydro_decompose
 from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, divergence, gradient, laplacian, make_grid
 from .states import Potential, check_tails
 
@@ -83,16 +82,14 @@ def energy(
     potential: Potential | None,
     coeffs,
     constants: PhysicalConstants = NATURAL_UNITS,
-    eps_rho: float = DEFAULT_EPS_RHO,
-    gate_factor: float = DEFAULT_GATE_FACTOR,
-    ratio_floor: float = DEFAULT_RATIO_FLOOR,
     hv: HydroView | None = None,
 ) -> tuple:
     """(E_L, E_ME).  The fourth-order correction vanishes identically for
     quadratic phases and whenever b1 = b6.  ``hv`` is an existing
-    decomposition of ``psi`` (floor ``eps_rho``, any mask limit)."""
+    decomposition of ``psi`` (any mask limit) whose gates apply; without
+    one, psi is decomposed at the default gates."""
     if hv is None:
-        hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
+        hv = hydro_decompose(grid, psi, max_masked_fraction=1.0)
     hbar, m = constants.hbar, constants.mass
     grad_r_sq = 0.25 * hv.ratio(sum(d * d for d in hv.grad_rho))
     rho_grad_s_sq = hv.ratio(sum(ga * ga for ga in hv.g))
@@ -104,7 +101,7 @@ def energy(
     b1, b6 = (0.0, 0.0) if is_linear(coeffs) else coeffs.b1_b6()
     if b1 == b6:
         return e_l, e_l
-    fo = hv.fourth_order(gate_factor, ratio_floor, keep=False)
+    fo = hv.fourth_order(keep=False)
     rho_lap_lap_s = fo.t1 * hv.rho  # gated numerator
     e_me = e_l + hbar * (b1 - b6) * float(grid.integrate(rho_lap_lap_s))
     return e_l, e_me
@@ -115,9 +112,6 @@ def ehrenfest_corrections(
     psi: np.ndarray,
     coeffs,
     constants: PhysicalConstants = NATURAL_UNITS,
-    eps_rho: float = DEFAULT_EPS_RHO,
-    gate_factor: float = DEFAULT_GATE_FACTOR,
-    ratio_floor: float = DEFAULT_RATIO_FLOOR,
     enforce_tails: bool = True,
     hv: HydroView | None = None,
     mult: np.ndarray | None = None,
@@ -131,18 +125,18 @@ def ehrenfest_corrections(
     multiplier c (both zero for the linear equation).
     The position-weighted integrand decays with rho, but the centered box
     coordinate still requires decayed tails, which are enforced by default.
-    ``hv`` is an existing decomposition of ``psi`` (floor ``eps_rho``) and
+    ``hv`` is an existing decomposition of ``psi`` (its gates apply) and
     ``mult`` the multiplier c already built from it; either is computed
-    here when not supplied.
+    here, at the default gates, when not supplied.
     """
     if enforce_tails:
         check_tails(grid, psi)
     hbar, m = constants.hbar, constants.mass
     if hv is None:
-        hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
+        hv = hydro_decompose(grid, psi, max_masked_fraction=1.0)
     c = mult
     if c is None:
-        c = nonlinear_multiplier(grid, psi, coeffs, gate_factor=gate_factor, ratio_floor=ratio_floor, hv=hv)
+        c = nonlinear_multiplier(grid, psi, coeffs, hv=hv)
     if c is None:
         h_i = h_r = np.zeros(grid.shape)
     else:
@@ -168,9 +162,6 @@ def observables_sample(
     coeffs,
     constants: PhysicalConstants = NATURAL_UNITS,
     prev=None,
-    eps_rho: float = DEFAULT_EPS_RHO,
-    gate_factor: float = DEFAULT_GATE_FACTOR,
-    ratio_floor: float = DEFAULT_RATIO_FLOOR,
     hv: HydroView | None = None,
     mult: np.ndarray | None = None,
     div_j: np.ndarray | None = None,
@@ -180,22 +171,20 @@ def observables_sample(
     (t, psi) used for the finite-difference continuity residual.
 
     The snapshot is decomposed once, and energy, Ehrenfest corrections and
-    residual share that view.  A caller that already holds them passes the
-    view ``hv`` (floor ``eps_rho``, any mask limit), the multiplier
-    ``mult`` built from it, this snapshot's current divergence ``div_j`` and
-    the previous snapshot's ``prev_div_j``; each one not supplied is
-    computed here.
+    residual share that view and its gates (the residual decomposes the
+    previous snapshot, when it must, at the view's ``eps_rho``).  A caller
+    that already holds them passes the view ``hv`` (any mask limit), the
+    multiplier ``mult`` built from it, this snapshot's current divergence
+    ``div_j`` and the previous snapshot's ``prev_div_j``; each one not
+    supplied is computed here, the view at the default gates.
     """
     if hv is None:
-        hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
+        hv = hydro_decompose(grid, psi, max_masked_fraction=1.0)
     norm = float(grid.integrate(np.abs(psi) ** 2))
-    e_l, e_me = energy(grid, psi, potential, coeffs, constants, eps_rho, gate_factor, ratio_floor, hv=hv)
+    e_l, e_me = energy(grid, psi, potential, coeffs, constants, hv=hv)
     x_mean = expectation_x(grid, psi)
     p_mean = expectation_p(grid, psi, constants)
-    i1, i2 = ehrenfest_corrections(
-        grid, psi, coeffs, constants, eps_rho, gate_factor, ratio_floor, enforce_tails=False,
-        hv=hv, mult=mult,
-    )
+    i1, i2 = ehrenfest_corrections(grid, psi, coeffs, constants, enforce_tails=False, hv=hv, mult=mult)
     if potential is not None:
         rho = np.abs(psi) ** 2
         gv = tuple(float(grid.integrate(g * rho)) for g in potential.grad)
@@ -208,7 +197,7 @@ def observables_sample(
             if div_j is None:
                 div_j = current_divergence(hv, coeffs, constants)
             _, cont = continuity_residual(
-                grid, psi_prev, psi, t - t_prev, coeffs, constants, eps_rho=eps_rho,
+                grid, psi_prev, psi, t - t_prev, coeffs, constants, eps_rho=hv.eps_rho,
                 div_before=prev_div_j, div_after=div_j,
             )
     return ObservablesSample(

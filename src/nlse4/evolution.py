@@ -45,6 +45,11 @@ built once per view, so a sample's energy reuses the multiplier's.  All
 transforms, the nine of each step included, go through the spectral
 helpers, which call the one-axis transforms directly on 1D fields.
 
+The config's low-density gates (``eps_rho``, ``gate_factor``,
+``ratio_floor``) are handed once per state to
+:func:`nlse4.hydro.hydro_decompose`; the multiplier and the sample read
+them off the view.
+
 Sampled states and stage a use fftn(psi), so a sample recomputed standalone
 from the stored fields matches the run bit for bit.  The mask guard
 (``mask_limit``) applies to every stage input of a nonlinear run, the
@@ -73,13 +78,7 @@ import numpy as np
 from .coeffs import MEParams, is_linear
 from .currents import current_divergence
 from .functionals import functional_pair
-from .hydro import (
-    DEFAULT_EPS_RHO,
-    DEFAULT_GATE_FACTOR,
-    DEFAULT_RATIO_FLOOR,
-    HydroView,
-    hydro_decompose,
-)
+from .hydro import DEFAULT_EPS_RHO, DEFAULT_GATE_FACTOR, DEFAULT_RATIO_FLOOR, HydroView, hydro_decompose
 from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, _forward, _inverse, laplacian
 from .states import Potential
 
@@ -168,24 +167,21 @@ def nonlinear_multiplier(
     grid: Grid,
     psi: np.ndarray,
     coeffs,
-    eps_rho: float = DEFAULT_EPS_RHO,
-    gate_factor: float = DEFAULT_GATE_FACTOR,
-    ratio_floor: float = DEFAULT_RATIO_FLOOR,
-    mask_limit: float = DEFAULT_MASK_LIMIT,
     hv: HydroView | None = None,
 ):
     """The complex field c(x) with nonlinear dpsi/dt = c(x) psi, or None.
 
     H_NL = i H_I + H_R with H_I = hbar Re c (continuity channel) and
-    H_R = -hbar Im c (phase channel).  ``mask_limit`` guards the
-    decomposition made when ``hv`` is not supplied.
+    H_R = -hbar Im c (phase channel).  The three-parameter engine applies
+    the gates of the view ``hv``; without one, psi is decomposed at the
+    default gates under :data:`DEFAULT_MASK_LIMIT`.
     """
     if is_linear(coeffs):
         return None
     if hv is None:
-        hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=mask_limit)
+        hv = hydro_decompose(grid, psi, max_masked_fraction=DEFAULT_MASK_LIMIT)
     if isinstance(coeffs, MEParams):
-        fo = hv.fourth_order(gate_factor, ratio_floor)
+        fo = hv.fourth_order()
         return -(0.5 * coeffs.D1) * fo.u - 1j * (coeffs.b1 * fo.t1 + coeffs.b6 * fo.t6)
     fa, fb = functional_pair(coeffs, hv)
     return -(0.5 * coeffs.D) * fa - 1j * coeffs.D * fb
@@ -276,9 +272,9 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
 
     def derive(p, p_hat, limit):
         """The view and the nonlinear multiplier of one state, built once."""
-        hv = hydro_decompose(grid, p, eps_rho=config.eps_rho, max_masked_fraction=limit, psi_hat=p_hat)
-        return hv, nonlinear_multiplier(grid, p, coeffs, gate_factor=config.gate_factor,
-                                        ratio_floor=config.ratio_floor, hv=hv)
+        hv = hydro_decompose(grid, p, eps_rho=config.eps_rho, max_masked_fraction=limit, psi_hat=p_hat,
+                             gate_factor=config.gate_factor, ratio_floor=config.ratio_floor)
+        return hv, nonlinear_multiplier(grid, p, coeffs, hv=hv)
 
     def stage_terms(p, p_hat):
         """(view, multiplier) of a stage input; the mask guard applies."""
@@ -303,8 +299,7 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
             div_j = current_divergence(hv, coeffs, config.constants)
             sample = observables_sample(
                 grid, p, t, config.potential, coeffs, config.constants,
-                prev=prev_snapshot, eps_rho=config.eps_rho, gate_factor=config.gate_factor,
-                ratio_floor=config.ratio_floor, hv=hv, mult=mult, div_j=div_j, prev_div_j=prev_div,
+                prev=prev_snapshot, hv=hv, mult=mult, div_j=div_j, prev_div_j=prev_div,
             )
             prev_div = div_j
         traj.append(t, p, sample)

@@ -14,7 +14,11 @@ excluded from volume integrals; that exclusion is a documented bias source.
 A decomposition builds only these smooth fields, the Laplacian of rho, the
 weighted Laplacian rho*Lap S, the node mask and two reductions (max(rho),
 read by the node floor, the noise gate and the ratio floor, and the masked
-fraction).  The ratio fields grad S, grad log rho, Lap S and Lap rho / rho
+fraction).  It also fixes the view's low-density gates: the node floor
+``eps_rho``, the noise gate ``gate_factor`` and the ratio cut
+``ratio_floor`` are recorded on the view, and every consumer of the view
+(multiplier, energy, Ehrenfest corrections, continuity residual) reads them
+from there.  The ratio fields grad S, grad log rho, Lap S and Lap rho / rho
 are derived on first read: the generic functional engine, diagnostics and
 checks read them, the three-parameter engine does not.
 
@@ -78,9 +82,11 @@ class HydroView:
     ``lap_rho``, ``rho_lap_s``), the node ``mask`` (True at points below the
     density floor), ``safe_rho`` and the reductions ``rho_max`` and
     ``masked_fraction``; every higher composite is built from these.  The
-    ratio fields ``grad_s``/``grad_log_rho`` (lists with one array per axis),
-    ``lap_s`` and ``lap_rho_over_rho`` are zero at masked points and are
-    derived on first read: the three-parameter engine never reads them.
+    gates it was decomposed at (``eps_rho``, ``gate_factor``,
+    ``ratio_floor``) are fixed for the view's lifetime.  The ratio fields
+    ``grad_s``/``grad_log_rho`` (lists with one array per axis), ``lap_s``
+    and ``lap_rho_over_rho`` are zero at masked points and are derived on
+    first read: the three-parameter engine never reads them.
     """
 
     grid: Grid
@@ -89,13 +95,16 @@ class HydroView:
     mask: np.ndarray
     rho_max: float
     masked_fraction: float
+    eps_rho: float
+    gate_factor: float
+    ratio_floor: float
     # smooth building blocks
     g: list = field(repr=False)
     grad_rho: list = field(repr=False)
     lap_rho: np.ndarray = field(repr=False)
     rho_lap_s: np.ndarray = field(repr=False)
     safe_rho: np.ndarray = field(repr=False)
-    _fourth_order: dict = field(repr=False, default_factory=dict)
+    _fourth_order: "FourthOrder | None" = field(repr=False, default=None)
 
     @cached_property
     def grad_s(self) -> list:
@@ -126,23 +135,21 @@ class HydroView:
     def dot_grad_log_rho(self, vec: list) -> np.ndarray:
         return sum(v * s for v, s in zip(vec, self.grad_log_rho))
 
-    def fourth_order(self, gate_factor: float = DEFAULT_GATE_FACTOR,
-                     ratio_floor: float = DEFAULT_RATIO_FLOOR, keep: bool = True) -> "FourthOrder":
-        """:func:`fourth_order_composites` of this view.  Composites built
-        with ``keep`` stay on the view, and every later call with the same
-        ``(gate_factor, ratio_floor)`` returns them.
+    def fourth_order(self, keep: bool = True) -> "FourthOrder":
+        """:func:`fourth_order_composites` of this view at its own gates.
+        Composites built with ``keep`` stay on the view, and every later
+        call returns them.
 
         The multiplier keeps them, so the energy of a sampled state reuses
         them; the energy passes ``keep=False``, because when it is the only
-        reader (the generic engine) the view would otherwise hold eight more
-        arrays through the next step, which measurably slows 2D runs.
+        reader (the generic engine) the view would otherwise hold the
+        composites through the next step, which measurably slows 2D runs.
         """
-        key = (gate_factor, ratio_floor)
-        fo = self._fourth_order.get(key)
+        fo = self._fourth_order
         if fo is None:
-            fo = fourth_order_composites(self, gate_factor, ratio_floor)
+            fo = fourth_order_composites(self, self.gate_factor, self.ratio_floor)
             if keep:
-                self._fourth_order[key] = fo
+                self._fourth_order = fo
         return fo
 
 
@@ -152,12 +159,17 @@ def hydro_decompose(
     eps_rho: float = DEFAULT_EPS_RHO,
     max_masked_fraction: float = 0.25,
     psi_hat: np.ndarray | None = None,
+    gate_factor: float = DEFAULT_GATE_FACTOR,
+    ratio_floor: float = DEFAULT_RATIO_FLOOR,
 ) -> HydroView:
     """Decompose psi into density, its phase-current numerators and their
     derivatives.
 
-    ``eps_rho`` is relative to max(rho).  Raises :class:`MaskOverflowError`
-    if more than ``max_masked_fraction`` of the grid is below the floor.
+    ``eps_rho`` is relative to max(rho).  The view records it together with
+    the fourth-order gates ``gate_factor`` and ``ratio_floor``, which its
+    :meth:`HydroView.fourth_order` composites use.  Raises
+    :class:`MaskOverflowError` if more than ``max_masked_fraction`` of the
+    grid is below the floor.
     ``psi_hat``, if given, is the spectrum ``fftn(psi)`` (or the spectrum psi
     was synthesized from) and replaces the forward transform of psi.
     """
@@ -192,6 +204,9 @@ def hydro_decompose(
         mask=mask,
         rho_max=rho_max,
         masked_fraction=frac,
+        eps_rho=eps_rho,
+        gate_factor=gate_factor,
+        ratio_floor=ratio_floor,
         g=g,
         grad_rho=grad_rho,
         lap_rho=lap_rho,
@@ -233,21 +248,17 @@ def noise_gate(hv: HydroView, gate_factor: float = DEFAULT_GATE_FACTOR) -> float
 class FourthOrder:
     """Density-weighted fourth-order phase composites.
 
-    ``q`` is rho*grad(Lap S) (one array per axis); ``div_q`` its divergence;
-    ``r1`` = rho*Lap(Lap S); ``r6`` = grad_rho . grad(Lap S).  ``u``, ``t1``,
-    ``t6`` are the corresponding ratio fields, zeroed below the node mask and
-    wherever the numerator sits under the noise gate.
+    ``div_q`` is the divergence of q = rho*grad(Lap S).  ``u``, ``t1`` and
+    ``t6`` are the ratio fields div_q/rho, Lap(Lap S) and
+    grad(log rho) . grad(Lap S), zeroed below the node mask, below the ratio
+    floor and wherever the numerator sits under the noise ``gate``.
     """
 
-    q: list
     div_q: np.ndarray
-    r1: np.ndarray
-    r6: np.ndarray
     u: np.ndarray
     t1: np.ndarray
     t6: np.ndarray
     gate: float
-    ratio_floor: float
 
 
 def fourth_order_composites(
@@ -278,8 +289,7 @@ def fourth_order_composites(
     u = _gated_ratio(hv, div_q, gate, dense)
     t1 = _gated_ratio(hv, r1, gate, dense)
     t6 = _gated_ratio(hv, r6, gate, dense)
-    return FourthOrder(q=q, div_q=div_q, r1=r1, r6=r6, u=u, t1=t1, t6=t6,
-                       gate=gate, ratio_floor=ratio_floor)
+    return FourthOrder(div_q=div_q, u=u, t1=t1, t6=t6, gate=gate)
 
 
 def _gated_ratio(hv: HydroView, numerator: np.ndarray, gate: float, dense: np.ndarray) -> np.ndarray:

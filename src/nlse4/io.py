@@ -15,7 +15,8 @@ Field snapshot binary layout (little-endian):
     16      4     uint32 points per axis n
     20      8     float64 box length L
     28      4     uint32 dtype code (0 = complex128 as interleaved re/im)
-    32      --    row-major samples, re/im interleaved float64
+    32      --    row-major samples, re/im interleaved float64 (the memory
+                  layout of little-endian complex128)
 """
 
 from __future__ import annotations
@@ -97,10 +98,7 @@ def write_field_snapshot(path, grid: Grid, field: np.ndarray) -> None:
         fh.write(np.uint32(grid.n).tobytes())
         fh.write(np.float64(grid.length).tobytes())
         fh.write(np.uint32(0).tobytes())
-        interleaved = np.empty(2 * data.size)
-        interleaved[0::2] = data.real.ravel(order="C")
-        interleaved[1::2] = data.imag.ravel(order="C")
-        fh.write(interleaved.astype("<f8").tobytes())
+        fh.write(data.astype("<c16").tobytes())
 
 
 def read_field_snapshot(path):
@@ -117,6 +115,5 @@ def read_field_snapshot(path):
     if dtype_code != 0:
         raise ValueError(f"unsupported dtype code {dtype_code}")
     grid = make_grid(dims, n, length)
-    flat = np.frombuffer(raw, "<f8", 2 * grid.npoints, 32)
-    field = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape)
+    field = np.frombuffer(raw, "<c16", grid.npoints, 32).astype(complex).reshape(grid.shape)
     return grid, field

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nlse4 as q
+from nlse4 import checks
 from nlse4.currents import continuity_residual, current_divergence, currents
 from nlse4.evolution import EvolutionConfig, evolve
 from nlse4.functionals import eval_functional
@@ -147,6 +148,19 @@ class TestContinuityResidual:
         cs = currents(hv, (0.0,) * 5)
         div = q.divergence(grid, cs.total())
         assert np.abs(div).max() <= 1e-10
+
+
+def test_dt_convergence_residual_spans_its_snapshot_interval(monkeypatch):
+    """The check's residual floor divides by the time between the two
+    snapshots it compares, not by the step size."""
+    seen = []
+    original = checks.continuity_residual
+    monkeypatch.setattr(checks, "continuity_residual",
+                        lambda grid, before, after, dt, *a, **k: seen.append(dt) or original(
+                            grid, before, after, dt, *a, **k))
+    checks.check_dt_convergence()
+    dt0 = 0.5 * q.stability_bound(q.make_grid(1, 64, 2 * np.pi), checks._ME_PRESET)
+    assert seen == [pytest.approx(16 * dt0, rel=1e-12)]
 
 
 def test_divergence_family_norm_conservation():

@@ -17,7 +17,7 @@ from nlse4.diagnostics import (
 )
 from nlse4.evolution import EvolutionConfig, evolve, nonlinear_multiplier, stability_bound
 
-from helpers import banded_localized_state, perturbed_plane_wave
+from helpers import banded_localized_state, perturbed_gaussian, perturbed_plane_wave
 
 CON = q.NATURAL_UNITS
 
@@ -233,19 +233,18 @@ class TestSharedDecomposition:
                            b=[0.05, 0.01, 0.02, 0.01, 0.01, 0.02, 0.01, 0.0, 0.01, 0.0, 0.01, 0.0, 0.0])]
 
     @staticmethod
-    def state(eps_rho):
+    def state():
         grid = q.make_grid(1, 128, 2 * np.pi)
         psi = perturbed_plane_wave(grid, seed=5, cutoff=5, amplitude=0.3)
-        return grid, psi, q.hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
+        return grid, psi, q.hydro_decompose(grid, psi, max_masked_fraction=1.0)
 
     @pytest.mark.parametrize("coeffs", COEFFS, ids=["linear", "me", "ext"])
     def test_supplied_view_gives_identical_results(self, coeffs):
-        grid, psi, hv = self.state(1e-6)
+        grid, psi, hv = self.state()
         pot = q.harmonic_potential(grid, 1.0)
-        assert (energy(grid, psi, pot, coeffs, CON, eps_rho=1e-6, hv=hv)
-                == energy(grid, psi, pot, coeffs, CON, eps_rho=1e-6))
-        assert (ehrenfest_corrections(grid, psi, coeffs, CON, eps_rho=1e-6, enforce_tails=False, hv=hv)
-                == ehrenfest_corrections(grid, psi, coeffs, CON, eps_rho=1e-6, enforce_tails=False))
+        assert energy(grid, psi, pot, coeffs, CON, hv=hv) == energy(grid, psi, pot, coeffs, CON)
+        assert (ehrenfest_corrections(grid, psi, coeffs, CON, enforce_tails=False, hv=hv)
+                == ehrenfest_corrections(grid, psi, coeffs, CON, enforce_tails=False))
 
     @pytest.mark.parametrize("coeffs", COEFFS, ids=["linear", "me", "ext"])
     def test_sample_decomposes_at_most_once_per_snapshot(self, coeffs, monkeypatch):
@@ -256,7 +255,7 @@ class TestSharedDecomposition:
             mod = importlib.import_module(f"nlse4.{name}")
             monkeypatch.setattr(mod, "hydro_decompose",
                                 lambda *a, **k: calls.append(1) or original(*a, **k))
-        grid, psi, _ = self.state(1e-12)
+        grid, psi, _ = self.state()
         observables_sample(grid, psi, 0.0, None, coeffs, CON)
         assert len(calls) == 1
         calls.clear()
@@ -299,27 +298,52 @@ class TestSharedStateDerivation:
         cfg = EvolutionConfig(dt=dt, t_end=steps * dt, coeffs=coeffs, stride=1, norm_tol=1e-4)
         traj = evolve(grid, psi0, cfg)
         monkeypatch.undo()
-        return traj, cfg, counts
+        return traj, counts
 
     @pytest.mark.parametrize("case", [0, 1], ids=["1d_me", "2d_ext"])
     def test_each_state_derived_once(self, case, monkeypatch):
         grid, psi0, coeffs, steps = self.runs()[case]
-        _, _, counts = self.evolve_counted(grid, psi0, coeffs, steps, monkeypatch)
+        _, counts = self.evolve_counted(grid, psi0, coeffs, steps, monkeypatch)
         assert counts == {"hydro_decompose": 4 * steps + 1, "nonlinear_multiplier": 4 * steps + 1}
 
     @pytest.mark.parametrize("case", [0, 1], ids=["1d_me", "2d_ext"])
     def test_rows_equal_standalone_samples(self, case, monkeypatch):
         grid, psi0, coeffs, steps = self.runs()[case]
-        traj, cfg, _ = self.evolve_counted(grid, psi0, coeffs, steps, monkeypatch)
+        traj, _ = self.evolve_counted(grid, psi0, coeffs, steps, monkeypatch)
         assert len(traj.observables) == steps + 1
         for i, (t, psi) in enumerate(zip(traj.ts, traj.fields)):
             prev = (traj.ts[i - 1], traj.fields[i - 1]) if i else None
-            alone = observables_sample(
-                grid, psi, t, None, coeffs, CON, prev=prev, eps_rho=cfg.eps_rho,
-                gate_factor=cfg.gate_factor, ratio_floor=cfg.ratio_floor,
-            )
+            alone = observables_sample(grid, psi, t, None, coeffs, CON, prev=prev)
             assert repr(traj.observables[i]) == repr(alone)
         assert any(s.cont_residual != 0.0 for s in traj.observables[1:])
+
+
+class TestGateRouting:
+    """The run's gates reach every sample through the view: the rows of a
+    run at non-default gates equal standalone samples over views decomposed
+    at those gates."""
+
+    GATES = dict(gate_factor=4096.0, ratio_floor=1e-5)
+
+    def test_rows_equal_samples_at_the_run_gates(self):
+        grid = q.make_grid(1, 128, 24.0)
+        psi0 = perturbed_gaussian(grid)
+        me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+        dt = 0.1 * stability_bound(grid, me)
+        cfg = EvolutionConfig(dt=dt, t_end=3 * dt, coeffs=me, stride=1, **self.GATES)
+        traj = evolve(grid, psi0, cfg)
+        at_default = []
+        for i, (t, psi) in enumerate(zip(traj.ts, traj.fields)):
+            hv = q.hydro_decompose(grid, psi, max_masked_fraction=1.0, **self.GATES)
+            assert hv.masked_fraction > 0.0
+            prev = (traj.ts[i - 1], traj.fields[i - 1]) if i else None
+            alone = observables_sample(grid, psi, t, None, me, CON, prev=prev, hv=hv)
+            assert repr(traj.observables[i]) == repr(alone)
+            at_default.append(observables_sample(grid, psi, t, None, me, CON, prev=prev).e_me)
+            assert traj.observables[i].e_me != at_default[-1]
+        assert len(at_default) == 4
+        assert traj.observables[0].e_me == pytest.approx(0.24711854887774753, abs=1e-12)
+        assert at_default[0] == pytest.approx(0.24711855053411316, abs=1e-12)
 
 
 class _NotCoeffs:

@@ -108,9 +108,9 @@ class TestEvolve:
         dt = cfg.dt
 
         def N(p):
-            return nonlinear_multiplier(grid, p, cfg.coeffs, eps_rho=cfg.eps_rho,
-                                        gate_factor=cfg.gate_factor, ratio_floor=cfg.ratio_floor,
-                                        mask_limit=cfg.mask_limit) * p
+            hv = q.hydro_decompose(grid, p, eps_rho=cfg.eps_rho, max_masked_fraction=cfg.mask_limit,
+                                   gate_factor=cfg.gate_factor, ratio_floor=cfg.ratio_floor)
+            return nonlinear_multiplier(grid, p, cfg.coeffs, hv=hv) * p
 
         fft, ifft = np.fft.fftn, np.fft.ifftn
         psi = ifft(filt * fft(psi0))

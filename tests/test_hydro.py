@@ -1,5 +1,9 @@
 """Hydrodynamic decomposition and the density-weighted composites."""
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -140,13 +144,11 @@ class TestLazyRatioFields:
         nonlinear_multiplier(grid, psi, me, hv=hv)
         assert energy(grid, psi, None, me, hv=hv) == fresh
         assert len(built) == 1
-        hv.fourth_order(gate_factor=0.0)  # other gate settings are built anew
-        assert len(built) == 2
         # composites the energy builds for itself are not kept on the view
         alone = hydro_decompose(grid, psi, max_masked_fraction=1.0)
         energy(grid, psi, None, me, hv=alone)
         energy(grid, psi, None, me, hv=alone)
-        assert len(built) == 4
+        assert len(built) == 3
 
 
 class TestFourthOrderComposites:
@@ -198,3 +200,20 @@ class TestFourthOrderComposites:
         hva = hydro_decompose(grid, active)
         foa = fourth_order_composites(hva)
         assert np.abs(foa.div_q).max() > 1e4 * foa.gate  # genuine signal clears the gate
+
+
+def test_gate_settings_are_named_only_by_hydro():
+    """The noise gate and the ratio floor are decided when a view is built:
+    no public function outside ``nlse4.hydro`` takes either as a keyword."""
+    naming = []
+    for info in pkgutil.iter_modules(q.__path__):
+        mod = importlib.import_module(f"nlse4.{info.name}")
+        if mod is hydro:
+            continue
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != mod.__name__:
+                continue
+            params = inspect.signature(fn).parameters
+            naming += [f"{mod.__name__}.{name}({key})" for key in ("gate_factor", "ratio_floor")
+                       if key in params]
+    assert naming == []

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,19 @@ class TestSnapshotFormat:
         assert int(np.frombuffer(raw, "<u4", 1, 16)[0]) == 64
         assert float(np.frombuffer(raw, "<f8", 1, 20)[0]) == 20.0
         assert len(raw) == 32 + 2 * 8 * 64
+
+    @pytest.mark.parametrize("dims,n", [(1, 32), (2, 16)], ids=["1d", "2d"])
+    def test_bytes_are_header_plus_interleaved_payload(self, tmp_path, dims, n):
+        grid = q.make_grid(dims, n, 7.5)
+        psi = q.random_state(grid, seed=2, cutoff=3)
+        psi.flat[0] = complex(-0.0, psi.flat[0].imag)  # the sign of zero must survive
+        path = tmp_path / "field.fld"
+        write_field_snapshot(path, grid, psi)
+        header = b"NLSE4FLD" + struct.pack("<IIIdI", 1, dims, n, 7.5, 0)
+        payload = b"".join(struct.pack("<dd", z.real, z.imag) for z in psi.ravel(order="C"))
+        assert path.read_bytes() == header + payload
+        _, back = read_field_snapshot(path)
+        assert back.tobytes() == psi.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.fld"

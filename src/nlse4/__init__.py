@@ -45,7 +45,9 @@ from .evolution import (
     EvolutionAbort,
     EvolutionConfig,
     StabilityError,
+    State,
     Trajectory,
+    derive,
     evolve,
     nonlinear_rhs,
     stability_bound,

@@ -27,6 +27,11 @@ from .spectral import NATURAL_UNITS, gradient, laplacian, make_grid, spectral_de
 _ME_PRESET = coeffs.MEParams(D1=0.1, b1=0.05, b6=0.02)
 
 
+def _state(grid, psi, c, con=NATURAL_UNITS):
+    """The record of one standalone state, at the default gates."""
+    return evolution.derive(hydro.hydro_decompose(grid, psi, max_masked_fraction=1.0), c, con)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -304,8 +309,9 @@ def check_dt_convergence(seed=0):
     err0 = np.abs(traj.final - ref).max()
     err1 = np.abs(final(dt0 / 2.0).final - ref).max()
     ratio = err0 / max(err1, 1e-300)
-    _, integral = continuity_residual(grid, traj.fields[-2], traj.fields[-1],
-                                      traj.ts[-1] - traj.ts[-2], _ME_PRESET)
+    _, integral = continuity_residual(_state(grid, traj.fields[-2], _ME_PRESET),
+                                      _state(grid, traj.fields[-1], _ME_PRESET),
+                                      traj.ts[-1] - traj.ts[-2])
     note = f"state errors {err0:.2e} -> {err1:.2e}; residual integral floor {abs(integral):.1e}"
     return _result("dt_convergence", ratio, 12.0, larger_is_pass=True, note=note)
 
@@ -359,8 +365,8 @@ def check_energy_b_linearity(seed=0):
     grid = make_grid(1, 128, 2 * np.pi)
     psi = states.random_state(grid, seed=seed + 15, cutoff=10)
     con = NATURAL_UNITS
-    e_l1, e_me1 = diagnostics.energy(grid, psi, None, _ME_PRESET, con)
-    e_l2, e_me2 = diagnostics.energy(grid, psi, None, coeffs.MEParams(D1=0.1, b1=0.1, b6=0.07), con)
+    e_l1, e_me1 = diagnostics.energy(_state(grid, psi, _ME_PRESET, con), None)
+    e_l2, e_me2 = diagnostics.energy(_state(grid, psi, coeffs.MEParams(D1=0.1, b1=0.1, b6=0.07), con), None)
     dev = abs((e_me1 - e_l1) - (e_me2 - e_l2))
     return _result("energy_b_linearity", dev, 1e-12, note="E_ME - E_L depends on b1 - b6 only")
 
@@ -376,8 +382,8 @@ def check_i1_translation(seed=0):
     psi1 = psi1 / np.sqrt(grid.integrate(np.abs(psi1) ** 2))
     shift = 16 * grid.dx
     shifted = np.roll(psi1, 16)
-    i1a, _ = diagnostics.ehrenfest_corrections(grid, psi1, me, con)
-    i1b, _ = diagnostics.ehrenfest_corrections(grid, shifted, me, con)
+    i1a, _ = diagnostics.ehrenfest_corrections(_state(grid, psi1, me, con))
+    i1b, _ = diagnostics.ehrenfest_corrections(_state(grid, shifted, me, con))
     dev = abs(i1a[0] - i1b[0])
     note = f"I1 = {i1a[0]:.4e}, shifted by {shift:.3f}"
     return _result("i1_translation", dev, 1e-8, note=note)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoeffError, CoeffSet, MEParams
-from .hydro import DEFAULT_EPS_RHO, HydroView, hydro_decompose, weighted_grad_of_ratio
-from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, divergence
+from .hydro import HydroView, weighted_grad_of_ratio
+from .spectral import PhysicalConstants, NATURAL_UNITS, divergence
 
 
 @dataclass(frozen=True)
@@ -96,18 +96,9 @@ def current_divergence(hv: HydroView, couplings, constants: PhysicalConstants = 
     return divergence(hv.grid, currents(hv, couplings, constants).total())
 
 
-def continuity_residual(
-    grid: Grid,
-    psi_before: np.ndarray,
-    psi_after: np.ndarray,
-    dt: float,
-    couplings,
-    constants: PhysicalConstants = NATURAL_UNITS,
-    eps_rho: float = DEFAULT_EPS_RHO,
-    div_before: np.ndarray | None = None,
-    div_after: np.ndarray | None = None,
-) -> tuple:
-    """Residual of the continuity equation over one stored snapshot pair.
+def continuity_residual(before, after, dt: float) -> tuple:
+    """Residual of the continuity equation over one stored snapshot pair,
+    given as the records (:class:`nlse4.evolution.State`) of both states.
 
     The time derivative is the finite difference (rho_after - rho_before)/dt
     and the divergence uses the average of the two current fields, both
@@ -116,22 +107,14 @@ def continuity_residual(
 
     Returns ``(abs_residual_field, signed_integral)``.  The signed integral
     equals the norm change rate and converges at the integrator's order.
-    Both snapshots are decomposed with the node-mask floor ``eps_rho``;
-    ``div_before``/``div_after``, if given, are the
-    :func:`current_divergence` of that decomposition (with
-    ``max_masked_fraction=1.0``) and replace it, so a run that keeps the
-    previous snapshot's divergence never decomposes that snapshot again.
+    Each record supplies its current divergence ``div_j``, built once.  The
+    two must share node floor, coefficients and constants: a pair that
+    mixes them raises ``ValueError``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rho0 = np.abs(psi_before) ** 2
-    rho1 = np.abs(psi_after) ** 2
-    drho_dt = (rho1 - rho0) / dt
-    div_avg = 0.0
-    for psi, div in ((psi_before, div_before), (psi_after, div_after)):
-        if div is None:
-            hv = hydro_decompose(grid, psi, eps_rho=eps_rho, max_masked_fraction=1.0)
-            div = current_divergence(hv, couplings, constants)
-        div_avg = div_avg + 0.5 * div
-    resid = drho_dt + div_avg
-    return np.abs(resid), float(grid.integrate(resid))
+    if (before.eps_rho, before.coeffs, before.constants) != (after.eps_rho, after.coeffs, after.constants):
+        raise ValueError("records differ in node floor, coefficients or constants")
+    drho_dt = (np.abs(after.psi) ** 2 - np.abs(before.psi) ** 2) / dt
+    resid = drho_dt + (0.5 * before.div_j + 0.5 * after.div_j)
+    return np.abs(resid), float(after.grid.integrate(resid))

@@ -16,10 +16,11 @@ nonlinear parts.  They are read off the multiplier the evolution applies
 end-to-end: time derivatives come from centered differences over stored
 snapshots, never from analytic identities.
 
-The low-density gates (node floor, noise gate, ratio floor) are fixed per
-view: a caller that wants other gates than the defaults passes a view
-decomposed at them (``hv``), and every quantity of one sample reads the
-same gates.
+The sample-side functions take the record of a state
+(:class:`nlse4.evolution.State`, built by :func:`nlse4.evolution.derive`):
+its view fixes the low-density gates (node floor, noise gate, ratio floor),
+so every quantity of one sample reads the same gates, and its multiplier
+and current divergence are built once however many quantities read them.
 
 :func:`gauge_form_residual` compares the three-parameter variant's canonical
 Hamiltonian form against its vector-potential form on one state.
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import MEParams, is_linear
-from .currents import continuity_residual, current_divergence
-from .evolution import EvolutionConfig, evolve, nonlinear_multiplier
-from .hydro import DEFAULT_EPS_RHO, HydroView, hydro_decompose
+from .currents import continuity_residual
+from .evolution import EvolutionConfig, State, evolve
+from .hydro import DEFAULT_EPS_RHO, hydro_decompose
 from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, divergence, gradient, laplacian, make_grid
 from .states import Potential, check_tails
 
@@ -76,21 +77,12 @@ def expectation_p(grid: Grid, psi: np.ndarray, constants: PhysicalConstants = NA
     return tuple(float(constants.hbar * grid.integrate((conj * d).imag)) for d in dpsi)
 
 
-def energy(
-    grid: Grid,
-    psi: np.ndarray,
-    potential: Potential | None,
-    coeffs,
-    constants: PhysicalConstants = NATURAL_UNITS,
-    hv: HydroView | None = None,
-) -> tuple:
-    """(E_L, E_ME).  The fourth-order correction vanishes identically for
-    quadratic phases and whenever b1 = b6.  ``hv`` is an existing
-    decomposition of ``psi`` (any mask limit) whose gates apply; without
-    one, psi is decomposed at the default gates."""
-    if hv is None:
-        hv = hydro_decompose(grid, psi, max_masked_fraction=1.0)
-    hbar, m = constants.hbar, constants.mass
+def energy(state: State, potential: Potential | None) -> tuple:
+    """(E_L, E_ME) of one state, at the gates of its view.  The fourth-order
+    correction vanishes identically for quadratic phases and whenever
+    b1 = b6."""
+    hv, grid, coeffs = state.hv, state.grid, state.coeffs
+    hbar, m = state.constants.hbar, state.constants.mass
     grad_r_sq = 0.25 * hv.ratio(sum(d * d for d in hv.grad_rho))
     rho_grad_s_sq = hv.ratio(sum(ga * ga for ga in hv.g))
     dens = (hbar**2 / (2.0 * m)) * (grad_r_sq + rho_grad_s_sq)
@@ -107,36 +99,21 @@ def energy(
     return e_l, e_me
 
 
-def ehrenfest_corrections(
-    grid: Grid,
-    psi: np.ndarray,
-    coeffs,
-    constants: PhysicalConstants = NATURAL_UNITS,
-    enforce_tails: bool = True,
-    hv: HydroView | None = None,
-    mult: np.ndarray | None = None,
-) -> tuple:
+def ehrenfest_corrections(state: State, enforce_tails: bool = True) -> tuple:
     """(I1, I2) per axis for one state.
 
         I1 = (2m/hbar) integral of x rho H_I
         I2 = integral of rho (2 H_I grad S - grad H_R)
 
     with H_I = hbar Re c and H_R = -hbar Im c from the evolution's
-    multiplier c (both zero for the linear equation).
+    multiplier c, the record's ``mult`` (both zero for the linear equation).
     The position-weighted integrand decays with rho, but the centered box
     coordinate still requires decayed tails, which are enforced by default.
-    ``hv`` is an existing decomposition of ``psi`` (its gates apply) and
-    ``mult`` the multiplier c already built from it; either is computed
-    here, at the default gates, when not supplied.
     """
+    hv, grid, c = state.hv, state.grid, state.mult
     if enforce_tails:
-        check_tails(grid, psi)
-    hbar, m = constants.hbar, constants.mass
-    if hv is None:
-        hv = hydro_decompose(grid, psi, max_masked_fraction=1.0)
-    c = mult
-    if c is None:
-        c = nonlinear_multiplier(grid, psi, coeffs, hv=hv)
+        check_tails(grid, state.psi)
+    hbar, m = state.constants.hbar, state.constants.mass
     if c is None:
         h_i = h_r = np.zeros(grid.shape)
     else:
@@ -154,37 +131,18 @@ def ehrenfest_corrections(
     return i1, tuple(i2)
 
 
-def observables_sample(
-    grid: Grid,
-    psi: np.ndarray,
-    t: float,
-    potential: Potential | None,
-    coeffs,
-    constants: PhysicalConstants = NATURAL_UNITS,
-    prev=None,
-    hv: HydroView | None = None,
-    mult: np.ndarray | None = None,
-    div_j: np.ndarray | None = None,
-    prev_div_j: np.ndarray | None = None,
-) -> ObservablesSample:
-    """Assemble one observables record; ``prev`` is the previous snapshot
-    (t, psi) used for the finite-difference continuity residual.
-
-    The snapshot is decomposed once, and energy, Ehrenfest corrections and
-    residual share that view and its gates (the residual decomposes the
-    previous snapshot, when it must, at the view's ``eps_rho``).  A caller
-    that already holds them passes the view ``hv`` (any mask limit), the
-    multiplier ``mult`` built from it, this snapshot's current divergence
-    ``div_j`` and the previous snapshot's ``prev_div_j``; each one not
-    supplied is computed here, the view at the default gates.
+def observables_sample(state: State, t: float, potential: Potential | None, prev=None) -> ObservablesSample:
+    """Assemble the observables of one state's record at time ``t``; ``prev``
+    is the previous snapshot as a pair (t, record), used for the
+    finite-difference continuity residual.  Energy, Ehrenfest corrections
+    and residual read the records, so no snapshot is decomposed here.
     """
-    if hv is None:
-        hv = hydro_decompose(grid, psi, max_masked_fraction=1.0)
+    grid, psi = state.grid, state.psi
     norm = float(grid.integrate(np.abs(psi) ** 2))
-    e_l, e_me = energy(grid, psi, potential, coeffs, constants, hv=hv)
+    e_l, e_me = energy(state, potential)
     x_mean = expectation_x(grid, psi)
-    p_mean = expectation_p(grid, psi, constants)
-    i1, i2 = ehrenfest_corrections(grid, psi, coeffs, constants, enforce_tails=False, hv=hv, mult=mult)
+    p_mean = expectation_p(grid, psi, state.constants)
+    i1, i2 = ehrenfest_corrections(state, enforce_tails=False)
     if potential is not None:
         rho = np.abs(psi) ** 2
         gv = tuple(float(grid.integrate(g * rho)) for g in potential.grad)
@@ -192,14 +150,9 @@ def observables_sample(
         gv = (0.0,) * grid.dims
     cont = 0.0
     if prev is not None:
-        t_prev, psi_prev = prev
+        t_prev, before = prev
         if t > t_prev:
-            if div_j is None:
-                div_j = current_divergence(hv, coeffs, constants)
-            _, cont = continuity_residual(
-                grid, psi_prev, psi, t - t_prev, coeffs, constants, eps_rho=hv.eps_rho,
-                div_before=prev_div_j, div_after=div_j,
-            )
+            _, cont = continuity_residual(before, state, t - t_prev)
     return ObservablesSample(
         t=t, norm=norm, e_l=e_l, e_me=e_me, x_mean=x_mean, p_mean=p_mean,
         i1=i1, i2=i2, grad_v_mean=gv, cont_residual=float(cont),

@@ -27,16 +27,18 @@ part advances exactly in Fourier space every stage, leaving only potential
 and nonlinear terms to the explicit scheme.  Norm drift beyond tolerance
 aborts the run rather than renormalizing, so continuity bugs cannot hide.
 
-Every state the run touches is derived once, and each stage reuses:
+Every state the run touches is derived once, into one :class:`State`
+record (its view, its multiplier and, on first read, its current
+divergence), and each stage reuses:
 
-* stage a: the step's state, its spectrum fftn(psi), its hydrodynamic view
-  and its multiplier, all built when the state was made (the initial state
-  before the step-size guard, which reads the same multiplier);
+* stage a: the step's record, built when the state was made (the initial
+  state's before the step-size guard, which reads the same multiplier),
+  and its spectrum fftn(psi);
 * stages b, c and d: the spectrum each is synthesized from (the argument of
   its ifftn), so their views cost no forward transform;
-* the observables sample of a state: that state's view and multiplier, its
-  current divergence computed once, and the previous sample's divergence,
-  carried forward for the continuity residual.
+* the observables sample of a state: that state's record, and the stored
+  snapshot and current divergence of the previous sample's record, carried
+  forward for the continuity residual.
 
 A stage builds what its multiplier reads and no more: the view's ratio
 fields are derived on first read (the generic engine reads them, the
@@ -48,7 +50,7 @@ helpers, which call the one-axis transforms directly on 1D fields.
 The config's low-density gates (``eps_rho``, ``gate_factor``,
 ``ratio_floor``) are handed once per state to
 :func:`nlse4.hydro.hydro_decompose`; the multiplier and the sample read
-them off the view.
+them off the record's view.
 
 Sampled states and stage a use fftn(psi), so a sample recomputed standalone
 from the stored fields matches the run bit for bit.  The mask guard
@@ -72,6 +74,7 @@ that lambda(k_max) * t_end stays well below ln(tolerance/1e-16).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -187,6 +190,57 @@ def nonlinear_multiplier(
     return -(0.5 * coeffs.D) * fa - 1j * coeffs.D * fb
 
 
+@dataclass(frozen=True)
+class State:
+    """What is derived once from one wavefunction: its view ``hv`` (which
+    fixes the low-density gates), the multiplier ``mult`` built from it
+    (None for the linear equation), the ``coeffs`` and ``constants`` both
+    were built for, and, on first read, the current divergence ``div_j``.
+    """
+
+    hv: HydroView
+    mult: np.ndarray | None
+    coeffs: object
+    constants: PhysicalConstants
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.hv.psi
+
+    @property
+    def grid(self) -> Grid:
+        return self.hv.grid
+
+    @property
+    def eps_rho(self) -> float:
+        return self.hv.eps_rho
+
+    @cached_property
+    def div_j(self) -> np.ndarray:
+        return current_divergence(self.hv, self.coeffs, self.constants)
+
+
+@dataclass(frozen=True)
+class _Carried:
+    """What a continuity residual reads of a sampled record.  evolve carries
+    this to the next sample instead of the record, so the sampled view is
+    freed before the next state is derived; ``psi`` is the stored snapshot."""
+
+    psi: np.ndarray
+    div_j: np.ndarray
+    grid: Grid
+    eps_rho: float
+    coeffs: object
+    constants: PhysicalConstants
+
+
+def derive(hv: HydroView, coeffs, constants: PhysicalConstants = NATURAL_UNITS) -> State:
+    """The record of the state decomposed in ``hv``, at that view's gates.
+    A standalone state is ``derive(hydro_decompose(grid, psi,
+    max_masked_fraction=1.0), coeffs, constants)``."""
+    return State(hv, nonlinear_multiplier(hv.grid, hv.psi, coeffs, hv=hv), coeffs, constants)
+
+
 def _explicit_rhs(psi: np.ndarray, pot_vals, mult, hbar: float):
     """Potential plus nonlinear part of dpsi/dt, or None when both vanish;
     ``mult`` is the nonlinear multiplier of psi (None for the linear equation)."""
@@ -270,72 +324,68 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
 
     pot_vals = config.potential.values if config.potential is not None else None
 
-    def derive(p, p_hat, limit):
-        """The view and the nonlinear multiplier of one state, built once."""
-        hv = hydro_decompose(grid, p, eps_rho=config.eps_rho, max_masked_fraction=limit, psi_hat=p_hat,
-                             gate_factor=config.gate_factor, ratio_floor=config.ratio_floor)
-        return hv, nonlinear_multiplier(grid, p, coeffs, hv=hv)
+    def state_of(p, p_hat, limit):
+        """The record of one state, at the config's gates and mask limit."""
+        return derive(hydro_decompose(grid, p, eps_rho=config.eps_rho, max_masked_fraction=limit,
+                                      psi_hat=p_hat, gate_factor=config.gate_factor,
+                                      ratio_floor=config.ratio_floor), coeffs, config.constants)
 
-    def stage_terms(p, p_hat):
-        """(view, multiplier) of a stage input; the mask guard applies."""
-        return derive(p, p_hat, config.mask_limit) if nonlinear else (None, None)
+    def stage_state(p, p_hat):
+        """The record of a stage input, under the mask guard; a linear run
+        derives none."""
+        return state_of(p, p_hat, config.mask_limit) if nonlinear else None
 
-    def N(p, mult):
-        out = _explicit_rhs(p, pot_vals, mult, hbar)
+    def N(p, state):
+        out = _explicit_rhs(p, pot_vals, None if state is None else state.mult, hbar)
         return np.zeros_like(p) if out is None else out
 
     traj = Trajectory(grid=grid, config=config)
-    prev_snapshot = prev_div = None
+    prev = None
 
-    def record(t, p, p_hat, hv, mult):
-        """Store one snapshot; its sample reads the state's view, multiplier
-        and current divergence, and the divergence is kept for the next
-        sample's continuity residual."""
-        nonlocal prev_snapshot, prev_div
-        sample = None
-        if config.observables:
-            if hv is None:  # no stage reads this state: sampled without the mask guard
-                hv, mult = derive(p, p_hat, 1.0)
-            div_j = current_divergence(hv, coeffs, config.constants)
-            sample = observables_sample(
-                grid, p, t, config.potential, coeffs, config.constants,
-                prev=prev_snapshot, hv=hv, mult=mult, div_j=div_j, prev_div_j=prev_div,
-            )
-            prev_div = div_j
-        traj.append(t, p, sample)
-        prev_snapshot = (t, traj.fields[-1])
+    def record(t, p, p_hat, state):
+        """Store one snapshot; its sample reads the state's record, and what
+        the next sample's continuity residual reads of it is carried on.  A
+        state no stage reads (``state`` None) is derived without the mask
+        guard."""
+        nonlocal prev
+        if not config.observables:
+            traj.append(t, p)
+            return
+        state = state or state_of(p, p_hat, 1.0)
+        traj.append(t, p, observables_sample(state, t, config.potential, prev=prev))
+        prev = (t, _Carried(traj.fields[-1], state.div_j, grid, state.eps_rho, coeffs, config.constants))
 
     # initial state passes through the band-limit filter once
     psi = _inverse(grid, filt * _forward(psi, False), False)
     psi_hat = _forward(psi, False)
-    hv, mult = stage_terms(psi, psi_hat)
+    state = stage_state(psi, psi_hat)
 
     # Step-size guard.  The k_max^4 nonlinear rate only binds when the
     # nonlinearity is actually active on the initial state; on states it
     # annihilates (quadratic phases, eigenstates) the explicit stage is
     # potential-limited, and the norm guard below catches any activation
     # later in the run.
-    active = mult is not None and float(np.abs(mult).max()) > 0.0
+    active = state is not None and float(np.abs(state.mult).max()) > 0.0
     bound = stability_bound(grid, coeffs if active else None, config.constants, config.potential)
     if config.dt > bound:
         raise StabilityError(f"dt = {config.dt:.3e} exceeds stability bound {bound:.3e}")
 
-    record(0.0, psi, psi_hat, hv, mult)
+    record(0.0, psi, psi_hat, state)
 
     dt = config.dt
     t = 0.0
     for step in range(1, n_steps + 1):
         # stages b, c and d are decomposed from the spectra they are made of
-        a_hat = _forward(N(psi, mult), False)
+        a_hat = _forward(N(psi, state), False)
         psi2_hat = e_half * (psi_hat + (0.5 * dt) * a_hat)
         psi2 = _inverse(grid, psi2_hat, False)
-        b_hat = _forward(N(psi2, stage_terms(psi2, psi2_hat)[1]), False)
+        b_hat = _forward(N(psi2, stage_state(psi2, psi2_hat)), False)
         psi3_hat = e_half * psi_hat + (0.5 * dt) * b_hat
         psi3 = _inverse(grid, psi3_hat, False)
-        c_hat = _forward(N(psi3, stage_terms(psi3, psi3_hat)[1]), False)
+        c_hat = _forward(N(psi3, stage_state(psi3, psi3_hat)), False)
         psi4_hat = e_full * psi_hat + dt * e_half * c_hat
         psi4 = _inverse(grid, psi4_hat, False)
-        d_hat = _forward(N(psi4, stage_terms(psi4, psi4_hat)[1]), False)
+        d_hat = _forward(N(psi4, stage_state(psi4, psi4_hat)), False)
         new_hat = filt * (
             e_full * psi_hat
             + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
@@ -356,8 +406,8 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
         # stage a and for its sample.
         psi_hat = _forward(psi, False)
         last = step == n_steps
-        hv, mult = (None, None) if last else stage_terms(psi, psi_hat)
+        state = None if last else stage_state(psi, psi_hat)
         if last or step % config.stride == 0:
-            record(t, psi, psi_hat, hv, mult)
+            record(t, psi, psi_hat, state)
 
     return traj

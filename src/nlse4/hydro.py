@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, divergence, gradient, gradient_and_laplacian, laplacian
+from .spectral import Grid, _forward, _gradient, divergence, gradient, gradient_and_laplacian, laplacian
 
 #: Default relative density floor: points with rho < eps * max(rho) are masked.
 DEFAULT_EPS_RHO = 1e-12
@@ -178,7 +178,7 @@ def hydro_decompose(
         raise ValueError("wavefunction contains non-finite samples")
 
     psi = np.ascontiguousarray(psi, dtype=complex)
-    dpsi = gradient(grid, psi, psi_hat)
+    dpsi = _gradient(grid, _forward(psi, False) if psi_hat is None else psi_hat, False)
     rho = (psi.real**2 + psi.imag**2)
     conj = psi.conj()
     g = [(conj * d).imag for d in dpsi]

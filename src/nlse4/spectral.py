@@ -198,17 +198,17 @@ def _inverse(grid: Grid, fhat: np.ndarray, real: bool) -> np.ndarray:
     return np.fft.ifftn(fhat)
 
 
-def gradient(grid: Grid, field: np.ndarray, field_hat: np.ndarray | None = None) -> list:
-    """First derivative along every axis.
+def _gradient(grid: Grid, fhat: np.ndarray, real: bool) -> list:
+    """First derivative along every axis from a spectrum in the layout of
+    :func:`_forward` (``fftn`` of a complex field, ``rfftn`` of a real one)."""
+    return [_inverse(grid, _ik(grid, a, real) * fhat, real) for a in range(grid.dims)]
 
-    ``field_hat`` is the field's spectrum in the layout of :func:`_forward`
-    (``fftn`` of a complex field, ``rfftn`` of a real one); a caller that
-    already holds it passes it to skip the forward transform.
-    """
+
+def gradient(grid: Grid, field: np.ndarray) -> list:
+    """First derivative along every axis."""
     grid.validate_field(field)
     real = np.isrealobj(field)
-    fhat = _forward(field, real) if field_hat is None else field_hat
-    return [_inverse(grid, _ik(grid, a, real) * fhat, real) for a in range(grid.dims)]
+    return _gradient(grid, _forward(field, real), real)
 
 
 def gradient_and_laplacian(grid: Grid, field: np.ndarray) -> tuple:
@@ -216,7 +216,7 @@ def gradient_and_laplacian(grid: Grid, field: np.ndarray) -> tuple:
     grid.validate_field(field)
     real = np.isrealobj(field)
     fhat = _forward(field, real)
-    grad = [_inverse(grid, _ik(grid, a, real) * fhat, real) for a in range(grid.dims)]
+    grad = _gradient(grid, fhat, real)
     lap = _inverse(grid, _laplacian_symbol(grid.n, grid.length, grid.dims, real) * fhat, real)
     return grad, lap
 

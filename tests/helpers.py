@@ -52,3 +52,9 @@ def bloch_state(me, amplitude, n=64, periods=2, constants=q.NATURAL_UNITS):
     rho = rho / grid.integrate(rho)
     psi = np.sqrt(rho) * np.exp(1j * (amplitude / k0) * np.sin(k0 * x))
     return grid, psi, rho, energy
+
+
+def derived(grid, psi, coeffs, constants=q.NATURAL_UNITS, **gates):
+    """The record of one standalone state, decomposed without the mask
+    guard at the default gates or at the given ``gates``."""
+    return q.derive(q.hydro_decompose(grid, psi, max_masked_fraction=1.0, **gates), coeffs, constants)

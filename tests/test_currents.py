@@ -5,12 +5,12 @@ import pytest
 
 import nlse4 as q
 from nlse4 import checks
-from nlse4.currents import continuity_residual, current_divergence, currents
+from nlse4.currents import continuity_residual, currents
 from nlse4.evolution import EvolutionConfig, evolve
 from nlse4.functionals import eval_functional
 from nlse4.hydro import hydro_decompose, weighted_grad_of_ratio
 
-from helpers import perturbed_plane_wave
+from helpers import derived, perturbed_gaussian, perturbed_plane_wave
 
 
 class TestCurrents:
@@ -92,7 +92,8 @@ class TestContinuityResidual:
         for dt in (2e-4, 1e-4):
             cfg = EvolutionConfig(dt=dt, t_end=2 * dt, coeffs=None, stride=1, observables=False)
             traj = evolve(grid, psi0, cfg)
-            field, _ = continuity_residual(grid, traj.fields[0], traj.fields[1], dt, (0.0,) * 5)
+            field, _ = continuity_residual(derived(grid, traj.fields[0], None),
+                                           derived(grid, traj.fields[1], None), dt)
             resids.append(field.max())
         assert resids[1] <= 1e-6
         assert resids[0] / resids[1] == pytest.approx(4.0, rel=0.3)  # O(dt^2)
@@ -106,7 +107,7 @@ class TestContinuityResidual:
         dt = 2e-6
         cfg = EvolutionConfig(dt=dt, t_end=2 * dt, coeffs=me, stride=1, observables=False, norm_tol=1e-4)
         traj = evolve(grid, psi0, cfg)
-        field, _ = continuity_residual(grid, traj.fields[0], traj.fields[1], dt, me)
+        field, _ = continuity_residual(derived(grid, traj.fields[0], me), derived(grid, traj.fields[1], me), dt)
         assert field.max() <= 1e-6
 
     def test_sample_uses_configured_eps_rho(self):
@@ -117,21 +118,29 @@ class TestContinuityResidual:
         cfg = EvolutionConfig(dt=dt, t_end=dt, coeffs=me, stride=1, eps_rho=1e-6)
         traj = evolve(grid, psi0, cfg)
         before, after = traj.fields
-        _, at_run_floor = continuity_residual(grid, before, after, dt, me, eps_rho=1e-6)
-        _, at_default = continuity_residual(grid, before, after, dt, me)
+        _, at_run_floor = continuity_residual(derived(grid, before, me, eps_rho=1e-6),
+                                              derived(grid, after, me, eps_rho=1e-6), dt)
+        _, at_default = continuity_residual(derived(grid, before, me), derived(grid, after, me), dt)
         assert traj.observables[1].cont_residual == at_run_floor
         assert at_run_floor != at_default
 
-    def test_supplied_after_view_matches_own_decomposition(self):
-        grid = q.make_grid(1, 128, 2 * np.pi)
+    @pytest.mark.parametrize("mixed", ["eps_rho", "coeffs", "constants"])
+    def test_records_that_mix_settings_rejected(self, mixed):
+        """Both records of a residual carry their own view: a pair whose
+        node floors, coefficients or constants differ raises instead of
+        mixing them."""
+        grid = q.make_grid(1, 128, 24.0)
         me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
-        before = perturbed_plane_wave(grid, seed=3, cutoff=5, amplitude=0.3)
-        after = perturbed_plane_wave(grid, seed=4, cutoff=5, amplitude=0.3)
-        hv = hydro_decompose(grid, after, eps_rho=1e-6, max_masked_fraction=1.0)
-        own = continuity_residual(grid, before, after, 1e-3, me, eps_rho=1e-6)
-        shared = continuity_residual(grid, before, after, 1e-3, me, eps_rho=1e-6,
-                                     div_after=current_divergence(hv, me))
-        assert np.array_equal(own[0], shared[0]) and own[1] == shared[1]
+        before, after = perturbed_gaussian(grid, seed=11), perturbed_gaussian(grid, seed=12)
+        other = {
+            "eps_rho": dict(coeffs=me, eps_rho=1e-6),
+            "coeffs": dict(coeffs=q.MEParams(D1=0.1, b1=0.05, b6=0.0)),
+            "constants": dict(coeffs=me, constants=q.PhysicalConstants(hbar=1.0, mass=2.0)),
+        }[mixed]
+        first = derived(grid, before, me)
+        with pytest.raises(ValueError, match="records differ"):
+            continuity_residual(first, derived(grid, after, **other), 1e-3)
+        assert np.isfinite(continuity_residual(first, derived(grid, after, me), 1e-3)[1])
 
     def test_stationary_state_terms_vanish_separately(self):
         grid = q.make_grid(1, 128, 18.0)
@@ -156,8 +165,7 @@ def test_dt_convergence_residual_spans_its_snapshot_interval(monkeypatch):
     seen = []
     original = checks.continuity_residual
     monkeypatch.setattr(checks, "continuity_residual",
-                        lambda grid, before, after, dt, *a, **k: seen.append(dt) or original(
-                            grid, before, after, dt, *a, **k))
+                        lambda before, after, dt: seen.append(dt) or original(before, after, dt))
     checks.check_dt_convergence()
     dt0 = 0.5 * q.stability_bound(q.make_grid(1, 64, 2 * np.pi), checks._ME_PRESET)
     assert seen == [pytest.approx(16 * dt0, rel=1e-12)]

@@ -17,7 +17,7 @@ from nlse4.diagnostics import (
 )
 from nlse4.evolution import EvolutionConfig, evolve, nonlinear_multiplier, stability_bound
 
-from helpers import banded_localized_state, perturbed_gaussian, perturbed_plane_wave
+from helpers import banded_localized_state, derived, perturbed_gaussian, perturbed_plane_wave
 
 CON = q.NATURAL_UNITS
 
@@ -27,20 +27,20 @@ class TestEnergy:
         grid = q.make_grid(1, 128, 2 * np.pi)
         k = q.wavenumber(grid, 3)
         psi = np.exp(1j * k * grid.axis_coords())  # unit density
-        e_l, e_me = energy(grid, psi, None, q.MEParams(D1=0.1), CON)
+        e_l, e_me = energy(derived(grid, psi, q.MEParams(D1=0.1)), None)
         assert e_l == pytest.approx(0.5 * k**2 * grid.length, rel=1e-10)
         assert e_me == e_l  # plane wave: LapLap S = 0
 
     def test_quadratic_phase_equality(self):
         grid = q.make_grid(1, 128, 24.0)
         psi = q.gaussian_packet(grid, t0=1.0, t=0.5)
-        e_l, e_me = energy(grid, psi, None, q.MEParams(D1=0.1, b1=0.3, b6=0.1), CON)
+        e_l, e_me = energy(derived(grid, psi, q.MEParams(D1=0.1, b1=0.3, b6=0.1)), None)
         assert e_me == e_l
 
     def test_b_equal_cancellation(self):
         grid = q.make_grid(1, 128, 2 * np.pi)
         psi = perturbed_plane_wave(grid, seed=2)
-        e_l, e_me = energy(grid, psi, None, q.MEParams(D1=0.1, b1=0.3, b6=0.3), CON)
+        e_l, e_me = energy(derived(grid, psi, q.MEParams(D1=0.1, b1=0.3, b6=0.3)), None)
         assert e_me == e_l
 
     def test_difference_linear_in_b1_minus_b6(self):
@@ -48,7 +48,7 @@ class TestEnergy:
         psi = perturbed_plane_wave(grid, seed=4)
         gap = None
         for b1, b6 in ((0.05, 0.02), (0.13, 0.10), (0.23, 0.20)):
-            e_l, e_me = energy(grid, psi, None, q.MEParams(D1=0.1, b1=b1, b6=b6), CON)
+            e_l, e_me = energy(derived(grid, psi, q.MEParams(D1=0.1, b1=b1, b6=b6)), None)
             if gap is None:
                 gap = e_me - e_l
             assert e_me - e_l == pytest.approx(gap, abs=1e-12)
@@ -57,7 +57,7 @@ class TestEnergy:
         grid = q.make_grid(1, 128, 18.0)
         psi = q.harmonic_eigenstate(grid, 0, omega=1.0)
         pot = q.harmonic_potential(grid, 1.0)
-        e_l, _ = energy(grid, psi, pot, None, CON)
+        e_l, _ = energy(derived(grid, psi, None), pot)
         assert e_l == pytest.approx(0.5, abs=1e-9)
 
 
@@ -65,13 +65,13 @@ class TestEhrenfestCorrections:
     def test_gaussian_packet_zero(self):
         grid = q.make_grid(1, 128, 24.0)
         psi = q.gaussian_packet(grid, t0=1.0, t=0.3)
-        i1, i2 = ehrenfest_corrections(grid, psi, q.MEParams(D1=0.1, b1=0.05, b6=0.02), CON)
+        i1, i2 = ehrenfest_corrections(derived(grid, psi, q.MEParams(D1=0.1, b1=0.05, b6=0.02)))
         assert abs(i1[0]) <= 1e-10 and abs(i2[0]) <= 1e-10
 
     def test_zero_couplings_exact_zero(self):
         grid = q.make_grid(1, 128, 24.0)
         psi = q.gaussian_packet(grid, t0=1.0)
-        i1, i2 = ehrenfest_corrections(grid, psi, q.MEParams(D1=0.0), CON)
+        i1, i2 = ehrenfest_corrections(derived(grid, psi, q.MEParams(D1=0.0)))
         assert i1[0] == 0.0 and i2[0] == 0.0
 
     def test_i1_against_independent_quadrature(self):
@@ -85,7 +85,7 @@ class TestEhrenfestCorrections:
         grid = q.make_grid(1, 128, length)
         sigma, A = 0.85, 0.5
         psi = banded_localized_state(grid, me, amplitude=A, sigma=sigma)
-        i1, _ = ehrenfest_corrections(grid, psi, me, CON)
+        i1, _ = ehrenfest_corrections(derived(grid, psi, me))
 
         fine = 16 * grid.n
         x = -0.5 * length + (length / fine) * np.arange(fine)
@@ -110,8 +110,8 @@ class TestEhrenfestCorrections:
         grid = q.make_grid(1, 128, 5 * 2 * np.pi / np.sqrt(omega))
         psi = banded_localized_state(grid, me, amplitude=0.5, sigma=0.85)
         shifted = np.roll(psi, 12)
-        i1a, _ = ehrenfest_corrections(grid, psi, me, CON)
-        i1b, _ = ehrenfest_corrections(grid, shifted, me, CON, enforce_tails=False)
+        i1a, _ = ehrenfest_corrections(derived(grid, psi, me))
+        i1b, _ = ehrenfest_corrections(derived(grid, shifted, me), enforce_tails=False)
         assert abs(i1a[0] - i1b[0]) <= 1e-8
 
     def test_fat_tails_rejected(self):
@@ -120,7 +120,7 @@ class TestEhrenfestCorrections:
         psi = np.exp(-(x**2) / 8.0).astype(complex)
         psi /= np.sqrt(grid.integrate(np.abs(psi) ** 2))
         with pytest.raises(q.StateError):
-            ehrenfest_corrections(grid, psi, q.MEParams(D1=0.1), CON)
+            ehrenfest_corrections(derived(grid, psi, q.MEParams(D1=0.1)))
 
 
 class TestEhrenfestConsistency:
@@ -163,27 +163,6 @@ class TestSeparability:
                                 t_end=0.3, dt=2e-3, stride=50)
         assert dev <= 1e-8
 
-    def test_me_product_state(self):
-        grid = q.make_grid(1, 64, 18.0)
-        psi1 = q.gaussian_packet(grid, t0=1.0)
-        psi2 = q.harmonic_eigenstate(grid, 0, omega=1.0)
-        pot2 = q.harmonic_potential(grid, 1.0)
-        me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
-        dev = separability_test(grid, psi1, psi2, None, pot2, me,
-                                t_end=0.5, dt=2e-3, stride=50)
-        assert dev <= 1e-6
-
-    def test_forbidden_term_breaks_separability(self):
-        # the (Lap S)^2 probe couples the factors through the cross term
-        # 2 Lap S_1 Lap S_2; a short window suffices to show the violation
-        grid = q.make_grid(1, 64, 2 * np.pi)
-        psi1 = perturbed_plane_wave(grid, seed=7, cutoff=5, amplitude=0.3)
-        psi2 = perturbed_plane_wave(grid, seed=8, cutoff=5, amplitude=0.3)
-        cs = q.ext_coeffs(a=[0.0] * 13, b=[0.0] * 13, x14=0.5)
-        dev = separability_test(grid, psi1, psi2, None, None, cs,
-                                t_end=1e-3, dt=1e-4, stride=5)
-        assert dev >= 1e-3
-
     def test_grid_size_cap(self):
         grid = q.make_grid(1, 256, 20.0)
         psi = q.gaussian_packet(grid, t0=1.0)
@@ -210,13 +189,13 @@ class TestEngineParity:
         grid = q.make_grid(1, 128, 5 * 2 * np.pi / np.sqrt(omega))
         psi = banded_localized_state(grid, me, amplitude=0.5, sigma=0.85)
 
-        i1_me, i2_me = ehrenfest_corrections(grid, psi, me, CON)
-        i1_cs, i2_cs = ehrenfest_corrections(grid, psi, cs, CON)
+        i1_me, i2_me = ehrenfest_corrections(derived(grid, psi, me))
+        i1_cs, i2_cs = ehrenfest_corrections(derived(grid, psi, cs))
         assert abs(i1_me[0]) > 1e-2 and abs(i2_me[0]) > 1e-2
         assert i1_cs[0] == pytest.approx(i1_me[0], abs=1e-6)
         assert i2_cs[0] == pytest.approx(i2_me[0], abs=1e-6)
 
-        assert energy(grid, psi, None, cs, CON) == energy(grid, psi, None, me, CON)
+        assert energy(derived(grid, psi, cs), None) == energy(derived(grid, psi, me), None)
         hv = q.hydro_decompose(grid, psi, max_masked_fraction=1.0)
         j_me, j_cs = q.currents(hv, me), q.currents(hv, cs)
         assert j_cs.couplings == j_me.couplings
@@ -225,8 +204,9 @@ class TestEngineParity:
 
 
 class TestSharedDecomposition:
-    """One observables sample decomposes its snapshot once and hands the
-    view to energy, Ehrenfest corrections and continuity residual."""
+    """One observables sample reads the records of its snapshots: each
+    snapshot is decomposed once, when its record is built, and energy,
+    Ehrenfest corrections and continuity residual share that record."""
 
     COEFFS = [None, q.MEParams(D1=0.1, b1=0.05, b6=0.02),
               q.ext_coeffs(a=[0.1, 0.05, 0.02, 0.03, 0.01] * 2 + [0.0] * 3,
@@ -239,36 +219,32 @@ class TestSharedDecomposition:
         return grid, psi, q.hydro_decompose(grid, psi, max_masked_fraction=1.0)
 
     @pytest.mark.parametrize("coeffs", COEFFS, ids=["linear", "me", "ext"])
-    def test_supplied_view_gives_identical_results(self, coeffs):
-        grid, psi, hv = self.state()
-        pot = q.harmonic_potential(grid, 1.0)
-        assert energy(grid, psi, pot, coeffs, CON, hv=hv) == energy(grid, psi, pot, coeffs, CON)
-        assert (ehrenfest_corrections(grid, psi, coeffs, CON, enforce_tails=False, hv=hv)
-                == ehrenfest_corrections(grid, psi, coeffs, CON, enforce_tails=False))
-
-    @pytest.mark.parametrize("coeffs", COEFFS, ids=["linear", "me", "ext"])
     def test_sample_decomposes_at_most_once_per_snapshot(self, coeffs, monkeypatch):
+        grid, psi, _ = self.state()
         calls = []
         original = q.hydro_decompose
-        # by full name: the package re-exports the function ``currents``
-        for name in ("diagnostics", "currents", "evolution"):
-            mod = importlib.import_module(f"nlse4.{name}")
-            monkeypatch.setattr(mod, "hydro_decompose",
-                                lambda *a, **k: calls.append(1) or original(*a, **k))
-        grid, psi, _ = self.state()
-        observables_sample(grid, psi, 0.0, None, coeffs, CON)
+        # by full name: the package re-exports the function ``currents``;
+        # the package itself binds the name ``derived`` builds records with
+        for mod in [q] + [importlib.import_module(f"nlse4.{name}")
+                          for name in ("diagnostics", "currents", "evolution")]:
+            if hasattr(mod, "hydro_decompose"):
+                monkeypatch.setattr(mod, "hydro_decompose",
+                                    lambda *a, **k: calls.append(1) or original(*a, **k))
+        observables_sample(derived(grid, psi, coeffs), 0.0, None)
         assert len(calls) == 1
         calls.clear()
         later = psi * np.exp(0.01j)
-        sample = observables_sample(grid, later, 1e-3, None, coeffs, CON, prev=(0.0, psi))
+        sample = observables_sample(derived(grid, later, coeffs), 1e-3, None,
+                                    prev=(0.0, derived(grid, psi, coeffs)))
         assert len(calls) <= 2
         assert np.isfinite(sample.cont_residual)
 
 
 class TestSharedStateDerivation:
-    """evolve derives each state once (one view, one multiplier) and hands
-    the result, with the carried current divergence of the previous sample,
-    to the observables sample; sharing changes no bit of any sample."""
+    """evolve derives each state once, into one record (view, multiplier,
+    current divergence), and hands it, with the carried record of the
+    previous sample, to the observables sample; sharing changes no bit of
+    any sample."""
 
     EXT = TestSharedDecomposition.COEFFS[2]
 
@@ -311,17 +287,18 @@ class TestSharedStateDerivation:
         grid, psi0, coeffs, steps = self.runs()[case]
         traj, _ = self.evolve_counted(grid, psi0, coeffs, steps, monkeypatch)
         assert len(traj.observables) == steps + 1
-        for i, (t, psi) in enumerate(zip(traj.ts, traj.fields)):
-            prev = (traj.ts[i - 1], traj.fields[i - 1]) if i else None
-            alone = observables_sample(grid, psi, t, None, coeffs, CON, prev=prev)
+        records = [derived(grid, psi, coeffs) for psi in traj.fields]
+        for i, (t, state) in enumerate(zip(traj.ts, records)):
+            prev = (traj.ts[i - 1], records[i - 1]) if i else None
+            alone = observables_sample(state, t, None, prev=prev)
             assert repr(traj.observables[i]) == repr(alone)
         assert any(s.cont_residual != 0.0 for s in traj.observables[1:])
 
 
 class TestGateRouting:
-    """The run's gates reach every sample through the view: the rows of a
-    run at non-default gates equal standalone samples over views decomposed
-    at those gates."""
+    """The run's gates reach every sample through the record's view: the
+    rows of a run at non-default gates equal standalone samples over records
+    derived at those gates."""
 
     GATES = dict(gate_factor=4096.0, ratio_floor=1e-5)
 
@@ -332,14 +309,16 @@ class TestGateRouting:
         dt = 0.1 * stability_bound(grid, me)
         cfg = EvolutionConfig(dt=dt, t_end=3 * dt, coeffs=me, stride=1, **self.GATES)
         traj = evolve(grid, psi0, cfg)
+        at_run = [derived(grid, psi, me, **self.GATES) for psi in traj.fields]
+        plain = [derived(grid, psi, me) for psi in traj.fields]
         at_default = []
-        for i, (t, psi) in enumerate(zip(traj.ts, traj.fields)):
-            hv = q.hydro_decompose(grid, psi, max_masked_fraction=1.0, **self.GATES)
-            assert hv.masked_fraction > 0.0
-            prev = (traj.ts[i - 1], traj.fields[i - 1]) if i else None
-            alone = observables_sample(grid, psi, t, None, me, CON, prev=prev, hv=hv)
+        for i, t in enumerate(traj.ts):
+            assert at_run[i].hv.masked_fraction > 0.0
+            prev = (traj.ts[i - 1], at_run[i - 1]) if i else None
+            alone = observables_sample(at_run[i], t, None, prev=prev)
             assert repr(traj.observables[i]) == repr(alone)
-            at_default.append(observables_sample(grid, psi, t, None, me, CON, prev=prev).e_me)
+            prev = (traj.ts[i - 1], plain[i - 1]) if i else None
+            at_default.append(observables_sample(plain[i], t, None, prev=prev).e_me)
             assert traj.observables[i].e_me != at_default[-1]
         assert len(at_default) == 4
         assert traj.observables[0].e_me == pytest.approx(0.24711854887774753, abs=1e-12)
@@ -351,8 +330,8 @@ class _NotCoeffs:
 
 
 @pytest.mark.parametrize("call", [
-    lambda grid, psi, c: energy(grid, psi, None, c, CON),
-    lambda grid, psi, c: ehrenfest_corrections(grid, psi, c, CON),
+    lambda grid, psi, c: energy(derived(grid, psi, c), None),
+    lambda grid, psi, c: ehrenfest_corrections(derived(grid, psi, c)),
     lambda grid, psi, c: q.currents(q.hydro_decompose(grid, psi, max_masked_fraction=1.0), c),
     lambda grid, psi, c: nonlinear_multiplier(grid, psi, c),
     lambda grid, psi, c: stability_bound(grid, c),

@@ -219,44 +219,6 @@ class TestGalileanBoost:
         boosted = galilean_boost(grid, pw, v, t=0.0, beta=2.0)  # m/beta halves the kick
         assert np.abs(boosted - q.plane_wave(grid, 4)).max() <= 1e-13
 
-    def test_me_boost_commutes_with_evolution(self):
-        grid = q.make_grid(1, 128, 2 * np.pi)
-        psi0 = perturbed_plane_wave(grid, seed=3, cutoff=6, amplitude=0.35)
-        me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
-        v = q.wavenumber(grid, 3)
-        dt = 0.5 * stability_bound(grid, me)
-        nst = int(round(0.002 / dt))
-        T = nst * dt
-
-        def run(psi):
-            cfg = EvolutionConfig(dt=dt, t_end=T, coeffs=me, stride=10**6,
-                                  observables=False, norm_tol=1e-4)
-            return evolve(grid, psi, cfg).final
-
-        ab = run(galilean_boost(grid, psi0, v, 0.0))
-        ba = galilean_boost(grid, run(psi0), v, T)
-        assert np.abs(ab - ba).max() <= 1e-6
-
-    def test_galilean_breaking_term_fails_commutation(self):
-        grid = q.make_grid(1, 128, 2 * np.pi)
-        psi0 = perturbed_plane_wave(grid, seed=3, cutoff=6, amplitude=0.35)
-        bad_b = [0.0] * 13
-        bad_b[3] = 0.01  # Lap((grad rho/rho).grad S): carries bare grad S
-        cs = q.ext_coeffs(a=[0.0] * 13, b=bad_b)
-        v = q.wavenumber(grid, 3)
-        dt = 0.5 * stability_bound(grid, cs)
-        nst = int(round(5e-4 / dt))
-        T = nst * dt
-
-        def run(psi):
-            cfg = EvolutionConfig(dt=dt, t_end=T, coeffs=cs, stride=10**6,
-                                  observables=False, norm_tol=1e-4)
-            return evolve(grid, psi, cfg).final
-
-        ab = run(galilean_boost(grid, psi0, v, 0.0))
-        ba = galilean_boost(grid, run(psi0), v, T)
-        assert np.abs(ab - ba).max() >= 10 * 1e-6
-
 
 class TestGaugeForm:
     def test_all_zero_is_exact(self):

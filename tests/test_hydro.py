@@ -15,7 +15,7 @@ from nlse4.evolution import nonlinear_multiplier
 from nlse4.hydro import MaskOverflowError, fourth_order_composites, hydro_decompose
 from nlse4.spectral import spectral_derivative
 
-from helpers import perturbed_gaussian, perturbed_plane_wave
+from helpers import derived, perturbed_gaussian, perturbed_plane_wave
 
 
 class TestDecomposition:
@@ -135,19 +135,19 @@ class TestLazyRatioFields:
         grid = q.make_grid(1, 128, 24.0)
         psi = perturbed_gaussian(grid)
         me = q.MEParams(0.1, 0.05, 0.02)
-        fresh = energy(grid, psi, None, me)
+        fresh = energy(derived(grid, psi, me), None)
         built = []
         original = hydro.fourth_order_composites
         monkeypatch.setattr(hydro, "fourth_order_composites",
                             lambda *args: built.append(args) or original(*args))
-        hv = hydro_decompose(grid, psi, max_masked_fraction=1.0)
-        nonlinear_multiplier(grid, psi, me, hv=hv)
-        assert energy(grid, psi, None, me, hv=hv) == fresh
+        state = derived(grid, psi, me)
+        assert energy(state, None) == fresh
         assert len(built) == 1
-        # composites the energy builds for itself are not kept on the view
-        alone = hydro_decompose(grid, psi, max_masked_fraction=1.0)
-        energy(grid, psi, None, me, hv=alone)
-        energy(grid, psi, None, me, hv=alone)
+        # composites the energy builds for itself (the generic engine's
+        # multiplier reads none) are not kept on the view
+        alone = derived(grid, psi, me.expand())
+        energy(alone, None)
+        energy(alone, None)
         assert len(built) == 3
 
 
@@ -202,18 +202,33 @@ class TestFourthOrderComposites:
         assert np.abs(foa.div_q).max() > 1e4 * foa.gate  # genuine signal clears the gate
 
 
+def _public_signatures():
+    """(module, qualified name, parameters) of every public function that a
+    module of the package defines."""
+    for info in pkgutil.iter_modules(q.__path__):
+        mod = importlib.import_module(f"nlse4.{info.name}")
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            if not name.startswith("_") and fn.__module__ == mod.__name__:
+                yield mod, f"{mod.__name__}.{name}", inspect.signature(fn).parameters
+
+
 def test_gate_settings_are_named_only_by_hydro():
     """The noise gate and the ratio floor are decided when a view is built:
     no public function outside ``nlse4.hydro`` takes either as a keyword."""
-    naming = []
-    for info in pkgutil.iter_modules(q.__path__):
-        mod = importlib.import_module(f"nlse4.{info.name}")
-        if mod is hydro:
-            continue
-        for name, fn in inspect.getmembers(mod, inspect.isfunction):
-            if name.startswith("_") or fn.__module__ != mod.__name__:
-                continue
-            params = inspect.signature(fn).parameters
-            naming += [f"{mod.__name__}.{name}({key})" for key in ("gate_factor", "ratio_floor")
-                       if key in params]
+    naming = [f"{name}({key})" for mod, name, params in _public_signatures() if mod is not hydro
+              for key in ("gate_factor", "ratio_floor") if key in params]
+    assert naming == []
+
+
+def test_sample_side_keyword_budget():
+    """What is derived from one state travels in its record: only the
+    multiplier takes an optional view ``hv``, and no public function takes
+    a derived field (multiplier, current divergence, spectrum of a real
+    field) as a keyword."""
+    optional_hv = [name for _, name, params in _public_signatures()
+                   if "hv" in params and params["hv"].default is not inspect.Parameter.empty]
+    assert optional_hv == ["nlse4.evolution.nonlinear_multiplier"]
+    derived_fields = ("mult", "div_j", "prev_div_j", "div_before", "div_after", "field_hat")
+    naming = [f"{name}({key})" for _, name, params in _public_signatures()
+              for key in derived_fields if key in params]
     assert naming == []

@@ -55,12 +55,12 @@ def mode_frequency(me: MEParams, constants: PhysicalConstants = NATURAL_UNITS) -
 
 @dataclass(frozen=True)
 class PhaseMode:
-    """Harmonic phase-gradient mode S'(x) = A cos(sqrt(omega) x + phi) + C."""
+    """Harmonic phase-gradient mode S'(x) = A cos(sqrt(omega) x + phi), with
+    no constant drift term."""
 
     amplitude: float
     omega: float
     phase: float = 0.0
-    drift: float = 0.0
 
     def __post_init__(self):
         if self.omega <= 0.0:
@@ -68,11 +68,11 @@ class PhaseMode:
 
     @classmethod
     def from_params(cls, me: MEParams, constants: PhysicalConstants = NATURAL_UNITS,
-                    amplitude: float = 1.0, phase: float = 0.0, drift: float = 0.0) -> "PhaseMode":
+                    amplitude: float = 1.0, phase: float = 0.0) -> "PhaseMode":
         omega = mode_frequency(me, constants)
         if omega <= 0.0:
             raise BandError("harmonic mode requires D1 > 0")
-        return cls(amplitude=amplitude, omega=omega, phase=phase, drift=drift)
+        return cls(amplitude=amplitude, omega=omega, phase=phase)
 
     @property
     def period(self) -> float:
@@ -82,7 +82,7 @@ class PhaseMode:
         if grid.dims != 1:
             raise BandError("phase modes are one-dimensional")
         x = grid.axis_coords()
-        return self.amplitude * np.cos(np.sqrt(self.omega) * x + self.phase) + self.drift
+        return self.amplitude * np.cos(np.sqrt(self.omega) * x + self.phase)
 
 
 def stationary_flux_residual(
@@ -94,8 +94,9 @@ def stationary_flux_residual(
 ) -> float:
     """max | d/dx [ rho (S''' + omega S') ] | for a 1D profile pair.
 
-    ``grad_s`` may be an array S'(x) or a :class:`PhaseMode`.  Zero drift
-    modes produce an identically vanishing bracket independent of rho.
+    ``grad_s`` may be an array S'(x) or a :class:`PhaseMode`.  A phase mode
+    (which carries no constant drift term) produces an identically vanishing
+    bracket independent of rho.
     """
     if grid.dims != 1:
         raise BandError("stationary flux residual is one-dimensional")
@@ -150,14 +151,12 @@ class HillEquation:
     """y'' + Q(z) y = 0 with Q(z) = q0 + sum_k [c_k cos(kz) + s_k sin(kz)].
 
     ``harmonics`` is a tuple of (k, c_k, s_k); ``period`` is the fundamental
-    period of Q in z.  ``provenance`` optionally records the stationary-mode
-    parameters the equation was built from.
+    period of Q in z.
     """
 
     period: float
     q0: float
     harmonics: tuple
-    provenance: tuple = ()
 
     def __post_init__(self):
         if self.period <= 0.0:
@@ -201,9 +200,10 @@ class HillEquation:
         return self.q0 + self.modulation(z)
 
 
-def mathieu_hill(q: float, a: float = 0.0) -> HillEquation:
-    """Normal-form Mathieu potential Q = a - 2q cos(2z), period pi."""
-    return HillEquation(period=np.pi, q0=a, harmonics=((2, -2.0 * q, 0.0),))
+def mathieu_hill(q: float) -> HillEquation:
+    """Normal-form Mathieu potential Q = -2q cos(2z), period pi; the constant
+    a of y'' + (a - 2q cos 2z) y = 0 is the swept spectral parameter."""
+    return HillEquation(period=np.pi, q0=0.0, harmonics=((2, -2.0 * q, 0.0),))
 
 
 def hill_from_stationary(
@@ -248,12 +248,7 @@ def hill_from_stationary(
     if c2 != 0.0:
         harmonics.append((2, c2, 0.0))
     period = _TWO_PI if s1 != 0.0 else (np.pi if c2 != 0.0 else _TWO_PI)
-    return HillEquation(
-        period=period,
-        q0=q0,
-        harmonics=tuple(harmonics),
-        provenance=(("A", A), ("E", float(energy)), ("D1", me.D1), ("b1", me.b1), ("omega", omega)),
-    )
+    return HillEquation(period=period, q0=q0, harmonics=tuple(harmonics))
 
 
 def stationary_energy_from_q0(hill_q0: float, amplitude: float, omega: float,

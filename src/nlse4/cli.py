@@ -294,6 +294,8 @@ def cmd_bands(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     a_min, a_max, samples = section["a_min"], section["a_max"], section["samples"]
     if samples < 2:
         raise ConfigError("bands.samples: need at least 2")
+    if not a_min < a_max:  # also rejects NaN
+        raise ConfigError(f"bands: need a_min < a_max, got {a_min} and {a_max}")
     a_values = np.linspace(a_min, a_max, samples)
     results = floquet_analyze(hill, a_values)
     rows = [[r.a, r.tr_m, 1.0 if r.stable else 0.0, r.nu.real, r.nu.imag] for r in results]

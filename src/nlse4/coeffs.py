@@ -102,12 +102,12 @@ class CoeffSet:
             return self.D * self.b[0], self.D * self.b[5]
         return 0.0, 0.0
 
-    def is_divergence_family(self, tol: float = 0.0) -> bool:
+    def is_divergence_family(self) -> bool:
         a = self.a
         if self.variant == "dg":
-            return abs(a[0] - a[1]) <= tol and abs(a[3]) <= tol and abs(a[4]) <= tol
-        pairs = all(abs(a[i] - a[i + 5]) <= tol for i in range(5))
-        return pairs and all(abs(a[i]) <= tol for i in (10, 11, 12))
+            return a[0] == a[1] and a[3] == 0.0 and a[4] == 0.0
+        pairs = all(a[i] == a[i + 5] for i in range(5))
+        return pairs and all(a[i] == 0.0 for i in (10, 11, 12))
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ class MEParams:
     """Three-parameter fourth-order variant: Galilean covariant and
     preserving the densities of linear stationary states.
 
-    Expands to the ``ext`` family with a1 = a6 = D1/D, b1 and b6 as given,
-    and every other coefficient zero.
+    Expands to the ``ext`` family with D = 1, a1 = a6 = D1, b1 and b6 as
+    given, and every other coefficient zero.
     """
 
     D1: float
@@ -127,15 +127,13 @@ class MEParams:
         if not all(np.isfinite(v) for v in (self.D1, self.b1, self.b6)):
             raise CoeffError("parameters must be finite")
 
-    def expand(self, D: float = 1.0) -> CoeffSet:
-        if D == 0.0:
-            raise CoeffError("coupling D must be nonzero to expand")
+    def expand(self) -> CoeffSet:
         a = [0.0] * 13
         b = [0.0] * 13
-        a[0] = a[5] = self.D1 / D
+        a[0] = a[5] = self.D1
         b[0] = self.b1
         b[5] = self.b6
-        return CoeffSet(variant="ext", a=tuple(a), b=tuple(b), D=D)
+        return CoeffSet(variant="ext", a=tuple(a), b=tuple(b))
 
     @property
     def is_linear(self) -> bool:

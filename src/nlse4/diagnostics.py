@@ -35,7 +35,7 @@ import numpy as np
 from .coeffs import MEParams, is_linear
 from .currents import continuity_residual
 from .evolution import EvolutionConfig, State, evolve
-from .hydro import DEFAULT_EPS_RHO, hydro_decompose
+from .hydro import hydro_decompose
 from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, divergence, gradient, laplacian, make_grid
 from .states import Potential, check_tails
 
@@ -277,7 +277,6 @@ def gauge_form_residual(
     psi: np.ndarray,
     me: MEParams,
     constants: PhysicalConstants = NATURAL_UNITS,
-    eps_rho: float = DEFAULT_EPS_RHO,
 ) -> float:
     """Pointwise gap between the vector-potential form and the canonical
     Hamiltonian form of the three-parameter variant.
@@ -301,7 +300,7 @@ def gauge_form_residual(
     if a_const == 0.0 and (me.b1 != 0.0 or me.b6 != 0.0):
         raise GaugeFormError("a = 0 (D1 = 0) with nonzero b1/b6: c1, c2 undefined")
 
-    hv = hydro_decompose(grid, psi, eps_rho=eps_rho)
+    hv = hydro_decompose(grid, psi)
     lap_psi = laplacian(grid, psi)
     grad_lap_s = gradient(grid, hv.lap_s)
     t1 = hv.zero_masked(laplacian(grid, hv.lap_s))

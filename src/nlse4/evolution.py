@@ -9,8 +9,9 @@ i.e. dpsi/dt = -(i/hbar)(H_L psi) - (D/2) F_a psi - i D F_b psi.  The F_a
 half feeds the continuity equation, the F_b half the phase.
 
 The nonlinear operator is the multiplier c(x) of :func:`nonlinear_multiplier`,
-which the Ehrenfest corrections also read.  It picks one of two engines from
-the coefficient type; every other per-type fact is a method of the type:
+which takes a decomposed view and which the Ehrenfest corrections also read.
+It picks one of two engines from the coefficient type; every other per-type
+fact is a method of the type:
 
 * ``MEParams`` (the three-parameter fourth-order variant) uses the
   density-weighted composites of :mod:`nlse4.hydro`.  They are robust on
@@ -50,7 +51,9 @@ helpers, which call the one-axis transforms directly on 1D fields.
 The config's low-density gates (``eps_rho``, ``gate_factor``,
 ``ratio_floor``) are handed once per state to
 :func:`nlse4.hydro.hydro_decompose`; the multiplier and the sample read
-them off the record's view.
+them off the record's view.  A caller that holds only a bare psi
+(:func:`nonlinear_rhs`, the registry checks) decomposes it at the default
+gates under :data:`DEFAULT_MASK_LIMIT`.
 
 Sampled states and stage a use fftn(psi), so a sample recomputed standalone
 from the stored fields matches the run bit for bit.  The mask guard
@@ -166,23 +169,16 @@ class Trajectory:
         return self.fields[-1]
 
 
-def nonlinear_multiplier(
-    grid: Grid,
-    psi: np.ndarray,
-    coeffs,
-    hv: HydroView | None = None,
-):
-    """The complex field c(x) with nonlinear dpsi/dt = c(x) psi, or None.
+def nonlinear_multiplier(hv: HydroView, coeffs):
+    """The complex field c(x) with nonlinear dpsi/dt = c(x) psi for the state
+    decomposed in ``hv``, or None for the linear equation.
 
     H_NL = i H_I + H_R with H_I = hbar Re c (continuity channel) and
     H_R = -hbar Im c (phase channel).  The three-parameter engine applies
-    the gates of the view ``hv``; without one, psi is decomposed at the
-    default gates under :data:`DEFAULT_MASK_LIMIT`.
+    the gates of the view.
     """
     if is_linear(coeffs):
         return None
-    if hv is None:
-        hv = hydro_decompose(grid, psi, max_masked_fraction=DEFAULT_MASK_LIMIT)
     if isinstance(coeffs, MEParams):
         fo = hv.fourth_order()
         return -(0.5 * coeffs.D1) * fo.u - 1j * (coeffs.b1 * fo.t1 + coeffs.b6 * fo.t6)
@@ -238,7 +234,7 @@ def derive(hv: HydroView, coeffs, constants: PhysicalConstants = NATURAL_UNITS) 
     """The record of the state decomposed in ``hv``, at that view's gates.
     A standalone state is ``derive(hydro_decompose(grid, psi,
     max_masked_fraction=1.0), coeffs, constants)``."""
-    return State(hv, nonlinear_multiplier(hv.grid, hv.psi, coeffs, hv=hv), coeffs, constants)
+    return State(hv, nonlinear_multiplier(hv, coeffs), coeffs, constants)
 
 
 def _explicit_rhs(psi: np.ndarray, pot_vals, mult, hbar: float):
@@ -260,10 +256,15 @@ def nonlinear_rhs(
     coeffs,
     constants: PhysicalConstants = NATURAL_UNITS,
 ) -> np.ndarray:
-    """Full dpsi/dt including the kinetic and potential terms."""
+    """Full dpsi/dt including the kinetic and potential terms.  Nonlinear
+    coefficients decompose psi at the default gates under
+    :data:`DEFAULT_MASK_LIMIT`; the linear equation decomposes nothing."""
     hbar, m = constants.hbar, constants.mass
     out = -1j / hbar * (-(hbar**2) / (2.0 * m) * laplacian(grid, psi))
-    mult = nonlinear_multiplier(grid, psi, coeffs)
+    mult = None
+    if not is_linear(coeffs):
+        hv = hydro_decompose(grid, psi, max_masked_fraction=DEFAULT_MASK_LIMIT)
+        mult = nonlinear_multiplier(hv, coeffs)
     explicit = _explicit_rhs(psi, potential.values if potential is not None else None, mult, hbar)
     return out if explicit is None else out + explicit
 

@@ -17,8 +17,9 @@ read by the node floor, the noise gate and the ratio floor, and the masked
 fraction).  It also fixes the view's low-density gates: the node floor
 ``eps_rho``, the noise gate ``gate_factor`` and the ratio cut
 ``ratio_floor`` are recorded on the view, and every consumer of the view
-(multiplier, energy, Ehrenfest corrections, continuity residual) reads them
-from there.  The ratio fields grad S, grad log rho, Lap S and Lap rho / rho
+(composites, noise gate, multiplier, energy, Ehrenfest corrections,
+continuity residual) reads them from there; no other public function takes
+a gate.  The ratio fields grad S, grad log rho, Lap S and Lap rho / rho
 are derived on first read: the generic functional engine, diagnostics and
 checks read them, the three-parameter engine does not.
 
@@ -147,7 +148,7 @@ class HydroView:
         """
         fo = self._fourth_order
         if fo is None:
-            fo = fourth_order_composites(self, self.gate_factor, self.ratio_floor)
+            fo = fourth_order_composites(self)
             if keep:
                 self._fourth_order = fo
         return fo
@@ -166,8 +167,8 @@ def hydro_decompose(
     derivatives.
 
     ``eps_rho`` is relative to max(rho).  The view records it together with
-    the fourth-order gates ``gate_factor`` and ``ratio_floor``, which its
-    :meth:`HydroView.fourth_order` composites use.  Raises
+    the fourth-order gates ``gate_factor`` and ``ratio_floor``, which
+    :func:`fourth_order_composites` and :func:`noise_gate` read.  Raises
     :class:`MaskOverflowError` if more than ``max_masked_fraction`` of the
     grid is below the floor.
     ``psi_hat``, if given, is the spectrum ``fftn(psi)`` (or the spectrum psi
@@ -226,8 +227,9 @@ def weighted_grad_of_ratio(hv: HydroView, numerator: np.ndarray) -> list:
     return [dWa - ratio * dra for dWa, dra in zip(dW, hv.grad_rho)]
 
 
-def noise_gate(hv: HydroView, gate_factor: float = DEFAULT_GATE_FACTOR) -> float:
-    """Absolute floor below which fourth-order numerators are roundoff.
+def noise_gate(hv: HydroView) -> float:
+    """Absolute floor below which fourth-order numerators of ``hv`` are
+    roundoff, at the view's ``gate_factor``.
 
     FFT roundoff enters the smooth first-level fields at machine epsilon
     times their magnitude and is amplified by one factor of k_max per further
@@ -241,7 +243,7 @@ def noise_gate(hv: HydroView, gate_factor: float = DEFAULT_GATE_FACTOR) -> float
         abs(hv.rho_lap_s).max(),
         hv.rho_max,
     )
-    return gate_factor * _EPS * kM**3 * scale
+    return hv.gate_factor * _EPS * kM**3 * scale
 
 
 @dataclass
@@ -261,12 +263,9 @@ class FourthOrder:
     gate: float
 
 
-def fourth_order_composites(
-    hv: HydroView,
-    gate_factor: float = DEFAULT_GATE_FACTOR,
-    ratio_floor: float = DEFAULT_RATIO_FLOOR,
-) -> FourthOrder:
-    """Compute rho-weighted fourth-order composites of the phase.
+def fourth_order_composites(hv: HydroView) -> FourthOrder:
+    """Compute rho-weighted fourth-order composites of the phase, gated at
+    the view's ``gate_factor`` and ``ratio_floor``.
 
     Identities used (P = rho*Lap S, all exact for smooth rho > 0):
 
@@ -284,8 +283,8 @@ def fourth_order_composites(
     r6 = hv.ratio(sum(dra * qa for dra, qa in zip(hv.grad_rho, q)))
     r1 = lap_P - 2.0 * r6 - ratio_P * hv.lap_rho
 
-    gate = noise_gate(hv, gate_factor)
-    dense = ~hv.mask & (hv.rho >= ratio_floor * hv.rho_max)
+    gate = noise_gate(hv)
+    dense = ~hv.mask & (hv.rho >= hv.ratio_floor * hv.rho_max)
     u = _gated_ratio(hv, div_q, gate, dense)
     t1 = _gated_ratio(hv, r1, gate, dense)
     t6 = _gated_ratio(hv, r6, gate, dense)

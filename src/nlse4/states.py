@@ -47,8 +47,9 @@ def _as_tuple(value, dims: int, name: str) -> tuple:
     return value
 
 
-def check_tails(grid: Grid, psi: np.ndarray, threshold: float = TAIL_THRESHOLD) -> float:
-    """Max relative density on the box-edge shell; raises if above threshold."""
+def check_tails(grid: Grid, psi: np.ndarray) -> float:
+    """Max relative density on the box-edge shell; raises above
+    :data:`TAIL_THRESHOLD`."""
     rho = np.abs(psi) ** 2
     peak = rho.max()
     if grid.dims == 1:
@@ -56,9 +57,9 @@ def check_tails(grid: Grid, psi: np.ndarray, threshold: float = TAIL_THRESHOLD) 
     else:
         edge = max(rho[0, :].max(), rho[-1, :].max(), rho[:, 0].max(), rho[:, -1].max())
     rel = float(edge / peak)
-    if rel > threshold:
+    if rel > TAIL_THRESHOLD:
         raise StateError(
-            f"state density at box edge is {rel:.2e} of peak (limit {threshold:.0e}); "
+            f"state density at box edge is {rel:.2e} of peak (limit {TAIL_THRESHOLD:.0e}); "
             "box too small for the requested width"
         )
     return rel
@@ -155,10 +156,9 @@ def harmonic_eigenstate(
     return _renormalize(grid, psi)
 
 
-def harmonic_energy(level, omega: float, dims: int = 1, constants: PhysicalConstants = NATURAL_UNITS) -> float:
+def harmonic_energy(level, omega: float, constants: PhysicalConstants = NATURAL_UNITS) -> float:
+    """Oscillator energy of ``level``, one quantum number per axis."""
     levels = tuple(int(v) for v in np.atleast_1d(level))
-    if len(levels) == 1:
-        levels = levels * dims
     return constants.hbar * omega * sum(l + 0.5 for l in levels)
 
 
@@ -237,31 +237,24 @@ def galilean_boost(
     v,
     t: float = 0.0,
     constants: PhysicalConstants = NATURAL_UNITS,
-    beta: float = 1.0,
 ) -> np.ndarray:
     """Boost a snapshot taken at time ``t`` into the frame moving with -v.
 
-    psi'(x) = psi(x - v t) * exp(i m_b (v.x - |v|^2 t / 2) / hbar)
+    psi'(x) = psi(x - v t) * exp(i m (v.x - |v|^2 t / 2) / hbar)
 
-    with m_b = m / beta (the ``beta`` hook applies the effective-mass
-    rescaling of the second-order family, beta = 1 + D m / hbar; beta = 1
-    is the plain boost).
-    A plane wave k maps to k + m_b v / hbar, and boosting commutes with the
-    free evolution exactly.  Each m_b v_a L / hbar must be a multiple of
+    A plane wave k maps to k + m v / hbar, and boosting commutes with the
+    free evolution exactly.  Each m v_a L / hbar must be a multiple of
     2 pi so the boost phase is continuous across the periodic box.
     """
     grid.validate_field(psi)
     hbar, m = constants.hbar, constants.mass
-    if beta == 0.0:
-        raise BoostError("beta must be nonzero")
-    m_b = m / beta
     vs = np.atleast_1d(np.asarray(v, dtype=float))
     if vs.size == 1 and grid.dims == 2:
         vs = np.repeat(vs, 2)
     if vs.size != grid.dims:
         raise BoostError(f"need one velocity component per axis, got {vs.size}")
     for va in vs:
-        q = m_b * va * grid.length / (2.0 * np.pi * hbar)
+        q = m * va * grid.length / (2.0 * np.pi * hbar)
         if abs(q - round(q)) > 1e-9:
             raise BoostError(
                 f"velocity component {va} is incommensurate: m v L / hbar = {q} * 2 pi must be integral"
@@ -273,7 +266,7 @@ def galilean_boost(
         shift = shift * np.exp(-1j * grid.k_along(a) * (vs[a] * t))
     shifted = np.fft.ifftn(psi_hat * shift)
     xs = grid.coords()
-    phase = sum(m_b * vs[a] * xs[a] for a in range(grid.dims)) - 0.5 * m_b * float(vs @ vs) * t
+    phase = sum(m * vs[a] * xs[a] for a in range(grid.dims)) - 0.5 * m * float(vs @ vs) * t
     return shifted * np.exp(1j * phase / hbar)
 
 

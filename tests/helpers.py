@@ -3,6 +3,7 @@
 import numpy as np
 
 import nlse4 as q
+from nlse4.evolution import DEFAULT_MASK_LIMIT, nonlinear_multiplier
 
 
 def perturbed_gaussian(grid, seed=11, amplitude=0.1, cutoff=12, t0=1.0):
@@ -52,6 +53,12 @@ def bloch_state(me, amplitude, n=64, periods=2, constants=q.NATURAL_UNITS):
     rho = rho / grid.integrate(rho)
     psi = np.sqrt(rho) * np.exp(1j * (amplitude / k0) * np.sin(k0 * x))
     return grid, psi, rho, energy
+
+
+def multiplier(grid, psi, coeffs):
+    """The multiplier of a bare psi, decomposed at the default gates under
+    the in-run mask guard."""
+    return nonlinear_multiplier(q.hydro_decompose(grid, psi, max_masked_fraction=DEFAULT_MASK_LIMIT), coeffs)
 
 
 def derived(grid, psi, coeffs, constants=q.NATURAL_UNITS, **gates):

@@ -171,14 +171,6 @@ class TestFloquet:
         assert not res[2].stable
         assert res[2].nu.imag == pytest.approx(1.0, abs=1e-8)
 
-    def test_determinant_preserved(self):
-        res = floquet_analyze(mathieu_hill(1.0), np.linspace(-1, 10, 50))
-        assert max(abs(r.det_m - 1.0) for r in res) <= 1e-10
-
-    def test_unmodulated_band_edges(self):
-        edges = band_edges(mathieu_hill(0.0), -0.5, 9.5)["edges"]
-        np.testing.assert_allclose(edges, [0, 1, 1, 4, 4, 9, 9], atol=1e-8)
-
     def test_a0_q1_dual_route(self):
         hill = mathieu_hill(1.0)
         eig = band_edges(hill, -1.0, 0.5)["edges"][0]
@@ -186,12 +178,6 @@ class TestFloquet:
         assert eig == pytest.approx(A0_Q1, abs=1e-6)
         assert mono == pytest.approx(A0_Q1, abs=1e-6)
         assert mono == pytest.approx(eig, abs=1e-6)
-
-    def test_step_halving_stability_of_a0(self):
-        hill = mathieu_hill(1.0)
-        coarse = floquet_analyze(hill, [A0_Q1], base_steps=512)[0].tr_m
-        fine = floquet_analyze(hill, [A0_Q1], base_steps=2048)[0].tr_m
-        assert abs(coarse - fine) <= 1e-6
 
     def test_edges_approach_squares_linearly_in_q(self):
         for qv, bound in ((0.1, 0.15), (0.05, 0.075)):

@@ -333,7 +333,7 @@ class _NotCoeffs:
     lambda grid, psi, c: energy(derived(grid, psi, c), None),
     lambda grid, psi, c: ehrenfest_corrections(derived(grid, psi, c)),
     lambda grid, psi, c: q.currents(q.hydro_decompose(grid, psi, max_masked_fraction=1.0), c),
-    lambda grid, psi, c: nonlinear_multiplier(grid, psi, c),
+    lambda grid, psi, c: nonlinear_multiplier(q.hydro_decompose(grid, psi, max_masked_fraction=1.0), c),
     lambda grid, psi, c: stability_bound(grid, c),
 ], ids=["energy", "ehrenfest_corrections", "currents", "nonlinear_multiplier", "stability_bound"])
 @pytest.mark.parametrize("bogus", [object(), _NotCoeffs()], ids=["object", "duck"])

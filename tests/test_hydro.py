@@ -12,7 +12,7 @@ from nlse4 import hydro
 from nlse4.checks import check_hydro_scaling_invariance
 from nlse4.diagnostics import energy
 from nlse4.evolution import nonlinear_multiplier
-from nlse4.hydro import MaskOverflowError, fourth_order_composites, hydro_decompose
+from nlse4.hydro import MaskOverflowError, fourth_order_composites, hydro_decompose, noise_gate
 from nlse4.spectral import spectral_derivative
 
 from helpers import derived, perturbed_gaussian, perturbed_plane_wave
@@ -127,7 +127,7 @@ class TestLazyRatioFields:
     @pytest.mark.parametrize("state", ["masked_gaussian", "nodeless_random"])
     def test_me_multiplier_builds_none_of_them(self, state):
         hv = _masked_and_nodeless_views()[state]
-        nonlinear_multiplier(hv.grid, hv.psi, q.MEParams(0.1, 0.05, 0.02), hv=hv)
+        nonlinear_multiplier(hv, q.MEParams(0.1, 0.05, 0.02))
         assert not set(RATIO_FIELDS) & set(vars(hv))
 
     def test_energy_reuses_the_multiplier_composites(self, monkeypatch):
@@ -186,8 +186,8 @@ class TestFourthOrderComposites:
         # to the spectral resolution of the ratio fields
         grid = q.make_grid(1, 256, 2 * np.pi)
         psi = perturbed_plane_wave(grid, seed=9, cutoff=5, amplitude=0.25)
-        hv = hydro_decompose(grid, psi)
-        fo = fourth_order_composites(hv, gate_factor=0.0)
+        hv = hydro_decompose(grid, psi, gate_factor=0.0)
+        fo = fourth_order_composites(hv)
         assert np.abs(fo.u - (fo.t1 + fo.t6)).max() <= 1e-8 * max(1.0, np.abs(fo.u).max())
 
     def test_gate_zeroes_noise_but_keeps_signal(self):
@@ -201,33 +201,57 @@ class TestFourthOrderComposites:
         foa = fourth_order_composites(hva)
         assert np.abs(foa.div_q).max() > 1e4 * foa.gate  # genuine signal clears the gate
 
+    def test_public_composites_use_the_view_gates(self):
+        """The composites and the noise gate of a view decomposed at other
+        gates are the view's own: no default gate sneaks back in."""
+        grid = q.make_grid(1, 128, 24.0)
+        hv = hydro_decompose(grid, perturbed_gaussian(grid), max_masked_fraction=1.0,
+                             ratio_floor=1e-4, gate_factor=4096.0)
+        fo = hv.fourth_order(keep=False)
+        alone = fourth_order_composites(hv)
+        for name in ("div_q", "u", "t1", "t6", "gate"):
+            assert np.array_equal(getattr(alone, name), getattr(fo, name)), name
+        assert noise_gate(hv) == fo.gate
+
 
 def _public_signatures():
-    """(module, qualified name, parameters) of every public function that a
-    module of the package defines."""
+    """(module, qualified name, parameters) of every public function, and of
+    every public method of a class, that a module of the package defines."""
     for info in pkgutil.iter_modules(q.__path__):
         mod = importlib.import_module(f"nlse4.{info.name}")
-        for name, fn in inspect.getmembers(mod, inspect.isfunction):
-            if not name.startswith("_") and fn.__module__ == mod.__name__:
-                yield mod, f"{mod.__name__}.{name}", inspect.signature(fn).parameters
+        for name, obj in inspect.getmembers(mod):
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield mod, f"{mod.__name__}.{name}", inspect.signature(obj).parameters
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = getattr(member, "__func__", member)  # unwrap class and static methods
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        yield mod, f"{mod.__name__}.{name}.{attr}", inspect.signature(fn).parameters
 
 
 def test_gate_settings_are_named_only_by_hydro():
-    """The noise gate and the ratio floor are decided when a view is built:
-    no public function outside ``nlse4.hydro`` takes either as a keyword."""
-    naming = [f"{name}({key})" for mod, name, params in _public_signatures() if mod is not hydro
-              for key in ("gate_factor", "ratio_floor") if key in params]
-    assert naming == []
+    """The node floor, the noise gate and the ratio floor are decided when a
+    view is built: no public function or method but ``hydro_decompose``
+    takes one as a keyword."""
+    scanned = [name for _, name, _ in _public_signatures()]
+    for method in ("nlse4.hydro.HydroView.fourth_order", "nlse4.coeffs.MEParams.expand",
+                   "nlse4.coeffs.CoeffSet.is_divergence_family", "nlse4.bands.PhaseMode.from_params"):
+        assert method in scanned
+    naming = [f"{name}({key})" for _, name, params in _public_signatures()
+              for key in ("eps_rho", "gate_factor", "ratio_floor") if key in params]
+    assert naming == [f"nlse4.hydro.hydro_decompose({key})" for key in ("eps_rho", "gate_factor", "ratio_floor")]
 
 
 def test_sample_side_keyword_budget():
-    """What is derived from one state travels in its record: only the
-    multiplier takes an optional view ``hv``, and no public function takes
-    a derived field (multiplier, current divergence, spectrum of a real
-    field) as a keyword."""
+    """What is derived from one state travels in its record: no public
+    function takes an optional view ``hv``, and none takes a derived field
+    (multiplier, current divergence, spectrum of a real field) as a
+    keyword."""
     optional_hv = [name for _, name, params in _public_signatures()
                    if "hv" in params and params["hv"].default is not inspect.Parameter.empty]
-    assert optional_hv == ["nlse4.evolution.nonlinear_multiplier"]
+    assert optional_hv == []
     derived_fields = ("mult", "div_j", "prev_div_j", "div_before", "div_after", "field_hat")
     naming = [f"{name}({key})" for _, name, params in _public_signatures()
               for key in derived_fields if key in params]

@@ -356,6 +356,8 @@ STATIONARY_BANDS_CONFIG = {
 @pytest.mark.parametrize("command, config, path, value", [
     ("bands", STATIONARY_BANDS_CONFIG, ("bands", "samples"), "many"),
     ("bands", STATIONARY_BANDS_CONFIG, ("bands", "D1"), -1),
+    ("bands", STATIONARY_BANDS_CONFIG, ("bands", "a_min"), 10.0),
+    ("bands", STATIONARY_BANDS_CONFIG, ("bands", "a_min"), float("nan")),
     ("evolve", {**EVOLVE_CONFIG, "potential": {"kind": "harmonic"}}, ("potential", "omega"), "stiff"),
     ("ehrenfest", _ehrenfest_config(1, 64), ("ehrenfest", "tolerance_scale"), "x"),
     ("separability", SEPARABILITY_CONFIG, ("separability", "tolerance"), "tight"),
@@ -366,8 +368,8 @@ STATIONARY_BANDS_CONFIG = {
     ("separability", SEPARABILITY_CONFIG, ("evolution", "dt"), -1),
     ("separability", SEPARABILITY_CONFIG, ("evolution", "dt"), 3e-3),
     ("separability", SEPARABILITY_CONFIG, ("evolution", "stride"), 0),
-], ids=["bands-samples", "bands-D1", "potential-omega", "ehrenfest-tolerance_scale",
-        "separability-tolerance", "separability-dt", "report_norm_tol", "evolution-dt-not-dividing",
+], ids=["bands-samples", "bands-D1", "bands-a-reversed", "bands-a-nan", "potential-omega",
+        "ehrenfest-tolerance_scale", "separability-tolerance", "separability-dt", "report_norm_tol", "evolution-dt-not-dividing",
         "separability-n-above-cap", "separability-dt-negative", "separability-dt-not-dividing",
         "separability-stride-zero"])
 def test_malformed_value_exits_2(tmp_path, capsys, command, config, path, value):

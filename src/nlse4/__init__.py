@@ -75,8 +75,6 @@ from .diagnostics import (
     ehrenfest_consistency,
     ehrenfest_corrections,
     energy,
-    expectation_p,
-    expectation_x,
     gauge_form_residual,
     observables_sample,
     separability_test,

@@ -16,11 +16,13 @@ nonlinear parts.  They are read off the multiplier the evolution applies
 end-to-end: time derivatives come from centered differences over stored
 snapshots, never from analytic identities.
 
-The sample-side functions take the record of a state
-(:class:`nlse4.evolution.State`, built by :func:`nlse4.evolution.derive`):
-its view fixes the low-density gates (node floor, noise gate, ratio floor),
-so every quantity of one sample reads the same gates, and its multiplier
-and current divergence are built once however many quantities read them.
+Every sample-side function (:func:`energy`, :func:`ehrenfest_corrections`,
+:func:`observables_sample`) takes the record of a state
+(:class:`nlse4.evolution.State`, built by :func:`nlse4.evolution.derive`),
+never a bare psi: its view fixes the low-density gates (node floor, noise
+gate, ratio floor), so every quantity of one sample reads the same gates,
+and its current numerator, multiplier and current divergence are built once
+however many quantities read them.
 
 :func:`gauge_form_residual` compares the three-parameter variant's canonical
 Hamiltonian form against its vector-potential form on one state.
@@ -64,19 +66,6 @@ class ObservablesSample:
             raise ValueError("norm must be positive")
 
 
-def expectation_x(grid: Grid, psi: np.ndarray) -> tuple:
-    """<x> per axis on centered coordinates."""
-    rho = np.abs(psi) ** 2
-    return tuple(float(grid.integrate(x * rho)) for x in grid.coords())
-
-
-def expectation_p(grid: Grid, psi: np.ndarray, constants: PhysicalConstants = NATURAL_UNITS) -> tuple:
-    """<p> per axis, hbar * integral of Im(conj(psi) grad psi)."""
-    dpsi = gradient(grid, psi)
-    conj = psi.conj()
-    return tuple(float(constants.hbar * grid.integrate((conj * d).imag)) for d in dpsi)
-
-
 def energy(state: State, potential: Potential | None) -> tuple:
     """(E_L, E_ME) of one state, at the gates of its view.  The fourth-order
     correction vanishes identically for quadratic phases and whenever
@@ -84,7 +73,7 @@ def energy(state: State, potential: Potential | None) -> tuple:
     hv, grid, coeffs = state.hv, state.grid, state.coeffs
     hbar, m = state.constants.hbar, state.constants.mass
     grad_r_sq = 0.25 * hv.ratio(sum(d * d for d in hv.grad_rho))
-    rho_grad_s_sq = hv.ratio(sum(ga * ga for ga in hv.g))
+    rho_grad_s_sq = hv.ratio(sum(ga * ga for ga in state.hv.g))
     dens = (hbar**2 / (2.0 * m)) * (grad_r_sq + rho_grad_s_sq)
     if potential is not None:
         dens = dens + potential.values * hv.rho
@@ -134,17 +123,19 @@ def ehrenfest_corrections(state: State, enforce_tails: bool = True) -> tuple:
 def observables_sample(state: State, t: float, potential: Potential | None, prev=None) -> ObservablesSample:
     """Assemble the observables of one state's record at time ``t``; ``prev``
     is the previous snapshot as a pair (t, record), used for the
-    finite-difference continuity residual.  Energy, Ehrenfest corrections
-    and residual read the records, so no snapshot is decomposed here.
+    finite-difference continuity residual.  <p> is hbar times the integral
+    of the view's current numerator g; it, the energy, the Ehrenfest
+    corrections and the residual read the records, so no snapshot is
+    decomposed here and psi is not transformed again.
     """
-    grid, psi = state.grid, state.psi
-    norm = float(grid.integrate(np.abs(psi) ** 2))
+    grid = state.grid
+    rho = np.abs(state.psi) ** 2
+    norm = float(grid.integrate(rho))
     e_l, e_me = energy(state, potential)
-    x_mean = expectation_x(grid, psi)
-    p_mean = expectation_p(grid, psi, state.constants)
+    x_mean = tuple(float(grid.integrate(x * rho)) for x in grid.coords())
+    p_mean = tuple(float(state.constants.hbar * grid.integrate(ga)) for ga in state.hv.g)
     i1, i2 = ehrenfest_corrections(state, enforce_tails=False)
     if potential is not None:
-        rho = np.abs(psi) ** 2
         gv = tuple(float(grid.integrate(g * rho)) for g in potential.grad)
     else:
         gv = (0.0,) * grid.dims

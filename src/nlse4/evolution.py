@@ -138,6 +138,16 @@ class EvolutionConfig:
             raise ValueError("t_end must be positive")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
+        if not (self.norm_tol > 0.0 and np.isfinite(self.norm_tol)):
+            raise ValueError("norm_tol must be positive and finite")
+        if not 0.0 < self.filter_fraction <= 1.0:
+            raise ValueError("filter_fraction must be in (0, 1]")
+        if not 0.0 <= self.mask_limit <= 1.0:
+            raise ValueError("mask_limit must be in [0, 1]")
+        for name in ("eps_rho", "gate_factor", "ratio_floor"):
+            value = getattr(self, name)
+            if not (value >= 0.0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be non-negative and finite")
 
     def n_steps(self) -> int:
         n = round(self.t_end / self.dt)
@@ -316,7 +326,9 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     nonlinear = not is_linear(coeffs)
     psi = np.ascontiguousarray(psi0, dtype=complex)
     vol = grid.cell_volume
-    norm0 = float((np.abs(psi) ** 2).sum() * vol)
+
+    def norm_of(p):
+        return float((p.real**2 + p.imag**2).sum() * vol)
 
     symbol = -1j * hbar * grid.k_squared() / (2.0 * m)
     e_half = np.exp(symbol * (config.dt / 2.0))
@@ -359,6 +371,8 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     # initial state passes through the band-limit filter once
     psi = _inverse(grid, filt * _forward(psi, False), False)
     psi_hat = _forward(psi, False)
+    # the norm guard's reference is the filtered state the steps conserve
+    norm0 = norm_of(psi)
     state = stage_state(psi, psi_hat)
 
     # Step-size guard.  The k_max^4 nonlinear rate only binds when the
@@ -394,7 +408,7 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
         psi = _inverse(grid, new_hat, False)
         t = step * dt
 
-        norm = float((psi.real**2 + psi.imag**2).sum() * vol)
+        norm = norm_of(psi)
         if not np.isfinite(norm):
             raise EvolutionAbort("non-finite samples", t - dt, traj)
         if abs(norm - norm0) > config.norm_tol * max(norm0, 1.0):

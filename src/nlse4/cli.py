@@ -194,13 +194,16 @@ def _summary_skeleton(command: str, config: dict) -> dict:
     }
 
 
-def _finish(out_dir: Path, summary: dict, quiet: bool) -> int:
-    failed = [c for c in summary["checks"] if not c["pass"]]
+def _finish(out_dir: Path, summary: dict, results: list, quiet: bool) -> int:
+    """Write the summary with its check rows, each a CheckResult; returns
+    exit code 0 if all passed, else 1."""
+    failed = [r for r in results if not r.passed]
+    summary["checks"] = [r.as_dict() for r in results]
     summary["all_passed"] = not failed
     write_summary(out_dir / "summary.json", summary)
     if not quiet:
-        for c in summary["checks"]:
-            print(f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}: {fmt(c['measured'])} (tol {fmt(c['tolerance'])})")
+        for r in results:
+            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {fmt(r.measured)} (tol {fmt(r.tolerance)})")
         print(f"summary written to {out_dir / 'summary.json'}")
     return 0 if not failed else 1
 
@@ -247,16 +250,15 @@ def cmd_evolve(config: dict, out_dir: Path, seed, quiet: bool) -> int:
 
     norms = [s.norm for s in traj.observables]
     drift = max(abs(n - norms[0]) for n in norms)
-    tol = top.get("report_norm_tol", 1e-8)
-    summary["checks"].append({"name": "norm_drift", "measured": drift, "tolerance": tol,
-                              "pass": drift <= tol, "note": f"{len(traj.ts)} snapshots"})
+    row = checks_mod.CheckResult.of("norm_drift", drift, top.get("report_norm_tol", 1e-8),
+                                    note=f"{len(traj.ts)} snapshots")
     summary["results"] = {
         "t_end": traj.ts[-1],
         "final_norm": norms[-1],
         "final_e_l": traj.observables[-1].e_l,
         "final_e_me": traj.observables[-1].e_me,
     }
-    return _finish(out_dir, summary, quiet)
+    return _finish(out_dir, summary, [row], quiet)
 
 
 def cmd_check(config: dict, out_dir: Path, seed, quiet: bool) -> int:
@@ -265,10 +267,9 @@ def cmd_check(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     results = checks_mod.run_all(run_seed)
     summary = _summary_skeleton("check", config)
     summary["seed"] = run_seed
-    summary["checks"] = [r.as_dict() for r in results]
     rows = [[i, r.measured, r.tolerance, 1.0 if r.passed else 0.0] for i, r in enumerate(results)]
     write_csv(out_dir / "checks.csv", ["index", "measured", "tolerance", "pass"], rows)
-    return _finish(out_dir, summary, quiet)
+    return _finish(out_dir, summary, results, quiet)
 
 
 #: ``bands`` keys: the sweep, then either ``mathieu_q`` or the stationary reduction.
@@ -311,16 +312,12 @@ def cmd_bands(config: dict, out_dir: Path, seed, quiet: bool) -> int:
         "period": hill.period,
         "q0": hill.q0,
     }
-    det_dev = max(abs(r.det_m - 1.0) for r in results)
-    summary["checks"].append({"name": "monodromy_det", "measured": det_dev, "tolerance": 1e-10,
-                              "pass": det_dev <= 1e-10, "note": f"{samples} samples"})
-    return _finish(out_dir, summary, quiet)
+    return _finish(out_dir, summary, [checks_mod.monodromy_det(results, note=f"{samples} samples")], quiet)
 
 
 def cmd_ehrenfest(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     top = _read_section(config, "config", {**_RUN_SECTIONS, "ehrenfest": _raw}, _RUN_REQUIRED)
-    section = _read_section(top.get("ehrenfest", {}), "ehrenfest",
-                            {"tolerance_scale": float, "control": bool})
+    section = _read_section(top.get("ehrenfest", {}), "ehrenfest", {"tolerance_scale": float})
     grid, traj, summary = _evolve_run("ehrenfest", config, out_dir, seed, quiet)
     if traj is None:
         return 3
@@ -331,19 +328,8 @@ def cmd_ehrenfest(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     header = ["t"] + axis_columns(("r1", "r2", "I1", "I2", "p_mean"), grid.dims)
     write_csv(out_dir / "ehrenfest.csv", header, rows)
 
-    scale = max(1.0, float(np.abs(report.p_mean).max()))
-    tol = section.get("tolerance_scale", 1e-4) * scale
-    summary["checks"].append({"name": "ehrenfest_r1", "measured": report.max_r1, "tolerance": tol,
-                              "pass": report.max_r1 <= tol, "note": "m d<x>/dt - <p> - I1"})
-    if section.get("control", True):
-        control = ehrenfest_consistency(traj, include_i1=False)
-        ratio = control.max_r1 / max(report.max_r1, 1e-300)
-        summary["checks"].append({"name": "ehrenfest_i1_needed", "measured": ratio, "tolerance": 10.0,
-                                  "pass": ratio >= 10.0,
-                                  "note": "residual growth when I1 is zeroed"})
-    summary["results"] = {"max_r1": report.max_r1, "max_r2": report.max_r2,
-                          "max_abs_i1": float(np.abs(report.i1).max())}
-    return _finish(out_dir, summary, quiet)
+    summary["results"] = {"max_r1": report.max_r1, "max_r2": report.max_r2, "max_abs_i1": report.max_abs_i1}
+    return _finish(out_dir, summary, checks_mod.ehrenfest_checks(report, **section), quiet)
 
 
 def cmd_separability(config: dict, out_dir: Path, seed, quiet: bool) -> int:
@@ -378,12 +364,10 @@ def cmd_separability(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     except EvolutionAbort as abort:
         return _abort(out_dir, summary, abort, quiet)
 
-    tol = section.get("tolerance", 1e-6)
-    summary["checks"].append({"name": "separability_deviation", "measured": deviation,
-                              "tolerance": tol, "pass": deviation <= tol,
-                              "note": "max |psi_2D - psi_1 x psi_2| over sampled times"})
     summary["results"] = {"deviation": deviation}
-    return _finish(out_dir, summary, quiet)
+    row = checks_mod.CheckResult.of("separability_deviation", deviation, section.get("tolerance", 1e-6),
+                                    note="max |psi_2D - psi_1 x psi_2| over sampled times")
+    return _finish(out_dir, summary, [row], quiet)
 
 
 COMMANDS = {

@@ -156,7 +156,8 @@ class EhrenfestReport:
     the interior snapshot times."""
 
     ts: np.ndarray
-    r1: np.ndarray  # shape (n_interior, dims)
+    r1_uncorrected: np.ndarray  # m d<x>/dt - <p>, shape (n_interior, dims)
+    r1: np.ndarray
     r2: np.ndarray
     i1: np.ndarray
     i2: np.ndarray
@@ -170,11 +171,15 @@ class EhrenfestReport:
     def max_r2(self) -> float:
         return float(np.abs(self.r2).max())
 
+    @property
+    def max_abs_i1(self) -> float:
+        return float(np.abs(self.i1).max())
 
-def ehrenfest_consistency(trajectory, include_i1: bool = True) -> EhrenfestReport:
+
+def ehrenfest_consistency(trajectory) -> EhrenfestReport:
     """Residuals r1 = m d<x>/dt - <p> - I1 and r2 = d<p>/dt + <grad V> - I2
-    from a trajectory's sampled observables.  ``include_i1=False`` zeroes
-    the correction, the negative control showing it is needed."""
+    from a trajectory's sampled observables, plus r1 without its correction
+    (the negative control showing I1 is needed)."""
     samples = trajectory.observables
     if len(samples) < 3:
         raise ValueError("need at least 3 sampled snapshots for centered differences")
@@ -191,9 +196,11 @@ def ehrenfest_consistency(trajectory, include_i1: bool = True) -> EhrenfestRepor
     dx_dt = (xs[2:] - xs[:-2]) / (2.0 * h)
     dp_dt = (ps[2:] - ps[:-2]) / (2.0 * h)
     mid = slice(1, -1)
-    r1 = m * dx_dt - ps[mid] - (i1[mid] if include_i1 else 0.0)
+    r1_uncorrected = m * dx_dt - ps[mid]
+    r1 = r1_uncorrected - i1[mid]
     r2 = dp_dt + gv[mid] - i2[mid]
-    return EhrenfestReport(ts=ts[mid], r1=r1, r2=r2, i1=i1[mid], i2=i2[mid], p_mean=ps[mid])
+    return EhrenfestReport(ts=ts[mid], r1_uncorrected=r1_uncorrected, r1=r1, r2=r2,
+                           i1=i1[mid], i2=i2[mid], p_mean=ps[mid])
 
 
 #: Density floor of the joint 2D run in :func:`separability_test`.

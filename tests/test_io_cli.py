@@ -190,17 +190,35 @@ def _ehrenfest_config(dims, n):
         "state": {"kind": "gaussian_packet", "params": {"t0": 0.64}},
         "coeffs": {"preset": "me", "params": {"D1": 0.1, "b1": 0.05, "b6": 0.02}},
         "evolution": {"dt": 1e-4, "t_end": 30e-4, "stride": 1, "ratio_floor": 1e-5},
-        "ehrenfest": {"control": False},
     }
+
+
+#: A displaced coherent state in the harmonic potential, linear equation (I1 = 0).
+HARMONIC_EHRENFEST_CONFIG = {
+    "version": 1,
+    "grid": {"dims": 1, "n": 128, "length": 18.0},
+    "state": {"kind": "coherent", "params": {"omega": 1.0, "x0": 1.0}},
+    "coeffs": {"preset": "linear"},
+    "potential": {"kind": "harmonic", "omega": 1.0},
+    "evolution": {"dt": 1e-3, "t_end": 1.0, "stride": 10},
+}
+
+
+def _check_rows(out):
+    """name -> pass of the check rows in ``out``'s summary."""
+    return {c["name"]: c["pass"] for c in json.loads((out / "summary.json").read_text())["checks"]}
 
 
 class TestEhrenfestCommand:
     def test_report(self, tmp_path):
+        """Both relations are gated; I1 stays under the tolerance here, so
+        the control row, which would fail on this correct run, is absent."""
         cfg = _write_config(tmp_path, "ehr.json", _ehrenfest_config(1, 64))
         out = tmp_path / "ehr_out"
         assert main(["ehrenfest", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         header = (out / "ehrenfest.csv").read_text().splitlines()[0]
         assert header == "t,r1,r2,I1,I2,p_mean"
+        assert _check_rows(out) == {"ehrenfest_r1": True, "ehrenfest_r2": True}
 
     def test_report_2d_per_axis_columns(self, tmp_path):
         cfg = _write_config(tmp_path, "ehr2d.json", _ehrenfest_config(2, 32))
@@ -209,7 +227,7 @@ class TestEhrenfestCommand:
         lines = (out / "ehrenfest.csv").read_text().splitlines()
         assert lines[0] == "t,r1_x,r1_y,r2_x,r2_y,I1_x,I1_y,I2_x,I2_y,p_mean_x,p_mean_y"
         assert all(len(line.split(",")) == 11 for line in lines[1:])
-
+        assert _check_rows(out) == {"ehrenfest_r1": True, "ehrenfest_r2": True}
 
     def test_snapshots_key_rejected(self, tmp_path, capsys):
         """ehrenfest writes no field snapshots, so it refuses the key."""
@@ -225,15 +243,7 @@ class TestEhrenfestCommand:
         """A displaced coherent state in the harmonic potential: <p> swings
         under the force, and r2 = d<p>/dt + <grad V> - I2 stays at the
         centered-difference level only if the <grad V> term is right."""
-        cfg = _write_config(tmp_path, "ehr_harmonic.json", {
-            "version": 1,
-            "grid": {"dims": 1, "n": 128, "length": 18.0},
-            "state": {"kind": "coherent", "params": {"omega": 1.0, "x0": 1.0}},
-            "coeffs": {"preset": "linear"},
-            "potential": {"kind": "harmonic", "omega": 1.0},
-            "evolution": {"dt": 1e-3, "t_end": 1.0, "stride": 10},
-            "ehrenfest": {"control": False},
-        })
+        cfg = _write_config(tmp_path, "ehr_harmonic.json", HARMONIC_EHRENFEST_CONFIG)
         out = tmp_path / "ehr_harmonic_out"
         assert main(["ehrenfest", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         results = json.loads((out / "summary.json").read_text())["results"]
@@ -241,6 +251,16 @@ class TestEhrenfestCommand:
         assert results["max_r2"] <= 1e-4
         lines = (out / "ehrenfest.csv").read_text().splitlines()[1:]
         assert max(abs(float(line.split(",")[-1])) for line in lines) > 0.5  # p_mean
+        assert _check_rows(out) == {"ehrenfest_r1": True, "ehrenfest_r2": True}
+
+    def test_momentum_relation_gated(self, tmp_path):
+        """A tolerance between max r1 (1.39e-5) and max r2 (1.67e-5) fails
+        the run on the second relation alone."""
+        cfg_data = {**HARMONIC_EHRENFEST_CONFIG, "ehrenfest": {"tolerance_scale": 1.5e-5}}
+        cfg = _write_config(tmp_path, "ehr_tight.json", cfg_data)
+        out = tmp_path / "ehr_tight_out"
+        assert main(["ehrenfest", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert _check_rows(out) == {"ehrenfest_r1": True, "ehrenfest_r2": False}
 
     @pytest.mark.parametrize("quiet", [False, True])
     def test_abort_reported(self, tmp_path, capsys, quiet):
@@ -381,6 +401,7 @@ STATIONARY_BANDS_CONFIG = {
     ("bands", STATIONARY_BANDS_CONFIG, ("bands", "a_min"), float("nan")),
     ("evolve", {**EVOLVE_CONFIG, "potential": {"kind": "harmonic"}}, ("potential", "omega"), "stiff"),
     ("ehrenfest", _ehrenfest_config(1, 64), ("ehrenfest", "tolerance_scale"), "x"),
+    ("ehrenfest", _ehrenfest_config(1, 64), ("ehrenfest", "control"), False),
     ("separability", SEPARABILITY_CONFIG, ("separability", "tolerance"), "tight"),
     ("separability", SEPARABILITY_CONFIG, ("evolution", "dt"), "tiny"),
     ("evolve", EVOLVE_CONFIG, ("report_norm_tol",), "loose"),
@@ -396,25 +417,44 @@ STATIONARY_BANDS_CONFIG = {
     ("evolve", EVOLVE_CONFIG, ("evolution", "gate_factor"), -16384.0),
     ("evolve", EVOLVE_CONFIG, ("evolution", "ratio_floor"), -1e-8),
 ], ids=["bands-samples", "bands-D1", "bands-a-reversed", "bands-a-nan", "potential-omega",
-        "ehrenfest-tolerance_scale", "separability-tolerance", "separability-dt", "report_norm_tol", "evolution-dt-not-dividing",
+        "ehrenfest-tolerance_scale", "ehrenfest-control", "separability-tolerance", "separability-dt",
+        "report_norm_tol", "evolution-dt-not-dividing",
         "separability-n-above-cap", "separability-dt-negative", "separability-dt-not-dividing",
         "separability-stride-zero", "evolution-norm_tol-nan", "evolution-filter_fraction-negative",
         "evolution-mask_limit-negative", "evolution-eps_rho-negative", "evolution-gate_factor-negative",
         "evolution-ratio_floor-negative"])
 def test_malformed_value_exits_2(tmp_path, capsys, command, config, path, value):
-    """A value that does not convert, or that its constructor rejects, is a
-    configuration error reported before any run, not a traceback."""
+    """A key the section does not know, a value that does not convert, or
+    one that its constructor rejects is a configuration error reported
+    before any run, not a traceback."""
     cfg_data = json.loads(json.dumps(config))
     *sections, key = path
     table = cfg_data
     for name in sections:
-        table = table[name]
+        table = table.setdefault(name, {})
     table[key] = value
     cfg = _write_config(tmp_path, "bad.json", cfg_data)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("evolve", EVOLVE_CONFIG),
+    ("bands", STATIONARY_BANDS_CONFIG),
+    ("check", {"version": 1, "seed": 0}),
+    ("ehrenfest", _ehrenfest_config(1, 64)),
+    ("separability", SEPARABILITY_CONFIG),
+], ids=["evolve", "bands", "check", "ehrenfest", "separability"])
+def test_summary_rows_are_check_results(tmp_path, command, config):
+    """Every command writes its check rows in the one CheckResult format."""
+    cfg = _write_config(tmp_path, "run.json", config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    rows = json.loads((out / "summary.json").read_text())["checks"]
+    keys = set(checks.CheckResult("row", 0.0, 0.0, True).as_dict())
+    assert rows and all(set(row) == keys for row in rows)
 
 
 def test_dg_linearizable_preset_uses_configured_constants(tmp_path):

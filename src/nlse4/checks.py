@@ -13,10 +13,12 @@ desk-scale runtimes; heavier runs (long evolutions, 2D separability, the
 Ehrenfest window) stay in the acceptance suite.
 
 Every row a command reports is a :class:`CheckResult`.  The rows of results
-a command computes itself (``monodromy_det`` over a band chart, the
-Ehrenfest rows over a report) are defined here once, by
-:func:`monodromy_det` and :func:`ehrenfest_checks`, and the command and the
-acceptance suite both call them.
+a command computes itself (the norm drift of a run, ``monodromy_det`` over a
+band chart, the Ehrenfest rows over a report, the separability deviation)
+are defined here once, with their default tolerances, by :func:`norm_drift`,
+:func:`monodromy_det`, :func:`ehrenfest_checks` and
+:func:`separability_deviation`, and the command and the acceptance suite
+both call them.
 """
 
 from __future__ import annotations
@@ -337,6 +339,19 @@ def monodromy_det(floquet_results, note="") -> CheckResult:
     matrix of a Hill equation is unimodular."""
     dev = max(abs(r.det_m - 1.0) for r in floquet_results)
     return CheckResult.of("monodromy_det", dev, 1e-10, note=note)
+
+
+def norm_drift(norms, tolerance=1e-8, note="") -> CheckResult:
+    """max |N(t) - N(0)| over a run's sampled norms, the ``nlse4 evolve`` row."""
+    drift = max(abs(n - norms[0]) for n in norms)
+    return CheckResult.of("norm_drift", drift, tolerance, note=note)
+
+
+def separability_deviation(deviation, tolerance=1e-6) -> CheckResult:
+    """The deviation of a :func:`~nlse4.diagnostics.separability_test` run,
+    the ``nlse4 separability`` row."""
+    return CheckResult.of("separability_deviation", deviation, tolerance,
+                          note="max |psi_2D - psi_1 x psi_2| over sampled times")
 
 
 def check_monodromy_det():

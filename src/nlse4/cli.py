@@ -249,9 +249,8 @@ def cmd_evolve(config: dict, out_dir: Path, seed, quiet: bool) -> int:
             write_field_snapshot(snap_dir / f"snapshot_{i:06d}.fld", grid, field)
 
     norms = [s.norm for s in traj.observables]
-    drift = max(abs(n - norms[0]) for n in norms)
-    row = checks_mod.CheckResult.of("norm_drift", drift, top.get("report_norm_tol", 1e-8),
-                                    note=f"{len(traj.ts)} snapshots")
+    tol = {"tolerance": top["report_norm_tol"]} if "report_norm_tol" in top else {}
+    row = checks_mod.norm_drift(norms, note=f"{len(traj.ts)} snapshots", **tol)
     summary["results"] = {
         "t_end": traj.ts[-1],
         "final_norm": norms[-1],
@@ -365,9 +364,8 @@ def cmd_separability(config: dict, out_dir: Path, seed, quiet: bool) -> int:
         return _abort(out_dir, summary, abort, quiet)
 
     summary["results"] = {"deviation": deviation}
-    row = checks_mod.CheckResult.of("separability_deviation", deviation, section.get("tolerance", 1e-6),
-                                    note="max |psi_2D - psi_1 x psi_2| over sampled times")
-    return _finish(out_dir, summary, [row], quiet)
+    tol = {"tolerance": section["tolerance"]} if "tolerance" in section else {}
+    return _finish(out_dir, summary, [checks_mod.separability_deviation(deviation, **tol)], quiet)
 
 
 COMMANDS = {

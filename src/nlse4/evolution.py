@@ -35,8 +35,9 @@ divergence), and each stage reuses:
 * stage a: the step's record, built when the state was made (the initial
   state's before the step-size guard, which reads the same multiplier),
   and its spectrum fftn(psi);
-* stages b, c and d: the spectrum each is synthesized from (the argument of
-  its ifftn), so their views cost no forward transform;
+* stages b, c and d: the spectrum each is synthesized from, so their views
+  cost no forward transform; in a nonlinear run the view is decomposed from
+  that spectrum alone, and psi and its gradient come from one inverse;
 * the observables sample of a state: that state's record, and the stored
   snapshot and current divergence of the previous sample's record, carried
   forward for the continuity residual.
@@ -45,8 +46,11 @@ A stage builds what its multiplier reads and no more: the view's ratio
 fields are derived on first read (the generic engine reads them, the
 three-parameter engine does not), and the three-parameter composites are
 built once per view, so a sample's energy reuses the multiplier's.  All
-transforms, the nine of each step included, go through the spectral
-helpers, which call the one-axis transforms directly on 1D fields.
+transforms go through the spectral helpers, which call the one-axis
+transforms directly on 1D fields.  On a 1D grid the decomposition and the
+composites also transform their fields as stacks, one call per stack, so a
+1D three-parameter step makes 34 transform calls instead of 49; a 2D grid
+keeps one call per field.
 
 The config's low-density gates (``eps_rho``, ``gate_factor``,
 ``ratio_floor``) are handed once per state to
@@ -344,13 +348,22 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
                                       ratio_floor=config.ratio_floor), coeffs, config.constants)
 
     def stage_state(p, p_hat):
-        """The record of a stage input, under the mask guard; a linear run
-        derives none."""
+        """The record of a state that stage a reads, under the mask guard;
+        a linear run derives none."""
         return state_of(p, p_hat, config.mask_limit) if nonlinear else None
 
     def N(p, state):
         out = _explicit_rhs(p, pot_vals, None if state is None else state.mult, hbar)
         return np.zeros_like(p) if out is None else out
+
+    def stage_rhs(p_hat):
+        """Spectrum of the explicit part at the stage input synthesized as
+        ``p_hat``: a nonlinear run decomposes the spectrum alone, a linear
+        run inverts it.  The input's record is freed on return."""
+        if not nonlinear:
+            return _forward(N(_inverse(grid, p_hat, False), None), False)
+        st = state_of(None, p_hat, config.mask_limit)
+        return _forward(N(st.psi, st), False)
 
     traj = Trajectory(grid=grid, config=config)
     prev = None
@@ -392,15 +405,9 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     for step in range(1, n_steps + 1):
         # stages b, c and d are decomposed from the spectra they are made of
         a_hat = _forward(N(psi, state), False)
-        psi2_hat = e_half * (psi_hat + (0.5 * dt) * a_hat)
-        psi2 = _inverse(grid, psi2_hat, False)
-        b_hat = _forward(N(psi2, stage_state(psi2, psi2_hat)), False)
-        psi3_hat = e_half * psi_hat + (0.5 * dt) * b_hat
-        psi3 = _inverse(grid, psi3_hat, False)
-        c_hat = _forward(N(psi3, stage_state(psi3, psi3_hat)), False)
-        psi4_hat = e_full * psi_hat + dt * e_half * c_hat
-        psi4 = _inverse(grid, psi4_hat, False)
-        d_hat = _forward(N(psi4, stage_state(psi4, psi4_hat)), False)
+        b_hat = stage_rhs(e_half * (psi_hat + (0.5 * dt) * a_hat))
+        c_hat = stage_rhs(e_half * psi_hat + (0.5 * dt) * b_hat)
+        d_hat = stage_rhs(e_full * psi_hat + dt * e_half * c_hat)
         new_hat = filt * (
             e_full * psi_hat
             + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)

@@ -42,6 +42,11 @@ def eval_functional(x, variant: str, hv: HydroView) -> np.ndarray:
     a half costs at most one Laplacian and two gradients, and a group whose
     coefficients are all zero costs no transform.
     """
+    return _evaluate(x, variant, hv, _inner_scalars(hv))
+
+
+def _evaluate(x, variant: str, hv: HydroView, inner: list) -> np.ndarray:
+    """:func:`eval_functional`, given the view's inner scalars ``inner``."""
     x = tuple(float(v) for v in x)
     want = VARIANT_LENGTHS.get(variant)
     if want is None:
@@ -50,7 +55,6 @@ def eval_functional(x, variant: str, hv: HydroView) -> np.ndarray:
         raise CoeffError(f"variant {variant!r} needs {want} coefficients, got {len(x)}")
 
     grid = hv.grid
-    inner = _inner_scalars(hv)
     out = np.zeros(grid.shape)
 
     if variant == "dg":
@@ -83,9 +87,11 @@ def _weighted_sum(weights, fields):
 
 def functional_pair(coeffs: CoeffSet, hv: HydroView) -> tuple:
     """(F_a, F_b) fields for a full coefficient set, including the optional
-    separability-breaking probe x14 (Lap S)^2 in the Hermitian half."""
-    fa = eval_functional(coeffs.a, coeffs.variant, hv)
-    fb = eval_functional(coeffs.b, coeffs.variant, hv)
+    separability-breaking probe x14 (Lap S)^2 in the Hermitian half.  The
+    inner scalars are built once for both halves."""
+    inner = _inner_scalars(hv)
+    fa = _evaluate(coeffs.a, coeffs.variant, hv, inner)
+    fb = _evaluate(coeffs.b, coeffs.variant, hv, inner)
     if coeffs.x14 != 0.0:
         fb = fb + forbidden_term(hv, coeffs.x14)
     return fa, fb

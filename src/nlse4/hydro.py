@@ -40,7 +40,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, _forward, _gradient, divergence, gradient, gradient_and_laplacian, laplacian
+from .spectral import (
+    Grid,
+    _forward,
+    _forward_stack,
+    _gradient,
+    _ik,
+    _inverse_and_gradient,
+    _inverse_stack,
+    _laplacian_symbol,
+    _stack,
+    divergence,
+    gradient,
+)
 
 #: Default relative density floor: points with rho < eps * max(rho) are masked.
 DEFAULT_EPS_RHO = 1e-12
@@ -156,7 +168,7 @@ class HydroView:
 
 def hydro_decompose(
     grid: Grid,
-    psi: np.ndarray,
+    psi: np.ndarray | None,
     eps_rho: float = DEFAULT_EPS_RHO,
     max_masked_fraction: float = 0.25,
     psi_hat: np.ndarray | None = None,
@@ -172,19 +184,37 @@ def hydro_decompose(
     :class:`MaskOverflowError` if more than ``max_masked_fraction`` of the
     grid is below the floor.
     ``psi_hat``, if given, is the spectrum ``fftn(psi)`` (or the spectrum psi
-    was synthesized from) and replaces the forward transform of psi.
+    was synthesized from) and replaces the forward transform of psi.  With
+    ``psi`` None the state is decomposed from ``psi_hat`` alone: psi and its
+    gradient come from one inverse transform, and the spectrum is validated
+    as psi would be.
     """
-    grid.validate_field(psi)
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("wavefunction contains non-finite samples")
+    if psi is None:
+        if psi_hat is None:
+            raise ValueError("need the wavefunction or its spectrum psi_hat")
+        grid.validate_field(psi_hat)
+        if not np.isfinite(psi_hat).all():
+            raise ValueError("spectrum contains non-finite samples")
+        psi, dpsi = _inverse_and_gradient(grid, psi_hat)
+    else:
+        grid.validate_field(psi)
+        if not np.isfinite(psi).all():
+            raise ValueError("wavefunction contains non-finite samples")
+        psi = np.ascontiguousarray(psi, dtype=complex)
+        dpsi = _gradient(grid, _forward(psi, False) if psi_hat is None else psi_hat, False)
 
-    psi = np.ascontiguousarray(psi, dtype=complex)
-    dpsi = _gradient(grid, _forward(psi, False) if psi_hat is None else psi_hat, False)
-    rho = (psi.real**2 + psi.imag**2)
+    # rho and g share one stack, so each transform of them is one call
+    dims = grid.dims
+    smooth = _stack(grid, 1 + dims)
+    rho = smooth[0]
+    np.add(psi.real**2, psi.imag**2, out=rho)
     conj = psi.conj()
-    g = [(conj * d).imag for d in dpsi]
-    grad_rho = [2.0 * (conj * d).real for d in dpsi]
-    lap_rho = laplacian(grid, rho)
+    grad_rho = []
+    for a, da in enumerate(dpsi):
+        cd = conj * da
+        smooth[1 + a][...] = cd.imag
+        grad_rho.append(2.0 * cd.real)
+    g = list(smooth[1:])
 
     rho_max = float(rho.max())
     mask = rho < eps_rho * rho_max
@@ -192,10 +222,20 @@ def hydro_decompose(
     if frac > max_masked_fraction:
         raise MaskOverflowError(frac, max_masked_fraction)
 
+    # Lap rho and div g, from one forward and one inverse transform of stacks
+    spec = _forward_stack(grid, smooth)
+    out = _stack(grid, 2, half=True)
+    np.multiply(_laplacian_symbol(grid.n, grid.length, dims, True), spec[0], out=out[0])
+    np.multiply(_ik(grid, 0, True), spec[1], out=out[1])
+    for a in range(1, dims):
+        out[1] += _ik(grid, a, True) * spec[1 + a]
+    lap_rho, div_g = _inverse_stack(grid, out)
+
     safe_rho = np.where(mask, 1.0, rho)
     # rho*Lap S = div g - grad_rho . g / rho, all built from smooth fields
-    div_g = divergence(grid, g)
-    dot = sum(dra * ga for dra, ga in zip(grad_rho, g))
+    dot = grad_rho[0] * g[0]
+    for a in range(1, dims):
+        dot += grad_rho[a] * g[a]
     rho_lap_s = div_g - np.where(mask, 0.0, dot / safe_rho)
 
     return HydroView(
@@ -275,24 +315,41 @@ def fourth_order_composites(hv: HydroView) -> FourthOrder:
         div_q = rho [Lap(Lap S) + grad(log rho) . grad(Lap S)]
     """
     grid = hv.grid
+    dims = grid.dims
     P = hv.rho_lap_s
     ratio_P = hv.ratio(P)
-    dP, lap_P = gradient_and_laplacian(grid, P)
+    # grad P and Lap P from one inverse transform of a stack
+    P_hat = _forward(P, True)
+    spec = _stack(grid, dims + 1, half=True)
+    for a in range(dims):
+        np.multiply(_ik(grid, a, True), P_hat, out=spec[a])
+    np.multiply(_laplacian_symbol(grid.n, grid.length, dims, True), P_hat, out=spec[dims])
+    *dP, lap_P = _inverse_stack(grid, spec)
     q = [dPa - ratio_P * dra for dPa, dra in zip(dP, hv.grad_rho)]
-    div_q = divergence(grid, q)
-    r6 = hv.ratio(sum(dra * qa for dra, qa in zip(hv.grad_rho, q)))
-    r1 = lap_P - 2.0 * r6 - ratio_P * hv.lap_rho
+
+    # the numerators of u, t1 and t6
+    nums = _stack(grid, 3)
+    div_q, r1, r6 = nums
+    div_q[...] = divergence(grid, q)
+    dot = hv.grad_rho[0] * q[0]
+    for a in range(1, dims):
+        dot += hv.grad_rho[a] * q[a]
+    r6[...] = hv.ratio(dot)
+    np.subtract(lap_P, 2.0 * r6, out=r1)
+    r1 -= ratio_P * hv.lap_rho
 
     gate = noise_gate(hv)
     dense = ~hv.mask & (hv.rho >= hv.ratio_floor * hv.rho_max)
-    u = _gated_ratio(hv, div_q, gate, dense)
-    t1 = _gated_ratio(hv, r1, gate, dense)
-    t6 = _gated_ratio(hv, r6, gate, dense)
+    if dims == 1:  # one pass over the stack
+        u, t1, t6 = _gated_ratio(hv, nums, gate, dense)
+    else:
+        u, t1, t6 = (_gated_ratio(hv, num, gate, dense) for num in nums)
     return FourthOrder(div_q=div_q, u=u, t1=t1, t6=t6, gate=gate)
 
 
 def _gated_ratio(hv: HydroView, numerator: np.ndarray, gate: float, dense: np.ndarray) -> np.ndarray:
     """numerator / rho where ``dense`` (unmasked, above the ratio floor) and
-    the numerator clears the noise gate, zero elsewhere."""
+    the numerator clears the noise gate, zero elsewhere; ``numerator`` may
+    be a stack of 1D numerators."""
     keep = dense & (np.abs(numerator) > gate)
     return np.where(keep, numerator / hv.safe_rho, 0.0)

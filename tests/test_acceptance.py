@@ -7,8 +7,10 @@ Rows whose invariant ``nlse4 check`` also runs call that registry check and
 assert its result against the tolerance pinned here: criteria 1, 2 and 3,
 the first row of 4, both rows of 8, the first two rows of 9, and both rows
 of 11.  Criterion 10 asserts the rows of ``checks.ehrenfest_checks``, the
-rows ``nlse4 ehrenfest`` reports.  The other rows (4 row 2, 5, 6, 7, 9 rows
-3-4 and 12) run scenarios too heavy for the registry and build them here.
+rows ``nlse4 ehrenfest`` reports, and criterion 7 row 1 the row of
+``checks.separability_deviation``, the row ``nlse4 separability`` reports.
+The other rows (4 row 2, 5, 6, 7 row 2, 9 rows 3-4 and 12) run scenarios too
+heavy for the registry and build them here.
 """
 
 import json
@@ -117,7 +119,8 @@ def test_criterion_07_weak_separability():
     pot2 = q.harmonic_potential(grid, 1.0)
     dev = separability_test(grid, psi1, psi2, None, pot2, ME_PRESET,
                             t_end=0.5, dt=2e-3, stride=50)
-    report(7, "product-state 2D vs tensor deviation at t=0.5 (64^2)", dev, 1e-6)
+    report_check(7, "product-state 2D vs tensor deviation at t=0.5 (64^2)",
+                 checks.separability_deviation(dev), 1e-6)
 
     grid_c = q.make_grid(1, 64, 2 * np.pi)
     f1 = perturbed_plane_wave(grid_c, seed=7, cutoff=5, amplitude=0.3)

@@ -190,6 +190,39 @@ class TestEvolve:
         assert all(b > a for a, b in zip(traj.ts, traj.ts[1:]))
 
 
+#: Transform calls of one IF-RK4 step of the 1D three-parameter engine: four
+#: stage views of 3 and four composites of 4, one forward per stage
+#: right-hand side, the new state's inverse and its forward.  Each stacked
+#: call counts once; per-field transforms made 49.
+ME_1D_TRANSFORMS_PER_STEP = 34
+
+
+def test_me_1d_transform_budget(monkeypatch):
+    """Counts the numpy.fft calls per step of a short 1D ME run, so undoing
+    the stacked transforms of a stage fails here."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    grid = q.make_grid(1, 256, 2 * np.pi)
+    psi0 = perturbed_plane_wave(grid, seed=2)
+    me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+    dt = 0.05 * stability_bound(grid, me)
+
+    def calls_for(steps):
+        calls.clear()
+        evolve(grid, psi0, EvolutionConfig(dt=dt, t_end=steps * dt, coeffs=me, stride=steps,
+                                           observables=False))
+        return len(calls)
+
+    assert calls_for(6) - calls_for(2) == 4 * ME_1D_TRANSFORMS_PER_STEP
+
+
 class TestGalileanBoost:
     def test_identity_at_zero_velocity(self):
         grid = q.make_grid(1, 64, 2 * np.pi)

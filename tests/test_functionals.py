@@ -133,6 +133,19 @@ class TestGroupedExtEvaluation:
             eval_functional(x, "ext", hv)
             assert calls == expected
 
+    def test_pair_builds_inner_scalars_once(self, monkeypatch):
+        """Both halves of functional_pair read one set of inner scalars and
+        give what eval_functional gives for each half."""
+        hv = next(self.views())
+        cs = q.ext_coeffs(a=np.linspace(0.01, 0.13, 13), b=np.linspace(0.02, 0.0, 13))
+        expected = (eval_functional(cs.a, cs.variant, hv), eval_functional(cs.b, cs.variant, hv))
+        calls = []
+        original = functionals._inner_scalars
+        monkeypatch.setattr(functionals, "_inner_scalars", lambda v: calls.append(1) or original(v))
+        for got, want in zip(functionals.functional_pair(cs, hv), expected, strict=True):
+            assert np.array_equal(got, want)
+        assert len(calls) == 1
+
 
 class TestHomogeneity:
     def test_identity_lambda(self):

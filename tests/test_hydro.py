@@ -92,6 +92,39 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             hydro_decompose(grid, psi)
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_from_spectrum_alone_equals_from_psi(self, dims):
+        """A view decomposed from its spectrum alone (the stage inputs of a
+        run) equals the view of the inverse-transformed psi with the same
+        spectrum, field by field and bit for bit."""
+        grid = q.make_grid(dims, 64, 24.0)
+        psi_hat = np.fft.fftn(perturbed_gaussian(grid))
+        hv = hydro_decompose(grid, None, psi_hat=psi_hat, max_masked_fraction=0.95)
+        ref = hydro_decompose(grid, np.fft.ifftn(psi_hat), psi_hat=psi_hat, max_masked_fraction=0.95)
+        assert hv.masked_fraction > 0.0  # the mask is exercised
+        for name in ("psi", "rho", "mask", "lap_rho", "rho_lap_s", "safe_rho"):
+            assert np.array_equal(getattr(hv, name), getattr(ref, name)), name
+        for name in ("g", "grad_rho"):
+            for a, b in zip(getattr(hv, name), getattr(ref, name), strict=True):
+                assert np.array_equal(a, b), name
+        for name in ("rho_max", "masked_fraction", "eps_rho", "gate_factor", "ratio_floor"):
+            assert getattr(hv, name) == getattr(ref, name), name
+        fo, fo_ref = hv.fourth_order(), ref.fourth_order()
+        for name in ("div_q", "u", "t1", "t6"):
+            assert np.array_equal(getattr(fo, name), getattr(fo_ref, name)), name
+
+    def test_spectrum_alone_is_validated(self):
+        grid = q.make_grid(1, 64, 5.0)
+        psi_hat = np.fft.fft(np.ones(grid.shape, dtype=complex))
+        with pytest.raises(q.GridError):
+            hydro_decompose(grid, None, psi_hat=psi_hat[:-1])
+        bad = psi_hat.copy()
+        bad[3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            hydro_decompose(grid, None, psi_hat=bad)
+        with pytest.raises(ValueError):
+            hydro_decompose(grid, None)
+
 
 RATIO_FIELDS = ("grad_s", "grad_log_rho", "lap_s", "lap_rho_over_rho")
 

@@ -7,10 +7,16 @@ import nlse4 as q
 from nlse4.spectral import (
     GridError,
     _forward,
+    _forward_stack,
+    _gradient,
+    _ik,
     _inverse,
+    _inverse_and_gradient,
+    _inverse_stack,
+    _laplacian_symbol,
+    _stack,
     divergence,
     gradient,
-    gradient_and_laplacian,
     laplacian,
     spectral_derivative,
 )
@@ -177,10 +183,36 @@ class TestRealFieldPath:
             assert np.abs(divergence(grid, [field] * dims)).max() <= 1e-12
 
     @pytest.mark.parametrize("dims", [1, 2])
-    def test_gradient_and_laplacian_share_one_transform(self, dims):
+    def test_stacked_transforms_match_per_field(self, dims):
+        """Every row of a stacked transform equals the per-field helper bit
+        for bit (a 1D stack is one array, transformed in one call; a 2D
+        stack is a list of arrays, one call each), and so do psi and its
+        gradient taken together from one spectrum.  The gradient and
+        Laplacian of one field from one stacked inverse, the form the
+        composites use, equal gradient() and laplacian()."""
         grid = q.make_grid(dims, 64, 7.0)
-        for f in (self.field(grid, 6), q.random_state(grid, seed=6, cutoff=10)):
-            grad, lap = gradient_and_laplacian(grid, f)
-            for a, b in zip(grad, gradient(grid, f)):
-                assert np.array_equal(a, b)
-            assert np.array_equal(lap, laplacian(grid, f))
+        fields = _stack(grid, 3)
+        assert isinstance(fields, np.ndarray) == (dims == 1)
+        for i, row in enumerate(fields):
+            row[...] = self.field(grid, 6 + i)
+        spec = _forward_stack(grid, fields)
+        for f, row in zip(fields, spec):
+            assert np.array_equal(row, _forward(f, True))
+        for fhat, row in zip(spec, _inverse_stack(grid, spec)):
+            assert np.array_equal(row, _inverse(grid, fhat, True))
+
+        psi_hat = _forward(q.random_state(grid, seed=6, cutoff=10), False)
+        psi, dpsi = _inverse_and_gradient(grid, psi_hat)
+        assert np.array_equal(psi, _inverse(grid, psi_hat, False))
+        for a, b in zip(dpsi, _gradient(grid, psi_hat, False)):
+            assert np.array_equal(a, b)
+
+        fhat = spec[0]
+        stack = _stack(grid, dims + 1, half=True)
+        for a in range(dims):
+            stack[a][...] = _ik(grid, a, True) * fhat
+        stack[dims][...] = _laplacian_symbol(grid.n, grid.length, dims, True) * fhat
+        *grad, lap = _inverse_stack(grid, stack)
+        for a, b in zip(grad, gradient(grid, fields[0])):
+            assert np.array_equal(a, b)
+        assert np.array_equal(lap, laplacian(grid, fields[0]))

@@ -49,8 +49,8 @@ built once per view, so a sample's energy reuses the multiplier's.  All
 transforms go through the spectral helpers, which call the one-axis
 transforms directly on 1D fields.  On a 1D grid the decomposition and the
 composites also transform their fields as stacks, one call per stack, so a
-1D three-parameter step makes 34 transform calls instead of 49; a 2D grid
-keeps one call per field.
+1D three-parameter step makes 34 transform calls; a 2D grid keeps one call
+per field.
 
 The config's low-density gates (``eps_rho``, ``gate_factor``,
 ``ratio_floor``) are handed once per state to

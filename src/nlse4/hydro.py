@@ -224,12 +224,12 @@ def hydro_decompose(
 
     # Lap rho and div g, from one forward and one inverse transform of stacks
     spec = _forward_stack(grid, smooth)
-    out = _stack(grid, 2, half=True)
-    np.multiply(_laplacian_symbol(grid.n, grid.length, dims, True), spec[0], out=out[0])
-    np.multiply(_ik(grid, 0, True), spec[1], out=out[1])
+    lap_div = _stack(grid, 2, half=True)
+    np.multiply(_laplacian_symbol(grid.n, grid.length, dims, True), spec[0], out=lap_div[0])
+    np.multiply(_ik(grid, 0, True), spec[1], out=lap_div[1])
     for a in range(1, dims):
-        out[1] += _ik(grid, a, True) * spec[1 + a]
-    lap_rho, div_g = _inverse_stack(grid, out)
+        lap_div[1] += _ik(grid, a, True) * spec[1 + a]
+    lap_rho, div_g = _inverse_stack(grid, lap_div)
 
     safe_rho = np.where(mask, 1.0, rho)
     # rho*Lap S = div g - grad_rho . g / rho, all built from smooth fields

@@ -211,9 +211,10 @@ def _gradient(grid: Grid, fhat: np.ndarray, real: bool) -> list:
 # bit for bit while the call overhead is paid once.  On a 2D grid it is a
 # list of separate arrays, each transformed by its own call.  There the
 # transform work dominates, and one block of several 128^2 rows measured
-# slower: a stacked rfftn of two fields took 430-554 us against 237-329 us
-# for two calls, and one gating pass over three rows 423 us against 180 us
-# for three passes (at n = 1024 the pass takes 18 us against 29 us).
+# slower on a 2-core Xeon VM with numpy 2.4: a stacked rfftn of two fields
+# took 430-554 us against 237-329 us for two calls, and one gating pass over
+# three rows 423 us against 180 us for three passes (at n = 1024 the one
+# pass takes 18 us against 29 us).
 
 
 def _stack(grid: Grid, rows: int, half: bool = False):
@@ -249,13 +250,13 @@ def _inverse_and_gradient(grid: Grid, fhat: np.ndarray) -> tuple:
     field, equal to ``_inverse(grid, fhat, False)`` and
     ``_gradient(grid, fhat, False)``; on a 1D grid one transform of the
     stack [fhat, ik fhat]."""
-    if grid.dims == 2:
-        return _inverse(grid, fhat, False), _gradient(grid, fhat, False)
-    stack = np.empty((2, grid.n), dtype=complex)
-    stack[0] = fhat
-    np.multiply(_ik(grid, 0, False), fhat, out=stack[1])
-    psi, dpsi = np.fft.ifft(stack)
-    return psi, [dpsi]
+    if grid.dims == 1:
+        stack = np.empty((2, grid.n), dtype=complex)
+        stack[0] = fhat
+        np.multiply(_ik(grid, 0, False), fhat, out=stack[1])
+        psi, dpsi = np.fft.ifft(stack)
+        return psi, [dpsi]
+    return _inverse(grid, fhat, False), _gradient(grid, fhat, False)
 
 
 def gradient(grid: Grid, field: np.ndarray) -> list:

@@ -9,7 +9,9 @@ artifacts (CSV, summary JSON, field snapshots) are byte-stable for identical
 configurations: no timestamps, sorted JSON keys, 17-significant-digit floats.
 
 Exit codes: 0 all checks passed; 1 at least one check failed (report still
-written); 2 configuration error; 3 numerical abort (partial report written).
+written); 2 configuration error, including a run that cannot start (``dt``
+above the stability bound, or a state over ``mask_limit``); 3 numerical
+abort (partial report written).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from . import checks as checks_mod
 from .bands import band_edges, floquet_analyze, hill_from_stationary, mathieu_hill
 from .coeffs import MEParams, dg_coeffs, dg_linearizable, ext_coeffs, linear_coeffs
 from .diagnostics import SEPARABILITY_MAX_N, ehrenfest_consistency, separability_test
-from .evolution import EvolutionAbort, EvolutionConfig, evolve
+from .evolution import EvolutionAbort, EvolutionConfig, StabilityError, evolve
+from .hydro import MaskOverflowError
 from .io import (
     REPORT_FORMAT_VERSION,
     axis_columns,
@@ -391,7 +394,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](config, out_dir, args.seed, args.quiet)
-    except ConfigError as exc:
+    except (ConfigError, StabilityError, MaskOverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except EvolutionAbort as exc:

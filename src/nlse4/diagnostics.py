@@ -42,6 +42,10 @@ from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, divergence, gradie
 from .states import Potential, check_tails
 
 
+class _NonFiniteSample(ValueError):
+    """A sample with a non-finite entry; :func:`nlse4.evolution.evolve` aborts on it."""
+
+
 @dataclass(frozen=True)
 class ObservablesSample:
     """Per-snapshot record; vector quantities carry one entry per axis."""
@@ -61,7 +65,7 @@ class ObservablesSample:
         vals = [self.t, self.norm, self.e_l, self.e_me, self.cont_residual]
         vals += list(self.x_mean) + list(self.p_mean) + list(self.i1) + list(self.i2)
         if not all(np.isfinite(v) for v in vals):
-            raise ValueError("observables contain non-finite entries")
+            raise _NonFiniteSample("observables contain non-finite entries")
         if not self.norm > 0:
             raise ValueError("norm must be positive")
 

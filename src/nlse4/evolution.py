@@ -25,8 +25,13 @@ fact is a method of the type:
 
 Time stepping is integrating-factor RK4, the only scheme: the stiff kinetic
 part advances exactly in Fourier space every stage, leaving only potential
-and nonlinear terms to the explicit scheme.  Norm drift beyond tolerance
-aborts the run rather than renormalizing, so continuity bugs cannot hide.
+and nonlinear terms to the explicit scheme.  A private stepper, built once
+per run from the grid and the config, owns the step: the integrating
+factors, the band filter, the potential values and the explicit stage.
+:func:`evolve` checks the step size, then loops over step, norm guard and
+record.  Norm drift beyond tolerance aborts the run rather than
+renormalizing, so continuity bugs cannot hide; the guard reads each new psi
+before it is transformed or derived.  A non-finite sample aborts too.
 
 Every state the run touches is derived once, into one :class:`State`
 record (its view, its multiplier and, on first read, its current
@@ -35,35 +40,30 @@ divergence), and each stage reuses:
 * stage a: the step's record, built when the state was made (the initial
   state's before the step-size guard, which reads the same multiplier),
   and its spectrum fftn(psi);
-* stages b, c and d: the spectrum each is synthesized from, so their views
-  cost no forward transform; in a nonlinear run the view is decomposed from
-  that spectrum alone, and psi and its gradient come from one inverse;
+* stages b, c and d: the spectrum each is synthesized from, the only input
+  of their views (psi and its gradient come from one inverse); their
+  records are freed when the stage returns;
 * the observables sample of a state: that state's record, and the stored
   snapshot and current divergence of the previous sample's record, carried
   forward for the continuity residual.
 
 A stage builds what its multiplier reads and no more: the view's ratio
-fields are derived on first read (the generic engine reads them, the
-three-parameter engine does not), and the three-parameter composites are
-built once per view, so a sample's energy reuses the multiplier's.  All
-transforms go through the spectral helpers, which call the one-axis
-transforms directly on 1D fields.  On a 1D grid the decomposition and the
-composites also transform their fields as stacks, one call per stack, so a
-1D three-parameter step makes 34 transform calls; a 2D grid keeps one call
+fields are derived on first read (the generic engine reads them), and the
+three-parameter composites are built once per view, so a sample's energy
+reuses the multiplier's.  On a 1D grid the decomposition and the
+composites transform their fields as stacks, one call per stack, so a 1D
+three-parameter step makes 34 transform calls; a 2D grid keeps one call
 per field.
 
 The config's low-density gates (``eps_rho``, ``gate_factor``,
-``ratio_floor``) are handed once per state to
-:func:`nlse4.hydro.hydro_decompose`; the multiplier and the sample read
-them off the record's view.  A caller that holds only a bare psi
+``ratio_floor``) reach every record through its view.  The mask guard
+(``mask_limit``) applies to every stage input of a nonlinear run, the
+initial state included; a state that is only sampled (the final one, or
+any state of a linear run) is decomposed without it.  Sampled states and
+stage a use fftn(psi), so a sample recomputed standalone from the stored
+fields matches the run bit for bit.  A caller that holds only a bare psi
 (:func:`nonlinear_rhs`, the registry checks) decomposes it at the default
 gates under :data:`DEFAULT_MASK_LIMIT`.
-
-Sampled states and stage a use fftn(psi), so a sample recomputed standalone
-from the stored fields matches the run bit for bit.  The mask guard
-(``mask_limit``) applies to every stage input of a nonlinear run, the
-initial state included; a state that is only sampled (the final one, or any
-state of a linear run) is decomposed without it.
 
 A dynamical property worth knowing when planning runs: linearizing the
 three-parameter variant around a smooth active state (natural units) gives
@@ -313,6 +313,55 @@ def _filter_mask(grid: Grid, fraction: float) -> np.ndarray:
     return (k2 <= (fraction * grid.kmax) ** 2).astype(float)
 
 
+class _Stepper:
+    """The IF-RK4 step of one run, built once from (grid, config): the kinetic
+    integrating factors ``e_half``/``e_full``, the band filter ``filt``, the
+    potential values and the explicit stage.  It keeps nothing between steps."""
+
+    def __init__(self, grid: Grid, config: EvolutionConfig):
+        hbar, m = config.constants.hbar, config.constants.mass
+        self.grid, self.config, self.nonlinear = grid, config, not is_linear(config.coeffs)
+        self.e_half = np.exp(-1j * hbar * grid.k_squared() / (2.0 * m) * (config.dt / 2.0))
+        self.e_full = self.e_half * self.e_half
+        self.filt = _filter_mask(grid, config.filter_fraction)
+        self.pot_vals = config.potential.values if config.potential is not None else None
+
+    def state(self, psi, psi_hat, sampled=False):
+        """The record of psi (of the state synthesized as ``psi_hat`` when
+        psi is None) at the config's gates.  A state a stage reads is derived
+        under the mask guard, and a linear run derives none; a state that is
+        only ``sampled`` is derived without the guard."""
+        if not (sampled or self.nonlinear):
+            return None
+        c = self.config
+        return derive(hydro_decompose(self.grid, psi, eps_rho=c.eps_rho, psi_hat=psi_hat,
+                                      max_masked_fraction=1.0 if sampled else c.mask_limit,
+                                      gate_factor=c.gate_factor, ratio_floor=c.ratio_floor),
+                      c.coeffs, c.constants)
+
+    def explicit_hat(self, p_hat, psi=None, state=None):
+        """Spectrum of the explicit part at the stage input synthesized as
+        ``p_hat``.  Stage a passes its psi and record; a later stage is
+        decomposed from ``p_hat`` alone (a linear run inverts it), and its
+        record is freed on return."""
+        if psi is None:
+            state = self.state(None, p_hat)
+            psi = _inverse(self.grid, p_hat, False) if state is None else state.psi
+        out = _explicit_rhs(psi, self.pot_vals, state and state.mult, self.config.constants.hbar)
+        return _forward(np.zeros_like(psi) if out is None else out, False)
+
+    def step(self, psi, psi_hat, state):
+        """The filtered state one step after psi, given its spectrum
+        ``psi_hat`` and its record ``state`` (None on a linear run)."""
+        dt, e_half, e_full = self.config.dt, self.e_half, self.e_full
+        a_hat = self.explicit_hat(psi_hat, psi, state)
+        b_hat = self.explicit_hat(e_half * (psi_hat + (0.5 * dt) * a_hat))
+        c_hat = self.explicit_hat(e_half * psi_hat + (0.5 * dt) * b_hat)
+        d_hat = self.explicit_hat(e_full * psi_hat + dt * e_half * c_hat)
+        new_hat = e_full * psi_hat + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
+        return _inverse(self.grid, self.filt * new_hat, False)
+
+
 def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     """Advance psi0 to t_end, sampling observables every ``stride`` steps.
 
@@ -320,51 +369,12 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     last good time) on norm drift beyond tolerance or non-finite samples,
     and :class:`StabilityError` if dt exceeds the documented bound.
     """
-    from .diagnostics import observables_sample
+    from .diagnostics import _NonFiniteSample, observables_sample
 
     grid.validate_field(psi0)
     n_steps = config.n_steps()
-
-    hbar, m = config.constants.hbar, config.constants.mass
-    coeffs = config.coeffs
-    nonlinear = not is_linear(coeffs)
-    psi = np.ascontiguousarray(psi0, dtype=complex)
-    vol = grid.cell_volume
-
-    def norm_of(p):
-        return float((p.real**2 + p.imag**2).sum() * vol)
-
-    symbol = -1j * hbar * grid.k_squared() / (2.0 * m)
-    e_half = np.exp(symbol * (config.dt / 2.0))
-    e_full = e_half * e_half
-    filt = _filter_mask(grid, config.filter_fraction)
-
-    pot_vals = config.potential.values if config.potential is not None else None
-
-    def state_of(p, p_hat, limit):
-        """The record of one state, at the config's gates and mask limit."""
-        return derive(hydro_decompose(grid, p, eps_rho=config.eps_rho, max_masked_fraction=limit,
-                                      psi_hat=p_hat, gate_factor=config.gate_factor,
-                                      ratio_floor=config.ratio_floor), coeffs, config.constants)
-
-    def stage_state(p, p_hat):
-        """The record of a state that stage a reads, under the mask guard;
-        a linear run derives none."""
-        return state_of(p, p_hat, config.mask_limit) if nonlinear else None
-
-    def N(p, state):
-        out = _explicit_rhs(p, pot_vals, None if state is None else state.mult, hbar)
-        return np.zeros_like(p) if out is None else out
-
-    def stage_rhs(p_hat):
-        """Spectrum of the explicit part at the stage input synthesized as
-        ``p_hat``: a nonlinear run decomposes the spectrum alone, a linear
-        run inverts it.  The input's record is freed on return."""
-        if not nonlinear:
-            return _forward(N(_inverse(grid, p_hat, False), None), False)
-        st = state_of(None, p_hat, config.mask_limit)
-        return _forward(N(st.psi, st), False)
-
+    dt = config.dt
+    stepper = _Stepper(grid, config)
     traj = Trajectory(grid=grid, config=config)
     prev = None
 
@@ -377,58 +387,48 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
         if not config.observables:
             traj.append(t, p)
             return
-        state = state or state_of(p, p_hat, 1.0)
-        traj.append(t, p, observables_sample(state, t, config.potential, prev=prev))
-        prev = (t, _Carried(traj.fields[-1], state.div_j, grid, state.eps_rho, coeffs, config.constants))
+        state = state or stepper.state(p, p_hat, sampled=True)
+        try:
+            sample = observables_sample(state, t, config.potential, prev=prev)
+        except _NonFiniteSample as exc:
+            raise EvolutionAbort("non-finite samples", t - dt, traj) from exc
+        traj.append(t, p, sample)
+        prev = (t, _Carried(traj.fields[-1], state.div_j, grid, state.eps_rho, config.coeffs,
+                            config.constants))
 
-    # initial state passes through the band-limit filter once
-    psi = _inverse(grid, filt * _forward(psi, False), False)
+    # initial state passes through the band-limit filter once; the norm
+    # guard's reference is the filtered state the steps conserve
+    psi = _inverse(grid, stepper.filt * _forward(np.ascontiguousarray(psi0, dtype=complex), False), False)
     psi_hat = _forward(psi, False)
-    # the norm guard's reference is the filtered state the steps conserve
-    norm0 = norm_of(psi)
-    state = stage_state(psi, psi_hat)
+    norm0 = float(grid.integrate(psi.real**2 + psi.imag**2))
+    state = stepper.state(psi, psi_hat)
 
-    # Step-size guard.  The k_max^4 nonlinear rate only binds when the
-    # nonlinearity is actually active on the initial state; on states it
-    # annihilates (quadratic phases, eigenstates) the explicit stage is
-    # potential-limited, and the norm guard below catches any activation
-    # later in the run.
+    # Step-size guard.  The k_max^4 nonlinear rate binds only where the
+    # nonlinearity is active on the initial state; on states it annihilates
+    # (quadratic phases, eigenstates) the explicit stage is potential-limited,
+    # and the norm guard catches any activation later in the run.
     active = state is not None and float(np.abs(state.mult).max()) > 0.0
-    bound = stability_bound(grid, coeffs if active else None, config.constants, config.potential)
-    if config.dt > bound:
-        raise StabilityError(f"dt = {config.dt:.3e} exceeds stability bound {bound:.3e}")
+    bound = stability_bound(grid, config.coeffs if active else None, config.constants, config.potential)
+    if dt > bound:
+        raise StabilityError(f"dt = {dt:.3e} exceeds stability bound {bound:.3e}")
 
     record(0.0, psi, psi_hat, state)
 
-    dt = config.dt
-    t = 0.0
     for step in range(1, n_steps + 1):
-        # stages b, c and d are decomposed from the spectra they are made of
-        a_hat = _forward(N(psi, state), False)
-        b_hat = stage_rhs(e_half * (psi_hat + (0.5 * dt) * a_hat))
-        c_hat = stage_rhs(e_half * psi_hat + (0.5 * dt) * b_hat)
-        d_hat = stage_rhs(e_full * psi_hat + dt * e_half * c_hat)
-        new_hat = filt * (
-            e_full * psi_hat
-            + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
-        )
-        psi = _inverse(grid, new_hat, False)
+        psi = stepper.step(psi, psi_hat, state)
         t = step * dt
-
-        norm = norm_of(psi)
+        # guard first: a blown-up state aborts before it is transformed or derived
+        norm = float(grid.integrate(psi.real**2 + psi.imag**2))
         if not np.isfinite(norm):
             raise EvolutionAbort("non-finite samples", t - dt, traj)
         if abs(norm - norm0) > config.norm_tol * max(norm0, 1.0):
-            raise EvolutionAbort(
-                f"norm drift {abs(norm - norm0):.3e} exceeds tolerance {config.norm_tol:.1e}",
-                t - dt,
-                traj,
-            )
+            raise EvolutionAbort(f"norm drift {abs(norm - norm0):.3e} exceeds tolerance "
+                                 f"{config.norm_tol:.1e}", t - dt, traj)
         # Each state is transformed and derived once, for the next step's
         # stage a and for its sample.
         psi_hat = _forward(psi, False)
         last = step == n_steps
-        state = None if last else stage_state(psi, psi_hat)
+        state = None if last else stepper.state(psi, psi_hat)
         if last or step % config.stride == 0:
             record(t, psi, psi_hat, state)
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .coeffs import CoeffSet, CoeffError, VARIANT_LENGTHS
-from .hydro import HydroView, hydro_decompose
-from .spectral import Grid, gradient, laplacian
+from .hydro import HydroView
+from .spectral import gradient, laplacian
 
 
 def _inner_scalars(hv: HydroView) -> list:
@@ -105,17 +105,15 @@ def forbidden_term(hv: HydroView, x14: float) -> np.ndarray:
     return hv.zero_masked(x14 * hv.lap_s**2)
 
 
-def homogeneity_check(coeffs: CoeffSet, grid: Grid, psi: np.ndarray, lam: complex) -> float:
-    """max |F[lam psi] - F[psi]| over both halves at unmasked points."""
-    if lam == 0:
+def homogeneity_check(coeffs: CoeffSet, hv: HydroView, hv_l: HydroView) -> float:
+    """max |F[lam psi] - F[psi]| over both halves at points unmasked in both
+    views, relative to max |F[psi]|; ``hv`` and ``hv_l`` are the views of psi
+    and of lam psi, which must not vanish."""
+    if hv_l.rho_max == 0.0:
         raise ValueError("lam must be nonzero")
-    hv = hydro_decompose(grid, psi)
-    hv_l = hydro_decompose(grid, lam * psi)
-    dev = 0.0
-    for half in ("a", "b"):
-        f = eval_functional(getattr(coeffs, half), coeffs.variant, hv)
-        f_l = eval_functional(getattr(coeffs, half), coeffs.variant, hv_l)
-        keep = ~(hv.mask | hv_l.mask)
-        if keep.any():
-            dev = max(dev, float(np.abs(np.where(keep, f_l - f, 0.0)).max()))
-    return dev
+    keep = ~(hv.mask | hv_l.mask)
+    dev = scale = 0.0
+    for f, f_l in zip(functional_pair(coeffs, hv), functional_pair(coeffs, hv_l)):
+        scale = max(scale, np.abs(f).max())
+        dev = max(dev, float(np.abs(np.where(keep, f_l - f, 0.0)).max()))
+    return dev / max(scale, 1e-30)

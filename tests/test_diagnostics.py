@@ -285,6 +285,23 @@ class TestSharedStateDerivation:
             assert repr(traj.observables[i]) == repr(alone)
         assert any(s.cont_residual != 0.0 for s in traj.observables[1:])
 
+    @pytest.mark.parametrize("case", [0, 1], ids=["1d_me", "2d_ext"])
+    def test_sampling_leaves_the_fields_unchanged(self, case):
+        """The stored fields are bit-identical with observables on and off,
+        at stride 1 and at stride n_steps: sampling never feeds back into
+        the step."""
+        grid, psi0, coeffs, steps = self.runs()[case]
+        dt = 0.2 * stability_bound(grid, coeffs)
+        fields = {(obs, stride): evolve(grid, psi0, EvolutionConfig(
+                      dt=dt, t_end=steps * dt, coeffs=coeffs, stride=stride, norm_tol=1e-4,
+                      observables=obs)).fields
+                  for obs in (True, False) for stride in (1, steps)}
+        full = fields[True, 1]
+        assert len(full) == steps + 1
+        for (_, stride), got in fields.items():
+            want = full if stride == 1 else [full[0], full[-1]]
+            assert len(got) == len(want) and all(map(np.array_equal, got, want))
+
 
 class TestGateRouting:
     """The run's gates reach every sample through the record's view: the

@@ -19,7 +19,7 @@ from nlse4.evolution import (
 )
 from nlse4.states import BoostError, galilean_boost
 
-from helpers import multiplier, perturbed_plane_wave
+from helpers import multiplier, perturbed_gaussian, perturbed_plane_wave
 
 
 class TestNonlinearRHS:
@@ -182,6 +182,22 @@ class TestEvolve:
         assert err.value.t_last >= 0.0
         # the partial trajectory never runs past the reported last good time
         assert err.value.trajectory.ts[-1] <= err.value.t_last + 1e-12
+
+    def test_non_finite_sample_aborts(self):
+        """A sample with a non-finite entry aborts the run like norm drift
+        does, with the partial trajectory and the last good time; here the
+        norm stays finite and the drift guard is off."""
+        grid = q.make_grid(1, 128, 24.0)
+        me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+        dt = stability_bound(grid, me)
+        cfg = EvolutionConfig(dt=dt, t_end=40 * dt, coeffs=me, stride=1, norm_tol=1e300)
+        with np.errstate(all="ignore"), pytest.raises(EvolutionAbort) as err:
+            evolve(grid, perturbed_gaussian(grid), cfg)
+        assert err.value.reason == "non-finite samples"
+        assert isinstance(err.value.__cause__, ValueError)
+        traj = err.value.trajectory
+        assert len(traj.observables) == len(traj.ts) > 1
+        assert traj.ts[-1] == pytest.approx(err.value.t_last, rel=1e-12)
 
     def test_snapshot_times_strictly_increasing(self):
         grid = q.make_grid(1, 64, 20.0)

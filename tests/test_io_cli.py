@@ -440,6 +440,29 @@ def test_malformed_value_exits_2(tmp_path, capsys, command, config, path, value)
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("grid, state, evolution, message", [
+    ({"dims": 1, "n": 64, "length": 2 * np.pi},
+     {"kind": "random", "params": {"cutoff": 6, "amplitude": 0.35}},
+     {"dt": 0.1, "t_end": 0.2}, "exceeds stability bound"),
+    ({"dims": 1, "n": 128, "length": 24.0},
+     {"kind": "gaussian_packet", "params": {"t0": 1.0}},
+     {"dt": 1e-3, "t_end": 2e-3, "mask_limit": 0.1}, "below the density floor"),
+], ids=["dt-above-stability-bound", "state-over-mask_limit"])
+def test_run_that_cannot_start_exits_2(tmp_path, capsys, grid, state, evolution, message):
+    """A dt above the stability bound, or an initial state with more of the
+    grid under the density floor than mask_limit allows, stops the run before
+    its first step: a configuration error, not a traceback."""
+    cfg = _write_config(tmp_path, "run.json", {
+        "version": 1, "grid": grid, "state": state, "evolution": evolution,
+        "coeffs": {"preset": "me", "params": {"D1": 0.5}},
+    })
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("command, config", [
     ("evolve", EVOLVE_CONFIG),
     ("bands", STATIONARY_BANDS_CONFIG),

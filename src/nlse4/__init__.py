@@ -14,7 +14,7 @@ from .spectral import (
     divergence,
     laplacian,
 )
-from .hydro import HydroView, MaskOverflowError, hydro_decompose, fourth_order_composites
+from .hydro import HydroView, hydro_decompose, fourth_order_composites
 from .states import (
     Potential,
     StateError,
@@ -44,6 +44,7 @@ from .currents import CurrentSet, currents, continuity_residual
 from .evolution import (
     EvolutionAbort,
     EvolutionConfig,
+    MaskOverflowError,
     StabilityError,
     State,
     Trajectory,

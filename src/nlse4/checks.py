@@ -37,14 +37,7 @@ _ME_PRESET = coeffs.MEParams(D1=0.1, b1=0.05, b6=0.02)
 
 def _state(grid, psi, c, con=NATURAL_UNITS):
     """The record of one standalone state, at the default gates."""
-    return evolution.derive(hydro.hydro_decompose(grid, psi, max_masked_fraction=1.0), c, con)
-
-
-def _me_multiplier(grid, psi):
-    """The preset's multiplier of psi, decomposed at the default gates under
-    the in-run mask guard."""
-    hv = hydro.hydro_decompose(grid, psi, max_masked_fraction=evolution.DEFAULT_MASK_LIMIT)
-    return evolution.nonlinear_multiplier(hv, _ME_PRESET)
+    return evolution.derive(hydro.hydro_decompose(grid, psi), c, con)
 
 
 @dataclass(frozen=True)
@@ -247,7 +240,7 @@ def check_norm_conservation(seed=0):
     pert = states.random_state(grid, seed=seed + 11, cutoff=12, amplitude=0.3)
     psi0 = base * (1.0 + 0.1 * pert / np.abs(pert).max())
     psi0 = psi0 / np.sqrt(grid.integrate(np.abs(psi0) ** 2))
-    active = np.abs(_me_multiplier(grid, psi0)).max()
+    active = np.abs(_state(grid, psi0, _ME_PRESET).mult).max()
     # window kept short so the model's short-wave instability cannot amplify
     # roundoff visibly (see the evolution module notes)
     dt = 2e-6
@@ -279,7 +272,7 @@ def check_weak_nonlinearity():
         states.gaussian_packet(grid, t0=1.0, t=0.6, p0=states.wavenumber(grid, 4)),
         states.coherent_state(grid, omega=1.0, x0=1.0, p0=states.wavenumber(grid, 4)),
     ):
-        mult = _me_multiplier(grid, psi)
+        mult = _state(grid, psi, _ME_PRESET).mult
         worst = max(worst, np.abs(mult * psi).max())
     return CheckResult.of("weak_nonlinearity", worst, 1e-10, note="nonlinear dpsi/dt on quadratic-phase states")
 
@@ -289,7 +282,7 @@ def check_stationary_preservation():
     worst = 0.0
     for level in (0, 1):
         psi = states.harmonic_eigenstate(grid, level, omega=1.0)
-        mult = _me_multiplier(grid, psi)
+        mult = _state(grid, psi, _ME_PRESET).mult
         worst = max(worst, np.abs(mult * psi).max())
     return CheckResult.of("stationary_preservation", worst, 1e-10)
 

@@ -2,7 +2,7 @@
 
 Configuration is a JSON document validated against the schema documented in
 the README (and docs/config.md).  Each section is read through one key table
-(key -> converter): unknown keys and values that do not convert are errors,
+(key -> converter): unknown keys and values of the wrong type are errors,
 so typos cannot silently change a run, and only the keys present are passed
 on, so each default belongs to the library function that receives them.  All
 artifacts (CSV, summary JSON, field snapshots) are byte-stable for identical
@@ -10,8 +10,8 @@ configurations: no timestamps, sorted JSON keys, 17-significant-digit floats.
 
 Exit codes: 0 all checks passed; 1 at least one check failed (report still
 written); 2 configuration error, including a run that cannot start (``dt``
-above the stability bound, or a state over ``mask_limit``); 3 numerical
-abort (partial report written).
+above the stability bound, or a state over ``mask_limit`` at t = 0); 3
+numerical abort, a later overflow included (partial report written).
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from . import checks as checks_mod
 from .bands import band_edges, floquet_analyze, hill_from_stationary, mathieu_hill
 from .coeffs import MEParams, dg_coeffs, dg_linearizable, ext_coeffs, linear_coeffs
 from .diagnostics import SEPARABILITY_MAX_N, ehrenfest_consistency, separability_test
-from .evolution import EvolutionAbort, EvolutionConfig, StabilityError, evolve
-from .hydro import MaskOverflowError
+from .evolution import EvolutionAbort, EvolutionConfig, MaskOverflowError, StabilityError, evolve
 from .io import (
     REPORT_FORMAT_VERSION,
     axis_columns,
@@ -56,8 +55,22 @@ def _raw(value):
     return value
 
 
+def _typed(kind):
+    """Converter to ``kind`` (bool, int or float) of a JSON value of that type
+    only: never a string, a bool only for bool, an integral number for int."""
+    def convert(value):
+        if (not isinstance(value, (int, float)) or isinstance(value, bool) != (kind is bool)
+                or (kind is int and value != int(value))):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return kind(value)
+    return convert
+
+
+_bool, _int, _float = _typed(bool), _typed(int), _typed(float)
+
+
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(_float(v) for v in values)
 
 
 def _read_section(section, where: str, keys: dict, required=()) -> dict:
@@ -90,12 +103,12 @@ def _construct(where: str, builder, *args, **kwargs):
 
 
 def _parse_grid(cfg: dict) -> Grid:
-    keys = {"dims": int, "n": int, "length": float}
+    keys = {"dims": _int, "n": _int, "length": _float}
     return _construct("grid", make_grid, **_read_section(cfg, "grid", keys, required=tuple(keys)))
 
 
 def _parse_constants(cfg) -> PhysicalConstants:
-    keys = _read_section({} if cfg is None else cfg, "constants", {"hbar": float, "mass": float})
+    keys = _read_section({} if cfg is None else cfg, "constants", {"hbar": _float, "mass": _float})
     return _construct("constants", PhysicalConstants, **keys)
 
 
@@ -103,11 +116,11 @@ def _parse_constants(cfg) -> PhysicalConstants:
 #: each builder receives the run's constants, then the params present.
 _COEFF_PRESETS = {
     "linear": (lambda constants: linear_coeffs(), {}, {}),
-    "me": (lambda constants, **p: MEParams(**p), {"D1": float}, {"b1": float, "b6": float}),
-    "dg": (lambda constants, **p: dg_coeffs(**p), {}, {"a": _floats, "b": _floats, "D": float}),
+    "me": (lambda constants, **p: MEParams(**p), {"D1": _float}, {"b1": _float, "b6": _float}),
+    "dg": (lambda constants, **p: dg_coeffs(**p), {}, {"a": _floats, "b": _floats, "D": _float}),
     "dg-linearizable": (lambda constants, **p: dg_linearizable(**p, constants=constants),
-                        {"d1": float, "d2": float}, {}),
-    "ext": (lambda constants, **p: ext_coeffs(**p), {"a": _floats, "b": _floats}, {"D": float, "x14": float}),
+                        {"d1": _float, "d2": _float}, {}),
+    "ext": (lambda constants, **p: ext_coeffs(**p), {"a": _floats, "b": _floats}, {"D": _float, "x14": _float}),
 }
 
 
@@ -124,7 +137,7 @@ def _parse_coeffs(cfg, constants: PhysicalConstants):
 def _parse_potential(cfg, grid: Grid, constants: PhysicalConstants):
     if cfg is None:
         return None
-    section = _read_section(cfg, "potential", {"kind": _raw, "omega": float}, required=("kind",))
+    section = _read_section(cfg, "potential", {"kind": _raw, "omega": _float}, required=("kind",))
     kind = section["kind"]
     if kind == "none":
         return None
@@ -136,31 +149,31 @@ def _parse_potential(cfg, grid: Grid, constants: PhysicalConstants):
 
 
 def _parse_state(cfg, grid: Grid, constants: PhysicalConstants, seed_override=None):
-    section = _read_section(cfg, "state", {"kind": _raw, "params": dict, "seed": int}, required=("kind",))
+    section = _read_section(cfg, "state", {"kind": _raw, "params": dict, "seed": _int}, required=("kind",))
     params = section.get("params", {})
     try:
         if section["kind"] == "random":
             seed = section.get("seed", params.pop("seed", _DEFAULT_SEED))
-            params["seed"] = int(seed_override if seed_override is not None else seed)
+            params["seed"] = seed_override if seed_override is not None else _int(seed)
         return make_state(grid, section["kind"], constants=constants, **params)
     except Exception as exc:
         raise ConfigError(f"state: {exc}") from exc
 
 
 #: Required ``evolution`` keys and their types.
-_EVOLUTION_SPAN = {"dt": float, "t_end": float}
+_EVOLUTION_SPAN = {"dt": _float, "t_end": _float}
 
 #: Optional ``evolution`` keys and their types; absent keys keep the EvolutionConfig default.
 _EVOLUTION_OPTIONS = {
-    "stride": int, "norm_tol": float, "eps_rho": float, "gate_factor": float,
-    "ratio_floor": float, "mask_limit": float, "filter_fraction": float,
+    "stride": _int, "norm_tol": _float, "eps_rho": _float, "gate_factor": _float,
+    "ratio_floor": _float, "mask_limit": _float, "filter_fraction": _float,
 }
 
 
 def _parse_evolution(cfg, coeffs, constants, potential, snapshots: bool = False) -> EvolutionConfig:
     """The run's EvolutionConfig; ``snapshots`` admits the key of that name,
     which only a command that writes field snapshots may accept."""
-    keys = {**_EVOLUTION_SPAN, **({"snapshots": bool} if snapshots else {}), **_EVOLUTION_OPTIONS}
+    keys = {**_EVOLUTION_SPAN, **({"snapshots": _bool} if snapshots else {}), **_EVOLUTION_OPTIONS}
     options = _read_section(cfg, "evolution", keys, required=tuple(_EVOLUTION_SPAN))
     options.pop("snapshots", None)
     config = _construct("evolution", EvolutionConfig, coeffs=coeffs, constants=constants,
@@ -239,7 +252,7 @@ def _evolve_run(command: str, config: dict, out_dir: Path, seed, quiet: bool) ->
 
 
 def cmd_evolve(config: dict, out_dir: Path, seed, quiet: bool) -> int:
-    top = _read_section(config, "config", {**_RUN_SECTIONS, "report_norm_tol": float}, _RUN_REQUIRED)
+    top = _read_section(config, "config", {**_RUN_SECTIONS, "report_norm_tol": _float}, _RUN_REQUIRED)
     grid, traj, summary = _evolve_run("evolve", config, out_dir, seed, quiet)
     if traj is None:
         return 3
@@ -264,7 +277,7 @@ def cmd_evolve(config: dict, out_dir: Path, seed, quiet: bool) -> int:
 
 
 def cmd_check(config: dict, out_dir: Path, seed, quiet: bool) -> int:
-    top = _read_section(config, "config", {"version": _raw, "seed": int}, required=("version",))
+    top = _read_section(config, "config", {"version": _raw, "seed": _int}, required=("version",))
     run_seed = seed if seed is not None else top.get("seed", _DEFAULT_SEED)
     results = checks_mod.run_all(run_seed)
     summary = _summary_skeleton("check", config)
@@ -276,8 +289,8 @@ def cmd_check(config: dict, out_dir: Path, seed, quiet: bool) -> int:
 
 #: ``bands`` keys: the sweep, then either ``mathieu_q`` or the stationary reduction.
 _BANDS_KEYS = {
-    "a_min": float, "a_max": float, "samples": int, "mathieu_q": float,
-    "D1": float, "b1": float, "amplitude": float, "energy": float,
+    "a_min": _float, "a_max": _float, "samples": _int, "mathieu_q": _float,
+    "D1": _float, "b1": _float, "amplitude": _float, "energy": _float,
 }
 
 
@@ -319,7 +332,7 @@ def cmd_bands(config: dict, out_dir: Path, seed, quiet: bool) -> int:
 
 def cmd_ehrenfest(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     top = _read_section(config, "config", {**_RUN_SECTIONS, "ehrenfest": _raw}, _RUN_REQUIRED)
-    section = _read_section(top.get("ehrenfest", {}), "ehrenfest", {"tolerance_scale": float})
+    section = _read_section(top.get("ehrenfest", {}), "ehrenfest", {"tolerance_scale": _float})
     grid, traj, summary = _evolve_run("ehrenfest", config, out_dir, seed, quiet)
     if traj is None:
         return 3
@@ -339,7 +352,7 @@ def cmd_separability(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     top = _read_section(config, "config", dict.fromkeys((*required, "constants"), _raw), required)
     section = _read_section(top["separability"], "separability",
                             {**dict.fromkeys(("state1", "state2", "potential1", "potential2"), _raw),
-                             "tolerance": float},
+                             "tolerance": _float},
                             required=("state1", "state2"))
     grid = _parse_grid(top["grid"])
     if grid.dims != 1:

@@ -56,14 +56,14 @@ three-parameter step makes 34 transform calls; a 2D grid keeps one call
 per field.
 
 The config's low-density gates (``eps_rho``, ``gate_factor``,
-``ratio_floor``) reach every record through its view.  The mask guard
-(``mask_limit``) applies to every stage input of a nonlinear run, the
-initial state included; a state that is only sampled (the final one, or
-any state of a linear run) is decomposed without it.  Sampled states and
-stage a use fftn(psi), so a sample recomputed standalone from the stored
-fields matches the run bit for bit.  A caller that holds only a bare psi
-(:func:`nonlinear_rhs`, the registry checks) decomposes it at the default
-gates under :data:`DEFAULT_MASK_LIMIT`.
+``ratio_floor``) reach every record through its view.  The stepper guards
+every stage input of a nonlinear run against ``mask_limit``: an initial
+state over it raises :class:`MaskOverflowError`, a later one aborts the
+run.  A state that is only sampled (the final one, or any state of a
+linear run) is not guarded.  Sampled states and stage a use fftn(psi), so
+a sample recomputed standalone from the stored fields matches the run bit
+for bit.  A caller that holds only a bare psi (:func:`nonlinear_rhs`, the
+registry checks) decomposes it at the default gates.
 
 A dynamical property worth knowing when planning runs: linearizing the
 three-parameter variant around a smooth active state (natural units) gives
@@ -100,17 +100,23 @@ DEFAULT_FILTER_FRACTION = 0.8
 #: Explicit-stage stability margin |lambda| dt <= RK4_STABILITY.
 RK4_STABILITY = 2.5
 
-#: Masked-fraction guard inside a run; tail-safe boxes for fourth-order work
-#: put well over a quarter of their points under the density floor.
-DEFAULT_MASK_LIMIT = 0.95
 
 
 class StabilityError(ValueError):
     """Time step violates the documented stability bound."""
 
 
+class MaskOverflowError(ValueError):
+    """More of a stage input than ``mask_limit`` lies below the density floor."""
+
+    def __init__(self, fraction: float, limit: float):
+        self.fraction, self.limit = fraction, limit
+        super().__init__(f"{100 * fraction:.1f}% of grid points are below the density floor "
+                         f"(limit {100 * limit:.0f}%); state too singular for this scheme")
+
+
 class EvolutionAbort(RuntimeError):
-    """Evolution stopped on norm drift or non-finite samples."""
+    """Evolution stopped on norm drift, non-finite samples or a mask overflow."""
 
     def __init__(self, reason: str, t_last: float, trajectory: "Trajectory"):
         self.reason = reason
@@ -131,7 +137,7 @@ class EvolutionConfig:
     eps_rho: float = DEFAULT_EPS_RHO
     gate_factor: float = DEFAULT_GATE_FACTOR
     ratio_floor: float = DEFAULT_RATIO_FLOOR
-    mask_limit: float = DEFAULT_MASK_LIMIT
+    mask_limit: float = 0.95  # largest masked fraction of a stage input
     filter_fraction: float = DEFAULT_FILTER_FRACTION
     observables: bool = True
 
@@ -246,8 +252,8 @@ class _Carried:
 
 def derive(hv: HydroView, coeffs, constants: PhysicalConstants = NATURAL_UNITS) -> State:
     """The record of the state decomposed in ``hv``, at that view's gates.
-    A standalone state is ``derive(hydro_decompose(grid, psi,
-    max_masked_fraction=1.0), coeffs, constants)``."""
+    A standalone state is ``derive(hydro_decompose(grid, psi), coeffs,
+    constants)``."""
     return State(hv, nonlinear_multiplier(hv, coeffs), coeffs, constants)
 
 
@@ -271,14 +277,13 @@ def nonlinear_rhs(
     constants: PhysicalConstants = NATURAL_UNITS,
 ) -> np.ndarray:
     """Full dpsi/dt including the kinetic and potential terms.  Nonlinear
-    coefficients decompose psi at the default gates under
-    :data:`DEFAULT_MASK_LIMIT`; the linear equation decomposes nothing."""
+    coefficients decompose psi at the default gates; the linear equation
+    decomposes nothing."""
     hbar, m = constants.hbar, constants.mass
     out = -1j / hbar * (-(hbar**2) / (2.0 * m) * laplacian(grid, psi))
     mult = None
     if not is_linear(coeffs):
-        hv = hydro_decompose(grid, psi, max_masked_fraction=DEFAULT_MASK_LIMIT)
-        mult = nonlinear_multiplier(hv, coeffs)
+        mult = nonlinear_multiplier(hydro_decompose(grid, psi), coeffs)
     explicit = _explicit_rhs(psi, potential.values if potential is not None else None, mult, hbar)
     return out if explicit is None else out + explicit
 
@@ -328,16 +333,17 @@ class _Stepper:
 
     def state(self, psi, psi_hat, sampled=False):
         """The record of psi (of the state synthesized as ``psi_hat`` when
-        psi is None) at the config's gates.  A state a stage reads is derived
-        under the mask guard, and a linear run derives none; a state that is
-        only ``sampled`` is derived without the guard."""
+        psi is None) at the config's gates.  A state a stage reads raises
+        :class:`MaskOverflowError` over ``mask_limit``, and a linear run
+        derives none; a state that is only ``sampled`` is not guarded."""
         if not (sampled or self.nonlinear):
             return None
         c = self.config
-        return derive(hydro_decompose(self.grid, psi, eps_rho=c.eps_rho, psi_hat=psi_hat,
-                                      max_masked_fraction=1.0 if sampled else c.mask_limit,
-                                      gate_factor=c.gate_factor, ratio_floor=c.ratio_floor),
-                      c.coeffs, c.constants)
+        hv = hydro_decompose(self.grid, psi, eps_rho=c.eps_rho, psi_hat=psi_hat,
+                             gate_factor=c.gate_factor, ratio_floor=c.ratio_floor)
+        if not sampled and hv.masked_fraction > c.mask_limit:
+            raise MaskOverflowError(hv.masked_fraction, c.mask_limit)
+        return derive(hv, c.coeffs, c.constants)
 
     def explicit_hat(self, p_hat, psi=None, state=None):
         """Spectrum of the explicit part at the stage input synthesized as
@@ -366,8 +372,8 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     """Advance psi0 to t_end, sampling observables every ``stride`` steps.
 
     Raises :class:`EvolutionAbort` (carrying the partial trajectory and the
-    last good time) on norm drift beyond tolerance or non-finite samples,
-    and :class:`StabilityError` if dt exceeds the documented bound.
+    last good time) on norm drift, non-finite samples or a mask overflow, and
+    :class:`StabilityError` or :class:`MaskOverflowError` if it cannot start.
     """
     from .diagnostics import _NonFiniteSample, observables_sample
 
@@ -380,9 +386,7 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
 
     def record(t, p, p_hat, state):
         """Store one snapshot; its sample reads the state's record, and what
-        the next sample's continuity residual reads of it is carried on.  A
-        state no stage reads (``state`` None) is derived without the mask
-        guard."""
+        the next sample's continuity residual reads of it is carried on."""
         nonlocal prev
         if not config.observables:
             traj.append(t, p)
@@ -415,20 +419,23 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
     record(0.0, psi, psi_hat, state)
 
     for step in range(1, n_steps + 1):
-        psi = stepper.step(psi, psi_hat, state)
         t = step * dt
-        # guard first: a blown-up state aborts before it is transformed or derived
-        norm = float(grid.integrate(psi.real**2 + psi.imag**2))
-        if not np.isfinite(norm):
-            raise EvolutionAbort("non-finite samples", t - dt, traj)
-        if abs(norm - norm0) > config.norm_tol * max(norm0, 1.0):
-            raise EvolutionAbort(f"norm drift {abs(norm - norm0):.3e} exceeds tolerance "
-                                 f"{config.norm_tol:.1e}", t - dt, traj)
-        # Each state is transformed and derived once, for the next step's
-        # stage a and for its sample.
-        psi_hat = _forward(psi, False)
-        last = step == n_steps
-        state = None if last else stepper.state(psi, psi_hat)
+        try:
+            psi = stepper.step(psi, psi_hat, state)
+            # guard first: a blown-up state aborts before it is transformed or derived
+            norm = float(grid.integrate(psi.real**2 + psi.imag**2))
+            if not np.isfinite(norm):
+                raise EvolutionAbort("non-finite samples", t - dt, traj)
+            if abs(norm - norm0) > config.norm_tol * max(norm0, 1.0):
+                raise EvolutionAbort(f"norm drift {abs(norm - norm0):.3e} exceeds tolerance "
+                                     f"{config.norm_tol:.1e}", t - dt, traj)
+            # Each state is transformed and derived once, for the next step's
+            # stage a and for its sample.
+            psi_hat = _forward(psi, False)
+            last = step == n_steps
+            state = None if last else stepper.state(psi, psi_hat)
+        except MaskOverflowError as exc:
+            raise EvolutionAbort(str(exc), t - dt, traj) from exc
         if last or step % config.stride == 0:
             record(t, psi, psi_hat, state)
 

@@ -14,14 +14,16 @@ excluded from volume integrals; that exclusion is a documented bias source.
 A decomposition builds only these smooth fields, the Laplacian of rho, the
 weighted Laplacian rho*Lap S, the node mask and two reductions (max(rho),
 read by the node floor, the noise gate and the ratio floor, and the masked
-fraction).  It also fixes the view's low-density gates: the node floor
-``eps_rho``, the noise gate ``gate_factor`` and the ratio cut
-``ratio_floor`` are recorded on the view, and every consumer of the view
-(composites, noise gate, multiplier, energy, Ehrenfest corrections,
-continuity residual) reads them from there; no other public function takes
-a gate.  The ratio fields grad S, grad log rho, Lap S and Lap rho / rho
-are derived on first read: the generic functional engine, diagnostics and
-checks read them, the three-parameter engine does not.
+fraction, which a run compares with its ``mask_limit``; a decomposition
+rejects only a psi that vanishes identically).  It also fixes the view's
+low-density gates: the node floor ``eps_rho``, the noise gate
+``gate_factor`` and the ratio cut ``ratio_floor`` are recorded on the view,
+and every consumer of the view (composites, noise gate, multiplier, energy,
+Ehrenfest corrections, continuity residual) reads them from there; no other
+public function takes a gate.  The ratio fields grad S, grad log rho,
+Lap S and Lap rho / rho are derived on first read: the generic functional
+engine, diagnostics and checks read them, the three-parameter engine does
+not.
 
 Fourth-order composites (e.g. rho*Lap(Lap S)) are assembled from
 density-weighted numerators that decay with rho, and are zeroed wherever the
@@ -73,18 +75,6 @@ DEFAULT_RATIO_FLOOR = 1e-8
 DEFAULT_GATE_FACTOR = 16384.0
 
 _EPS = np.finfo(float).eps
-
-
-class MaskOverflowError(ValueError):
-    """Raised when too much of the grid falls below the density floor."""
-
-    def __init__(self, fraction: float, limit: float):
-        self.fraction = fraction
-        self.limit = limit
-        super().__init__(
-            f"{100 * fraction:.1f}% of grid points are below the density floor "
-            f"(limit {100 * limit:.0f}%); state too singular for this scheme"
-        )
 
 
 @dataclass
@@ -170,7 +160,6 @@ def hydro_decompose(
     grid: Grid,
     psi: np.ndarray | None,
     eps_rho: float = DEFAULT_EPS_RHO,
-    max_masked_fraction: float = 0.25,
     psi_hat: np.ndarray | None = None,
     gate_factor: float = DEFAULT_GATE_FACTOR,
     ratio_floor: float = DEFAULT_RATIO_FLOOR,
@@ -181,8 +170,7 @@ def hydro_decompose(
     ``eps_rho`` is relative to max(rho).  The view records it together with
     the fourth-order gates ``gate_factor`` and ``ratio_floor``, which
     :func:`fourth_order_composites` and :func:`noise_gate` read.  Raises
-    :class:`MaskOverflowError` if more than ``max_masked_fraction`` of the
-    grid is below the floor.
+    ValueError if psi vanishes identically.
     ``psi_hat``, if given, is the spectrum ``fftn(psi)`` (or the spectrum psi
     was synthesized from) and replaces the forward transform of psi.  With
     ``psi`` None the state is decomposed from ``psi_hat`` alone: psi and its
@@ -217,10 +205,9 @@ def hydro_decompose(
     g = list(smooth[1:])
 
     rho_max = float(rho.max())
+    if rho_max == 0.0:
+        raise ValueError("wavefunction vanishes identically")
     mask = rho < eps_rho * rho_max
-    frac = np.count_nonzero(mask) / mask.size
-    if frac > max_masked_fraction:
-        raise MaskOverflowError(frac, max_masked_fraction)
 
     # Lap rho and div g, from one forward and one inverse transform of stacks
     spec = _forward_stack(grid, smooth)
@@ -244,7 +231,7 @@ def hydro_decompose(
         rho=rho,
         mask=mask,
         rho_max=rho_max,
-        masked_fraction=frac,
+        masked_fraction=np.count_nonzero(mask) / mask.size,
         eps_rho=eps_rho,
         gate_factor=gate_factor,
         ratio_floor=ratio_floor,

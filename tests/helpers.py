@@ -3,7 +3,7 @@
 import numpy as np
 
 import nlse4 as q
-from nlse4.evolution import DEFAULT_MASK_LIMIT, nonlinear_multiplier
+from nlse4.evolution import nonlinear_multiplier
 
 
 def perturbed_gaussian(grid, seed=11, amplitude=0.1, cutoff=12, t0=1.0):
@@ -56,12 +56,11 @@ def bloch_state(me, amplitude, n=64, periods=2, constants=q.NATURAL_UNITS):
 
 
 def multiplier(grid, psi, coeffs):
-    """The multiplier of a bare psi, decomposed at the default gates under
-    the in-run mask guard."""
-    return nonlinear_multiplier(q.hydro_decompose(grid, psi, max_masked_fraction=DEFAULT_MASK_LIMIT), coeffs)
+    """The multiplier of a bare psi, decomposed at the default gates."""
+    return nonlinear_multiplier(q.hydro_decompose(grid, psi), coeffs)
 
 
 def derived(grid, psi, coeffs, constants=q.NATURAL_UNITS, **gates):
-    """The record of one standalone state, decomposed without the mask
-    guard at the default gates or at the given ``gates``."""
-    return q.derive(q.hydro_decompose(grid, psi, max_masked_fraction=1.0, **gates), coeffs, constants)
+    """The record of one standalone state, decomposed at the default gates
+    or at the given ``gates``."""
+    return q.derive(q.hydro_decompose(grid, psi, **gates), coeffs, constants)

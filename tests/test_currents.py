@@ -42,7 +42,7 @@ class TestCurrents:
         grid = q.make_grid(1, 128, 18.0)
         x = grid.axis_coords()
         psi = np.exp(-(x**2) / 2.0).astype(complex)
-        hv = hydro_decompose(grid, psi, max_masked_fraction=0.95)
+        hv = hydro_decompose(grid, psi)
         cs = currents(hv, (0.3, 0.3, 0.3, 0.3, 0.3))
         assert np.abs(cs.j_linear[0]).max() <= 1e-12
         assert np.abs(cs.j1[0]).max() <= 1e-10
@@ -153,7 +153,7 @@ class TestContinuityResidual:
         rho0 = np.abs(traj.fields[0]) ** 2
         rho1 = np.abs(traj.fields[1]) ** 2
         assert np.abs((rho1 - rho0) / dt).max() <= 1e-10
-        hv = hydro_decompose(grid, traj.fields[0], max_masked_fraction=0.95)
+        hv = hydro_decompose(grid, traj.fields[0])
         cs = currents(hv, (0.0,) * 5)
         div = q.divergence(grid, cs.total())
         assert np.abs(div).max() <= 1e-10

@@ -176,7 +176,7 @@ class TestEngineParity:
         assert i2_cs[0] == pytest.approx(i2_me[0], abs=1e-6)
 
         assert energy(derived(grid, psi, cs), None) == energy(derived(grid, psi, me), None)
-        hv = q.hydro_decompose(grid, psi, max_masked_fraction=1.0)
+        hv = q.hydro_decompose(grid, psi)
         j_me, j_cs = q.currents(hv, me), q.currents(hv, cs)
         assert j_cs.couplings == j_me.couplings
         for a, b in zip([j_me.j_linear] + j_me.extras(), [j_cs.j_linear] + j_cs.extras()):
@@ -196,7 +196,7 @@ class TestSharedDecomposition:
     def state():
         grid = q.make_grid(1, 128, 2 * np.pi)
         psi = perturbed_plane_wave(grid, seed=5, cutoff=5, amplitude=0.3)
-        return grid, psi, q.hydro_decompose(grid, psi, max_masked_fraction=1.0)
+        return grid, psi, q.hydro_decompose(grid, psi)
 
     @pytest.mark.parametrize("coeffs", COEFFS, ids=["linear", "me", "ext"])
     def test_sample_decomposes_at_most_once_per_snapshot(self, coeffs, monkeypatch):
@@ -340,8 +340,8 @@ class _NotCoeffs:
 @pytest.mark.parametrize("call", [
     lambda grid, psi, c: energy(derived(grid, psi, c), None),
     lambda grid, psi, c: ehrenfest_corrections(derived(grid, psi, c)),
-    lambda grid, psi, c: q.currents(q.hydro_decompose(grid, psi, max_masked_fraction=1.0), c),
-    lambda grid, psi, c: nonlinear_multiplier(q.hydro_decompose(grid, psi, max_masked_fraction=1.0), c),
+    lambda grid, psi, c: q.currents(q.hydro_decompose(grid, psi), c),
+    lambda grid, psi, c: nonlinear_multiplier(q.hydro_decompose(grid, psi), c),
     lambda grid, psi, c: stability_bound(grid, c),
 ], ids=["energy", "ehrenfest_corrections", "currents", "nonlinear_multiplier", "stability_bound"])
 @pytest.mark.parametrize("bogus", [object(), _NotCoeffs()], ids=["object", "duck"])

@@ -7,7 +7,6 @@ import nlse4 as q
 from nlse4.diagnostics import GaugeFormError, gauge_form_residual
 from nlse4.evolution import (
     DEFAULT_FILTER_FRACTION,
-    DEFAULT_MASK_LIMIT,
     EvolutionAbort,
     EvolutionConfig,
     StabilityError,
@@ -100,8 +99,8 @@ class TestEvolve:
         dt = cfg.dt
 
         def N(p):
-            hv = q.hydro_decompose(grid, p, eps_rho=cfg.eps_rho, max_masked_fraction=cfg.mask_limit,
-                                   gate_factor=cfg.gate_factor, ratio_floor=cfg.ratio_floor)
+            hv = q.hydro_decompose(grid, p, eps_rho=cfg.eps_rho, gate_factor=cfg.gate_factor,
+                                   ratio_floor=cfg.ratio_floor)
             return nonlinear_multiplier(hv, cfg.coeffs) * p
 
         fft, ifft = np.fft.fftn, np.fft.ifftn
@@ -139,14 +138,29 @@ class TestEvolve:
         run decomposes only to sample, without the guard."""
         grid = q.make_grid(1, 128, 24.0)
         psi0 = q.gaussian_packet(grid, t0=1.0)
-        masked = q.hydro_decompose(grid, psi0, max_masked_fraction=1.0).masked_fraction
+        masked = q.hydro_decompose(grid, psi0).masked_fraction
         limit = 0.5 * masked
-        assert 0.0 < limit < DEFAULT_MASK_LIMIT
+        assert 0.0 < limit < EvolutionConfig.mask_limit
         shared = dict(dt=1e-3, t_end=2e-3, stride=1, mask_limit=limit)
-        with pytest.raises(q.MaskOverflowError):
+        with pytest.raises(q.MaskOverflowError) as err:
             evolve(grid, psi0, EvolutionConfig(coeffs=q.MEParams(D1=0.1, b1=0.05, b6=0.02), **shared))
+        assert err.value.fraction > limit
         traj = evolve(grid, psi0, EvolutionConfig(coeffs=None, **shared))
         assert len(traj.observables) == 3
+
+    def test_mid_run_mask_overflow_aborts_with_partial_trajectory(self):
+        """A stage input that crosses mask_limit after the first step began
+        aborts the run, with the steps before it kept: the packet starts
+        38.3% masked and narrows past 50% near t = 0.45."""
+        grid = q.make_grid(1, 128, 24.0)
+        psi0 = q.gaussian_packet(grid, t0=1.0, t=-1.0)
+        cfg = EvolutionConfig(dt=1e-3, t_end=0.5, coeffs=q.MEParams(D1=0.1, b1=0.05, b6=0.02),
+                              stride=10, mask_limit=0.5)
+        with pytest.raises(EvolutionAbort) as err:
+            evolve(grid, psi0, cfg)
+        overflow = err.value.__cause__
+        assert isinstance(overflow, q.MaskOverflowError) and overflow.fraction > cfg.mask_limit
+        assert 0.0 < err.value.trajectory.ts[-1] <= err.value.t_last
 
     def test_norm_guard_reference_is_the_filtered_state(self):
         """Content above the band filter is removed once, at t = 0; the norm

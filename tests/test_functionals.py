@@ -59,7 +59,7 @@ class TestEvalFunctional:
         grid = q.make_grid(1, 256, 24.0)
         x = grid.axis_coords()
         psi = np.exp(-(x**2) / 2.0).astype(complex)
-        hv = hydro_decompose(grid, psi, max_masked_fraction=0.95)
+        hv = hydro_decompose(grid, psi)
         f = eval_functional((0, 0, 1, 0, 0), "dg", hv)
         center = np.abs(x) < 3.0
         assert np.abs((f - (4.0 * x**2 - 2.0))[center]).max() <= 1e-7
@@ -167,10 +167,8 @@ class TestHomogeneity:
     def test_rejects_zero_lambda(self):
         grid = q.make_grid(1, 64, 5.0)
         psi = q.random_state(grid, seed=1, cutoff=6)
-        with np.errstate(invalid="ignore"):  # the vanishing state's ratios are 0/0
-            hv_0 = hydro_decompose(grid, 0.0 * psi)
-        with pytest.raises(ValueError):
-            homogeneity_check(q.linear_coeffs(), hydro_decompose(grid, psi), hv_0)
+        with pytest.raises(ValueError, match="vanishes"):
+            hydro_decompose(grid, 0.0 * psi)
 
 
 class TestGaugeGeneratedCoefficients:
@@ -217,7 +215,7 @@ class TestForbiddenTerm:
         grid = q.make_grid(1, 256, 24.0)
         x = grid.axis_coords()
         psi = np.exp(-(x**2) / 8.0) * np.exp(1j * x**2)
-        hv = hydro_decompose(grid, psi, max_masked_fraction=0.95)
+        hv = hydro_decompose(grid, psi)
         center = np.abs(x) < 3.0
         f = forbidden_term(hv, 0.7)
         assert np.abs((f - 0.7 * 4.0)[center]).max() <= 1e-6

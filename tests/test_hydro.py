@@ -1,5 +1,6 @@
 """Hydrodynamic decomposition and the density-weighted composites."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -12,7 +13,7 @@ from nlse4 import hydro
 from nlse4.checks import check_hydro_scaling_invariance
 from nlse4.diagnostics import energy
 from nlse4.evolution import nonlinear_multiplier
-from nlse4.hydro import MaskOverflowError, fourth_order_composites, hydro_decompose, noise_gate
+from nlse4.hydro import fourth_order_composites, hydro_decompose, noise_gate
 from nlse4.spectral import spectral_derivative
 
 from helpers import derived, perturbed_gaussian, perturbed_plane_wave
@@ -32,7 +33,7 @@ class TestDecomposition:
         grid = q.make_grid(1, 128, 18.0)
         x = grid.axis_coords()
         psi = np.exp(-(x**2) / 2.0).astype(complex)
-        hv = hydro_decompose(grid, psi, max_masked_fraction=0.95)
+        hv = hydro_decompose(grid, psi)
         center = np.abs(x) < 3.0
         assert np.abs(hv.grad_s[0][center]).max() <= 1e-10
         assert np.abs((hv.grad_log_rho[0] + 2.0 * x)[center]).max() <= 1e-8
@@ -42,7 +43,7 @@ class TestDecomposition:
         grid = q.make_grid(1, 128, 24.0)
         t, t0 = 0.5, 1.0
         psi = q.gaussian_packet(grid, t0=t0, t=t)
-        hv = hydro_decompose(grid, psi, max_masked_fraction=0.95)
+        hv = hydro_decompose(grid, psi)
         x = grid.axis_coords()
         expected = t * x / (t**2 + t0**2)
         dense = hv.rho > 1e-4 * hv.rho.max()
@@ -77,20 +78,19 @@ class TestDecomposition:
         hv = hydro_decompose(grid, psi)
         assert np.abs(hv.rho * hv.grad_log_rho[0] - spectral_derivative(grid, hv.rho)).max() <= 1e-10
 
-    def test_mask_overflow_error(self):
-        grid = q.make_grid(1, 256, 60.0)
-        x = grid.axis_coords()
-        psi = np.exp(-(x**2) / 2.0).astype(complex)  # huge box: most points under floor
-        with pytest.raises(MaskOverflowError) as err:
-            hydro_decompose(grid, psi)
-        assert err.value.fraction > 0.25
-
     def test_rejects_nonfinite(self):
         grid = q.make_grid(1, 64, 5.0)
         psi = np.ones(grid.shape, dtype=complex)
         psi[3] = np.nan
         with pytest.raises(ValueError):
             hydro_decompose(grid, psi)
+
+    def test_rejects_vanishing_spectrum(self):
+        """A state with no density has no ratio fields; the spectrum-only path
+        rejects it as the psi path does."""
+        grid = q.make_grid(1, 64, 5.0)
+        with pytest.raises(ValueError, match="vanishes"):
+            hydro_decompose(grid, None, psi_hat=np.zeros(grid.shape, dtype=complex))
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_from_spectrum_alone_equals_from_psi(self, dims):
@@ -99,8 +99,8 @@ class TestDecomposition:
         spectrum, field by field and bit for bit."""
         grid = q.make_grid(dims, 64, 24.0)
         psi_hat = np.fft.fftn(perturbed_gaussian(grid))
-        hv = hydro_decompose(grid, None, psi_hat=psi_hat, max_masked_fraction=0.95)
-        ref = hydro_decompose(grid, np.fft.ifftn(psi_hat), psi_hat=psi_hat, max_masked_fraction=0.95)
+        hv = hydro_decompose(grid, None, psi_hat=psi_hat)
+        ref = hydro_decompose(grid, np.fft.ifftn(psi_hat), psi_hat=psi_hat)
         assert hv.masked_fraction > 0.0  # the mask is exercised
         for name in ("psi", "rho", "mask", "lap_rho", "rho_lap_s", "safe_rho"):
             assert np.array_equal(getattr(hv, name), getattr(ref, name)), name
@@ -132,7 +132,7 @@ RATIO_FIELDS = ("grad_s", "grad_log_rho", "lap_s", "lap_rho_over_rho")
 def _masked_and_nodeless_views():
     """A localized Gaussian with masked tails and a nodeless random state."""
     grid = q.make_grid(1, 128, 24.0)
-    masked = hydro_decompose(grid, perturbed_gaussian(grid), max_masked_fraction=0.95)
+    masked = hydro_decompose(grid, perturbed_gaussian(grid))
     assert masked.masked_fraction > 0.0
     nodeless = hydro_decompose(grid, perturbed_plane_wave(grid))
     assert nodeless.masked_fraction == 0.0
@@ -193,7 +193,7 @@ class TestFourthOrderComposites:
             q.gaussian_packet(grid, t0=1.0, t=0.7, p0=q.wavenumber(grid, 4)),
             q.coherent_state(grid, omega=1.0, x0=1.0, p0=q.wavenumber(grid, 4)),
         ):
-            hv = hydro_decompose(grid, psi, max_masked_fraction=0.95)
+            hv = hydro_decompose(grid, psi)
             fo = fourth_order_composites(hv)
             assert np.abs(fo.u).max() == 0.0
             assert np.abs(fo.t1).max() == 0.0
@@ -226,7 +226,7 @@ class TestFourthOrderComposites:
     def test_gate_zeroes_noise_but_keeps_signal(self):
         grid = q.make_grid(1, 128, 24.0)
         psi = q.gaussian_packet(grid, t0=1.0)
-        hv = hydro_decompose(grid, psi, max_masked_fraction=0.95)
+        hv = hydro_decompose(grid, psi)
         fo = fourth_order_composites(hv)
         assert np.abs(fo.div_q).max() < fo.gate  # roundoff only
         active = perturbed_plane_wave(grid, seed=2)
@@ -238,7 +238,7 @@ class TestFourthOrderComposites:
         """The composites and the noise gate of a view decomposed at other
         gates are the view's own: no default gate sneaks back in."""
         grid = q.make_grid(1, 128, 24.0)
-        hv = hydro_decompose(grid, perturbed_gaussian(grid), max_masked_fraction=1.0,
+        hv = hydro_decompose(grid, perturbed_gaussian(grid),
                              ratio_floor=1e-4, gate_factor=4096.0)
         fo = hv.fourth_order(keep=False)
         alone = fourth_order_composites(hv)
@@ -289,3 +289,13 @@ def test_sample_side_keyword_budget():
     naming = [f"{name}({key})" for _, name, params in _public_signatures()
               for key in derived_fields if key in params]
     assert naming == []
+
+
+def test_mask_limit_is_a_run_setting():
+    """Whether a state is too singular for the scheme is decided by the run:
+    no public function or method takes a mask limit, and the one setting is
+    ``EvolutionConfig.mask_limit``."""
+    naming = [f"{name}({key})" for _, name, params in _public_signatures()
+              for key in params if "mask" in key]
+    assert naming == []
+    assert [f.name for f in dataclasses.fields(q.EvolutionConfig) if "mask" in f.name] == ["mask_limit"]

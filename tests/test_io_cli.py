@@ -346,7 +346,7 @@ def test_config_doc_evolution_table_matches_code():
     assert set(documented) == {"dt", "t_end", "snapshots", *_EVOLUTION_OPTIONS}
     defaults = {f.name: f.default for f in dataclasses.fields(q.EvolutionConfig)}
     for key, kind in _EVOLUTION_OPTIONS.items():
-        assert kind(documented[key]) == defaults[key], key
+        assert kind(json.loads(documented[key])) == defaults[key], key  # read as a config value
 
 
 def test_section_defaults_come_from_library():
@@ -416,13 +416,20 @@ STATIONARY_BANDS_CONFIG = {
     ("evolve", EVOLVE_CONFIG, ("evolution", "eps_rho"), -1e-12),
     ("evolve", EVOLVE_CONFIG, ("evolution", "gate_factor"), -16384.0),
     ("evolve", EVOLVE_CONFIG, ("evolution", "ratio_floor"), -1e-8),
+    ("evolve", EVOLVE_CONFIG, ("evolution", "dt"), "1e-3"),
+    ("evolve", EVOLVE_CONFIG, ("evolution", "stride"), 2.7),
+    ("evolve", EVOLVE_CONFIG, ("evolution", "snapshots"), "false"),
+    ("evolve", EVOLVE_CONFIG, ("evolution", "norm_tol"), True),
+    ("evolve", EVOLVE_CONFIG, ("grid", "n"), "64"),
+    ("evolve", {**EVOLVE_CONFIG, "coeffs": {"preset": "dg"}}, ("coeffs", "params", "a"), "11000"),
 ], ids=["bands-samples", "bands-D1", "bands-a-reversed", "bands-a-nan", "potential-omega",
         "ehrenfest-tolerance_scale", "ehrenfest-control", "separability-tolerance", "separability-dt",
         "report_norm_tol", "evolution-dt-not-dividing",
         "separability-n-above-cap", "separability-dt-negative", "separability-dt-not-dividing",
         "separability-stride-zero", "evolution-norm_tol-nan", "evolution-filter_fraction-negative",
         "evolution-mask_limit-negative", "evolution-eps_rho-negative", "evolution-gate_factor-negative",
-        "evolution-ratio_floor-negative"])
+        "evolution-ratio_floor-negative", "evolution-dt-string", "evolution-stride-fraction",
+        "evolution-snapshots-string", "evolution-norm_tol-bool", "grid-n-string", "coeffs-a-string"])
 def test_malformed_value_exits_2(tmp_path, capsys, command, config, path, value):
     """A key the section does not know, a value that does not convert, or
     one that its constructor rejects is a configuration error reported
@@ -461,6 +468,23 @@ def test_run_that_cannot_start_exits_2(tmp_path, capsys, grid, state, evolution,
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert not (out / "summary.json").exists()
+
+
+def test_mid_run_mask_overflow_exits_3(tmp_path):
+    """A stage input that crosses mask_limit after the first step began is a
+    numerical abort: exit 3, and the partial report names the density floor
+    and the last good time.  The packet starts 38.3% masked and narrows past
+    50% near t = 0.45."""
+    cfg = _write_config(tmp_path, "run.json", {
+        "version": 1, "grid": {"dims": 1, "n": 128, "length": 24.0},
+        "state": {"kind": "gaussian_packet", "params": {"t0": 1.0, "t": -1.0}},
+        "coeffs": {"preset": "me", "params": {"D1": 0.1, "b1": 0.05, "b6": 0.02}},
+        "evolution": {"dt": 1e-3, "t_end": 0.5, "stride": 10, "mask_limit": 0.5},
+    })
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    abort = json.loads((out / "summary.json").read_text())["abort"]
+    assert abort["t_last"] > 0.0 and "below the density floor" in abort["reason"]
 
 
 @pytest.mark.parametrize("command, config", [

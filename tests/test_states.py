@@ -86,7 +86,7 @@ class TestCoherentState:
         grid = q.make_grid(1, 128, 20.0)
         p0 = q.wavenumber(grid, 4)
         psi = q.coherent_state(grid, omega=1.0, x0=1.0, p0=p0)
-        hv = q.hydro_decompose(grid, psi, max_masked_fraction=0.95)
+        hv = q.hydro_decompose(grid, psi)
         dense = hv.rho > 1e-4 * hv.rho.max()
         assert np.abs((hv.grad_s[0] - p0)[dense]).max() <= 1e-8
         assert np.abs(hv.lap_s[dense]).max() <= 1e-6

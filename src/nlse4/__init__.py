@@ -40,7 +40,7 @@ from .coeffs import (
     dg_linearizable,
 )
 from .functionals import eval_functional, functional_pair, forbidden_term, homogeneity_check
-from .currents import CurrentSet, currents, continuity_residual
+from .currents import currents, continuity_residual
 from .evolution import (
     EvolutionAbort,
     EvolutionConfig,

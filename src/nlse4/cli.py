@@ -148,16 +148,34 @@ def _parse_potential(cfg, grid: Grid, constants: PhysicalConstants):
     raise ConfigError(f"potential.kind: unknown kind {kind!r}")
 
 
+def _per_axis(convert):
+    """Converter of a per-axis entry: one value or a list, each by ``convert``."""
+    def per_axis(value):
+        return [convert(v) for v in value] if isinstance(value, list) else convert(value)
+    return per_axis
+
+
+#: kind -> (required params, optional params) of its builder, as key tables.
+_STATE_KINDS = {
+    "plane_wave": ({"mode": _per_axis(_int)}, {}),
+    "gaussian_packet": ({"t0": _float}, {"t": _float, "x0": _per_axis(_float), "p0": _per_axis(_float)}),
+    "harmonic_eigenstate": ({"level": _per_axis(_int), "omega": _float}, {}),
+    "coherent": ({"omega": _float}, {"x0": _per_axis(_float), "p0": _per_axis(_float)}),
+    "random": ({}, {"seed": _int, "cutoff": _int, "amplitude": _float}),
+}
+
+
 def _parse_state(cfg, grid: Grid, constants: PhysicalConstants, seed_override=None):
-    section = _read_section(cfg, "state", {"kind": _raw, "params": dict, "seed": _int}, required=("kind",))
-    params = section.get("params", {})
-    try:
-        if section["kind"] == "random":
-            seed = section.get("seed", params.pop("seed", _DEFAULT_SEED))
-            params["seed"] = seed_override if seed_override is not None else _int(seed)
-        return make_state(grid, section["kind"], constants=constants, **params)
-    except Exception as exc:
-        raise ConfigError(f"state: {exc}") from exc
+    section = _read_section(cfg, "state", {"kind": _raw, "params": _raw, "seed": _int}, required=("kind",))
+    kind = section["kind"]
+    if not isinstance(kind, str) or kind not in _STATE_KINDS:
+        raise ConfigError(f"state.kind: unknown kind {kind!r} (allowed: {sorted(_STATE_KINDS)})")
+    required, optional = _STATE_KINDS[kind]
+    params = _read_section(section.get("params", {}), "state.params", {**required, **optional}, required)
+    if kind == "random":
+        seed = section.get("seed", params.get("seed", _DEFAULT_SEED))
+        params["seed"] = seed_override if seed_override is not None else seed
+    return _construct("state", make_state, grid, kind, constants=constants, **params)
 
 
 #: Required ``evolution`` keys and their types.

@@ -11,13 +11,14 @@ and the continuity equation reads
 
     d rho/dt + (hbar/m) div(rho grad S) + sum_i div(j_i) = 0.
 
-Each current is assembled from its density-weighted numerator, so the
-fields decay with rho in tails instead of amplifying roundoff.
+Each current is rho grad(W_i / rho) of a density-weighted numerator W_i, so
+the fields decay with rho in tails instead of amplifying roundoff.  As in
+:mod:`nlse4.functionals`, the couplings weight the numerators before the one
+gradient, sum_i j_i = rho grad((sum_i D_i W_i) / rho), which differs from
+summing the five gradients only by roundoff; a zero coupling costs nothing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,29 +26,14 @@ from .coeffs import CoeffError, CoeffSet, MEParams
 from .hydro import HydroView, weighted_grad_of_ratio
 from .spectral import PhysicalConstants, NATURAL_UNITS, divergence
 
-
-@dataclass(frozen=True)
-class CurrentSet:
-    """Linear current plus the five divergence-family currents (lists of
-    per-axis arrays) and their couplings."""
-
-    j_linear: list
-    j1: list
-    j2: list
-    j3: list
-    j4: list
-    j5: list
-    couplings: tuple
-
-    def extras(self) -> list:
-        return [self.j1, self.j2, self.j3, self.j4, self.j5]
-
-    def total(self) -> list:
-        out = [a.copy() for a in self.j_linear]
-        for j in self.extras():
-            for axisidx, comp in enumerate(j):
-                out[axisidx] = out[axisidx] + comp
-        return out
+#: The numerators W1..W5 of the five currents, built on demand.
+_NUMERATORS = (
+    lambda hv: hv.rho_lap_s,
+    lambda hv: hv.lap_rho,
+    lambda hv: hv.ratio(sum(dra * dra for dra in hv.grad_rho)),
+    lambda hv: hv.ratio(sum(dra * ga for dra, ga in zip(hv.grad_rho, hv.g))),
+    lambda hv: hv.ratio(sum(ga * ga for ga in hv.g)),
+)
 
 
 def _current_couplings(couplings) -> tuple:
@@ -64,36 +50,26 @@ def _current_couplings(couplings) -> tuple:
     return d
 
 
-def currents(hv: HydroView, couplings, constants: PhysicalConstants = NATURAL_UNITS) -> CurrentSet:
-    """All currents of one state.  ``couplings`` may be MEParams, a CoeffSet
-    (divergence-family D_i = a_i D), an explicit 5-sequence of D_i, or None
-    for the linear equation."""
+def currents(hv: HydroView, couplings, constants: PhysicalConstants = NATURAL_UNITS) -> list:
+    """Total current of one state, one array per axis: the linear current
+    (hbar/m) g plus the five extra currents.  ``couplings`` may be MEParams,
+    a CoeffSet (divergence-family D_i = a_i D), an explicit 5-sequence of
+    D_i, or None for the linear equation."""
     d = _current_couplings(couplings)
-    grid = hv.grid
-    hbar, m = constants.hbar, constants.mass
-    j_lin = [hbar / m * ga for ga in hv.g]
-
-    zero = [np.zeros(grid.shape) for _ in range(grid.dims)]
-
-    def weighted(numerator, di):
-        if di == 0.0:
-            return [z.copy() for z in zero]
-        return [di * comp for comp in weighted_grad_of_ratio(hv, numerator)]
-
-    w3 = sum(dra * dra for dra in hv.grad_rho)
-    w4 = sum(dra * ga for dra, ga in zip(hv.grad_rho, hv.g))
-    w5 = sum(ga * ga for ga in hv.g)
-    j1 = weighted(hv.rho_lap_s, d[0])
-    j2 = weighted(hv.lap_rho, d[1])
-    j3 = weighted(hv.ratio(w3), d[2])
-    j4 = weighted(hv.ratio(w4), d[3])
-    j5 = weighted(hv.ratio(w5), d[4])
-    return CurrentSet(j_linear=j_lin, j1=j1, j2=j2, j3=j3, j4=j4, j5=j5, couplings=d)
+    j = [constants.hbar / constants.mass * ga for ga in hv.g]
+    terms = (di * numerator(hv) for di, numerator in zip(d, _NUMERATORS) if di != 0.0)
+    weighted = next(terms, None)  # sum_i D_i W_i, accumulated in place
+    if weighted is not None:
+        for term in terms:
+            weighted += term
+        for ja, extra in zip(j, weighted_grad_of_ratio(hv, weighted)):
+            ja += extra
+    return j
 
 
 def current_divergence(hv: HydroView, couplings, constants: PhysicalConstants = NATURAL_UNITS) -> np.ndarray:
     """div of the total current (linear plus the five extras) of one state."""
-    return divergence(hv.grid, currents(hv, couplings, constants).total())
+    return divergence(hv.grid, currents(hv, couplings, constants))
 
 
 def continuity_residual(before, after, dt: float) -> tuple:

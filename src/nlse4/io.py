@@ -16,7 +16,7 @@ Field snapshot binary layout (little-endian):
     20      8     float64 box length L
     28      4     uint32 dtype code (0 = complex128 as interleaved re/im)
     32      --    row-major samples, re/im interleaved float64 (the memory
-                  layout of little-endian complex128)
+                  layout of little-endian complex128); 32 + 16 n^dims bytes in all
 """
 
 from __future__ import annotations
@@ -115,5 +115,8 @@ def read_field_snapshot(path):
     if dtype_code != 0:
         raise ValueError(f"unsupported dtype code {dtype_code}")
     grid = make_grid(dims, n, length)
+    expected = 32 + 16 * grid.npoints
+    if len(raw) != expected:
+        raise ValueError(f"snapshot of a {dims}D grid with n = {n} must hold {expected} bytes, got {len(raw)}")
     field = np.frombuffer(raw, "<c16", grid.npoints, 32).astype(complex).reshape(grid.shape)
     return grid, field

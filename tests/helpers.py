@@ -60,6 +60,15 @@ def multiplier(grid, psi, coeffs):
     return nonlinear_multiplier(q.hydro_decompose(grid, psi), coeffs)
 
 
+def extra_current(hv, i, di):
+    """The extra current of the coupling D_i alone (index ``i`` of the five),
+    one array per axis: the total current at the unit coupling vector
+    e_i D_i minus the linear current."""
+    d = [0.0] * 5
+    d[i] = di
+    return [a - b for a, b in zip(q.currents(hv, d), q.currents(hv, None))]
+
+
 def derived(grid, psi, coeffs, constants=q.NATURAL_UNITS, **gates):
     """The record of one standalone state, decomposed at the default gates
     or at the given ``gates``."""

@@ -1,5 +1,7 @@
 """Probability currents, the extended continuity equation, effective mass."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from nlse4.evolution import EvolutionConfig, evolve
 from nlse4.functionals import eval_functional
 from nlse4.hydro import hydro_decompose, weighted_grad_of_ratio
 
-from helpers import derived, perturbed_gaussian, perturbed_plane_wave
+from helpers import derived, extra_current, perturbed_gaussian, perturbed_plane_wave
+
+# the package binds the name ``currents`` to the function
+currents_mod = importlib.import_module("nlse4.currents")
 
 
 class TestCurrents:
@@ -19,10 +24,10 @@ class TestCurrents:
         k = q.wavenumber(grid, 3)
         psi = np.exp(1j * k * grid.axis_coords())
         hv = hydro_decompose(grid, psi)
-        cs = currents(hv, q.MEParams(D1=0.4, b1=0.0, b6=0.0))
-        assert np.abs(cs.j_linear[0] - k).max() <= 1e-9
-        for j in cs.extras():
-            assert np.abs(j[0]).max() <= 1e-8
+        me = q.MEParams(D1=0.4, b1=0.0, b6=0.0)
+        assert np.abs(currents(hv, None)[0] - k).max() <= 1e-9
+        for i, di in enumerate(me.d_currents()):
+            assert np.abs(extra_current(hv, i, di)[0]).max() <= 1e-8
 
     def test_phase_mode_extra_current(self):
         # S = eps sin(kx) on unit density: j1 = D1 * S''' = -D1 eps k^3 cos(kx)
@@ -32,9 +37,8 @@ class TestCurrents:
         k = q.wavenumber(grid, mode)
         psi = np.exp(1j * eps * np.sin(k * x))
         hv = hydro_decompose(grid, psi)
-        cs = currents(hv, (d1, 0.0, 0.0, 0.0, 0.0))
         expected = -d1 * eps * k**3 * np.cos(k * x)
-        assert np.abs(cs.j1[0] - expected).max() <= 1e-8 * k**3
+        assert np.abs(extra_current(hv, 0, d1)[0] - expected).max() <= 1e-8 * k**3
 
     def test_real_gaussian_current_pattern(self):
         # real state: grad S = 0, so j_linear = j1 = j4 = j5 = 0 while the
@@ -43,30 +47,59 @@ class TestCurrents:
         x = grid.axis_coords()
         psi = np.exp(-(x**2) / 2.0).astype(complex)
         hv = hydro_decompose(grid, psi)
-        cs = currents(hv, (0.3, 0.3, 0.3, 0.3, 0.3))
-        assert np.abs(cs.j_linear[0]).max() <= 1e-12
-        assert np.abs(cs.j1[0]).max() <= 1e-10
-        assert np.abs(cs.j4[0]).max() <= 1e-10
-        assert np.abs(cs.j5[0]).max() <= 1e-10
-        assert np.abs(cs.j2[0]).max() > 1e-2
-        assert np.abs(cs.j3[0]).max() > 1e-2
+        j1, j2, j3, j4, j5 = (extra_current(hv, i, 0.3)[0] for i in range(5))
+        assert np.abs(currents(hv, None)[0]).max() <= 1e-12
+        assert np.abs(j1).max() <= 1e-10
+        assert np.abs(j4).max() <= 1e-10
+        assert np.abs(j5).max() <= 1e-10
+        assert np.abs(j2).max() > 1e-2
+        assert np.abs(j3).max() > 1e-2
 
     def test_zero_couplings_reduce_to_linear(self):
         grid = q.make_grid(1, 64, 2 * np.pi)
         psi = perturbed_plane_wave(grid, seed=4)
         hv = hydro_decompose(grid, psi)
-        cs = currents(hv, (0.0,) * 5)
-        total = cs.total()
-        assert np.abs(total[0] - cs.j_linear[0]).max() == 0.0
-
+        total = currents(hv, (0.0,) * 5)
+        assert np.abs(total[0] - hv.g[0]).max() == 0.0
 
     def test_none_couplings_are_the_linear_equation(self):
         grid = q.make_grid(1, 64, 2 * np.pi)
         hv = hydro_decompose(grid, perturbed_plane_wave(grid, seed=4))
         none, zeros = currents(hv, None), currents(hv, (0.0,) * 5)
-        assert none.couplings == zeros.couplings == (0.0,) * 5
-        for a, b in zip([none.j_linear] + none.extras(), [zeros.j_linear] + zeros.extras()):
-            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(none, zeros))
+
+
+class TestOneWeightedGradient:
+    """The couplings weight the five numerators before one gradient."""
+
+    COEFFS = q.ext_coeffs(a=[0.4, -0.3, 0.25, 0.15, -0.2] * 2 + [0.0] * 3, b=[0.0] * 13, D=0.5)
+
+    @staticmethod
+    def view():
+        grid = q.make_grid(2, 32, 2 * np.pi)
+        return hydro_decompose(grid, perturbed_plane_wave(grid, seed=7, cutoff=4, amplitude=0.3))
+
+    def test_total_is_linear_plus_single_coupling_extras(self):
+        hv = self.view()
+        d = self.COEFFS.d_currents()
+        assert all(di != 0.0 for di in d)
+        summed = currents(hv, None)
+        for i, di in enumerate(d):
+            summed = [s + e for s, e in zip(summed, extra_current(hv, i, di))]
+        total = currents(hv, self.COEFFS)
+        scale = max(np.abs(t).max() for t in total)
+        assert max(np.abs(t - s).max() for t, s in zip(total, summed)) <= 1e-12 * scale
+
+    def test_divergence_takes_one_weighted_gradient(self, monkeypatch):
+        hv = self.view()
+        calls = []
+        original = currents_mod.weighted_grad_of_ratio
+        monkeypatch.setattr(currents_mod, "weighted_grad_of_ratio",
+                            lambda hv, numerator: calls.append(numerator) or original(hv, numerator))
+        currents_mod.current_divergence(hv, self.COEFFS)
+        assert len(calls) == 1
+        currents_mod.current_divergence(hv, None)
+        assert len(calls) == 1
 
 
 class TestFormEquivalence:
@@ -77,8 +110,7 @@ class TestFormEquivalence:
         psi = perturbed_plane_wave(grid, seed=10, cutoff=6, amplitude=0.3)
         hv = hydro_decompose(grid, psi)
         D = (0.4, -0.3, 0.25, 0.15, -0.2)
-        cs = currents(hv, D)
-        total_extra = sum(j[0] for j in cs.extras())
+        total_extra = currents(hv, D)[0] - currents(hv, None)[0]
         f = eval_functional((D[0], D[3], D[1], D[2], D[4]), "dg", hv)
         rho_grad_f = weighted_grad_of_ratio(hv, hv.rho * f)[0]
         assert np.abs(total_extra - rho_grad_f).max() <= 1e-10
@@ -154,8 +186,7 @@ class TestContinuityResidual:
         rho1 = np.abs(traj.fields[1]) ** 2
         assert np.abs((rho1 - rho0) / dt).max() <= 1e-10
         hv = hydro_decompose(grid, traj.fields[0])
-        cs = currents(hv, (0.0,) * 5)
-        div = q.divergence(grid, cs.total())
+        div = q.divergence(grid, currents(hv, (0.0,) * 5))
         assert np.abs(div).max() <= 1e-10
 
 

@@ -15,7 +15,7 @@ from nlse4.diagnostics import (
 )
 from nlse4.evolution import EvolutionConfig, evolve, nonlinear_multiplier, stability_bound
 
-from helpers import banded_localized_state, derived, perturbed_gaussian, perturbed_plane_wave
+from helpers import banded_localized_state, derived, extra_current, perturbed_gaussian, perturbed_plane_wave
 
 CON = q.NATURAL_UNITS
 
@@ -177,10 +177,11 @@ class TestEngineParity:
 
         assert energy(derived(grid, psi, cs), None) == energy(derived(grid, psi, me), None)
         hv = q.hydro_decompose(grid, psi)
-        j_me, j_cs = q.currents(hv, me), q.currents(hv, cs)
-        assert j_cs.couplings == j_me.couplings
-        for a, b in zip([j_me.j_linear] + j_me.extras(), [j_cs.j_linear] + j_cs.extras()):
-            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert cs.d_currents() == me.d_currents()
+        assert all(np.array_equal(x, y) for x, y in zip(q.currents(hv, me), q.currents(hv, cs)))
+        for i, (di_me, di_cs) in enumerate(zip(me.d_currents(), cs.d_currents())):
+            assert all(np.array_equal(x, y) for x, y in zip(extra_current(hv, i, di_me),
+                                                            extra_current(hv, i, di_cs)))
 
 
 class TestSharedDecomposition:

@@ -1,6 +1,7 @@
 """Serialization formats and the command-line driver."""
 
 import dataclasses
+import inspect
 import json
 import re
 import struct
@@ -14,9 +15,11 @@ from nlse4 import checks
 from nlse4.cli import (
     _COEFF_PRESETS,
     _EVOLUTION_OPTIONS,
+    _STATE_KINDS,
     _parse_coeffs,
     _parse_constants,
     _parse_evolution,
+    _parse_state,
     main,
 )
 from nlse4.io import read_field_snapshot, write_field_snapshot
@@ -84,6 +87,19 @@ class TestSnapshotFormat:
         path = tmp_path / "junk.fld"
         path.write_bytes(b"NOTAFILE" + b"\x00" * 64)
         with pytest.raises(ValueError):
+            read_field_snapshot(path)
+
+    @pytest.mark.parametrize("cut", [48, -48], ids=["trailing-bytes", "truncated"])
+    def test_wrong_length_rejected(self, tmp_path, cut):
+        """A file must hold the header plus exactly n^dims samples: trailing
+        bytes or a truncated payload raise with the expected size."""
+        grid = q.make_grid(2, 16, 7.5)
+        path = tmp_path / "field.fld"
+        write_field_snapshot(path, grid, q.random_state(grid, seed=2, cutoff=3))
+        raw = path.read_bytes()
+        assert len(raw) == 32 + 16 * 16**2
+        path.write_bytes(raw + b"\x00" * cut if cut > 0 else raw[:cut])
+        with pytest.raises(ValueError, match=f"must hold {32 + 16 * 16**2} bytes, got {len(raw) + cut}"):
             read_field_snapshot(path)
 
 
@@ -377,6 +393,34 @@ def test_config_doc_constants_and_coeffs_tables_match_code():
                        for name, (_, required, optional) in _COEFF_PRESETS.items()}
 
 
+def test_state_tables_match_builders_and_doc():
+    """Each state kind's key tables name exactly its builder's parameters
+    (the required ones being those without a default, except the ``random``
+    seed, which the command line fills in), and docs/config.md lists them
+    under that kind."""
+    text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    bullets = dict(re.findall(r"^\* `(\w+)`: (.*(?:\n  .*)*)", text, flags=re.M))
+    assert set(_STATE_KINDS) == set(q.states._KINDS)
+    for kind, (required, optional) in _STATE_KINDS.items():
+        params = inspect.signature(q.states._KINDS[kind]).parameters
+        named = {name: p for name, p in params.items() if name not in ("grid", "constants")}
+        assert set(required) == {name for name, p in named.items() if p.default is p.empty} - {"seed"}, kind
+        assert {*required, *optional} == set(named), kind
+        assert set(re.findall(r"`(\w+)`", bullets[kind])) - {"state"} >= set(named), kind
+
+
+def test_per_axis_state_params_accept_lists():
+    """A per-axis state parameter given as a list builds the same state as
+    the library call with that list."""
+    grid = q.make_grid(2, 32, 20.0)
+    cfg = {"kind": "gaussian_packet", "params": {"t0": 1.0, "x0": [0.5, -1], "p0": [1, 0.0]}}
+    psi = _parse_state(cfg, grid, q.NATURAL_UNITS)
+    assert np.array_equal(psi, q.gaussian_packet(grid, t0=1.0, x0=(0.5, -1.0), p0=(1.0, 0.0)))
+    eig = _parse_state({"kind": "harmonic_eigenstate", "params": {"level": [1, 0], "omega": 1.0}},
+                       grid, q.NATURAL_UNITS)
+    assert np.array_equal(eig, q.harmonic_eigenstate(grid, (1, 0), 1.0))
+
+
 SEPARABILITY_CONFIG = {
     "version": 1,
     "grid": {"dims": 1, "n": 64, "length": 20.0},
@@ -387,6 +431,10 @@ SEPARABILITY_CONFIG = {
         "state2": {"kind": "gaussian_packet", "params": {"t0": 1.3}},
     },
 }
+
+#: Valid states on the EVOLVE_CONFIG grid; each malformed-value row spoils one param.
+RANDOM_STATE = {"kind": "random", "params": {"cutoff": 6, "amplitude": 0.3}}
+EIGENSTATE = {"kind": "harmonic_eigenstate", "params": {"level": 1, "omega": 1.0}}
 
 STATIONARY_BANDS_CONFIG = {
     "version": 1,
@@ -422,6 +470,11 @@ STATIONARY_BANDS_CONFIG = {
     ("evolve", EVOLVE_CONFIG, ("evolution", "norm_tol"), True),
     ("evolve", EVOLVE_CONFIG, ("grid", "n"), "64"),
     ("evolve", {**EVOLVE_CONFIG, "coeffs": {"preset": "dg"}}, ("coeffs", "params", "a"), "11000"),
+    ("evolve", {**EVOLVE_CONFIG, "state": RANDOM_STATE}, ("state", "params", "cutoff"), 6.5),
+    ("evolve", {**EVOLVE_CONFIG, "state": RANDOM_STATE}, ("state", "params", "amplitude"), False),
+    ("evolve", {**EVOLVE_CONFIG, "state": EIGENSTATE}, ("state", "params", "level"), 1.7),
+    ("evolve", EVOLVE_CONFIG, ("state", "params", "t0"), True),
+    ("evolve", EVOLVE_CONFIG, ("state", "params", "p0"), [True]),
 ], ids=["bands-samples", "bands-D1", "bands-a-reversed", "bands-a-nan", "potential-omega",
         "ehrenfest-tolerance_scale", "ehrenfest-control", "separability-tolerance", "separability-dt",
         "report_norm_tol", "evolution-dt-not-dividing",
@@ -429,7 +482,9 @@ STATIONARY_BANDS_CONFIG = {
         "separability-stride-zero", "evolution-norm_tol-nan", "evolution-filter_fraction-negative",
         "evolution-mask_limit-negative", "evolution-eps_rho-negative", "evolution-gate_factor-negative",
         "evolution-ratio_floor-negative", "evolution-dt-string", "evolution-stride-fraction",
-        "evolution-snapshots-string", "evolution-norm_tol-bool", "grid-n-string", "coeffs-a-string"])
+        "evolution-snapshots-string", "evolution-norm_tol-bool", "grid-n-string", "coeffs-a-string",
+        "state-cutoff-fraction", "state-amplitude-bool", "state-level-fraction", "state-t0-bool",
+        "state-p0-list-of-bool"])
 def test_malformed_value_exits_2(tmp_path, capsys, command, config, path, value):
     """A key the section does not know, a value that does not convert, or
     one that its constructor rejects is a configuration error reported

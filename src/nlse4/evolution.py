@@ -52,7 +52,7 @@ fields are derived on first read (the generic engine reads them), and the
 three-parameter composites are built once per view, so a sample's energy
 reuses the multiplier's.  On a 1D grid the decomposition and the
 composites transform their fields as stacks, one call per stack, so a 1D
-three-parameter step makes 34 transform calls; a 2D grid keeps one call
+three-parameter step makes 26 transform calls; a 2D grid keeps one call
 per field.
 
 The config's low-density gates (``eps_rho``, ``gate_factor``,

@@ -300,29 +300,53 @@ def fourth_order_composites(hv: HydroView) -> FourthOrder:
         r6  = grad_rho . grad(Lap S) = grad_rho . q / rho
         r1  = rho Lap(Lap S)         = Lap P - 2 r6 - (P/rho) Lap rho
         div_q = rho [Lap(Lap S) + grad(log rho) . grad(Lap S)]
+
+    On a 1D grid q = dP - F with F = (P/rho) d rho is linear in the spectra
+    of P and F, so one forward transform of the stack [P, F] and one inverse
+    of [ik P^, -k^2 P^, ik (ik P^ - F^)] give dP, Lap P and div q.  div q
+    applies the odd symbol ik twice, as ``divergence(grid, q)`` does, so its
+    Nyquist mode is zero; -k^2 P^ - ik F^ would keep it.  A 2D grid takes
+    div q from its own transforms of q, one call per field.
     """
     grid = hv.grid
     dims = grid.dims
     P = hv.rho_lap_s
     ratio_P = hv.ratio(P)
-    # grad P and Lap P from one inverse transform of a stack
-    P_hat = _forward(P, True)
-    spec = _stack(grid, dims + 1, half=True)
-    for a in range(dims):
-        np.multiply(_ik(grid, a, True), P_hat, out=spec[a])
-    np.multiply(_laplacian_symbol(grid.n, grid.length, dims, True), P_hat, out=spec[dims])
-    *dP, lap_P = _inverse_stack(grid, spec)
-    q = [dPa - ratio_P * dra for dPa, dra in zip(dP, hv.grad_rho)]
+    if dims == 1:
+        PF = _stack(grid, 2)
+        PF[0] = P
+        F = np.multiply(ratio_P, hv.grad_rho[0], out=PF[1])
+        P_hat, F_hat = _forward_stack(grid, PF)
+        ik = _ik(grid, 0, True)
+        spec = _stack(grid, 3, half=True)
+        np.multiply(ik, P_hat, out=spec[2])
+        np.multiply(_laplacian_symbol(grid.n, grid.length, 1, True), P_hat, out=spec[1])
+        np.subtract(spec[2], F_hat, out=spec[0])
+        spec[0] *= ik
+        # the rows [div q, Lap P, dP] become the numerators [div q, r1, r6]
+        nums = _inverse_stack(grid, spec)
+        div_q, r1, r6 = nums
+        r6[...] = hv.ratio(hv.grad_rho[0] * (r6 - F))
+        r1 -= 2.0 * r6
+    else:
+        # grad P and Lap P from one inverse transform of a stack
+        P_hat = _forward(P, True)
+        spec = _stack(grid, dims + 1, half=True)
+        for a in range(dims):
+            np.multiply(_ik(grid, a, True), P_hat, out=spec[a])
+        np.multiply(_laplacian_symbol(grid.n, grid.length, dims, True), P_hat, out=spec[dims])
+        *dP, lap_P = _inverse_stack(grid, spec)
+        q = [dPa - ratio_P * dra for dPa, dra in zip(dP, hv.grad_rho)]
 
-    # the numerators of u, t1 and t6
-    nums = _stack(grid, 3)
-    div_q, r1, r6 = nums
-    div_q[...] = divergence(grid, q)
-    dot = hv.grad_rho[0] * q[0]
-    for a in range(1, dims):
-        dot += hv.grad_rho[a] * q[a]
-    r6[...] = hv.ratio(dot)
-    np.subtract(lap_P, 2.0 * r6, out=r1)
+        # the numerators of u, t1 and t6
+        nums = _stack(grid, 3)
+        div_q, r1, r6 = nums
+        div_q[...] = divergence(grid, q)
+        dot = hv.grad_rho[0] * q[0]
+        for a in range(1, dims):
+            dot += hv.grad_rho[a] * q[a]
+        r6[...] = hv.ratio(dot)
+        np.subtract(lap_P, 2.0 * r6, out=r1)
     r1 -= ratio_P * hv.lap_rho
 
     gate = noise_gate(hv)

@@ -220,16 +220,24 @@ class TestEvolve:
         assert all(b > a for a, b in zip(traj.ts, traj.ts[1:]))
 
 
-#: Transform calls of one IF-RK4 step of the 1D three-parameter engine: four
-#: stage views of 3 and four composites of 4, one forward per stage
-#: right-hand side, the new state's inverse and its forward.  Each stacked
-#: call counts once; per-field transforms made 49.
-ME_1D_TRANSFORMS_PER_STEP = 34
+#: Transform calls of one IF-RK4 step of the 1D three-parameter engine.  Per
+#: stage: ifft [psi, dpsi]; rfft [rho, g]; irfft [Lap rho, div g]; rfft
+#: [P, F]; irfft [dP, Lap P, div q]; fft of the explicit part.  Four stages
+#: of 6, plus the new state's inverse and its forward.  Each stacked call
+#: counts once; per-field transforms made 49.
+ME_1D_TRANSFORMS_PER_STEP = 26
+
+#: Transform calls of one IF-RK4 step of the 2D ``ext`` engine on the
+#: ``evolve_2d_ext`` coefficients, which keeps one call per field, without
+#: and with an observables sample every step.
+EXT_2D_TRANSFORMS_PER_STEP = 89
+EXT_2D_TRANSFORMS_PER_SAMPLED_STEP = 105
 
 
-def test_me_1d_transform_budget(monkeypatch):
-    """Counts the numpy.fft calls per step of a short 1D ME run, so undoing
-    the stacked transforms of a stage fails here."""
+@pytest.fixture
+def transforms_per_step(monkeypatch):
+    """Counts the numpy.fft calls per step of a short run: the calls of six
+    steps minus those of two, over four."""
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
         original = getattr(np.fft, name)
@@ -239,18 +247,39 @@ def test_me_1d_transform_budget(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+
+    def per_step(grid, psi0, coeffs, sampled=False):
+        dt = 0.05 * stability_bound(grid, coeffs)
+
+        def calls_for(steps):
+            calls.clear()
+            evolve(grid, psi0, EvolutionConfig(dt=dt, t_end=steps * dt, coeffs=coeffs,
+                                               stride=1 if sampled else steps,
+                                               observables=sampled))
+            return len(calls)
+
+        return (calls_for(6) - calls_for(2)) / 4
+
+    return per_step
+
+
+def test_me_1d_transform_budget(transforms_per_step):
+    """Undoing the stacked transforms of a 1D stage fails here."""
     grid = q.make_grid(1, 256, 2 * np.pi)
     psi0 = perturbed_plane_wave(grid, seed=2)
     me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
-    dt = 0.05 * stability_bound(grid, me)
+    assert transforms_per_step(grid, psi0, me) == ME_1D_TRANSFORMS_PER_STEP
 
-    def calls_for(steps):
-        calls.clear()
-        evolve(grid, psi0, EvolutionConfig(dt=dt, t_end=steps * dt, coeffs=me, stride=steps,
-                                           observables=False))
-        return len(calls)
 
-    assert calls_for(6) - calls_for(2) == 4 * ME_1D_TRANSFORMS_PER_STEP
+def test_ext_2d_transform_budget(transforms_per_step):
+    """A 2D step keeps its per-field transforms; a change to their number,
+    sampled or not, fails here."""
+    grid = q.make_grid(2, 32, 2 * np.pi)
+    psi0 = q.random_state(grid, seed=1, cutoff=4, amplitude=0.3)
+    ext = q.ext_coeffs(a=[0.1, 0.05, 0.02, 0.03, 0.01] * 2 + [0.0] * 3,
+                       b=[0.05, 0.01, 0.02, 0.01, 0.01, 0.02, 0.01, 0.0, 0.01, 0.0, 0.01, 0.0, 0.0])
+    assert transforms_per_step(grid, psi0, ext) == EXT_2D_TRANSFORMS_PER_STEP
+    assert transforms_per_step(grid, psi0, ext, sampled=True) == EXT_2D_TRANSFORMS_PER_SAMPLED_STEP
 
 
 class TestGalileanBoost:

@@ -14,7 +14,7 @@ from nlse4.checks import check_hydro_scaling_invariance
 from nlse4.diagnostics import energy
 from nlse4.evolution import nonlinear_multiplier
 from nlse4.hydro import fourth_order_composites, hydro_decompose, noise_gate
-from nlse4.spectral import spectral_derivative
+from nlse4.spectral import divergence, gradient, spectral_derivative
 
 from helpers import derived, perturbed_gaussian, perturbed_plane_wave
 
@@ -233,6 +233,25 @@ class TestFourthOrderComposites:
         hva = hydro_decompose(grid, active)
         foa = fourth_order_composites(hva)
         assert np.abs(foa.div_q).max() > 1e4 * foa.gate  # genuine signal clears the gate
+
+    @pytest.mark.parametrize("state", ["masked_gaussian", "plane_wave"])
+    def test_div_q_is_the_spectral_divergence_of_q(self, state):
+        """div q from the stacked spectra of P and (P/rho) d rho equals the
+        per-field divergence of q = dP - (P/rho) d rho, Nyquist mode
+        included, and integrates to zero like a total divergence."""
+        if state == "masked_gaussian":
+            grid = q.make_grid(1, 128, 24.0)
+            hv = hydro_decompose(grid, perturbed_gaussian(grid))
+            assert hv.masked_fraction > 0.0
+        else:
+            grid = q.make_grid(1, 256, 2 * np.pi)
+            hv = hydro_decompose(grid, perturbed_plane_wave(grid, seed=2))
+        P = hv.rho_lap_s
+        flux = [dP - hv.ratio(P) * dr for dP, dr in zip(gradient(grid, P), hv.grad_rho)]
+        ref = divergence(grid, flux)
+        fo = fourth_order_composites(hv)
+        assert np.abs(fo.div_q - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert abs(grid.integrate(fo.div_q)) <= 1e-14 * np.abs(fo.div_q).max() * grid.length
 
     def test_public_composites_use_the_view_gates(self):
         """The composites and the noise gate of a view decomposed at other

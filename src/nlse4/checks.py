@@ -198,7 +198,7 @@ def check_gauge_coefficients(seed=0):
                 - sum(Aa * Aa for Aa in A) * psi
             )
             rhs = (1j / 2.0) * cov  # -(i/hbar)(-(hbar^2/2m)(grad - iA)^2 psi), natural units
-            worst = max(worst, np.abs(np.where(hv.mask, 0, lhs - rhs)).max())
+            worst = max(worst, np.abs(hv.zero_masked(lhs - rhs)).max())
     return CheckResult.of("gauge_coefficients", worst, 1e-10)
 
 

@@ -321,7 +321,7 @@ def gauge_form_residual(
         A_dot_grad = sum(Aa * da for Aa, da in zip(A, dpsi))
         A_sq = sum(Aa * Aa for Aa in A)
         cov = lap_psi - 1j * div_A * psi - 2j * A_dot_grad - A_sq * psi
-        w = np.where(hv.mask, 0.0, A_dot_grad * psi.conj() / hv.safe_rho)
+        w = hv.ratio(A_dot_grad * psi.conj())
         c1 = 2.0 * m * me.b1 / a_const
         c2 = 2.0 * m * me.b6 / a_const
         op23 = (
@@ -331,5 +331,5 @@ def gauge_form_residual(
             + (1.0 / (2.0 * m)) * (c2 * w.real + 2.0 * w.imag) * psi
         )
 
-    diff = np.where(hv.mask, 0.0, op23 - op16)
+    diff = hv.zero_masked(op23 - op16)
     return float(np.abs(diff).max())

@@ -363,8 +363,9 @@ class _Stepper:
         a_hat = self.explicit_hat(psi_hat, psi, state)
         b_hat = self.explicit_hat(e_half * (psi_hat + (0.5 * dt) * a_hat))
         c_hat = self.explicit_hat(e_half * psi_hat + (0.5 * dt) * b_hat)
-        d_hat = self.explicit_hat(e_full * psi_hat + dt * e_half * c_hat)
-        new_hat = e_full * psi_hat + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
+        full_hat = e_full * psi_hat
+        d_hat = self.explicit_hat(full_hat + dt * e_half * c_hat)
+        new_hat = full_hat + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
         return _inverse(self.grid, self.filt * new_hat, False)
 
 

@@ -90,6 +90,13 @@ class HydroView:
     ``grad_s``/``grad_log_rho`` (lists with one array per axis), ``lap_s``
     and ``lap_rho_over_rho`` are zero at masked points and are derived on
     first read: the three-parameter engine never reads them.
+
+    The mask costs nothing on a view with no masked point
+    (``masked_fraction`` 0): ``safe_rho`` is ``rho`` itself, and
+    :meth:`zero_masked`, the one place that zeroes masked points, returns
+    its argument untouched.  On a 1D grid ``rho``, ``g[0]`` and
+    ``grad_rho[0]`` are the rows of one array, so :func:`noise_gate` reduces
+    the two gradient rows in one pass.
     """
 
     grid: Grid
@@ -107,6 +114,8 @@ class HydroView:
     lap_rho: np.ndarray = field(repr=False)
     rho_lap_s: np.ndarray = field(repr=False)
     safe_rho: np.ndarray = field(repr=False)
+    #: on a 1D grid the rows [g, grad_rho] of one array, else None
+    _grads: "np.ndarray | None" = field(repr=False, default=None)
     _fourth_order: "FourthOrder | None" = field(repr=False, default=None)
 
     @cached_property
@@ -126,11 +135,18 @@ class HydroView:
         return self.ratio(self.lap_rho)
 
     def zero_masked(self, arr: np.ndarray) -> np.ndarray:
-        return np.where(self.mask, 0.0, arr)
+        """``arr`` with its masked points set to +0.0, in place, and
+        returned; pass a fresh temporary.  A view with no masked point
+        leaves ``arr`` as it is.  Assignment writes +0.0 wherever the
+        masked value was negative, as ``np.where(mask, 0.0, arr)`` would;
+        multiplying by the complement of the mask would leave -0.0 there."""
+        if self.masked_fraction:
+            arr[self.mask] = 0.0
+        return arr
 
     def ratio(self, numerator: np.ndarray) -> np.ndarray:
         """numerator / rho with masked points zeroed."""
-        return np.where(self.mask, 0.0, numerator / self.safe_rho)
+        return self.zero_masked(numerator / self.safe_rho)
 
     def dot_grad_s(self, vec: list) -> np.ndarray:
         return sum(v * s for v, s in zip(vec, self.grad_s))
@@ -191,26 +207,28 @@ def hydro_decompose(
         psi = np.ascontiguousarray(psi, dtype=complex)
         dpsi = _gradient(grid, _forward(psi, False) if psi_hat is None else psi_hat, False)
 
-    # rho and g share one stack, so each transform of them is one call
+    # rho, g and grad_rho share one stack; rho and g, whose transforms are
+    # taken, lead it, so each transform of them is one call
     dims = grid.dims
-    smooth = _stack(grid, 1 + dims)
+    smooth = _stack(grid, 1 + 2 * dims)
     rho = smooth[0]
-    np.add(psi.real**2, psi.imag**2, out=rho)
+    np.multiply(psi.real, psi.real, out=rho)
+    rho += psi.imag**2
     conj = psi.conj()
-    grad_rho = []
     for a, da in enumerate(dpsi):
         cd = conj * da
         smooth[1 + a][...] = cd.imag
-        grad_rho.append(2.0 * cd.real)
-    g = list(smooth[1:])
+        np.multiply(cd.real, 2.0, out=smooth[1 + dims + a])
+    g, grad_rho = list(smooth[1:1 + dims]), list(smooth[1 + dims:])
 
     rho_max = float(rho.max())
     if rho_max == 0.0:
         raise ValueError("wavefunction vanishes identically")
     mask = rho < eps_rho * rho_max
+    masked = np.count_nonzero(mask)
 
     # Lap rho and div g, from one forward and one inverse transform of stacks
-    spec = _forward_stack(grid, smooth)
+    spec = _forward_stack(grid, smooth[:1 + dims])
     lap_div = _stack(grid, 2, half=True)
     np.multiply(_laplacian_symbol(grid.n, grid.length, dims, True), spec[0], out=lap_div[0])
     np.multiply(_ik(grid, 0, True), spec[1], out=lap_div[1])
@@ -218,29 +236,29 @@ def hydro_decompose(
         lap_div[1] += _ik(grid, a, True) * spec[1 + a]
     lap_rho, div_g = _inverse_stack(grid, lap_div)
 
-    safe_rho = np.where(mask, 1.0, rho)
-    # rho*Lap S = div g - grad_rho . g / rho, all built from smooth fields
     dot = grad_rho[0] * g[0]
     for a in range(1, dims):
         dot += grad_rho[a] * g[a]
-    rho_lap_s = div_g - np.where(mask, 0.0, dot / safe_rho)
-
-    return HydroView(
+    hv = HydroView(
         grid=grid,
         psi=psi,
         rho=rho,
         mask=mask,
         rho_max=rho_max,
-        masked_fraction=np.count_nonzero(mask) / mask.size,
+        masked_fraction=masked / mask.size,
         eps_rho=eps_rho,
         gate_factor=gate_factor,
         ratio_floor=ratio_floor,
         g=g,
         grad_rho=grad_rho,
         lap_rho=lap_rho,
-        rho_lap_s=rho_lap_s,
-        safe_rho=safe_rho,
+        rho_lap_s=div_g,
+        safe_rho=np.where(mask, 1.0, rho) if masked else rho,
+        _grads=smooth[1:] if dims == 1 else None,
     )
+    # rho*Lap S = div g - grad_rho . g / rho, all built from smooth fields
+    div_g -= hv.ratio(dot)
+    return hv
 
 
 def weighted_grad_of_ratio(hv: HydroView, numerator: np.ndarray) -> list:
@@ -261,15 +279,17 @@ def noise_gate(hv: HydroView) -> float:
     FFT roundoff enters the smooth first-level fields at machine epsilon
     times their magnitude and is amplified by one factor of k_max per further
     differentiation; two more derivative levels reach the fourth order.
+
+    The scale is max(1, max|g|, max|grad rho|, max|rho Lap S|, max rho).  On
+    a 1D grid g and grad rho are the two rows of one array and take one
+    abs-max between them; on a 2D grid each field takes its own.
     """
     kM = 1.0 + hv.grid.kmax
-    scale = max(
-        1.0,
-        max(abs(ga).max() for ga in hv.g),
-        max(abs(da).max() for da in hv.grad_rho),
-        abs(hv.rho_lap_s).max(),
-        hv.rho_max,
-    )
+    if hv._grads is not None:
+        grads = np.abs(hv._grads).max()
+    else:
+        grads = max(abs(f).max() for f in hv.g + hv.grad_rho)
+    scale = max(1.0, grads, abs(hv.rho_lap_s).max(), hv.rho_max)
     return hv.gate_factor * _EPS * kM**3 * scale
 
 
@@ -350,7 +370,9 @@ def fourth_order_composites(hv: HydroView) -> FourthOrder:
     r1 -= ratio_P * hv.lap_rho
 
     gate = noise_gate(hv)
-    dense = ~hv.mask & (hv.rho >= hv.ratio_floor * hv.rho_max)
+    # unmasked and above the ratio floor in one comparison: float rounding
+    # is monotone, so max(a, b) * rho_max = max(a * rho_max, b * rho_max)
+    dense = hv.rho >= max(hv.eps_rho, hv.ratio_floor) * hv.rho_max
     if dims == 1:  # one pass over the stack
         u, t1, t6 = _gated_ratio(hv, nums, gate, dense)
     else:

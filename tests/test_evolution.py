@@ -233,20 +233,24 @@ ME_1D_TRANSFORMS_PER_STEP = 26
 EXT_2D_TRANSFORMS_PER_STEP = 89
 EXT_2D_TRANSFORMS_PER_SAMPLED_STEP = 105
 
+#: ``np.where`` calls of one unsampled 1D three-parameter step on a state
+#: with no masked point: the gated-ratio pass of each of the four composites
+#: builds.  Masking every ratio with ``np.where`` made 20.
+ME_1D_UNMASKED_WHERES_PER_STEP = 4
 
-@pytest.fixture
-def transforms_per_step(monkeypatch):
-    """Counts the numpy.fft calls per step of a short run: the calls of six
-    steps minus those of two, over four."""
+
+def _calls_per_step(monkeypatch, module, names):
+    """Counts the calls to ``module.<name>`` per step of a short run: the
+    calls of six steps minus those of two, over four."""
     calls = []
-    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
-        original = getattr(np.fft, name)
+    for name in names:
+        original = getattr(module, name)
 
         def counted(*args, _original=original, **kwargs):
             calls.append(1)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     def per_step(grid, psi0, coeffs, sampled=False):
         dt = 0.05 * stability_bound(grid, coeffs)
@@ -263,12 +267,29 @@ def transforms_per_step(monkeypatch):
     return per_step
 
 
+@pytest.fixture
+def transforms_per_step(monkeypatch):
+    return _calls_per_step(monkeypatch, np.fft,
+                           ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"))
+
+
 def test_me_1d_transform_budget(transforms_per_step):
     """Undoing the stacked transforms of a 1D stage fails here."""
     grid = q.make_grid(1, 256, 2 * np.pi)
     psi0 = perturbed_plane_wave(grid, seed=2)
     me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
     assert transforms_per_step(grid, psi0, me) == ME_1D_TRANSFORMS_PER_STEP
+
+
+def test_me_1d_unmasked_masking_passes(monkeypatch):
+    """On a state with no masked point the node mask costs no pass: masking
+    a ratio, safe_rho or rho*Lap S with ``np.where`` again fails here."""
+    grid = q.make_grid(1, 256, 2 * np.pi)
+    psi0 = perturbed_plane_wave(grid, seed=2)
+    assert q.hydro_decompose(grid, psi0).masked_fraction == 0.0
+    wheres_per_step = _calls_per_step(monkeypatch, np, ("where",))
+    me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+    assert wheres_per_step(grid, psi0, me) == ME_1D_UNMASKED_WHERES_PER_STEP
 
 
 def test_ext_2d_transform_budget(transforms_per_step):

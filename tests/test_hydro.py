@@ -14,7 +14,7 @@ from nlse4.checks import check_hydro_scaling_invariance
 from nlse4.diagnostics import energy
 from nlse4.evolution import nonlinear_multiplier
 from nlse4.hydro import fourth_order_composites, hydro_decompose, noise_gate
-from nlse4.spectral import divergence, gradient, spectral_derivative
+from nlse4.spectral import _forward, _ik, _inverse, _laplacian_symbol, divergence, gradient, spectral_derivative
 
 from helpers import derived, perturbed_gaussian, perturbed_plane_wave
 
@@ -264,6 +264,118 @@ class TestFourthOrderComposites:
         for name in ("div_q", "u", "t1", "t6", "gate"):
             assert np.array_equal(getattr(alone, name), getattr(fo, name)), name
         assert noise_gate(hv) == fo.gate
+
+
+def _identity_view(state, **gates):
+    """The three states of the masking identities: a nodeless 1D state, a
+    1D Gaussian with masked tails and a nodeless 2D state."""
+    if state == "unmasked_1d":
+        grid = q.make_grid(1, 256, 2 * np.pi)
+        hv = hydro_decompose(grid, perturbed_plane_wave(grid, seed=2), **gates)
+    elif state == "masked_1d":
+        grid = q.make_grid(1, 128, 24.0)
+        hv = hydro_decompose(grid, perturbed_gaussian(grid), **gates)
+    else:
+        grid = q.make_grid(2, 32, 2 * np.pi)
+        hv = hydro_decompose(grid, q.random_state(grid, seed=1, cutoff=4, amplitude=0.3), **gates)
+    if not gates:
+        assert (hv.masked_fraction > 0.5) == (state == "masked_1d")
+    return hv
+
+
+def _where_ratio(hv, x):
+    """x / rho with masked points zeroed, written with np.where."""
+    return np.where(hv.mask, 0.0, x / np.where(hv.mask, 1.0, hv.rho))
+
+
+def _reference_rho_lap_s(hv):
+    """div g - grad_rho . g / rho with the masked ratio written with np.where;
+    div g from the transforms the decomposition takes."""
+    grid = hv.grid
+    div_g = _ik(grid, 0, True) * _forward(hv.g[0], True)
+    for a in range(1, grid.dims):
+        div_g += _ik(grid, a, True) * _forward(hv.g[a], True)
+    dot = hv.grad_rho[0] * hv.g[0]
+    for a in range(1, grid.dims):
+        dot += hv.grad_rho[a] * hv.g[a]
+    return _inverse(grid, div_g, True) - _where_ratio(hv, dot)
+
+
+def _reference_composites(hv):
+    """(div_q, u, t1, t6, gate) with every mask written with np.where, the
+    gate scale from four per-field abs-max reductions and ``dense`` from
+    two comparisons; the transforms are those the composites take."""
+    grid, dims = hv.grid, hv.grid.dims
+    P = hv.rho_lap_s
+    ratio_P = _where_ratio(hv, P)
+    P_hat = _forward(P, True)
+    lap_P = _inverse(grid, _laplacian_symbol(grid.n, grid.length, dims, True) * P_hat, True)
+    if dims == 1:
+        ik = _ik(grid, 0, True)
+        F = ratio_P * hv.grad_rho[0]
+        F_hat = _forward(F, True)
+        div_q = _inverse(grid, (ik * P_hat - F_hat) * ik, True)
+        dP = _inverse(grid, ik * P_hat, True)
+        r6 = _where_ratio(hv, hv.grad_rho[0] * (dP - F))
+    else:
+        dP = [_inverse(grid, _ik(grid, a, True) * P_hat, True) for a in range(dims)]
+        flux = [dPa - ratio_P * dra for dPa, dra in zip(dP, hv.grad_rho)]
+        div_q = divergence(grid, flux)
+        dot = hv.grad_rho[0] * flux[0]
+        for a in range(1, dims):
+            dot += hv.grad_rho[a] * flux[a]
+        r6 = _where_ratio(hv, dot)
+    r1 = lap_P - 2.0 * r6 - ratio_P * hv.lap_rho
+    scale = max(1.0, max(abs(ga).max() for ga in hv.g), max(abs(da).max() for da in hv.grad_rho),
+                abs(P).max(), hv.rho_max)
+    gate = hv.gate_factor * np.finfo(float).eps * (1.0 + grid.kmax) ** 3 * scale
+    dense = ~hv.mask & (hv.rho >= hv.ratio_floor * hv.rho_max)
+    safe_rho = np.where(hv.mask, 1.0, hv.rho)
+    u, t1, t6 = (np.where(dense & (np.abs(num) > gate), num / safe_rho, 0.0) for num in (div_q, r1, r6))
+    return div_q, u, t1, t6, gate
+
+
+def _same_bits(a, b):
+    """Equal values and equal signs of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+IDENTITY_STATES = ["unmasked_1d", "masked_1d", "unmasked_2d"]
+
+
+class TestMaskingIdentities:
+    """The masked ratios, rho*Lap S and the composites equal the np.where
+    formulas bit for bit, on views with and without masked points: a view
+    with no masked point skips the mask, one with masked points zeroes them
+    by assignment, and the noise gate and ``dense`` take fewer passes."""
+
+    @pytest.mark.parametrize("state", IDENTITY_STATES)
+    def test_ratio_and_rho_lap_s(self, state):
+        hv = _identity_view(state)
+        for x in (*hv.g, *hv.grad_rho, hv.lap_rho, hv.rho_lap_s, -hv.rho_lap_s):
+            assert _same_bits(hv.ratio(x), _where_ratio(hv, x))
+        assert _same_bits(hv.rho_lap_s, _reference_rho_lap_s(hv))
+        assert _same_bits(hv.zero_masked(hv.lap_rho.copy()), np.where(hv.mask, 0.0, hv.lap_rho))
+
+    @pytest.mark.parametrize("state", IDENTITY_STATES)
+    def test_composites(self, state):
+        hv = _identity_view(state)
+        fo = fourth_order_composites(hv)
+        for name, ref in zip(("div_q", "u", "t1", "t6", "gate"), _reference_composites(hv)):
+            assert _same_bits(getattr(fo, name), ref), name
+
+    @pytest.mark.parametrize("eps_rho", [1e-6, 1e-8, 1e-12, 0.0], ids=["above", "equal", "below", "zero"])
+    def test_dense_is_one_comparison(self, eps_rho):
+        """``dense`` at the node floor above, equal to and below the ratio
+        floor of 1e-8, and with no node floor."""
+        hv = _identity_view("masked_1d", eps_rho=eps_rho)
+        assert (hv.masked_fraction > 0.0) == (eps_rho > 0.0)
+        dense = ~hv.mask & (hv.rho >= hv.ratio_floor * hv.rho_max)
+        assert np.array_equal(hv.rho >= max(eps_rho, hv.ratio_floor) * hv.rho_max, dense)
+        fo = fourth_order_composites(hv)
+        for name, ref in zip(("div_q", "u", "t1", "t6", "gate"), _reference_composites(hv)):
+            assert _same_bits(getattr(fo, name), ref), name
 
 
 def _public_signatures():

@@ -50,10 +50,9 @@ divergence), and each stage reuses:
 A stage builds what its multiplier reads and no more: the view's ratio
 fields are derived on first read (the generic engine reads them), and the
 three-parameter composites are built once per view, so a sample's energy
-reuses the multiplier's.  On a 1D grid the decomposition and the
-composites transform their fields as stacks, one call per stack, so a 1D
-three-parameter step makes 26 transform calls; a 2D grid keeps one call
-per field.
+reuses the multiplier's.  The decomposition and the composites transform
+their fields as stacks, one call per stack, so a three-parameter step makes
+26 transform calls on a 1D grid and 27 on a 2D grid.
 
 The config's low-density gates (``eps_rho``, ``gate_factor``,
 ``ratio_floor``) reach every record through its view.  The stepper guards
@@ -354,7 +353,7 @@ class _Stepper:
             state = self.state(None, p_hat)
             psi = _inverse(self.grid, p_hat, False) if state is None else state.psi
         out = _explicit_rhs(psi, self.pot_vals, state and state.mult, self.config.constants.hbar)
-        return _forward(np.zeros_like(psi) if out is None else out, False)
+        return _forward(self.grid, np.zeros_like(psi) if out is None else out, False)
 
     def step(self, psi, psi_hat, state):
         """The filtered state one step after psi, given its spectrum
@@ -403,8 +402,8 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
 
     # initial state passes through the band-limit filter once; the norm
     # guard's reference is the filtered state the steps conserve
-    psi = _inverse(grid, stepper.filt * _forward(np.ascontiguousarray(psi0, dtype=complex), False), False)
-    psi_hat = _forward(psi, False)
+    psi = _inverse(grid, stepper.filt * _forward(grid, np.ascontiguousarray(psi0, dtype=complex), False), False)
+    psi_hat = _forward(grid, psi, False)
     norm0 = float(grid.integrate(psi.real**2 + psi.imag**2))
     state = stepper.state(psi, psi_hat)
 
@@ -432,7 +431,7 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
                                      f"{config.norm_tol:.1e}", t - dt, traj)
             # Each state is transformed and derived once, for the next step's
             # stage a and for its sample.
-            psi_hat = _forward(psi, False)
+            psi_hat = _forward(grid, psi, False)
             last = step == n_steps
             state = None if last else stepper.state(psi, psi_hat)
         except MaskOverflowError as exc:

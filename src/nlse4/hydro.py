@@ -45,14 +45,12 @@ import numpy as np
 from .spectral import (
     Grid,
     _forward,
-    _forward_stack,
     _gradient,
     _ik,
+    _inverse,
     _inverse_and_gradient,
-    _inverse_stack,
     _laplacian_symbol,
     _stack,
-    divergence,
     gradient,
 )
 
@@ -94,9 +92,8 @@ class HydroView:
     The mask costs nothing on a view with no masked point
     (``masked_fraction`` 0): ``safe_rho`` is ``rho`` itself, and
     :meth:`zero_masked`, the one place that zeroes masked points, returns
-    its argument untouched.  On a 1D grid ``rho``, ``g[0]`` and
-    ``grad_rho[0]`` are the rows of one array, so :func:`noise_gate` reduces
-    the two gradient rows in one pass.
+    its argument untouched.  ``rho``, ``g`` and ``grad_rho`` are the rows of
+    one array, so :func:`noise_gate` reduces the gradient rows in one pass.
     """
 
     grid: Grid
@@ -114,8 +111,8 @@ class HydroView:
     lap_rho: np.ndarray = field(repr=False)
     rho_lap_s: np.ndarray = field(repr=False)
     safe_rho: np.ndarray = field(repr=False)
-    #: on a 1D grid the rows [g, grad_rho] of one array, else None
-    _grads: "np.ndarray | None" = field(repr=False, default=None)
+    #: the rows [g, grad_rho] of one array
+    _grads: np.ndarray = field(repr=False)
     _fourth_order: "FourthOrder | None" = field(repr=False, default=None)
 
     @cached_property
@@ -205,7 +202,7 @@ def hydro_decompose(
         if not np.isfinite(psi).all():
             raise ValueError("wavefunction contains non-finite samples")
         psi = np.ascontiguousarray(psi, dtype=complex)
-        dpsi = _gradient(grid, _forward(psi, False) if psi_hat is None else psi_hat, False)
+        dpsi = _gradient(grid, _forward(grid, psi, False) if psi_hat is None else psi_hat, False)
 
     # rho, g and grad_rho share one stack; rho and g, whose transforms are
     # taken, lead it, so each transform of them is one call
@@ -228,13 +225,13 @@ def hydro_decompose(
     masked = np.count_nonzero(mask)
 
     # Lap rho and div g, from one forward and one inverse transform of stacks
-    spec = _forward_stack(grid, smooth[:1 + dims])
+    spec = _forward(grid, smooth[:1 + dims], True)
     lap_div = _stack(grid, 2, half=True)
     np.multiply(_laplacian_symbol(grid.n, grid.length, dims, True), spec[0], out=lap_div[0])
     np.multiply(_ik(grid, 0, True), spec[1], out=lap_div[1])
     for a in range(1, dims):
         lap_div[1] += _ik(grid, a, True) * spec[1 + a]
-    lap_rho, div_g = _inverse_stack(grid, lap_div)
+    lap_rho, div_g = _inverse(grid, lap_div, True)
 
     dot = grad_rho[0] * g[0]
     for a in range(1, dims):
@@ -254,7 +251,7 @@ def hydro_decompose(
         lap_rho=lap_rho,
         rho_lap_s=div_g,
         safe_rho=np.where(mask, 1.0, rho) if masked else rho,
-        _grads=smooth[1:] if dims == 1 else None,
+        _grads=smooth[1:],
     )
     # rho*Lap S = div g - grad_rho . g / rho, all built from smooth fields
     div_g -= hv.ratio(dot)
@@ -280,16 +277,11 @@ def noise_gate(hv: HydroView) -> float:
     times their magnitude and is amplified by one factor of k_max per further
     differentiation; two more derivative levels reach the fourth order.
 
-    The scale is max(1, max|g|, max|grad rho|, max|rho Lap S|, max rho).  On
-    a 1D grid g and grad rho are the two rows of one array and take one
-    abs-max between them; on a 2D grid each field takes its own.
+    The scale is max(1, max|g|, max|grad rho|, max|rho Lap S|, max rho).  g
+    and grad rho are rows of one array and take one abs-max between them.
     """
     kM = 1.0 + hv.grid.kmax
-    if hv._grads is not None:
-        grads = np.abs(hv._grads).max()
-    else:
-        grads = max(abs(f).max() for f in hv.g + hv.grad_rho)
-    scale = max(1.0, grads, abs(hv.rho_lap_s).max(), hv.rho_max)
+    scale = max(1.0, np.abs(hv._grads).max(), abs(hv.rho_lap_s).max(), hv.rho_max)
     return hv.gate_factor * _EPS * kM**3 * scale
 
 
@@ -321,68 +313,54 @@ def fourth_order_composites(hv: HydroView) -> FourthOrder:
         r1  = rho Lap(Lap S)         = Lap P - 2 r6 - (P/rho) Lap rho
         div_q = rho [Lap(Lap S) + grad(log rho) . grad(Lap S)]
 
-    On a 1D grid q = dP - F with F = (P/rho) d rho is linear in the spectra
-    of P and F, so one forward transform of the stack [P, F] and one inverse
-    of [ik P^, -k^2 P^, ik (ik P^ - F^)] give dP, Lap P and div q.  div q
-    applies the odd symbol ik twice, as ``divergence(grid, q)`` does, so its
-    Nyquist mode is zero; -k^2 P^ - ik F^ would keep it.  A 2D grid takes
-    div q from its own transforms of q, one call per field.
+    q = grad P - F with F_a = (P/rho) d_a rho is linear in the spectra of P
+    and F, so one forward transform of the stack [P, F_1, ...] and one
+    inverse of [div q, Lap P, d_1 P, ...] give them all, with
+    div q = sum_a ik_a (ik_a P^ - F_a^).  div q applies the odd symbol ik_a
+    twice, as ``divergence(grid, q)`` does, so its Nyquist modes are zero;
+    -|k|^2 P^ - sum_a ik_a F_a^ would keep them.
     """
     grid = hv.grid
     dims = grid.dims
     P = hv.rho_lap_s
     ratio_P = hv.ratio(P)
-    if dims == 1:
-        PF = _stack(grid, 2)
-        PF[0] = P
-        F = np.multiply(ratio_P, hv.grad_rho[0], out=PF[1])
-        P_hat, F_hat = _forward_stack(grid, PF)
-        ik = _ik(grid, 0, True)
-        spec = _stack(grid, 3, half=True)
-        np.multiply(ik, P_hat, out=spec[2])
-        np.multiply(_laplacian_symbol(grid.n, grid.length, 1, True), P_hat, out=spec[1])
-        np.subtract(spec[2], F_hat, out=spec[0])
-        spec[0] *= ik
-        # the rows [div q, Lap P, dP] become the numerators [div q, r1, r6]
-        nums = _inverse_stack(grid, spec)
-        div_q, r1, r6 = nums
-        r6[...] = hv.ratio(hv.grad_rho[0] * (r6 - F))
-        r1 -= 2.0 * r6
-    else:
-        # grad P and Lap P from one inverse transform of a stack
-        P_hat = _forward(P, True)
-        spec = _stack(grid, dims + 1, half=True)
-        for a in range(dims):
-            np.multiply(_ik(grid, a, True), P_hat, out=spec[a])
-        np.multiply(_laplacian_symbol(grid.n, grid.length, dims, True), P_hat, out=spec[dims])
-        *dP, lap_P = _inverse_stack(grid, spec)
-        q = [dPa - ratio_P * dra for dPa, dra in zip(dP, hv.grad_rho)]
-
-        # the numerators of u, t1 and t6
-        nums = _stack(grid, 3)
-        div_q, r1, r6 = nums
-        div_q[...] = divergence(grid, q)
-        dot = hv.grad_rho[0] * q[0]
-        for a in range(1, dims):
-            dot += hv.grad_rho[a] * q[a]
-        r6[...] = hv.ratio(dot)
-        np.subtract(lap_P, 2.0 * r6, out=r1)
+    PF = _stack(grid, 1 + dims)
+    PF[0] = P
+    F = np.multiply(ratio_P, hv._grads[dims:], out=PF[1:])
+    P_hat, *F_hat = _forward(grid, PF, True)
+    spec = _stack(grid, 2 + dims, half=True)
+    ik = _ik(grid, 0, True)
+    np.multiply(ik, P_hat, out=spec[2])
+    np.multiply(_laplacian_symbol(grid.n, grid.length, dims, True), P_hat, out=spec[1])
+    np.subtract(spec[2], F_hat[0], out=spec[0])
+    spec[0] *= ik
+    for a in range(1, dims):
+        ik = _ik(grid, a, True)
+        np.multiply(ik, P_hat, out=spec[2 + a])
+        spec[0] += ik * (spec[2 + a] - F_hat[a])
+    # of the rows [div q, Lap P, d_1 P, ...] the first three become the
+    # numerators [div q, r1, r6]
+    rows = _inverse(grid, spec, True)
+    nums = rows[:3]
+    div_q, r1, r6 = nums
+    dot = hv.grad_rho[0] * (r6 - F[0])
+    for a in range(1, dims):
+        dot += hv.grad_rho[a] * (rows[2 + a] - F[a])
+    r6[...] = hv.ratio(dot)
+    r1 -= 2.0 * r6
     r1 -= ratio_P * hv.lap_rho
 
     gate = noise_gate(hv)
     # unmasked and above the ratio floor in one comparison: float rounding
     # is monotone, so max(a, b) * rho_max = max(a * rho_max, b * rho_max)
     dense = hv.rho >= max(hv.eps_rho, hv.ratio_floor) * hv.rho_max
-    if dims == 1:  # one pass over the stack
-        u, t1, t6 = _gated_ratio(hv, nums, gate, dense)
-    else:
-        u, t1, t6 = (_gated_ratio(hv, num, gate, dense) for num in nums)
+    u, t1, t6 = _gated_ratio(hv, nums, gate, dense)
     return FourthOrder(div_q=div_q, u=u, t1=t1, t6=t6, gate=gate)
 
 
 def _gated_ratio(hv: HydroView, numerator: np.ndarray, gate: float, dense: np.ndarray) -> np.ndarray:
     """numerator / rho where ``dense`` (unmasked, above the ratio floor) and
     the numerator clears the noise gate, zero elsewhere; ``numerator`` may
-    be a stack of 1D numerators."""
+    be a stack of numerators, one per row."""
     keep = dense & (np.abs(numerator) > gate)
     return np.where(keep, numerator / hv.safe_rho, 0.0)

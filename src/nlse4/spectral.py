@@ -178,24 +178,26 @@ def _ik(grid: Grid, axis: int, real: bool) -> np.ndarray:
     return _symbol(grid.n, grid.length, grid.dims, axis, 1, real and axis == grid.dims - 1)
 
 
-def _forward(field: np.ndarray, real: bool) -> np.ndarray:
-    """Half-spectrum (last axis halved) of a real field, full spectrum otherwise.
+def _forward(grid: Grid, field: np.ndarray, real: bool) -> np.ndarray:
+    """Half-spectrum (last axis halved) of a real field, full spectrum
+    otherwise, over the last ``grid.dims`` axes: ``field`` is one field or
+    a stack of fields, one per leading row.
 
-    A 1D field goes straight to the one-axis transform, which is the kernel
+    A 1D grid goes straight to the one-axis transform, which is the kernel
     the n-D transforms run per axis, without their shape handling.
     """
-    if field.ndim == 1:
+    if grid.dims == 1:
         return np.fft.rfft(field) if real else np.fft.fft(field)
-    return np.fft.rfftn(field) if real else np.fft.fftn(field)
+    return np.fft.rfftn(field, axes=(-2, -1)) if real else np.fft.fftn(field, axes=(-2, -1))
 
 
 def _inverse(grid: Grid, fhat: np.ndarray, real: bool) -> np.ndarray:
-    """Inverse of :func:`_forward` onto ``grid``."""
+    """Inverse of :func:`_forward` onto ``grid``, of one spectrum or a stack."""
     if grid.dims == 1:
         return np.fft.irfft(fhat, grid.n) if real else np.fft.ifft(fhat)
     if real:
-        return np.fft.irfftn(fhat, s=grid.shape, axes=tuple(range(grid.dims)))
-    return np.fft.ifftn(fhat)
+        return np.fft.irfftn(fhat, s=grid.shape, axes=(-2, -1))
+    return np.fft.ifftn(fhat, axes=(-2, -1))
 
 
 def _gradient(grid: Grid, fhat: np.ndarray, real: bool) -> list:
@@ -204,66 +206,41 @@ def _gradient(grid: Grid, fhat: np.ndarray, real: bool) -> list:
     return [_inverse(grid, _ik(grid, a, real) * fhat, real) for a in range(grid.dims)]
 
 
-# Stacked transforms.  A stack holds several real fields, or their half
-# spectra, as rows.  On a 1D grid it is one array, and a transform of it is
-# one call of the one-axis transform along the last axis, which numpy runs
-# row by row with the same kernel: every row matches the per-field helpers
-# bit for bit while the call overhead is paid once.  On a 2D grid it is a
-# list of separate arrays, each transformed by its own call.  There the
-# transform work dominates, and one block of several 128^2 rows measured
-# slower on a 2-core Xeon VM with numpy 2.4: a stacked rfftn of two fields
-# took 430-554 us against 237-329 us for two calls, and one gating pass over
-# three rows 423 us against 180 us for three passes (at n = 1024 the one
-# pass takes 18 us against 29 us).
+# Stacked transforms.  A stack holds several fields, or their spectra, as
+# the rows of one array, and :func:`_forward` and :func:`_inverse` transform
+# it in one call over the last axes.  numpy runs the rows one by one with the
+# same kernel, so every row matches the per-field transform bit for bit while
+# the call overhead is paid once.
 
 
-def _stack(grid: Grid, rows: int, half: bool = False):
+def _stack(grid: Grid, rows: int, half: bool = False) -> np.ndarray:
     """Room for ``rows`` real fields on ``grid``, or for their half spectra
-    if ``half``: one array on a 1D grid, a list of arrays on a 2D grid."""
+    if ``half``, as the rows of one array."""
     if half:
         shape, dtype = grid.shape[:-1] + (grid.n // 2 + 1,), complex
     else:
         shape, dtype = grid.shape, float
-    if grid.dims == 1:
-        return np.empty((rows,) + shape, dtype=dtype)
-    return [np.empty(shape, dtype=dtype) for _ in range(rows)]
-
-
-def _forward_stack(grid: Grid, fields):
-    """Half spectra of a stack of real fields: row i is
-    ``_forward(fields[i], True)``."""
-    if grid.dims == 1:
-        return np.fft.rfft(fields)
-    return [_forward(field, True) for field in fields]
-
-
-def _inverse_stack(grid: Grid, fhats):
-    """Real fields of a stack of half spectra: row i is
-    ``_inverse(grid, fhats[i], True)``."""
-    if grid.dims == 1:
-        return np.fft.irfft(fhats, grid.n)
-    return [_inverse(grid, fhat, True) for fhat in fhats]
+    return np.empty((rows,) + shape, dtype=dtype)
 
 
 def _inverse_and_gradient(grid: Grid, fhat: np.ndarray) -> tuple:
     """(psi, gradient of psi) from the full spectrum ``fhat`` of a complex
     field, equal to ``_inverse(grid, fhat, False)`` and
-    ``_gradient(grid, fhat, False)``; on a 1D grid one transform of the
-    stack [fhat, ik fhat]."""
-    if grid.dims == 1:
-        stack = np.empty((2, grid.n), dtype=complex)
-        stack[0] = fhat
-        np.multiply(_ik(grid, 0, False), fhat, out=stack[1])
-        psi, dpsi = np.fft.ifft(stack)
-        return psi, [dpsi]
-    return _inverse(grid, fhat, False), _gradient(grid, fhat, False)
+    ``_gradient(grid, fhat, False)``: one transform of the stack
+    [fhat, ik_1 fhat, ...]."""
+    stack = np.empty((1 + grid.dims,) + grid.shape, dtype=complex)
+    stack[0] = fhat
+    for a in range(grid.dims):
+        np.multiply(_ik(grid, a, False), fhat, out=stack[1 + a])
+    psi, *dpsi = _inverse(grid, stack, False)
+    return psi, dpsi
 
 
 def gradient(grid: Grid, field: np.ndarray) -> list:
     """First derivative along every axis."""
     grid.validate_field(field)
     real = np.isrealobj(field)
-    return _gradient(grid, _forward(field, real), real)
+    return _gradient(grid, _forward(grid, field, real), real)
 
 
 def divergence(grid: Grid, fields: list) -> np.ndarray:
@@ -272,12 +249,12 @@ def divergence(grid: Grid, fields: list) -> np.ndarray:
     acc = 0.0
     for a, f in enumerate(fields):
         grid.validate_field(f)
-        acc = acc + _ik(grid, a, real) * _forward(f, real)
+        acc = acc + _ik(grid, a, real) * _forward(grid, f, real)
     return _inverse(grid, acc, real)
 
 
 def laplacian(grid: Grid, field: np.ndarray) -> np.ndarray:
     grid.validate_field(field)
     real = np.isrealobj(field)
-    fhat = _forward(field, real)
+    fhat = _forward(grid, field, real)
     return _inverse(grid, _laplacian_symbol(grid.n, grid.length, grid.dims, real) * fhat, real)

@@ -175,27 +175,28 @@ def test_criterion_11_gauge_form_equivalence():
 
 
 def test_criterion_12_determinism(tmp_path):
-    config = {
-        "version": 1,
-        "grid": {"dims": 1, "n": 64, "length": 20.0},
-        "state": {"kind": "random", "seed": 7, "params": {"cutoff": 6, "amplitude": 0.3}},
-        "coeffs": {"preset": "me", "params": {"D1": 0.05, "b1": 0.02, "b6": 0.01}},
-        "evolution": {"dt": 1e-4, "t_end": 0.005, "stride": 10, "snapshots": True},
-        "report_norm_tol": 1e-6,
-    }
-    cfg_path = tmp_path / "det.json"
-    cfg_path.write_text(json.dumps(config))
-    outs = []
-    for name in ("r1", "r2"):
-        out = tmp_path / name
-        assert cli_main(["evolve", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
-        outs.append(out)
-    identical = all(
-        (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
-        for f in ("observables.csv", "summary.json", "fields/snapshot_000001.fld")
-    )
-    report(12, "byte-identical CSV/summary/snapshots across reruns", 0.0 if identical else 1.0,
-           0.0, passed=identical)
+    for dims, n in ((1, 64), (2, 32)):
+        config = {
+            "version": 1,
+            "grid": {"dims": dims, "n": n, "length": 20.0},
+            "state": {"kind": "random", "seed": 7, "params": {"cutoff": 6, "amplitude": 0.3}},
+            "coeffs": {"preset": "me", "params": {"D1": 0.05, "b1": 0.02, "b6": 0.01}},
+            "evolution": {"dt": 1e-4, "t_end": 0.005, "stride": 10, "snapshots": True},
+            "report_norm_tol": 1e-6,
+        }
+        cfg_path = tmp_path / f"det{dims}d.json"
+        cfg_path.write_text(json.dumps(config))
+        outs = []
+        for name in ("r1", "r2"):
+            out = tmp_path / f"{name}_{dims}d"
+            assert cli_main(["evolve", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+            outs.append(out)
+        identical = all(
+            (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+            for f in ("observables.csv", "summary.json", "fields/snapshot_000001.fld")
+        )
+        report(12, f"byte-identical {dims}D CSV/summary/snapshots across reruns", 0.0 if identical else 1.0,
+               0.0, passed=identical)
 
     bands_cfg = tmp_path / "bands.json"
     bands_cfg.write_text(json.dumps({"version": 1, "bands": {"mathieu_q": 0.7, "a_min": -1.0,

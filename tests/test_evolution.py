@@ -227,11 +227,18 @@ class TestEvolve:
 #: counts once; per-field transforms made 49.
 ME_1D_TRANSFORMS_PER_STEP = 26
 
+#: The same on a 32^2 grid, without and with an observables sample every
+#: step.  The stage-a view takes its gradient one axis at a time from the
+#: new state's spectrum, one call more than in 1D.  One call per field made
+#: 65 and 74.
+ME_2D_TRANSFORMS_PER_STEP = 27
+ME_2D_TRANSFORMS_PER_SAMPLED_STEP = 36
+
 #: Transform calls of one IF-RK4 step of the 2D ``ext`` engine on the
-#: ``evolve_2d_ext`` coefficients, which keeps one call per field, without
-#: and with an observables sample every step.
-EXT_2D_TRANSFORMS_PER_STEP = 89
-EXT_2D_TRANSFORMS_PER_SAMPLED_STEP = 105
+#: ``evolve_2d_ext`` coefficients, without and with an observables sample
+#: every step.  One call per field in the decompositions made 89 and 105.
+EXT_2D_TRANSFORMS_PER_STEP = 71
+EXT_2D_TRANSFORMS_PER_SAMPLED_STEP = 82
 
 #: ``np.where`` calls of one unsampled 1D three-parameter step on a state
 #: with no masked point: the gated-ratio pass of each of the four composites
@@ -274,11 +281,15 @@ def transforms_per_step(monkeypatch):
 
 
 def test_me_1d_transform_budget(transforms_per_step):
-    """Undoing the stacked transforms of a 1D stage fails here."""
+    """Undoing the stacked transforms of a 1D or a 2D stage fails here."""
     grid = q.make_grid(1, 256, 2 * np.pi)
     psi0 = perturbed_plane_wave(grid, seed=2)
     me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
     assert transforms_per_step(grid, psi0, me) == ME_1D_TRANSFORMS_PER_STEP
+    grid = q.make_grid(2, 32, 2 * np.pi)
+    psi0 = q.random_state(grid, seed=1, cutoff=4, amplitude=0.3)
+    assert transforms_per_step(grid, psi0, me) == ME_2D_TRANSFORMS_PER_STEP
+    assert transforms_per_step(grid, psi0, me, sampled=True) == ME_2D_TRANSFORMS_PER_SAMPLED_STEP
 
 
 def test_me_1d_unmasked_masking_passes(monkeypatch):
@@ -293,8 +304,8 @@ def test_me_1d_unmasked_masking_passes(monkeypatch):
 
 
 def test_ext_2d_transform_budget(transforms_per_step):
-    """A 2D step keeps its per-field transforms; a change to their number,
-    sampled or not, fails here."""
+    """A change to the transform calls of a 2D ``ext`` step, sampled or
+    not, fails here."""
     grid = q.make_grid(2, 32, 2 * np.pi)
     psi0 = q.random_state(grid, seed=1, cutoff=4, amplitude=0.3)
     ext = q.ext_coeffs(a=[0.1, 0.05, 0.02, 0.03, 0.01] * 2 + [0.0] * 3,

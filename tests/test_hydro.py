@@ -234,18 +234,22 @@ class TestFourthOrderComposites:
         foa = fourth_order_composites(hva)
         assert np.abs(foa.div_q).max() > 1e4 * foa.gate  # genuine signal clears the gate
 
-    @pytest.mark.parametrize("state", ["masked_gaussian", "plane_wave"])
+    @pytest.mark.parametrize("state", ["masked_gaussian", "plane_wave", "masked_gaussian_2d", "random_2d"])
     def test_div_q_is_the_spectral_divergence_of_q(self, state):
-        """div q from the stacked spectra of P and (P/rho) d rho equals the
-        per-field divergence of q = dP - (P/rho) d rho, Nyquist mode
-        included, and integrates to zero like a total divergence."""
-        if state == "masked_gaussian":
-            grid = q.make_grid(1, 128, 24.0)
+        """div q from the stacked spectra of P and (P/rho) grad rho equals
+        the per-field divergence of q = grad P - (P/rho) grad rho, Nyquist
+        modes included, and integrates to zero like a total divergence."""
+        if state.startswith("masked_gaussian"):
+            grid = q.make_grid(1, 128, 24.0) if state == "masked_gaussian" else q.make_grid(2, 64, 24.0)
             hv = hydro_decompose(grid, perturbed_gaussian(grid))
             assert hv.masked_fraction > 0.0
-        else:
+        elif state == "plane_wave":
             grid = q.make_grid(1, 256, 2 * np.pi)
             hv = hydro_decompose(grid, perturbed_plane_wave(grid, seed=2))
+        else:
+            grid = q.make_grid(2, 64, 2 * np.pi)
+            hv = hydro_decompose(grid, q.random_state(grid, seed=5, cutoff=8, amplitude=0.3))
+            assert hv.masked_fraction == 0.0
         P = hv.rho_lap_s
         flux = [dP - hv.ratio(P) * dr for dP, dr in zip(gradient(grid, P), hv.grad_rho)]
         ref = divergence(grid, flux)
@@ -292,9 +296,9 @@ def _reference_rho_lap_s(hv):
     """div g - grad_rho . g / rho with the masked ratio written with np.where;
     div g from the transforms the decomposition takes."""
     grid = hv.grid
-    div_g = _ik(grid, 0, True) * _forward(hv.g[0], True)
+    div_g = _ik(grid, 0, True) * _forward(grid, hv.g[0], True)
     for a in range(1, grid.dims):
-        div_g += _ik(grid, a, True) * _forward(hv.g[a], True)
+        div_g += _ik(grid, a, True) * _forward(grid, hv.g[a], True)
     dot = hv.grad_rho[0] * hv.g[0]
     for a in range(1, grid.dims):
         dot += hv.grad_rho[a] * hv.g[a]
@@ -303,28 +307,26 @@ def _reference_rho_lap_s(hv):
 
 def _reference_composites(hv):
     """(div_q, u, t1, t6, gate) with every mask written with np.where, the
-    gate scale from four per-field abs-max reductions and ``dense`` from
-    two comparisons; the transforms are those the composites take."""
+    gate scale from per-field abs-max reductions and ``dense`` from two
+    comparisons; the transforms are those the composites take, one field
+    at a time."""
     grid, dims = hv.grid, hv.grid.dims
     P = hv.rho_lap_s
     ratio_P = _where_ratio(hv, P)
-    P_hat = _forward(P, True)
+    P_hat = _forward(grid, P, True)
     lap_P = _inverse(grid, _laplacian_symbol(grid.n, grid.length, dims, True) * P_hat, True)
-    if dims == 1:
-        ik = _ik(grid, 0, True)
-        F = ratio_P * hv.grad_rho[0]
-        F_hat = _forward(F, True)
-        div_q = _inverse(grid, (ik * P_hat - F_hat) * ik, True)
-        dP = _inverse(grid, ik * P_hat, True)
-        r6 = _where_ratio(hv, hv.grad_rho[0] * (dP - F))
-    else:
-        dP = [_inverse(grid, _ik(grid, a, True) * P_hat, True) for a in range(dims)]
-        flux = [dPa - ratio_P * dra for dPa, dra in zip(dP, hv.grad_rho)]
-        div_q = divergence(grid, flux)
-        dot = hv.grad_rho[0] * flux[0]
-        for a in range(1, dims):
-            dot += hv.grad_rho[a] * flux[a]
-        r6 = _where_ratio(hv, dot)
+    F = [ratio_P * dra for dra in hv.grad_rho]
+    ik = [_ik(grid, a, True) for a in range(dims)]
+    F_hat = [_forward(grid, Fa, True) for Fa in F]
+    div_q_hat = (ik[0] * P_hat - F_hat[0]) * ik[0]
+    for a in range(1, dims):
+        div_q_hat += ik[a] * (ik[a] * P_hat - F_hat[a])
+    div_q = _inverse(grid, div_q_hat, True)
+    dP = [_inverse(grid, ik[a] * P_hat, True) for a in range(dims)]
+    dot = hv.grad_rho[0] * (dP[0] - F[0])
+    for a in range(1, dims):
+        dot += hv.grad_rho[a] * (dP[a] - F[a])
+    r6 = _where_ratio(hv, dot)
     r1 = lap_P - 2.0 * r6 - ratio_P * hv.lap_rho
     scale = max(1.0, max(abs(ga).max() for ga in hv.g), max(abs(da).max() for da in hv.grad_rho),
                 abs(P).max(), hv.rho_max)

@@ -7,12 +7,10 @@ import nlse4 as q
 from nlse4.spectral import (
     GridError,
     _forward,
-    _forward_stack,
     _gradient,
     _ik,
     _inverse,
     _inverse_and_gradient,
-    _inverse_stack,
     _laplacian_symbol,
     _stack,
     divergence,
@@ -122,8 +120,8 @@ def test_1d_transforms_equal_nd_transforms_bit_for_bit():
     real = rng.standard_normal(grid.n)
     cplx = real + 1j * rng.standard_normal(grid.n)
     real_hat, cplx_hat = np.fft.rfftn(real), np.fft.fftn(cplx)
-    assert np.array_equal(_forward(real, True), real_hat)
-    assert np.array_equal(_forward(cplx, False), cplx_hat)
+    assert np.array_equal(_forward(grid, real, True), real_hat)
+    assert np.array_equal(_forward(grid, cplx, False), cplx_hat)
     assert np.array_equal(_inverse(grid, real_hat, True), np.fft.irfftn(real_hat, s=grid.shape, axes=(0,)))
     assert np.array_equal(_inverse(grid, cplx_hat, False), np.fft.ifftn(cplx_hat))
 
@@ -184,24 +182,24 @@ class TestRealFieldPath:
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_stacked_transforms_match_per_field(self, dims):
-        """Every row of a stacked transform equals the per-field helper bit
-        for bit (a 1D stack is one array, transformed in one call; a 2D
-        stack is a list of arrays, one call each), and so do psi and its
-        gradient taken together from one spectrum.  The gradient and
-        Laplacian of one field from one stacked inverse, the form the
-        composites use, equal gradient() and laplacian()."""
+        """A stack is one array on either grid, transformed in one call, and
+        every row of a stacked transform equals the transform of that row
+        alone bit for bit; so do psi and its gradient taken together from
+        one spectrum.  The gradient and Laplacian of one field from one
+        stacked inverse, the form the composites use, equal gradient() and
+        laplacian()."""
         grid = q.make_grid(dims, 64, 7.0)
         fields = _stack(grid, 3)
-        assert isinstance(fields, np.ndarray) == (dims == 1)
+        assert isinstance(fields, np.ndarray)
         for i, row in enumerate(fields):
             row[...] = self.field(grid, 6 + i)
-        spec = _forward_stack(grid, fields)
+        spec = _forward(grid, fields, True)
         for f, row in zip(fields, spec):
-            assert np.array_equal(row, _forward(f, True))
-        for fhat, row in zip(spec, _inverse_stack(grid, spec)):
+            assert np.array_equal(row, _forward(grid, f, True))
+        for fhat, row in zip(spec, _inverse(grid, spec, True)):
             assert np.array_equal(row, _inverse(grid, fhat, True))
 
-        psi_hat = _forward(q.random_state(grid, seed=6, cutoff=10), False)
+        psi_hat = _forward(grid, q.random_state(grid, seed=6, cutoff=10), False)
         psi, dpsi = _inverse_and_gradient(grid, psi_hat)
         assert np.array_equal(psi, _inverse(grid, psi_hat, False))
         for a, b in zip(dpsi, _gradient(grid, psi_hat, False)):
@@ -212,7 +210,7 @@ class TestRealFieldPath:
         for a in range(dims):
             stack[a][...] = _ik(grid, a, True) * fhat
         stack[dims][...] = _laplacian_symbol(grid.n, grid.length, dims, True) * fhat
-        *grad, lap = _inverse_stack(grid, stack)
+        *grad, lap = _inverse(grid, stack, True)
         for a, b in zip(grad, gradient(grid, fields[0])):
             assert np.array_equal(a, b)
         assert np.array_equal(lap, laplacian(grid, fields[0]))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import MEParams
-from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, spectral_derivative
+from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, _forward, spectral_derivative
 
 _TWO_PI = 2.0 * np.pi
 
@@ -114,9 +114,9 @@ def measured_period(grid: Grid, values: np.ndarray) -> float:
     refined with Newton iteration on the band-limited interpolant."""
     if grid.dims != 1:
         raise BandError("period measurement is one-dimensional")
-    coeffs = np.fft.fft(values) / grid.n
+    coeffs = _forward(grid, values, False) / grid.n
     coeffs[grid.n // 2] = 0.0
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    k = grid.k_along(0)
 
     def interp(x):
         ph = np.exp(1j * np.outer(np.atleast_1d(x) + 0.5 * grid.length, k))
@@ -159,8 +159,10 @@ class HillEquation:
     harmonics: tuple
 
     def __post_init__(self):
-        if self.period <= 0.0:
-            raise BandError("period must be positive")
+        if not (self.period > 0.0 and np.isfinite(self.period)):
+            raise BandError(f"period must be positive and finite, got {self.period}")
+        if not np.isfinite(self.q0):
+            raise BandError(f"q0 must be finite, got {self.q0}")
         base = _TWO_PI / self.period
         for k, ck, sk in self.harmonics:
             if k <= 0:

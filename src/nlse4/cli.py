@@ -200,9 +200,18 @@ def _parse_evolution(cfg, coeffs, constants, potential, snapshots: bool = False)
     return config
 
 
+def _finite_number(literal: str) -> float:
+    """A JSON float literal; ``NaN``, ``Infinity``, ``-Infinity`` (which
+    Python's ``json`` accepts) and a literal that overflows are rejected."""
+    value = float(literal)
+    if not np.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {literal}")
+    return value
+
+
 def load_config(path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_float=_finite_number, parse_constant=_finite_number)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:

@@ -88,7 +88,7 @@ from .coeffs import MEParams, is_linear
 from .currents import current_divergence
 from .functionals import functional_pair
 from .hydro import DEFAULT_EPS_RHO, DEFAULT_GATE_FACTOR, DEFAULT_RATIO_FLOOR, HydroView, hydro_decompose
-from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, _forward, _inverse, laplacian
+from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, _forward, _inverse, _laplacian_symbol, laplacian
 from .states import Potential
 
 #: Fraction of the Nyquist wavenumber above which modes are zeroed each step.
@@ -313,7 +313,7 @@ def stability_bound(
 def _filter_mask(grid: Grid, fraction: float) -> np.ndarray:
     if fraction >= 1.0:
         return np.ones(grid.shape)
-    k2 = grid.k_squared()
+    k2 = -_laplacian_symbol(grid.n, grid.length, grid.dims, False)
     return (k2 <= (fraction * grid.kmax) ** 2).astype(float)
 
 
@@ -325,7 +325,8 @@ class _Stepper:
     def __init__(self, grid: Grid, config: EvolutionConfig):
         hbar, m = config.constants.hbar, config.constants.mass
         self.grid, self.config, self.nonlinear = grid, config, not is_linear(config.coeffs)
-        self.e_half = np.exp(-1j * hbar * grid.k_squared() / (2.0 * m) * (config.dt / 2.0))
+        k2 = -_laplacian_symbol(grid.n, grid.length, grid.dims, False)
+        self.e_half = np.exp(-1j * hbar * k2 / (2.0 * m) * (config.dt / 2.0))
         self.e_full = self.e_half * self.e_half
         self.filt = _filter_mask(grid, config.filter_fraction)
         self.pot_vals = config.potential.values if config.potential is not None else None

@@ -8,8 +8,14 @@ composite derivatives meaningful at double precision.
 The input dtype selects the transform.  Real fields (density, currents,
 phase composites) go through the half-spectrum transforms ``rfftn``/``irfftn``,
 which cost about half a complex transform and return real arrays; complex
-fields (the wavefunction) use the full complex transforms.  All derivative
-symbols, and with them the odd-order Nyquist rule, come from one builder.
+fields (the wavefunction) use the full complex transforms.
+
+Two places hold the transform layout.  :func:`_forward` and :func:`_inverse`
+make the package's only transform calls, and :func:`_symbol` builds every
+derivative symbol for their spectra: halved on the last axis for a real
+field, with the Nyquist mode zeroed for odd orders.  Every other module
+transforms through them, and nothing here branches on 1D or 2D except the
+1D fast path of the transforms.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ class PhysicalConstants:
 
 
 NATURAL_UNITS = PhysicalConstants()
+
+
+def _along(dims: int, axis: int, size: int) -> tuple:
+    """Shape of a length-``size`` array that broadcasts along ``axis``."""
+    return tuple(size if a == axis else 1 for a in range(dims))
 
 
 @lru_cache(maxsize=64)
@@ -83,23 +94,11 @@ class Grid:
 
     def coords(self) -> tuple:
         """Meshgrid coordinate arrays, one per axis ('ij' indexing)."""
-        x = self.axis_coords()
-        if self.dims == 1:
-            return (x,)
-        return tuple(np.meshgrid(x, x, indexing="ij"))
+        return tuple(np.meshgrid(*[self.axis_coords()] * self.dims, indexing="ij"))
 
     def k_along(self, axis: int) -> np.ndarray:
         """Wavenumber array broadcastable along the given axis."""
-        k = _wavenumbers_1d(self.n, self.length)
-        if self.dims == 1:
-            return k
-        shape = [1] * self.dims
-        shape[axis] = self.n
-        return k.reshape(shape)
-
-    def k_squared(self) -> np.ndarray:
-        out = sum(self.k_along(a) ** 2 for a in range(self.dims))
-        return np.asarray(out)
+        return _wavenumbers_1d(self.n, self.length).reshape(_along(self.dims, axis, self.n))
 
     def validate_field(self, field: np.ndarray) -> None:
         if field.shape != self.shape:
@@ -135,32 +134,29 @@ def spectral_derivative(grid: Grid, field: np.ndarray, order: int = 1, axis: int
     grid.validate_field(field)
     real = np.isrealobj(field)
     fac = _symbol(grid.n, grid.length, grid.dims, axis, order, real)
-    if real:
-        return np.fft.irfft(fac * np.fft.rfft(field, axis=axis), n=grid.n, axis=axis)
-    return np.fft.ifft(fac * np.fft.fft(field, axis=axis), axis=axis)
+    return _inverse(grid, fac * _forward(grid, field, real), real)
 
 
 @lru_cache(maxsize=128)
-def _symbol(n: int, length: float, dims: int, axis: int, order: int, half: bool) -> np.ndarray:
-    """Broadcastable symbol (i k)^order of the derivative along ``axis``.
+def _symbol(n: int, length: float, dims: int, axis: int, order: int, real: bool) -> np.ndarray:
+    """Symbol (i k)^order of the derivative along ``axis``, broadcastable
+    over the spectrum :func:`_forward` returns for a real or complex field.
 
     Every derivative symbol is built here.  Odd orders zero the Nyquist mode
     (the convention that keeps derivatives of real fields real); even orders
-    are real arrays.  ``half`` keeps only the n//2 + 1 non-negative modes, the
-    layout of a real-to-complex transform along this axis.
+    are real arrays.  The spectrum of a real field is halved on the last
+    axis, so along that axis the symbol keeps only the n//2 + 1 non-negative
+    modes.
     """
     k = _wavenumbers_1d(n, length)
-    if half:
+    if real and axis == dims - 1:
         k = k[: n // 2 + 1]
     fac = (1j * k) ** order
     if order % 2 == 1:
         fac[n // 2] = 0.0
     else:
         fac = fac.real.copy()
-    if dims == 2:
-        shape = [1, 1]
-        shape[axis] = fac.size
-        fac = fac.reshape(shape)
+    fac = fac.reshape(_along(dims, axis, fac.size))
     fac.flags.writeable = False
     return fac
 
@@ -168,14 +164,14 @@ def _symbol(n: int, length: float, dims: int, axis: int, order: int, half: bool)
 @lru_cache(maxsize=64)
 def _laplacian_symbol(n: int, length: float, dims: int, real: bool) -> np.ndarray:
     """-|k|^2 on the spectrum of a full (complex) or real-to-complex transform."""
-    fac = sum(_symbol(n, length, dims, a, 2, real and a == dims - 1) for a in range(dims))
+    fac = sum(_symbol(n, length, dims, a, 2, real) for a in range(dims))
     fac.flags.writeable = False
     return fac
 
 
 def _ik(grid: Grid, axis: int, real: bool) -> np.ndarray:
     """First-derivative symbol matching the spectrum of :func:`_forward`."""
-    return _symbol(grid.n, grid.length, grid.dims, axis, 1, real and axis == grid.dims - 1)
+    return _symbol(grid.n, grid.length, grid.dims, axis, 1, real)
 
 
 def _forward(grid: Grid, field: np.ndarray, real: bool) -> np.ndarray:
@@ -245,12 +241,11 @@ def gradient(grid: Grid, field: np.ndarray) -> list:
 
 def divergence(grid: Grid, fields: list) -> np.ndarray:
     """Divergence of a vector field given as one array per axis."""
-    real = all(np.isrealobj(f) for f in fields)
-    acc = 0.0
-    for a, f in enumerate(fields):
+    for f in fields:
         grid.validate_field(f)
-        acc = acc + _ik(grid, a, real) * _forward(grid, f, real)
-    return _inverse(grid, acc, real)
+    real = all(np.isrealobj(f) for f in fields)
+    spec = _forward(grid, np.stack(fields), real)
+    return _inverse(grid, sum(_ik(grid, a, real) * s for a, s in enumerate(spec)), real)
 
 
 def laplacian(grid: Grid, field: np.ndarray) -> np.ndarray:

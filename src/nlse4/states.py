@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, PhysicalConstants, NATURAL_UNITS
+from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, _forward, _inverse
 
 TAIL_THRESHOLD = 1e-14
 
@@ -52,10 +52,7 @@ def check_tails(grid: Grid, psi: np.ndarray) -> float:
     :data:`TAIL_THRESHOLD`."""
     rho = np.abs(psi) ** 2
     peak = rho.max()
-    if grid.dims == 1:
-        edge = max(rho[0], rho[-1])
-    else:
-        edge = max(rho[0, :].max(), rho[-1, :].max(), rho[:, 0].max(), rho[:, -1].max())
+    edge = max(rho.take(i, axis=a).max() for a in range(grid.dims) for i in (0, -1))
     rel = float(edge / peak)
     if rel > TAIL_THRESHOLD:
         raise StateError(
@@ -202,17 +199,11 @@ def random_state(
         raise StateError("amplitude must lie in [0, 1) to keep the state nodeless")
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(grid.shape, dtype=complex)
-    modes = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    if grid.dims == 1:
-        sel = np.abs(modes) <= cutoff
-        sel[0] = False
-        coeffs[sel] = rng.normal(size=sel.sum()) + 1j * rng.normal(size=sel.sum())
-    else:
-        mx, my = np.meshgrid(modes, modes, indexing="ij")
-        sel = (np.abs(mx) <= cutoff) & (np.abs(my) <= cutoff)
-        sel[0, 0] = False
-        coeffs[sel] = rng.normal(size=sel.sum()) + 1j * rng.normal(size=sel.sum())
-    f = np.fft.ifftn(coeffs)
+    band = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n)) <= cutoff
+    sel = np.logical_and.reduce(np.meshgrid(*[band] * grid.dims, indexing="ij"))
+    sel[(0,) * grid.dims] = False
+    coeffs[sel] = rng.normal(size=sel.sum()) + 1j * rng.normal(size=sel.sum())
+    f = _inverse(grid, coeffs, False)
     peak = np.abs(f).max()
     if peak > 0:
         f = f * (amplitude / peak)
@@ -249,8 +240,8 @@ def galilean_boost(
     grid.validate_field(psi)
     hbar, m = constants.hbar, constants.mass
     vs = np.atleast_1d(np.asarray(v, dtype=float))
-    if vs.size == 1 and grid.dims == 2:
-        vs = np.repeat(vs, 2)
+    if vs.size == 1:
+        vs = np.repeat(vs, grid.dims)
     if vs.size != grid.dims:
         raise BoostError(f"need one velocity component per axis, got {vs.size}")
     for va in vs:
@@ -260,11 +251,11 @@ def galilean_boost(
                 f"velocity component {va} is incommensurate: m v L / hbar = {q} * 2 pi must be integral"
             )
     # translation by v t via exact Fourier shift
-    psi_hat = np.fft.fftn(psi)
+    psi_hat = _forward(grid, psi, False)
     shift = 1.0
     for a in range(grid.dims):
         shift = shift * np.exp(-1j * grid.k_along(a) * (vs[a] * t))
-    shifted = np.fft.ifftn(psi_hat * shift)
+    shifted = _inverse(grid, psi_hat * shift, False)
     xs = grid.coords()
     phase = sum(m * vs[a] * xs[a] for a in range(grid.dims)) - 0.5 * m * float(vs @ vs) * t
     return shifted * np.exp(1j * phase / hbar)

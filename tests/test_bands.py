@@ -6,6 +6,7 @@ import pytest
 import nlse4 as q
 from nlse4.bands import (
     BandError,
+    HillEquation,
     PhaseMode,
     _integrate_monodromy,
     band_edge_bisection,
@@ -129,6 +130,15 @@ class TestHillMapping:
             hill_from_stationary(q.MEParams(D1=1.0, b6=0.1), 1.0, 0.0, CON)
         with pytest.raises(BandError):
             hill_from_stationary(q.MEParams(D1=-1.0), 1.0, 0.0, CON)
+
+    @pytest.mark.parametrize("period, q0", [(np.pi, np.inf), (np.pi, np.nan), (np.nan, 0.0), (np.inf, 0.0)])
+    def test_rejects_non_finite_period_and_q0(self, period, q0):
+        with pytest.raises(BandError):
+            HillEquation(period=period, q0=q0, harmonics=((2, -2.0, 0.0),))
+
+    def test_rejects_non_finite_energy(self):
+        with pytest.raises(BandError):
+            hill_from_stationary(q.MEParams(D1=1.0), 1.0, np.nan, CON)
 
     def test_pointwise_cross_check_against_stationary_expression(self):
         """Evaluate y'' + Q y with the mapped Q against the dynamics-form

@@ -502,6 +502,30 @@ def test_malformed_value_exits_2(tmp_path, capsys, command, config, path, value)
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("command, config, path", [
+    ("bands", STATIONARY_BANDS_CONFIG, ("bands", "energy")),
+    ("evolve", {**EVOLVE_CONFIG, "potential": {"kind": "harmonic", "omega": 0.1}}, ("potential", "omega")),
+], ids=["bands-energy", "potential-omega"])
+def test_non_finite_number_exits_2(tmp_path, capsys, command, config, path, literal):
+    """Python's json reads NaN, Infinity and -Infinity, and 1e999 overflows
+    to inf.  A config holding one is a configuration error before any run,
+    not a null in the report or a numerical abort."""
+    cfg_data = json.loads(json.dumps(config))
+    *sections, key = path
+    table = cfg_data
+    for name in sections:
+        table = table[name]
+    table[key] = "VALUE"
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(cfg_data).replace('"VALUE"', literal))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and literal in err
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("grid, state, evolution, message", [
     ({"dims": 1, "n": 64, "length": 2 * np.pi},
      {"kind": "random", "params": {"cutoff": 6, "amplitude": 0.35}},

@@ -1,5 +1,9 @@
 """Grid construction and Fourier-collocation calculus."""
 
+import ast
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -124,6 +128,41 @@ def test_1d_transforms_equal_nd_transforms_bit_for_bit():
     assert np.array_equal(_forward(grid, cplx, False), cplx_hat)
     assert np.array_equal(_inverse(grid, real_hat, True), np.fft.irfftn(real_hat, s=grid.shape, axes=(0,)))
     assert np.array_equal(_inverse(grid, cplx_hat, False), np.fft.ifftn(cplx_hat))
+
+
+def test_2d_first_derivative_equals_gradient_bit_for_bit():
+    """spectral_derivative transforms through the helpers gradient() uses,
+    so on a 2D grid their first derivatives are the same bits."""
+    grid = q.make_grid(2, 64, 7.0)
+    psi = q.random_state(grid, seed=7, cutoff=10)
+    for f in (psi.real, psi):
+        for a, d in enumerate(gradient(grid, f)):
+            assert np.array_equal(spectral_derivative(grid, f, 1, a), d)
+
+
+def test_only_spectral_calls_fft_transforms():
+    """Every other module transforms through spectral's helpers.  A
+    ``numpy.fft`` transform named anywhere else in the package fails here;
+    the transform names are the benchmark tracer's, so ``fftfreq`` is not
+    one."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracer)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    found = {}
+    for path in sorted(Path(q.__file__).parent.glob("*.py")):
+        names = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                owner = node.value
+                if getattr(owner, "attr", getattr(owner, "id", None)) == "fft":
+                    names.append(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module in ("numpy.fft", "scipy.fft"):
+                names += [alias.name for alias in node.names]
+        transforms = sorted({n for n in names if tracing.TRANSFORM_RE.match(n)})
+        if transforms:
+            found[path.stem] = transforms
+    assert list(found) == ["spectral"]
 
 
 def test_real_input_gives_real_output():

@@ -18,16 +18,17 @@ harmonic from (S')^2, and a sin(z) harmonic from the b1 Lap(Lap S) term
 
 Band edges come from two independent routes: a Fourier-basis eigenproblem
 (robust where |tr M| - 2 has double roots, e.g. the unmodulated limit) and
-bisection on the monodromy discriminant.  The Hill system is linear, so
-each fixed RK4 step is an exact 2x2 propagator in closed form; the
-monodromy matrix is their ordered product, reduced pairwise in blocks and
-vectorized over the constant coefficient.  Step-halving acceptance picks
-the step count, and the fixed evaluation order keeps results
+an ITP root search on the monodromy discriminant.  The Hill system is
+linear, so each fixed RK4 step is an exact 2x2 propagator in closed form;
+the monodromy matrix is their ordered product, reduced pairwise in blocks
+and vectorized over the constant coefficient.  Step-halving acceptance
+picks the step count, and the fixed evaluation order keeps results
 bit-reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,6 +352,8 @@ def floquet_analyze(hill: HillEquation, a_values, base_steps: int = 1024) -> lis
     a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
     if a_values.size < 1:
         raise BandError("need at least one sample")
+    if not np.isfinite(a_values).all():
+        raise BandError("constant-coefficient samples must be finite")
     scale = max(1.0, float(np.abs(hill.q_eval(np.linspace(0, hill.period, 64))).max()),
                 float(np.abs(a_values).max()))
     n = max(base_steps, int(base_steps * np.sqrt(scale)))
@@ -386,9 +389,59 @@ def _discriminant(hill: HillEquation, a: float) -> float:
     return floquet_analyze(hill, [a])[0].tr_m
 
 
+def _itp_root(f, a_lo: float, a_hi: float, f_lo: float, f_hi: float, tol: float) -> float:
+    """ITP root search (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on a
+    bracket [a_lo, a_hi] whose end values f_lo, f_hi differ in sign.
+
+    Each trial point is the regula falsi point, moved toward the midpoint
+    by kappa1 w^kappa2 (w the current bracket width) and projected into the
+    bisection-minmax interval around the midpoint, with
+    kappa1 = 0.2 / (a_hi - a_lo), kappa2 = 2 and n0 = 1; it is then clamped
+    at least tol/4 inside the bracket, which keeps regula falsi from
+    settling on one end.  ``tol`` must be at least four float spacings of
+    the ends.  Returns the midpoint of a final bracket no wider than ``tol``
+    that holds the sign change, or a point where f is exactly 0, after at
+    most ceil(log2((a_hi - a_lo) / tol)) + 1 evaluations of f.
+    """
+    kappa1 = 0.2 / (a_hi - a_lo)
+    n_max = max(0, math.ceil(math.log2((a_hi - a_lo) / tol))) + 1
+    # half the final width, less two float spacings that rounding of the
+    # projected point may add
+    eps = 0.5 * tol - 2.0 * math.ulp(max(abs(a_lo), abs(a_hi)))
+    j = 0
+    while a_hi - a_lo > tol:
+        mid = 0.5 * (a_lo + a_hi)
+        radius = max(0.0, eps * 2.0 ** (n_max - j) - 0.5 * (a_hi - a_lo))
+        delta = kappa1 * (a_hi - a_lo) ** 2
+        falsi = (f_hi * a_lo - f_lo * a_hi) / (f_hi - f_lo)
+        sigma = math.copysign(1.0, mid - falsi)
+        trial = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        if abs(trial - mid) > radius:
+            trial = mid - sigma * radius
+        trial = min(max(trial, a_lo + 0.25 * tol), a_hi - 0.25 * tol)
+        f_trial = f(trial)
+        if f_trial == 0.0:
+            return trial
+        if (f_trial > 0.0) == (f_lo > 0.0):
+            a_lo, f_lo = trial, f_trial
+        else:
+            a_hi, f_hi = trial, f_trial
+        j += 1
+    return 0.5 * (a_lo + a_hi)
+
+
 def band_edge_bisection(hill: HillEquation, a_lo: float, a_hi: float, branch: float,
                         tol: float = 1e-8) -> float:
-    """Locate a band edge by bisection on tr M - branch (branch is +2 or -2).
+    """Locate a band edge as a root of tr M - branch (branch is +2 or -2).
+
+    The name is kept for the API; the search is the ITP method
+    (Interpolate, Truncate, Project; Oliveira & Takahashi, ACM Trans. Math.
+    Softw. 47(1), 2020), which converges superlinearly on a smooth root and
+    never takes more than ceil(log2((a_hi - a_lo) / tol)) + 1 discriminant
+    evaluations after the two at the bracket ends, one more than bisection's
+    worst case.  Returns the midpoint of a final bracket no wider than
+    ``tol`` that holds the sign change, or a point where tr M - branch is
+    exactly 0.
 
     Requires a sign change of tr M - branch over [a_lo, a_hi]; tangential
     touches (e.g. every edge of the unmodulated problem) have no sign change
@@ -398,8 +451,8 @@ def band_edge_bisection(hill: HillEquation, a_lo: float, a_hi: float, branch: fl
         raise BandError("branch must be +2 or -2")
     if not a_lo < a_hi:
         raise BandError(f"bracket [{a_lo}, {a_hi}] is empty or reversed")
-    if not tol > 0.0:
-        raise BandError("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise BandError(f"tol must be positive and finite, got {tol}")
     f_lo = _discriminant(hill, a_lo) - branch
     f_hi = _discriminant(hill, a_hi) - branch
     if f_lo == 0.0:
@@ -408,16 +461,9 @@ def band_edge_bisection(hill: HillEquation, a_lo: float, a_hi: float, branch: fl
         return a_hi
     if f_lo * f_hi > 0.0:
         raise BandError(f"tr M - ({branch:+g}) does not change sign over [{a_lo}, {a_hi}]")
-    while a_hi - a_lo > tol:
-        mid = 0.5 * (a_lo + a_hi)
-        f_mid = _discriminant(hill, mid) - branch
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            a_hi, f_hi = mid, f_mid
-        else:
-            a_lo, f_lo = mid, f_mid
-    return 0.5 * (a_lo + a_hi)
+    if tol < 4.0 * math.ulp(max(abs(a_lo), abs(a_hi))):
+        raise BandError(f"tol {tol} is below four float spacings of the bracket [{a_lo}, {a_hi}]")
+    return _itp_root(lambda a: _discriminant(hill, a) - branch, a_lo, a_hi, f_lo, f_hi, tol)
 
 
 def _hill_matrix(hill: HillEquation, mu: float) -> np.ndarray:

@@ -1,14 +1,18 @@
 """Stationary phase modes, Hill reduction, Floquet band structure."""
 
+import math
+
 import numpy as np
 import pytest
 
 import nlse4 as q
+from nlse4 import bands
 from nlse4.bands import (
     BandError,
     HillEquation,
     PhaseMode,
     _integrate_monodromy,
+    _itp_root,
     band_edge_bisection,
     band_edges,
     bloch_density_profile,
@@ -201,6 +205,132 @@ class TestFloquet:
         for tol in (0.0, -1e-9):
             with pytest.raises(BandError):
                 band_edge_bisection(mathieu_hill(1.0), -1.0, 0.0, branch=2.0, tol=tol)
+
+    def test_bisection_rejects_non_finite_tol(self):
+        for tol in (np.inf, np.nan):
+            with pytest.raises(BandError):
+                band_edge_bisection(mathieu_hill(1.0), -1.0, 0.0, branch=2.0, tol=tol)
+
+    def test_bisection_rejects_tol_below_float_spacing(self):
+        # no bracket of floats this close to -0.46 is that narrow, so the
+        # search could never end
+        with pytest.raises(BandError, match="float spacing"):
+            band_edge_bisection(mathieu_hill(1.0), -1.0, 0.0, branch=2.0, tol=1e-20)
+
+    def test_bisection_rejects_non_finite_bracket_end(self):
+        for a_hi in (np.inf, np.nan):
+            with pytest.raises(BandError):
+                band_edge_bisection(mathieu_hill(1.0), -1.0, a_hi, branch=2.0)
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+    def test_floquet_rejects_non_finite_samples(self, a):
+        with pytest.raises(BandError, match="finite"):
+            floquet_analyze(mathieu_hill(1.0), [0.0, a])
+
+
+def _counting_floquet(monkeypatch):
+    """Record the sample of every Floquet integration made through
+    ``bands.floquet_analyze``."""
+    calls = []
+    original = bands.floquet_analyze
+
+    def counted(hill, a_values, *args, **kwargs):
+        calls.append(tuple(np.atleast_1d(a_values)))
+        return original(hill, a_values, *args, **kwargs)
+
+    monkeypatch.setattr(bands, "floquet_analyze", counted)
+    return calls
+
+
+def _loop_budget(width, tol):
+    """ITP's worst case: one evaluation beyond bisection's (n0 = 1)."""
+    return math.ceil(math.log2(width / tol)) + 1
+
+
+class TestEdgeSearch:
+    """The ITP search behind ``band_edge_bisection``: evaluation budgets on
+    the Mathieu edges, the worst case on synthetic functions, accuracy and
+    repeatability."""
+
+    @pytest.mark.parametrize("qv", [0.9, 1.0, 1.1])
+    @pytest.mark.parametrize("route, branch", [("periodic", 2.0), ("antiperiodic", -2.0)])
+    def test_mathieu_edge_budget(self, qv, route, branch, monkeypatch):
+        hill = mathieu_hill(qv)
+        target = float(band_edges(hill, -1.0, 10.0)[route][0])
+        calls = _counting_floquet(monkeypatch)
+        edge = band_edge_bisection(hill, target - 0.05, target + 0.05, branch, tol=1e-9)
+        assert len(calls) <= 9  # plain bisection takes 29
+        assert abs(edge - target) <= 1e-9
+
+    def test_q1_unit_bracket_budget(self, monkeypatch):
+        calls = _counting_floquet(monkeypatch)
+        edge = band_edge_bisection(mathieu_hill(1.0), -1.0, 0.0, branch=2.0, tol=1e-9)
+        assert len(calls) <= 12  # plain bisection takes 32
+        assert edge == pytest.approx(A0_Q1, abs=1e-6)
+
+    def test_repeated_searches_make_identical_calls(self, monkeypatch):
+        hill = mathieu_hill(1.0)
+        calls = _counting_floquet(monkeypatch)
+        first = band_edge_bisection(hill, -1.0, 0.0, branch=2.0, tol=1e-9)
+        sequence = list(calls)
+        calls.clear()
+        assert band_edge_bisection(hill, -1.0, 0.0, branch=2.0, tol=1e-9) == first
+        assert calls == sequence
+
+    @pytest.mark.parametrize("root", [1.0 / 3.0, 0.5 + 1e-10, 0.999])
+    def test_sign_jump_within_worst_case(self, root):
+        xs = []
+
+        def jump(x):
+            xs.append(x)
+            return -1.0 if x < root else 1.0
+
+        tol = 1e-9
+        x = _itp_root(jump, 0.0, 1.0, -1.0, 1.0, tol)
+        assert len(xs) <= _loop_budget(1.0, tol)
+        assert abs(x - root) <= 0.5 * tol
+
+    @pytest.mark.parametrize("root", [1.0 / 3.0, 0.7071067811865476])
+    def test_flat_root_within_worst_case(self, root):
+        xs = []
+
+        def flat(x):
+            xs.append(x)
+            return (x - root) ** 9
+
+        tol = 1e-9
+        x = _itp_root(flat, 0.0, 1.0, flat(0.0), flat(1.0), tol)
+        assert len(xs) - 2 <= _loop_budget(1.0, tol)
+        assert abs(x - root) <= 0.5 * tol
+
+    @pytest.mark.parametrize("slope, offset", [(1.0, 1e-17), (3.0, -1e-17)])
+    def test_root_between_adjacent_floats_stays_fast(self, slope, offset):
+        # The sign change sits between two neighbouring floats, as it does
+        # for a converged discriminant.  Once one end lands there, regula
+        # falsi returns that end itself; without the tol/4 clamp every later
+        # trial re-evaluates it and the search falls back to the worst case.
+        root, tol = 1.0 / 3.0, 1e-9
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return slope * (x - root) + offset
+
+        lo, hi = root - 0.05, root + 0.05
+        f_lo, f_hi = f(lo), f(hi)
+        xs.clear()
+        x = _itp_root(f, lo, hi, f_lo, f_hi, tol)
+        assert len(xs) <= 9 and len(set(xs)) == len(xs)
+        assert abs(x - root) <= 0.5 * tol
+
+    def test_linear_root_within_half_tol(self):
+        root, tol = -0.4551386, 1e-9
+
+        def line(a):
+            return 3.0 * (a - root)
+
+        x = _itp_root(line, -1.0, 0.0, line(-1.0), line(0.0), tol)
+        assert abs(x - root) <= 0.5 * tol
 
 
 def _stepwise_monodromy(hill, a_values, n_steps):

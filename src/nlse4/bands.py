@@ -21,9 +21,12 @@ Band edges come from two independent routes: a Fourier-basis eigenproblem
 an ITP root search on the monodromy discriminant.  The Hill system is
 linear, so each fixed RK4 step is an exact 2x2 propagator in closed form;
 the monodromy matrix is their ordered product, reduced pairwise in blocks
-and vectorized over the constant coefficient.  Step-halving acceptance
-picks the step count, and the fixed evaluation order keeps results
-bit-reproducible.
+and vectorized over the constant coefficient.  Several full blocks are
+evaluated side by side in preallocated buffers (grouped evaluation), but
+the block partition, each block's pairwise tree and the fold of the block
+products keep their order, so grouping changes no bit of the result.
+Step-halving acceptance picks the step count, and the fixed evaluation
+order keeps results bit-reproducible.
 """
 
 from __future__ import annotations
@@ -277,9 +280,12 @@ class FloquetResult:
     tol_achieved: float
 
 
-# Elements (steps x samples) per block of step propagators built at once;
-# bounds the temporaries of _integrate_monodromy independently of n_steps.
+# Elements (steps x samples) per block of step propagators reduced by one
+# pairwise tree; the partition fixes the order of the monodromy products.
 _BLOCK_ELEMENTS = 2**12
+# Elements (steps x blocks x samples) of full blocks evaluated side by side;
+# bounds the buffers of _integrate_monodromy independently of n_steps.
+_GROUP_ELEMENTS = 2**14
 
 # Step-halving acceptance of the monodromy: the largest change of any
 # discriminant relative to max(1, |tr M|), and the most doublings tried.
@@ -290,12 +296,12 @@ _MAX_DOUBLINGS = 6
 _N_FOURIER = 48
 
 
-def _matmul22(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """b @ a for stacks of 2x2 matrices laid out as (2, 2, ...)."""
-    return np.array([
-        [b[0, 0] * a[0, 0] + b[0, 1] * a[1, 0], b[0, 0] * a[0, 1] + b[0, 1] * a[1, 1]],
-        [b[1, 0] * a[0, 0] + b[1, 1] * a[1, 0], b[1, 0] * a[0, 1] + b[1, 1] * a[1, 1]],
-    ])
+def _matmul22(b: np.ndarray, a: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = b @ a for stacks of 2x2 matrices laid out as (2, 2, ...); each
+    entry is b_i0 a_0j + b_i1 a_1j.  ``tmp`` has the shape of ``out``."""
+    np.multiply(b[:, 0, None], a[None, 0], out=out)
+    np.multiply(b[:, 1, None], a[None, 1], out=tmp)
+    np.add(out, tmp, out=out)
 
 
 def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int) -> tuple:
@@ -305,37 +311,99 @@ def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int)
     The system is linear, so one RK4 step from z_j is exactly the 2x2
     matrix P_j built below from q = a + modulation at z_j, z_j + h/2 and
     z_j + h, and the monodromy is the ordered product P_{n-1} ... P_0.
-    Steps are processed in blocks: each block's propagators are reduced by
-    pairwise products (later step on the left) and folded into the
-    running product.
+    Steps are partitioned into blocks of max(1, _BLOCK_ELEMENTS // size)
+    steps; each block's propagators are reduced by pairwise products (later
+    step on the left, an odd tail carried up a level) and the block
+    products are folded into the running product in step order.
+
+    Full blocks are evaluated side by side, up to _GROUP_ELEMENTS elements
+    at once (one sample's blocks one at a time), in buffers laid out
+    (2, 2, step in block, block, sample) that are allocated once per call
+    and written through ``out=``, so the temporaries are bounded
+    independently of ``n_steps``.  Grouping changes neither the partition
+    nor any operation or its order: the modulation is evaluated on each
+    block's own z array, and every other operation is an elementwise +, -
+    or x, so the result is bit-identical to reducing one block at a time.
     """
     h = hill.period / n_steps
     hh = h * h
-    a = a_values[None, :]
-    block = max(1, _BLOCK_ELEMENTS // a_values.size)
-    mono = np.zeros((2, 2, a_values.size))
+    size = a_values.size
+    block = max(1, _BLOCK_ELEMENTS // size)
+    # One sample's tree runs along its steps; side-by-side blocks would
+    # shrink every inner loop to a few elements, so it is not grouped.
+    group = max(1, min(_GROUP_ELEMENTS // (block * size), n_steps // block)) if size > 1 else 1
+
+    # Flat buffers sized for the largest group; each group reshapes a prefix.
+    steps = min(block * group, n_steps)
+    mod_buf, q_buf = np.empty(2 * steps + group), np.empty((2 * steps + group) * size)
+    u_buf, w_buf, p_buf = np.empty(steps * size), np.empty(steps * size), np.empty(4 * steps * size)
+    pair_buf, tmp_buf = np.empty(4 * ((steps + group) // 2) * size), np.empty(4 * ((steps + group) // 2) * size)
+
+    def view(buf, *shape):
+        return buf[:math.prod(shape)].reshape(shape)
+
+    mono, new = np.zeros((2, 2, size)), np.empty((2, 2, size))
     mono[0, 0] = mono[1, 1] = 1.0
-    for start in range(0, n_steps, block):
+    offsets = np.arange(2 * block + 1)
+    start = 0
+    while start < n_steps:
+        # up to `group` full blocks side by side, or the one partial last block
         count = min(block, n_steps - start)
-        # modulation at the step starts, midpoints and ends of this block
-        z = (2 * start + np.arange(2 * count + 1)) * (0.5 * h)
-        mod = hill.modulation(z)[:, None]
-        q0 = a + mod[0:-1:2]
-        q1 = a + mod[1::2]
-        q2 = a + mod[2::2]
-        u0 = 1.0 - 0.25 * hh * q0
-        u1 = 1.0 - 0.25 * hh * q1
-        p = np.empty((2, 2) + q0.shape)
-        p[0, 0] = 1.0 - (hh / 6.0) * (q0 + q1 + q1 * u0)
-        p[0, 1] = h * (1.0 - (hh / 6.0) * q1)
-        p[1, 0] = -(h / 6.0) * (q0 + 2.0 * q1 + 2.0 * q1 * u0 + q2 * (1.0 - 0.5 * hh * q1))
-        p[1, 1] = 1.0 - (hh / 6.0) * (2.0 * q1 + q2 * u1)
-        while p.shape[2] > 1:
-            odd = p[:, :, -1:] if p.shape[2] % 2 else None
-            p = _matmul22(p[:, :, 1::2], p[:, :, 0:-1:2])
-            if odd is not None:
-                p = np.concatenate([p, odd], axis=2)
-        mono = _matmul22(p[:, :, 0], mono)
+        blocks = max(1, min(group, (n_steps - start) // block))
+        # modulation at the step starts, midpoints and ends of each block
+        mod = view(mod_buf, blocks, 2 * count + 1)
+        for b in range(blocks):
+            mod[b] = hill.modulation((2 * (start + b * count) + offsets[:2 * count + 1]) * (0.5 * h))
+        q = view(q_buf, 2 * count + 1, blocks, size)
+        np.add(mod.T[:, :, None], a_values, out=q)
+        q0, q1, q2 = q[0:-1:2], q[1::2], q[2::2]
+        u, w = view(u_buf, count, blocks, size), view(w_buf, count, blocks, size)
+        p = view(p_buf, 2, 2, count, blocks, size)
+        p00, p01, p10, p11 = p[0, 0], p[0, 1], p[1, 0], p[1, 1]
+        # p00 = 1 - hh/6 (q0 + q1 + q1 u0) with u0 = 1 - hh/4 q0
+        np.multiply(q0, 0.25 * hh, out=u)
+        np.subtract(1.0, u, out=u)
+        np.multiply(q1, u, out=w)
+        np.add(q0, q1, out=p00)
+        p00 += w
+        p00 *= hh / 6.0
+        np.subtract(1.0, p00, out=p00)
+        # p10 = -h/6 (q0 + 2 q1 + 2 q1 u0 + q2 (1 - hh/2 q1))
+        np.multiply(q1, 2.0, out=w)
+        np.add(q0, w, out=p10)
+        w *= u
+        p10 += w
+        np.multiply(q1, 0.5 * hh, out=u)
+        np.subtract(1.0, u, out=u)
+        u *= q2
+        p10 += u
+        p10 *= -(h / 6.0)
+        # p01 = h (1 - hh/6 q1)
+        np.multiply(q1, hh / 6.0, out=p01)
+        np.subtract(1.0, p01, out=p01)
+        p01 *= h
+        # p11 = 1 - hh/6 (2 q1 + q2 u1) with u1 = 1 - hh/4 q1
+        np.multiply(q1, 0.25 * hh, out=u)
+        np.subtract(1.0, u, out=u)
+        u *= q2
+        np.multiply(q1, 2.0, out=p11)
+        p11 += u
+        p11 *= hh / 6.0
+        np.subtract(1.0, p11, out=p11)
+        # pairwise tree of each block; levels alternate between two buffers
+        level, spare = p, pair_buf
+        while level.shape[2] > 1:
+            n = level.shape[2]
+            nxt = view(spare, 2, 2, (n + 1) // 2, blocks, size)
+            _matmul22(level[:, :, 1::2], level[:, :, 0:-1:2], nxt[:, :, :n // 2],
+                      view(tmp_buf, 2, 2, n // 2, blocks, size))
+            if n % 2:
+                nxt[:, :, -1] = level[:, :, -1]
+            level, spare = nxt, (p_buf if spare is pair_buf else pair_buf)
+        for b in range(blocks):
+            _matmul22(level[:, :, 0, b], mono, new, view(tmp_buf, 2, 2, size))
+            mono, new = new, mono
+        start += blocks * count
     tr = mono[0, 0] + mono[1, 1]
     det = mono[0, 0] * mono[1, 1] - mono[0, 1] * mono[1, 0]
     return tr, det

@@ -1,6 +1,7 @@
 """Stationary phase modes, Hill reduction, Floquet band structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from nlse4 import bands
 from nlse4.bands import (
     BandError,
     HillEquation,
+    ODEToleranceError,
     PhaseMode,
     _integrate_monodromy,
     _itp_root,
@@ -227,6 +229,20 @@ class TestFloquet:
         with pytest.raises(BandError, match="finite"):
             floquet_analyze(mathieu_hill(1.0), [0.0, a])
 
+    def test_strong_modulation_edge_fails_typed_on_monodromy_route(self):
+        # At q = 20 tr M ~ +-2 at the lowest edge is a difference of
+        # monodromy entries of order 1e4, so the step-halving tolerance
+        # relative to max(1, |tr M|) cannot be met there: both monodromy
+        # routes must raise the typed error (not return NaN or hang), while
+        # the Fourier route still resolves the edge.
+        hill = mathieu_hill(20.0)
+        edge = band_edges(hill, -40.0, 10.0)["periodic"][0]
+        assert edge == pytest.approx(-31.3134, abs=1e-4)
+        with pytest.raises(ODEToleranceError):
+            floquet_analyze(hill, [edge])
+        with pytest.raises(ODEToleranceError):
+            band_edge_bisection(hill, edge - 0.05, edge + 0.05, branch=2.0, tol=1e-9)
+
 
 def _counting_floquet(monkeypatch):
     """Record the sample of every Floquet integration made through
@@ -360,6 +376,50 @@ def _stepwise_monodromy(hill, a_values, n_steps):
     return y
 
 
+def _blockwise_monodromy(hill, a_values, n_steps):
+    """Frozen oracle: the one-block-at-a-time reduction that grouped
+    evaluation replaced, kept verbatim.  Blocks of
+    max(1, _BLOCK_ELEMENTS // size) steps, each reduced by a pairwise tree
+    (later step on the left, an odd tail carried up) and folded into the
+    running product in step order; returns (tr, det)."""
+
+    def matmul22(b, a):
+        return np.array([
+            [b[0, 0] * a[0, 0] + b[0, 1] * a[1, 0], b[0, 0] * a[0, 1] + b[0, 1] * a[1, 1]],
+            [b[1, 0] * a[0, 0] + b[1, 1] * a[1, 0], b[1, 0] * a[0, 1] + b[1, 1] * a[1, 1]],
+        ])
+
+    h = hill.period / n_steps
+    hh = h * h
+    a = a_values[None, :]
+    block = max(1, bands._BLOCK_ELEMENTS // a_values.size)
+    mono = np.zeros((2, 2, a_values.size))
+    mono[0, 0] = mono[1, 1] = 1.0
+    for start in range(0, n_steps, block):
+        count = min(block, n_steps - start)
+        z = (2 * start + np.arange(2 * count + 1)) * (0.5 * h)
+        mod = hill.modulation(z)[:, None]
+        q0 = a + mod[0:-1:2]
+        q1 = a + mod[1::2]
+        q2 = a + mod[2::2]
+        u0 = 1.0 - 0.25 * hh * q0
+        u1 = 1.0 - 0.25 * hh * q1
+        p = np.empty((2, 2) + q0.shape)
+        p[0, 0] = 1.0 - (hh / 6.0) * (q0 + q1 + q1 * u0)
+        p[0, 1] = h * (1.0 - (hh / 6.0) * q1)
+        p[1, 0] = -(h / 6.0) * (q0 + 2.0 * q1 + 2.0 * q1 * u0 + q2 * (1.0 - 0.5 * hh * q1))
+        p[1, 1] = 1.0 - (hh / 6.0) * (2.0 * q1 + q2 * u1)
+        while p.shape[2] > 1:
+            odd = p[:, :, -1:] if p.shape[2] % 2 else None
+            p = matmul22(p[:, :, 1::2], p[:, :, 0:-1:2])
+            if odd is not None:
+                p = np.concatenate([p, odd], axis=2)
+        mono = matmul22(p[:, :, 0], mono)
+    tr = mono[0, 0] + mono[1, 1]
+    det = mono[0, 0] * mono[1, 1] - mono[0, 1] * mono[1, 0]
+    return tr, det
+
+
 class TestMonodromyProduct:
     """The ordered product of closed-form RK4 step propagators against the
     per-step RK4 oracle.  tr M is compared relative to max(1, |tr M|), the
@@ -377,7 +437,8 @@ class TestMonodromyProduct:
         assert hill.period == pytest.approx(2 * np.pi)
         assert any(k == 1 and sk != 0.0 for k, _, sk in hill.harmonics)
 
-    # a block holds 4096 // n_a steps: 4096 for one sample, 20 for 200
+    # a block holds max(1, _BLOCK_ELEMENTS // n_a) steps: 4096 for one
+    # sample, 20 for 200; full blocks are then evaluated in groups
     @pytest.mark.parametrize("name", sorted(HILLS))
     @pytest.mark.parametrize("n_a,n_steps", [(1, 3), (1, 4096), (1, 6476),
                                              (200, 3), (200, 20), (200, 4096), (200, 6476)])
@@ -391,6 +452,36 @@ class TestMonodromyProduct:
         det_scale = np.abs(m[0, 0] * m[1, 1]) + np.abs(m[0, 1] * m[1, 0])
         assert np.all(np.abs(tr - tr_ref) <= 1e-12 * np.maximum(1.0, np.abs(tr_ref)))
         assert np.all(np.abs(det - det_ref) <= 1e-12 * det_scale)
+
+    # 4097 samples exceed _BLOCK_ELEMENTS, so their blocks hold one step;
+    # 21, 81, 4097 and 6476 steps end in a partial block or a partial group
+    @pytest.mark.parametrize("name", sorted(HILLS))
+    @pytest.mark.parametrize("n_a", [1, 2, 7, 200, 4097])
+    @pytest.mark.parametrize("n_steps", [1, 3, 20, 21, 81, 1448, 4096, 4097, 6476])
+    def test_bit_identical_to_blockwise_oracle(self, name, n_a, n_steps):
+        hill = self.HILLS[name]
+        a_values = np.linspace(-1.0, 10.0, n_a) if n_a > 1 else np.array([A0_Q1])
+        tr, det = _integrate_monodromy(hill, a_values, n_steps)
+        tr_ref, det_ref = _blockwise_monodromy(hill, a_values, n_steps)
+        assert np.array_equal(tr, tr_ref)
+        assert np.array_equal(det, det_ref)
+
+    @pytest.mark.parametrize("n_a,n_steps,scales", [(200, 6476, (1, 4)), (1, 2896, (1, 4, 16))])
+    def test_temporaries_bounded_independently_of_steps(self, n_a, n_steps, scales):
+        hill = self.HILLS["mathieu"]
+        a_values = np.linspace(-1.0, 10.0, n_a) if n_a > 1 else np.array([A0_Q1])
+        peaks = []
+        for scale in scales:
+            tracemalloc.start()  # numpy reports its data buffers here
+            try:
+                _integrate_monodromy(hill, a_values, scale * n_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 3 * 2**20
+        # 4x the steps allocate nothing more; one sample's 2896 steps fill
+        # less than a 4096-step block, so it is checked from 4n to 16n
+        assert peaks[-1] <= peaks[-2]
 
     def test_bitwise_repeatable(self):
         hill = self.HILLS["stationary_sin"]

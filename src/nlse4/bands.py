@@ -296,7 +296,7 @@ _MAX_DOUBLINGS = 6
 _N_FOURIER = 48
 
 
-def _matmul22(b: np.ndarray, a: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+def _matmul22_into(b: np.ndarray, a: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """out = b @ a for stacks of 2x2 matrices laid out as (2, 2, ...); each
     entry is b_i0 a_0j + b_i1 a_1j.  ``tmp`` has the shape of ``out``."""
     np.multiply(b[:, 0, None], a[None, 0], out=out)
@@ -395,13 +395,13 @@ def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int)
         while level.shape[2] > 1:
             n = level.shape[2]
             nxt = view(spare, 2, 2, (n + 1) // 2, blocks, size)
-            _matmul22(level[:, :, 1::2], level[:, :, 0:-1:2], nxt[:, :, :n // 2],
-                      view(tmp_buf, 2, 2, n // 2, blocks, size))
+            _matmul22_into(level[:, :, 1::2], level[:, :, 0:-1:2], nxt[:, :, :n // 2],
+                           view(tmp_buf, 2, 2, n // 2, blocks, size))
             if n % 2:
                 nxt[:, :, -1] = level[:, :, -1]
             level, spare = nxt, (p_buf if spare is pair_buf else pair_buf)
         for b in range(blocks):
-            _matmul22(level[:, :, 0, b], mono, new, view(tmp_buf, 2, 2, size))
+            _matmul22_into(level[:, :, 0, b], mono, new, view(tmp_buf, 2, 2, size))
             mono, new = new, mono
         start += blocks * count
     tr = mono[0, 0] + mono[1, 1]

@@ -424,7 +424,8 @@ class TestMonodromyProduct:
     """The ordered product of closed-form RK4 step propagators against the
     per-step RK4 oracle.  tr M is compared relative to max(1, |tr M|), the
     scale of the step-halving acceptance; det M = m00 m11 - m01 m10 cancels
-    to ~1 from products of size |m00 m11| + |m01 m10|, which is its scale."""
+    to ~1 from products of size |m00 m11| + |m01 m10|, which is its scale.
+    Against the frozen block-by-block loop both must match bit for bit."""
 
     HILLS = {
         "mathieu": mathieu_hill(1.0),

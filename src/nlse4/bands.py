@@ -18,15 +18,18 @@ harmonic from (S')^2, and a sin(z) harmonic from the b1 Lap(Lap S) term
 
 Band edges come from two independent routes: a Fourier-basis eigenproblem
 (robust where |tr M| - 2 has double roots, e.g. the unmodulated limit) and
-an ITP root search on the monodromy discriminant.  The Hill system is
-linear, so each fixed RK4 step is an exact 2x2 propagator in closed form;
-the monodromy matrix is their ordered product, reduced pairwise in blocks
-and vectorized over the constant coefficient.  Several full blocks are
-evaluated side by side in preallocated buffers (grouped evaluation), but
-the block partition, each block's pairwise tree and the fold of the block
-products keep their order, so grouping changes no bit of the result.
-Step-halving acceptance picks the step count, and the fixed evaluation
-order keeps results bit-reproducible.
+an ITP root search on the monodromy discriminant.  The Hill system
+Y' = A(z) Y is linear with a traceless A, so each fixed step is the
+fourth-order Magnus propagator exp(Omega) with two Gauss points (Iserles &
+Norsett, Phil. Trans. R. Soc. A 357, 983 (1999)), a 2x2 matrix in closed
+form with det 1 in exact arithmetic; the monodromy matrix is their ordered
+product, reduced pairwise in blocks and vectorized over the constant
+coefficient.  Several full blocks are evaluated side by side in
+preallocated buffers (grouped evaluation), but the block partition, each
+block's pairwise tree and the fold of the block products keep their order,
+so grouping changes no bit of the result.  Step-halving acceptance from
+1024 steps per period picks the step count, and the fixed evaluation order
+keeps results bit-reproducible.
 """
 
 from __future__ import annotations
@@ -270,7 +273,10 @@ class FloquetResult:
 
     ``nu`` is the characteristic exponent on its principal branch: the real
     part lies in [0, pi/period] (exponents fold back into the first
-    Brillouin zone), and an imaginary part marks instability."""
+    Brillouin zone), and an imaginary part marks instability.
+    ``tol_achieved`` is the step-halving change the chart met and
+    ``n_steps`` the accepted (finer) step count, both shared by every sample
+    of one ``floquet_analyze`` call."""
 
     a: float
     tr_m: float
@@ -278,6 +284,7 @@ class FloquetResult:
     nu: complex
     stable: bool
     tol_achieved: float
+    n_steps: int
 
 
 # Elements (steps x samples) per block of step propagators reduced by one
@@ -292,6 +299,9 @@ _GROUP_ELEMENTS = 2**14
 _MONODROMY_RTOL = 1e-10
 _MAX_DOUBLINGS = 6
 
+# Gauss-Legendre points of the Magnus step as fractions of a step.
+_GAUSS_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+
 # Fourier modes j = -_N_FOURIER.._N_FOURIER of the truncated Hill operator.
 _N_FOURIER = 48
 
@@ -304,17 +314,64 @@ def _matmul22_into(b: np.ndarray, a: np.ndarray, out: np.ndarray, tmp: np.ndarra
     np.add(out, tmp, out=out)
 
 
-def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int) -> tuple:
-    """Fixed-step RK4 monodromy of Y' = [[0, 1], [-(a + modulation), 0]] Y
-    over one period, vectorized over ``a_values``; returns (tr, det).
+def _magnus_steps_into(q: np.ndarray, h: float, p: np.ndarray, qbar: np.ndarray, alpha: np.ndarray,
+                       mask: np.ndarray) -> None:
+    """Magnus step propagators into ``p``, entries p00, p01, p10, p11 one
+    after another, from q = a + modulation at the first Gauss point of every
+    step followed by the second.  All arrays are flat: the steps are
+    independent, so every operation acts element by element.  ``q`` is
+    overwritten; ``qbar``, ``alpha`` (float) and ``mask`` (bool) are scratch
+    of one entry's length."""
+    e = qbar.size
+    q1, q2 = q[:e], q[e:]
+    p00, p01, p10, p11 = p[:e], p[e:2 * e], p[2 * e:3 * e], p[3 * e:]
+    hh = h * h
+    np.add(q1, q2, out=qbar)
+    qbar *= 0.5
+    np.subtract(q2, q1, out=alpha)
+    alpha *= math.sqrt(3.0) / 12.0 * hh
+    # s^2 = alpha^2 - h^2 qbar into q2 and |s| into q1
+    s2, s = q2, q1
+    np.multiply(qbar, hh, out=s)
+    np.multiply(alpha, alpha, out=s2)
+    s2 -= s
+    np.abs(s2, out=s)
+    np.sqrt(s, out=s)
+    # c into p11 and sc into p01, (1, 1) where s = 0
+    c, sc = p11, p01
+    c.fill(1.0)
+    sc.fill(1.0)
+    for select, even, odd in ((np.less, np.cos, np.sin), (np.greater, np.cosh, np.sinh)):
+        select(s2, 0.0, out=mask)
+        even(s, out=c, where=mask)
+        odd(s, out=sc, where=mask)
+        np.divide(sc, s, out=sc, where=mask)
+    # exp(Omega) = c I + sc Omega
+    alpha *= sc
+    np.add(c, alpha, out=p00)
+    c -= alpha
+    np.multiply(qbar, -h, out=p10)
+    p10 *= sc
+    sc *= h
 
-    The system is linear, so one RK4 step from z_j is exactly the 2x2
-    matrix P_j built below from q = a + modulation at z_j, z_j + h/2 and
-    z_j + h, and the monodromy is the ordered product P_{n-1} ... P_0.
-    Steps are partitioned into blocks of max(1, _BLOCK_ELEMENTS // size)
-    steps; each block's propagators are reduced by pairwise products (later
-    step on the left, an odd tail carried up a level) and the block
-    products are folded into the running product in step order.
+
+def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int) -> tuple:
+    """Fixed-step fourth-order Magnus monodromy of
+    Y' = [[0, 1], [-(a + modulation), 0]] Y over one period, vectorized over
+    ``a_values``; returns (tr, det).
+
+    Step j is exp(Omega_j) with Omega = [[alpha, h], [-h qbar, -alpha]],
+    qbar = (q1 + q2)/2 and alpha = (sqrt(3) h^2/12)(q2 - q1), where q1, q2
+    are a + modulation at the Gauss points (j + 1/2 -+ sqrt(3)/6) h.  Omega
+    is traceless, so Omega^2 = s^2 I with s^2 = alpha^2 - h^2 qbar and
+    exp(Omega) = c I + sc Omega, (c, sc) = (cosh s, sinh s / s) for s^2 > 0,
+    (cos |s|, sin |s| / |s|) for s^2 < 0 and (1, 1) at s = 0: every step has
+    det 1 in exact arithmetic.  The monodromy is the ordered product
+    P_{n-1} ... P_0.  Steps are partitioned into blocks of
+    max(1, _BLOCK_ELEMENTS // size) steps; each block's propagators are
+    reduced by pairwise products (later step on the left, an odd tail
+    carried up a level) and the block products are folded into the running
+    product in step order.
 
     Full blocks are evaluated side by side, up to _GROUP_ELEMENTS elements
     at once (one sample's blocks one at a time), in buffers laid out
@@ -322,11 +379,10 @@ def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int)
     and written through ``out=``, so the temporaries are bounded
     independently of ``n_steps``.  Grouping changes neither the partition
     nor any operation or its order: the modulation is evaluated on each
-    block's own z array, and every other operation is an elementwise +, -
-    or x, so the result is bit-identical to reducing one block at a time.
+    block's own z array, and every other operation acts element by element,
+    so the result is bit-identical to reducing one block at a time.
     """
     h = hill.period / n_steps
-    hh = h * h
     size = a_values.size
     block = max(1, _BLOCK_ELEMENTS // size)
     # One sample's tree runs along its steps; side-by-side blocks would
@@ -335,8 +391,9 @@ def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int)
 
     # Flat buffers sized for the largest group; each group reshapes a prefix.
     steps = min(block * group, n_steps)
-    mod_buf, q_buf = np.empty(2 * steps + group), np.empty((2 * steps + group) * size)
-    u_buf, w_buf, p_buf = np.empty(steps * size), np.empty(steps * size), np.empty(4 * steps * size)
+    mod_buf, q_buf = np.empty(2 * steps), np.empty(2 * steps * size)
+    qbar_buf, alpha_buf, mask_buf = np.empty(steps * size), np.empty(steps * size), np.empty(steps * size, bool)
+    p_buf = np.empty(4 * steps * size)
     pair_buf, tmp_buf = np.empty(4 * ((steps + group) // 2) * size), np.empty(4 * ((steps + group) // 2) * size)
 
     def view(buf, *shape):
@@ -344,52 +401,21 @@ def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int)
 
     mono, new = np.zeros((2, 2, size)), np.empty((2, 2, size))
     mono[0, 0] = mono[1, 1] = 1.0
-    offsets = np.arange(2 * block + 1)
+    index = np.arange(block)
     start = 0
     while start < n_steps:
         # up to `group` full blocks side by side, or the one partial last block
         count = min(block, n_steps - start)
         blocks = max(1, min(group, (n_steps - start) // block))
-        # modulation at the step starts, midpoints and ends of each block
-        mod = view(mod_buf, blocks, 2 * count + 1)
+        # modulation at the two Gauss points of each step, z = (j + c) h
+        mod = view(mod_buf, blocks, count, 2)
         for b in range(blocks):
-            mod[b] = hill.modulation((2 * (start + b * count) + offsets[:2 * count + 1]) * (0.5 * h))
-        q = view(q_buf, 2 * count + 1, blocks, size)
-        np.add(mod.T[:, :, None], a_values, out=q)
-        q0, q1, q2 = q[0:-1:2], q[1::2], q[2::2]
-        u, w = view(u_buf, count, blocks, size), view(w_buf, count, blocks, size)
+            mod[b] = hill.modulation(((start + b * count + index[:count])[:, None] + _GAUSS_NODES) * h)
+        q = view(q_buf, 2, count, blocks, size)
+        np.add(mod.T[:, :, :, None], a_values, out=q)
+        e = count * blocks * size
+        _magnus_steps_into(q_buf[:2 * e], h, p_buf[:4 * e], qbar_buf[:e], alpha_buf[:e], mask_buf[:e])
         p = view(p_buf, 2, 2, count, blocks, size)
-        p00, p01, p10, p11 = p[0, 0], p[0, 1], p[1, 0], p[1, 1]
-        # p00 = 1 - hh/6 (q0 + q1 + q1 u0) with u0 = 1 - hh/4 q0
-        np.multiply(q0, 0.25 * hh, out=u)
-        np.subtract(1.0, u, out=u)
-        np.multiply(q1, u, out=w)
-        np.add(q0, q1, out=p00)
-        p00 += w
-        p00 *= hh / 6.0
-        np.subtract(1.0, p00, out=p00)
-        # p10 = -h/6 (q0 + 2 q1 + 2 q1 u0 + q2 (1 - hh/2 q1))
-        np.multiply(q1, 2.0, out=w)
-        np.add(q0, w, out=p10)
-        w *= u
-        p10 += w
-        np.multiply(q1, 0.5 * hh, out=u)
-        np.subtract(1.0, u, out=u)
-        u *= q2
-        p10 += u
-        p10 *= -(h / 6.0)
-        # p01 = h (1 - hh/6 q1)
-        np.multiply(q1, hh / 6.0, out=p01)
-        np.subtract(1.0, p01, out=p01)
-        p01 *= h
-        # p11 = 1 - hh/6 (2 q1 + q2 u1) with u1 = 1 - hh/4 q1
-        np.multiply(q1, 0.25 * hh, out=u)
-        np.subtract(1.0, u, out=u)
-        u *= q2
-        np.multiply(q1, 2.0, out=p11)
-        p11 += u
-        p11 *= hh / 6.0
-        np.subtract(1.0, p11, out=p11)
         # pairwise tree of each block; levels alternate between two buffers
         level, spare = p, pair_buf
         while level.shape[2] > 1:
@@ -413,18 +439,20 @@ def floquet_analyze(hill: HillEquation, a_values, base_steps: int = 1024) -> lis
     """Monodromy discriminant, determinant, characteristic exponent and
     stability flag at each constant-coefficient sample.
 
-    Integration uses fixed-step RK4, accepted once step halving changes no
-    discriminant by more than ``_MONODROMY_RTOL`` (relative to max(1, |tr M|));
-    otherwise the step count doubles, up to ``_MAX_DOUBLINGS`` times.
+    Integration uses the fixed-step fourth-order Magnus kernel, starting at
+    ``base_steps`` steps per period whatever the size of Q: the error of a
+    Magnus step does not grow with the oscillation frequency as RK4's does,
+    so no a-priori rule raises the start.  The result is accepted once step
+    halving changes no discriminant by more than ``_MONODROMY_RTOL``
+    (relative to max(1, |tr M|)); otherwise the step count doubles, up to
+    ``_MAX_DOUBLINGS`` times.
     """
     a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
     if a_values.size < 1:
         raise BandError("need at least one sample")
     if not np.isfinite(a_values).all():
         raise BandError("constant-coefficient samples must be finite")
-    scale = max(1.0, float(np.abs(hill.q_eval(np.linspace(0, hill.period, 64))).max()),
-                float(np.abs(a_values).max()))
-    n = max(base_steps, int(base_steps * np.sqrt(scale)))
+    n = base_steps
     tr_prev, det_prev = _integrate_monodromy(hill, a_values, n)
     achieved = np.inf
     for _ in range(_MAX_DOUBLINGS):
@@ -449,7 +477,7 @@ def floquet_analyze(hill: HillEquation, a_values, base_steps: int = 1024) -> lis
             nu = complex(0.0, alpha) if trv > 2.0 else complex(np.pi / T, alpha)
             stable = False
         results.append(FloquetResult(a=float(a), tr_m=float(trv), det_m=float(detv),
-                                     nu=nu, stable=stable, tol_achieved=achieved))
+                                     nu=nu, stable=stable, tol_achieved=achieved, n_steps=n))
     return results
 
 

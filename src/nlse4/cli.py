@@ -353,6 +353,9 @@ def cmd_bands(config: dict, out_dir: Path, seed, quiet: bool) -> int:
         "pure_mathieu": hill.pure_mathieu,
         "period": hill.period,
         "q0": hill.q0,
+        # the chart's step-halving acceptance: accepted steps and the change met
+        "monodromy_steps": results[0].n_steps,
+        "tol_achieved": results[0].tol_achieved,
     }
     return _finish(out_dir, summary, [checks_mod.monodromy_det(results, note=f"{samples} samples")], quiet)
 

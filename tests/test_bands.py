@@ -171,10 +171,11 @@ class TestFloquet:
     def test_constant_coefficient(self):
         hill = q.HillEquation(period=np.pi, q0=0.0, harmonics=())
         res = floquet_analyze(hill, [0.25, 0.81, -1.0])
-        assert res[0].stable and res[0].nu == pytest.approx(0.5, abs=1e-8)
-        assert res[1].stable and res[1].nu == pytest.approx(0.9, abs=1e-7)
+        # a Magnus step is exact for a constant Q: only rounding remains
+        assert res[0].stable and res[0].nu == pytest.approx(0.5, abs=1e-12)
+        assert res[1].stable and res[1].nu == pytest.approx(0.9, abs=1e-12)
         assert not res[2].stable
-        assert res[2].nu.imag == pytest.approx(1.0, abs=1e-8)
+        assert res[2].nu.imag == pytest.approx(1.0, abs=1e-12)
 
     def test_a0_q1_dual_route(self):
         hill = mathieu_hill(1.0)
@@ -350,7 +351,7 @@ class TestEdgeSearch:
 
 
 def _stepwise_monodromy(hill, a_values, n_steps):
-    """Oracle: classical per-step RK4 on the state [y, y'] for both
+    """Cross-method oracle: classical per-step RK4 on the state [y, y'] for both
     canonical initial conditions; returns the monodromy matrices
     (2, 2, len(a_values)).  Step j starts at z = j h (an accumulated
     ``z += h`` drifts by O(n eps), which alone moves tr M by ~1e-12)."""
@@ -376,12 +377,50 @@ def _stepwise_monodromy(hill, a_values, n_steps):
     return y
 
 
+def _stepwise_magnus(hill, a_values, n_steps):
+    """Oracle: the Magnus step by an independent route, one step at a time.
+    Each Omega_j = [[alpha, h], [-h qbar, -alpha]] (Gauss points
+    (j + 1/2 -+ sqrt(3)/6) h) is exponentiated by a Taylor series after
+    scaling by 2**-k to norm <= 1/2, then squared k times; the step
+    propagators are multiplied in sequence.  Returns the monodromy matrices
+    (2, 2, len(a_values))."""
+    h = hill.period / n_steps
+    nodes = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+    y = np.zeros((2, 2, a_values.size))
+    y[0, 0] = y[1, 1] = 1.0
+    for start in range(0, n_steps, 512):
+        steps = np.arange(start, min(n_steps, start + 512))
+        mod = hill.modulation((steps[:, None] + nodes) * h)
+        q1 = a_values + mod[:, :1]
+        q2 = a_values + mod[:, 1:]
+        qbar = 0.5 * (q1 + q2)
+        alpha = math.sqrt(3.0) / 12.0 * h * h * (q2 - q1)
+        omega = np.array([[alpha, np.full_like(alpha, h)], [-h * qbar, -alpha]])
+        norm = np.abs(omega).sum(axis=1).max()
+        k = max(0, math.ceil(math.log2(norm / 0.5)))
+        x = omega / 2.0**k
+        term = np.broadcast_to(np.eye(2)[:, :, None, None], omega.shape).copy()
+        expm = term.copy()
+        for order in range(1, 20):
+            term = np.einsum("ij...,jk...->ik...", term, x) / order
+            expm = expm + term
+        for _ in range(k):
+            expm = np.einsum("ij...,jk...->ik...", expm, expm)
+        for j in range(steps.size):
+            y = np.einsum("ij...,jk...->ik...", expm[:, :, j], y)
+    return y
+
+
+def _tr_det(m):
+    return m[0, 0] + m[1, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
 def _blockwise_monodromy(hill, a_values, n_steps):
-    """Frozen oracle: the one-block-at-a-time reduction that grouped
-    evaluation replaced, kept verbatim.  Blocks of
-    max(1, _BLOCK_ELEMENTS // size) steps, each reduced by a pairwise tree
-    (later step on the left, an odd tail carried up) and folded into the
-    running product in step order; returns (tr, det)."""
+    """Frozen oracle: the Magnus kernel reduced one block at a time.
+    Blocks of max(1, _BLOCK_ELEMENTS // size) steps, each step propagator
+    c I + sc Omega, each block reduced by a pairwise tree (later step on the
+    left, an odd tail carried up) and folded into the running product in
+    step order; returns the monodromy matrices (2, 2, len(a_values))."""
 
     def matmul22(b, a):
         return np.array([
@@ -391,40 +430,38 @@ def _blockwise_monodromy(hill, a_values, n_steps):
 
     h = hill.period / n_steps
     hh = h * h
-    a = a_values[None, :]
+    nodes = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
     block = max(1, bands._BLOCK_ELEMENTS // a_values.size)
     mono = np.zeros((2, 2, a_values.size))
     mono[0, 0] = mono[1, 1] = 1.0
     for start in range(0, n_steps, block):
         count = min(block, n_steps - start)
-        z = (2 * start + np.arange(2 * count + 1)) * (0.5 * h)
-        mod = hill.modulation(z)[:, None]
-        q0 = a + mod[0:-1:2]
-        q1 = a + mod[1::2]
-        q2 = a + mod[2::2]
-        u0 = 1.0 - 0.25 * hh * q0
-        u1 = 1.0 - 0.25 * hh * q1
-        p = np.empty((2, 2) + q0.shape)
-        p[0, 0] = 1.0 - (hh / 6.0) * (q0 + q1 + q1 * u0)
-        p[0, 1] = h * (1.0 - (hh / 6.0) * q1)
-        p[1, 0] = -(h / 6.0) * (q0 + 2.0 * q1 + 2.0 * q1 * u0 + q2 * (1.0 - 0.5 * hh * q1))
-        p[1, 1] = 1.0 - (hh / 6.0) * (2.0 * q1 + q2 * u1)
+        mod = hill.modulation(((start + np.arange(count))[:, None] + nodes) * h)
+        q1 = mod[:, :1] + a_values
+        q2 = mod[:, 1:] + a_values
+        qbar = (q1 + q2) * 0.5
+        alpha = (q2 - q1) * (math.sqrt(3.0) / 12.0 * hh)
+        s2 = alpha * alpha - qbar * hh
+        s = np.sqrt(np.abs(s2))
+        with np.errstate(invalid="ignore"):
+            c = np.where(s2 < 0.0, np.cos(s), np.where(s2 > 0.0, np.cosh(s), 1.0))
+            sc = np.where(s2 < 0.0, np.sin(s) / s, np.where(s2 > 0.0, np.sinh(s) / s, 1.0))
+        p = np.array([[c + alpha * sc, sc * h], [(qbar * -h) * sc, c - alpha * sc]])
         while p.shape[2] > 1:
             odd = p[:, :, -1:] if p.shape[2] % 2 else None
             p = matmul22(p[:, :, 1::2], p[:, :, 0:-1:2])
             if odd is not None:
                 p = np.concatenate([p, odd], axis=2)
         mono = matmul22(p[:, :, 0], mono)
-    tr = mono[0, 0] + mono[1, 1]
-    det = mono[0, 0] * mono[1, 1] - mono[0, 1] * mono[1, 0]
-    return tr, det
+    return mono
 
 
 class TestMonodromyProduct:
-    """The ordered product of closed-form RK4 step propagators against the
-    per-step RK4 oracle.  tr M is compared relative to max(1, |tr M|), the
-    scale of the step-halving acceptance; det M = m00 m11 - m01 m10 cancels
-    to ~1 from products of size |m00 m11| + |m01 m10|, which is its scale.
+    """The ordered product of Magnus step propagators against a per-step
+    Magnus oracle built by Taylor exponentials and, at fine steps, against
+    per-step RK4.  tr M is compared relative to max(1, |tr M|), the scale of
+    the step-halving acceptance; det M = m00 m11 - m01 m10 cancels to ~1
+    from products of size |m00 m11| + |m01 m10|, which is its scale.
     Against the frozen block-by-block loop both must match bit for bit."""
 
     HILLS = {
@@ -447,12 +484,52 @@ class TestMonodromyProduct:
         hill = self.HILLS[name]
         a_values = np.linspace(-1.0, 10.0, n_a) if n_a > 1 else np.array([A0_Q1])
         tr, det = _integrate_monodromy(hill, a_values, n_steps)
-        m = _stepwise_monodromy(hill, a_values, n_steps)
-        tr_ref = m[0, 0] + m[1, 1]
-        det_ref = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        m = _stepwise_magnus(hill, a_values, n_steps)
+        tr_ref, det_ref = _tr_det(m)
         det_scale = np.abs(m[0, 0] * m[1, 1]) + np.abs(m[0, 1] * m[1, 0])
         assert np.all(np.abs(tr - tr_ref) <= 1e-12 * np.maximum(1.0, np.abs(tr_ref)))
         assert np.all(np.abs(det - det_ref) <= 1e-12 * det_scale)
+
+    # RK4 and Magnus share no step formula; at 16384 steps both truncation
+    # errors are below 1e-13, so they must agree on the monodromy itself
+    @pytest.mark.parametrize("name", sorted(HILLS))
+    def test_agrees_with_rk4_at_fine_steps(self, name):
+        hill = self.HILLS[name]
+        a_values = np.linspace(-1.0, 10.0, 41)
+        tr, _ = _integrate_monodromy(hill, a_values, 16384)
+        tr_rk4, _ = _tr_det(_stepwise_monodromy(hill, a_values, 16384))
+        assert np.all(np.abs(tr - tr_rk4) <= 1e-11 * np.maximum(1.0, np.abs(tr_rk4)))
+
+    @pytest.mark.parametrize("name", sorted(HILLS))
+    def test_fourth_order_under_step_halving(self, name):
+        # a fourth-order method divides its error by 2**4 = 16 per halving
+        hill = self.HILLS[name]
+        a_values = np.linspace(-1.0, 10.0, 200)
+        tr_ref, _ = _integrate_monodromy(hill, a_values, 16384)
+        errors = [np.max(np.abs(_integrate_monodromy(hill, a_values, n)[0] - tr_ref)
+                         / np.maximum(1.0, np.abs(tr_ref))) for n in (256, 512, 1024)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 12.0 <= coarse / fine <= 20.0
+
+    @pytest.mark.parametrize("name", sorted(HILLS))
+    def test_det_at_rounding_level(self, name):
+        """Every step has det 1 in exact arithmetic, so |det M - 1| is
+        rounding alone.  First-order bound with eps the float spacing at 1:
+        each of the n step propagators misses det 1 by at most 8 eps (c and
+        sc within 2 ulp, three roundings per entry), each of the n - 1
+        products adds at most 2 eps S, and the final m00 m11 - m01 m10 adds
+        eps S, where S = max(1, |m00 m11| + |m01 m10|) is the entry scale of
+        M and stands in for that of the partial products.  So
+        |det M - 1| <= 10 n eps S.  RK4 at the same steps misses it by
+        10^6 and more over this range."""
+        hill = self.HILLS[name]
+        a_values = np.linspace(-1.0, 400.0, 200)
+        n_steps = 1024
+        m = _blockwise_monodromy(hill, a_values, n_steps)
+        scale = np.maximum(1.0, np.abs(m[0, 0] * m[1, 1]) + np.abs(m[0, 1] * m[1, 0]))
+        _, det = _integrate_monodromy(hill, a_values, n_steps)
+        assert np.array_equal(det, _tr_det(m)[1])
+        assert np.all(np.abs(det - 1.0) <= 10 * n_steps * np.finfo(float).eps * scale)
 
     # 4097 samples exceed _BLOCK_ELEMENTS, so their blocks hold one step;
     # 21, 81, 4097 and 6476 steps end in a partial block or a partial group
@@ -463,7 +540,7 @@ class TestMonodromyProduct:
         hill = self.HILLS[name]
         a_values = np.linspace(-1.0, 10.0, n_a) if n_a > 1 else np.array([A0_Q1])
         tr, det = _integrate_monodromy(hill, a_values, n_steps)
-        tr_ref, det_ref = _blockwise_monodromy(hill, a_values, n_steps)
+        tr_ref, det_ref = _tr_det(_blockwise_monodromy(hill, a_values, n_steps))
         assert np.array_equal(tr, tr_ref)
         assert np.array_equal(det, det_ref)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nlse4 as q
-from nlse4 import checks
+from nlse4 import bands, checks
 from nlse4.cli import (
     _COEFF_PRESETS,
     _EVOLUTION_OPTIONS,
@@ -173,6 +173,20 @@ class TestBandsCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["results"]["edges"][0] == pytest.approx(-0.4551386, abs=1e-6)
         assert summary["results"]["pure_mathieu"] is True
+
+    def test_summary_reports_the_chart_acceptance(self, tmp_path):
+        # the q = 1 chart over [-1, 10] accepts at 1024 -> 2048 steps
+        cfg = _write_config(tmp_path, "bands.json", {
+            "version": 1,
+            "bands": {"mathieu_q": 1.0, "a_min": -1.0, "a_max": 10.0, "samples": 200},
+        })
+        out = tmp_path / "bands_out"
+        assert main(["bands", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        results = json.loads((out / "summary.json").read_text())["results"]
+        assert results["monodromy_steps"] == 2048
+        assert 0.0 < results["tol_achieved"] <= bands._MONODROMY_RTOL
+        chart = q.floquet_analyze(q.mathieu_hill(1.0), np.linspace(-1.0, 10.0, 200))
+        assert results["tol_achieved"] == chart[0].tol_achieved
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write_config(tmp_path, "bands.json", {

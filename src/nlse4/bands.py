@@ -21,13 +21,15 @@ Band edges come from two independent routes: a Fourier-basis eigenproblem
 an ITP root search on the monodromy discriminant.  The Hill system
 Y' = A(z) Y is linear with a traceless A, so each fixed step is the
 fourth-order Magnus propagator exp(Omega) with two Gauss points (Iserles &
-Norsett, Phil. Trans. R. Soc. A 357, 983 (1999)), a 2x2 matrix in closed
-form with det 1 in exact arithmetic; the monodromy matrix is their ordered
-product, reduced pairwise in blocks and vectorized over the constant
-coefficient.  Several full blocks are evaluated side by side in
-preallocated buffers (grouped evaluation), but the block partition, each
-block's pairwise tree and the fold of the block products keep their order,
-so grouping changes no bit of the result.  Step-halving acceptance from
+Norsett, Phil. Trans. R. Soc. A 357, 983 (1999)), a 2x2 matrix
+c I + sc Omega with det 1 in exact arithmetic, whose c = cosh s and
+sc = sinh s / s are short power series in s^2 wherever |s^2| <= 1e-2
+(for period pi at 1024 steps, wherever |Q| is below about 1000); the
+monodromy matrix is their ordered product, reduced pairwise in blocks and
+vectorized over the constant coefficient.  Several full blocks are
+evaluated side by side in preallocated buffers (grouped evaluation), but
+the block partition, each block's pairwise tree and the fold of the block
+products keep their order, so grouping changes no bit of the result.  Step-halving acceptance from
 1024 steps per period picks the step count, and the fixed evaluation order
 keeps results bit-reproducible.
 """
@@ -276,7 +278,9 @@ class FloquetResult:
     Brillouin zone), and an imaginary part marks instability.
     ``tol_achieved`` is the step-halving change the chart met and
     ``n_steps`` the accepted (finer) step count, both shared by every sample
-    of one ``floquet_analyze`` call."""
+    of one ``floquet_analyze`` call.  ``entry_scale`` is
+    max(1, |m00 m11| + |m01 m10|) of this sample's M: det M cancels products
+    of that size, so its rounding grows with it."""
 
     a: float
     tr_m: float
@@ -285,6 +289,7 @@ class FloquetResult:
     stable: bool
     tol_achieved: float
     n_steps: int
+    entry_scale: float
 
 
 # Elements (steps x samples) per block of step propagators reduced by one
@@ -301,6 +306,12 @@ _MAX_DOUBLINGS = 6
 
 # Gauss-Legendre points of the Magnus step as fractions of a step.
 _GAUSS_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+
+# Terms k = 0..4 of c = cosh s and sc = sinh s / s as series in s^2, and
+# the largest |s^2| evaluated by them (see _magnus_steps_into).
+_COSH_SERIES = tuple(1.0 / math.factorial(2 * k) for k in range(5))
+_SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(5))
+_SERIES_BOUND = 1e-2
 
 # Fourier modes j = -_N_FOURIER.._N_FOURIER of the truncated Hill operator.
 _N_FOURIER = 48
@@ -321,7 +332,25 @@ def _magnus_steps_into(q: np.ndarray, h: float, p: np.ndarray, qbar: np.ndarray,
     step followed by the second.  All arrays are flat: the steps are
     independent, so every operation acts element by element.  ``q`` is
     overwritten; ``qbar``, ``alpha`` (float) and ``mask`` (bool) are scratch
-    of one entry's length."""
+    of one entry's length.
+
+    c = cosh s and sc = sinh s / s are entire functions of x = s^2,
+    c = sum_k x^k / (2k)! and sc = sum_k x^k / (2k + 1)!, and are evaluated
+    as these series by Horner in place, with the terms k <= 4 of
+    _COSH_SERIES and _SINHC_SERIES, wherever |x| <= _SERIES_BOUND = tau.
+    Past k = 4 the terms fall by a ratio below tau / 132, alternating in
+    sign for x < 0, so the first omitted term bounds the truncation (up to
+    a factor 1 + tau / 132): tau^5 / 10! = 2.8e-17 for c and
+    tau^5 / 11! = 2.5e-18 for sc, both below eps / 4 of values
+    >= 1 - tau / 2, where eps is the float spacing at 1.  Four terms would
+    leave tau^4 / 8! = 2.5e-13.  Every Horner step adds a term
+    far smaller than the leading 1, so the rounding stays near the final
+    half ulp: against 40-digit values over |x| <= tau the series read
+    <= 0.62 eps (c) and 0.51 eps (sc), the closed forms 0.75 eps and
+    1.06 eps.  Steps with |x| > tau (coarse steps or very large |Q|) keep
+    the closed forms, (cos |s|, sin |s| / |s|) for x < 0 and
+    (cosh s, sinh s / s) for x > 0, in a masked pass that runs only when
+    such a step exists."""
     e = qbar.size
     q1, q2 = q[:e], q[e:]
     p00, p01, p10, p11 = p[:e], p[e:2 * e], p[2 * e:3 * e], p[3 * e:]
@@ -330,22 +359,29 @@ def _magnus_steps_into(q: np.ndarray, h: float, p: np.ndarray, qbar: np.ndarray,
     qbar *= 0.5
     np.subtract(q2, q1, out=alpha)
     alpha *= math.sqrt(3.0) / 12.0 * hh
-    # s^2 = alpha^2 - h^2 qbar into q2 and |s| into q1
+    # s^2 = alpha^2 - h^2 qbar into q2
     s2, s = q2, q1
     np.multiply(qbar, hh, out=s)
     np.multiply(alpha, alpha, out=s2)
     s2 -= s
-    np.abs(s2, out=s)
-    np.sqrt(s, out=s)
-    # c into p11 and sc into p01, (1, 1) where s = 0
+    # c into p11 and sc into p01, by Horner in s^2
     c, sc = p11, p01
-    c.fill(1.0)
-    sc.fill(1.0)
-    for select, even, odd in ((np.less, np.cos, np.sin), (np.greater, np.cosh, np.sinh)):
-        select(s2, 0.0, out=mask)
-        even(s, out=c, where=mask)
-        odd(s, out=sc, where=mask)
-        np.divide(sc, s, out=sc, where=mask)
+    for out, coeffs in ((c, _COSH_SERIES), (sc, _SINHC_SERIES)):
+        np.multiply(s2, coeffs[-1], out=out)
+        for coeff in coeffs[-2:0:-1]:
+            out += coeff
+            out *= s2
+        out += coeffs[0]
+    # the closed forms where |s^2| > tau, with |s| into q1
+    if s2.min() < -_SERIES_BOUND or s2.max() > _SERIES_BOUND:
+        np.abs(s2, out=s)
+        np.sqrt(s, out=s)
+        for select, bound, even, odd in ((np.less, -_SERIES_BOUND, np.cos, np.sin),
+                                         (np.greater, _SERIES_BOUND, np.cosh, np.sinh)):
+            select(s2, bound, out=mask)
+            even(s, out=c, where=mask)
+            odd(s, out=sc, where=mask)
+            np.divide(sc, s, out=sc, where=mask)
     # exp(Omega) = c I + sc Omega
     alpha *= sc
     np.add(c, alpha, out=p00)
@@ -358,16 +394,18 @@ def _magnus_steps_into(q: np.ndarray, h: float, p: np.ndarray, qbar: np.ndarray,
 def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int) -> tuple:
     """Fixed-step fourth-order Magnus monodromy of
     Y' = [[0, 1], [-(a + modulation), 0]] Y over one period, vectorized over
-    ``a_values``; returns (tr, det).
+    ``a_values``; returns (tr, det, entry scale), the entry scale being
+    max(1, |m00 m11| + |m01 m10|).
 
     Step j is exp(Omega_j) with Omega = [[alpha, h], [-h qbar, -alpha]],
     qbar = (q1 + q2)/2 and alpha = (sqrt(3) h^2/12)(q2 - q1), where q1, q2
     are a + modulation at the Gauss points (j + 1/2 -+ sqrt(3)/6) h.  Omega
     is traceless, so Omega^2 = s^2 I with s^2 = alpha^2 - h^2 qbar and
     exp(Omega) = c I + sc Omega, (c, sc) = (cosh s, sinh s / s) for s^2 > 0,
-    (cos |s|, sin |s| / |s|) for s^2 < 0 and (1, 1) at s = 0: every step has
-    det 1 in exact arithmetic.  The monodromy is the ordered product
-    P_{n-1} ... P_0.  Steps are partitioned into blocks of
+    (cos |s|, sin |s| / |s|) for s^2 < 0 and (1, 1) at s = 0, evaluated as
+    series in s^2 where |s^2| <= _SERIES_BOUND (see _magnus_steps_into):
+    every step has det 1 in exact arithmetic.  The monodromy is the ordered
+    product P_{n-1} ... P_0.  Steps are partitioned into blocks of
     max(1, _BLOCK_ELEMENTS // size) steps; each block's propagators are
     reduced by pairwise products (later step on the left, an odd tail
     carried up a level) and the block products are folded into the running
@@ -432,7 +470,8 @@ def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int)
         start += blocks * count
     tr = mono[0, 0] + mono[1, 1]
     det = mono[0, 0] * mono[1, 1] - mono[0, 1] * mono[1, 0]
-    return tr, det
+    scale = np.maximum(1.0, np.abs(mono[0, 0] * mono[1, 1]) + np.abs(mono[0, 1] * mono[1, 0]))
+    return tr, det, scale
 
 
 def floquet_analyze(hill: HillEquation, a_values, base_steps: int = 1024) -> list:
@@ -453,13 +492,13 @@ def floquet_analyze(hill: HillEquation, a_values, base_steps: int = 1024) -> lis
     if not np.isfinite(a_values).all():
         raise BandError("constant-coefficient samples must be finite")
     n = base_steps
-    tr_prev, det_prev = _integrate_monodromy(hill, a_values, n)
+    prev = _integrate_monodromy(hill, a_values, n)
     achieved = np.inf
     for _ in range(_MAX_DOUBLINGS):
         n *= 2
-        tr, det = _integrate_monodromy(hill, a_values, n)
-        achieved = float(np.max(np.abs(tr - tr_prev) / np.maximum(1.0, np.abs(tr))))
-        tr_prev, det_prev = tr, det
+        tr, det, scale = _integrate_monodromy(hill, a_values, n)
+        achieved = float(np.max(np.abs(tr - prev[0]) / np.maximum(1.0, np.abs(tr))))
+        prev = tr, det, scale
         if achieved <= _MONODROMY_RTOL:
             break
     else:
@@ -467,7 +506,7 @@ def floquet_analyze(hill: HillEquation, a_values, base_steps: int = 1024) -> lis
 
     T = hill.period
     results = []
-    for a, trv, detv in zip(a_values, tr_prev, det_prev):
+    for a, trv, detv, scalev in zip(a_values, *prev):
         half = trv / 2.0
         if abs(half) <= 1.0:
             nu = complex(np.arccos(half) / T, 0.0)
@@ -477,7 +516,8 @@ def floquet_analyze(hill: HillEquation, a_values, base_steps: int = 1024) -> lis
             nu = complex(0.0, alpha) if trv > 2.0 else complex(np.pi / T, alpha)
             stable = False
         results.append(FloquetResult(a=float(a), tr_m=float(trv), det_m=float(detv),
-                                     nu=nu, stable=stable, tol_achieved=achieved, n_steps=n))
+                                     nu=nu, stable=stable, tol_achieved=achieved, n_steps=n,
+                                     entry_scale=float(scalev)))
     return results
 
 

@@ -356,6 +356,8 @@ def cmd_bands(config: dict, out_dir: Path, seed, quiet: bool) -> int:
         # the chart's step-halving acceptance: accepted steps and the change met
         "monodromy_steps": results[0].n_steps,
         "tol_achieved": results[0].tol_achieved,
+        # the largest max(1, |m00 m11| + |m01 m10|), the size det M cancels
+        "monodromy_entry_scale": max(r.entry_scale for r in results),
     }
     return _finish(out_dir, summary, [checks_mod.monodromy_det(results, note=f"{samples} samples")], quiet)
 

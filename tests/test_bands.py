@@ -420,13 +420,25 @@ def _blockwise_monodromy(hill, a_values, n_steps):
     Blocks of max(1, _BLOCK_ELEMENTS // size) steps, each step propagator
     c I + sc Omega, each block reduced by a pairwise tree (later step on the
     left, an odd tail carried up) and folded into the running product in
-    step order; returns the monodromy matrices (2, 2, len(a_values))."""
+    step order; returns the monodromy matrices (2, 2, len(a_values)).
+    c = cosh s and sc = sinh s / s are the Horner sums of their series in
+    s^2, terms k <= 4, where |s^2| <= 1e-2 and the closed forms beyond."""
 
     def matmul22(b, a):
         return np.array([
             [b[0, 0] * a[0, 0] + b[0, 1] * a[1, 0], b[0, 0] * a[0, 1] + b[0, 1] * a[1, 1]],
             [b[1, 0] * a[0, 0] + b[1, 1] * a[1, 0], b[1, 0] * a[0, 1] + b[1, 1] * a[1, 1]],
         ])
+
+    def horner(x, coeffs):
+        out = x * coeffs[-1]
+        for coeff in coeffs[-2:0:-1]:
+            out = (out + coeff) * x
+        return out + coeffs[0]
+
+    tau = 1e-2
+    cosh_series = [1.0 / math.factorial(2 * k) for k in range(5)]
+    sinhc_series = [1.0 / math.factorial(2 * k + 1) for k in range(5)]
 
     h = hill.period / n_steps
     hh = h * h
@@ -444,8 +456,8 @@ def _blockwise_monodromy(hill, a_values, n_steps):
         s2 = alpha * alpha - qbar * hh
         s = np.sqrt(np.abs(s2))
         with np.errstate(invalid="ignore"):
-            c = np.where(s2 < 0.0, np.cos(s), np.where(s2 > 0.0, np.cosh(s), 1.0))
-            sc = np.where(s2 < 0.0, np.sin(s) / s, np.where(s2 > 0.0, np.sinh(s) / s, 1.0))
+            c = np.where(s2 < -tau, np.cos(s), np.where(s2 > tau, np.cosh(s), horner(s2, cosh_series)))
+            sc = np.where(s2 < -tau, np.sin(s) / s, np.where(s2 > tau, np.sinh(s) / s, horner(s2, sinhc_series)))
         p = np.array([[c + alpha * sc, sc * h], [(qbar * -h) * sc, c - alpha * sc]])
         while p.shape[2] > 1:
             odd = p[:, :, -1:] if p.shape[2] % 2 else None
@@ -483,7 +495,7 @@ class TestMonodromyProduct:
     def test_matches_stepwise_oracle(self, name, n_a, n_steps):
         hill = self.HILLS[name]
         a_values = np.linspace(-1.0, 10.0, n_a) if n_a > 1 else np.array([A0_Q1])
-        tr, det = _integrate_monodromy(hill, a_values, n_steps)
+        tr, det, _ = _integrate_monodromy(hill, a_values, n_steps)
         m = _stepwise_magnus(hill, a_values, n_steps)
         tr_ref, det_ref = _tr_det(m)
         det_scale = np.abs(m[0, 0] * m[1, 1]) + np.abs(m[0, 1] * m[1, 0])
@@ -496,7 +508,7 @@ class TestMonodromyProduct:
     def test_agrees_with_rk4_at_fine_steps(self, name):
         hill = self.HILLS[name]
         a_values = np.linspace(-1.0, 10.0, 41)
-        tr, _ = _integrate_monodromy(hill, a_values, 16384)
+        tr = _integrate_monodromy(hill, a_values, 16384)[0]
         tr_rk4, _ = _tr_det(_stepwise_monodromy(hill, a_values, 16384))
         assert np.all(np.abs(tr - tr_rk4) <= 1e-11 * np.maximum(1.0, np.abs(tr_rk4)))
 
@@ -505,7 +517,7 @@ class TestMonodromyProduct:
         # a fourth-order method divides its error by 2**4 = 16 per halving
         hill = self.HILLS[name]
         a_values = np.linspace(-1.0, 10.0, 200)
-        tr_ref, _ = _integrate_monodromy(hill, a_values, 16384)
+        tr_ref = _integrate_monodromy(hill, a_values, 16384)[0]
         errors = [np.max(np.abs(_integrate_monodromy(hill, a_values, n)[0] - tr_ref)
                          / np.maximum(1.0, np.abs(tr_ref))) for n in (256, 512, 1024)]
         for coarse, fine in zip(errors, errors[1:]):
@@ -516,7 +528,9 @@ class TestMonodromyProduct:
         """Every step has det 1 in exact arithmetic, so |det M - 1| is
         rounding alone.  First-order bound with eps the float spacing at 1:
         each of the n step propagators misses det 1 by at most 8 eps (c and
-        sc within 2 ulp, three roundings per entry), each of the n - 1
+        sc within 2 ulp, three roundings per entry; the series read
+        <= 0.62 ulp, the closed forms that the stationary Hill uses for a
+        third of its steps here about 1 ulp), each of the n - 1
         products adds at most 2 eps S, and the final m00 m11 - m01 m10 adds
         eps S, where S = max(1, |m00 m11| + |m01 m10|) is the entry scale of
         M and stands in for that of the partial products.  So
@@ -527,9 +541,54 @@ class TestMonodromyProduct:
         n_steps = 1024
         m = _blockwise_monodromy(hill, a_values, n_steps)
         scale = np.maximum(1.0, np.abs(m[0, 0] * m[1, 1]) + np.abs(m[0, 1] * m[1, 0]))
-        _, det = _integrate_monodromy(hill, a_values, n_steps)
+        _, det, entry_scale = _integrate_monodromy(hill, a_values, n_steps)
         assert np.array_equal(det, _tr_det(m)[1])
+        assert np.array_equal(entry_scale, scale)
         assert np.all(np.abs(det - 1.0) <= 10 * n_steps * np.finfo(float).eps * scale)
+
+    def test_series_matches_closed_forms(self):
+        """Where |s^2| <= tau the step evaluates c and sc by their series in
+        s^2.  With h = 1 and q1 = q2 = -x a step has s^2 = x exactly and
+        alpha = 0, so p00 = p11 = c and p01 = sc; both must agree with the
+        closed forms to 2 eps relative, over both signs, at s^2 = 0 and at
+        exactly +-tau."""
+        tau = bands._SERIES_BOUND
+        x = np.concatenate([np.linspace(-tau, tau, 4001), [0.0, -tau, tau]])
+        e = x.size
+        p = np.empty(4 * e)
+        bands._magnus_steps_into(np.concatenate([-x, -x]), 1.0, p, np.empty(e), np.empty(e), np.empty(e, bool))
+        c, sc = p[3 * e:], p[e:2 * e]
+        assert np.array_equal(p[:e], c)
+        s = np.sqrt(np.abs(x))
+        zero = x == 0.0
+        with np.errstate(invalid="ignore"):
+            c_ref = np.where(x < 0.0, np.cos(s), np.cosh(s))
+            sc_ref = np.where(zero, 1.0, np.where(x < 0.0, np.sin(s), np.sinh(s)) / s)
+        eps = np.finfo(float).eps
+        assert np.all(c[zero] == 1.0) and np.all(sc[zero] == 1.0)
+        assert np.all(np.abs(c - c_ref) <= 2 * eps * np.abs(c_ref))
+        assert np.all(np.abs(sc - sc_ref) <= 2 * eps * np.abs(sc_ref))
+
+    # 200 samples over [-1, 400]: at 3 and 20 steps most steps have
+    # |s^2| > tau and take the closed forms; the Mathieu group at 20 steps
+    # and the stationary group at 1024 steps hold both kinds of step
+    @pytest.mark.parametrize("name,n_steps,mixed", [("mathieu", 3, False), ("mathieu", 20, True),
+                                                    ("stationary_sin", 3, False),
+                                                    ("stationary_sin", 20, False),
+                                                    ("stationary_sin", 1024, True)])
+    def test_closed_form_steps_bit_identical_to_oracle(self, name, n_steps, mixed):
+        hill = self.HILLS[name]
+        a_values = np.linspace(-1.0, 400.0, 200)
+        h = hill.period / n_steps
+        mod = hill.modulation((np.arange(n_steps)[:, None] + bands._GAUSS_NODES) * h)
+        q1, q2 = mod[:, :1] + a_values, mod[:, 1:] + a_values
+        s2 = (math.sqrt(3.0) / 12.0 * h * h * (q2 - q1)) ** 2 - h * h * 0.5 * (q1 + q2)
+        assert np.any(np.abs(s2) > bands._SERIES_BOUND)
+        assert np.any(np.abs(s2) <= bands._SERIES_BOUND) == mixed
+        tr, det, _ = _integrate_monodromy(hill, a_values, n_steps)
+        tr_ref, det_ref = _tr_det(_blockwise_monodromy(hill, a_values, n_steps))
+        assert np.array_equal(tr, tr_ref)
+        assert np.array_equal(det, det_ref)
 
     # 4097 samples exceed _BLOCK_ELEMENTS, so their blocks hold one step;
     # 21, 81, 4097 and 6476 steps end in a partial block or a partial group
@@ -539,7 +598,7 @@ class TestMonodromyProduct:
     def test_bit_identical_to_blockwise_oracle(self, name, n_a, n_steps):
         hill = self.HILLS[name]
         a_values = np.linspace(-1.0, 10.0, n_a) if n_a > 1 else np.array([A0_Q1])
-        tr, det = _integrate_monodromy(hill, a_values, n_steps)
+        tr, det, _ = _integrate_monodromy(hill, a_values, n_steps)
         tr_ref, det_ref = _tr_det(_blockwise_monodromy(hill, a_values, n_steps))
         assert np.array_equal(tr, tr_ref)
         assert np.array_equal(det, det_ref)

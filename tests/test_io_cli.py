@@ -182,11 +182,20 @@ class TestBandsCommand:
         })
         out = tmp_path / "bands_out"
         assert main(["bands", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-        results = json.loads((out / "summary.json").read_text())["results"]
+        summary = json.loads((out / "summary.json").read_text())
+        results = summary["results"]
         assert results["monodromy_steps"] == 2048
         assert 0.0 < results["tol_achieved"] <= bands._MONODROMY_RTOL
         chart = q.floquet_analyze(q.mathieu_hill(1.0), np.linspace(-1.0, 10.0, 200))
         assert results["tol_achieved"] == chart[0].tol_achieved
+        # the largest entry scale S, and the det row's |det M - 1| / (n eps S),
+        # which rounding alone keeps below 10
+        assert results["monodromy_entry_scale"] == max(r.entry_scale for r in chart) >= 1.0
+        ratio = max(abs(r.det_m - 1.0) / (r.n_steps * np.finfo(float).eps * r.entry_scale) for r in chart)
+        (row,) = summary["checks"]
+        assert (row["name"], row["tolerance"], row["pass"]) == ("monodromy_det", 1e-10, True)
+        assert row["note"] == f"200 samples; max |det M - 1| / (n eps S) = {ratio:.3g}"
+        assert ratio <= 10.0
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write_config(tmp_path, "bands.json", {

@@ -26,12 +26,18 @@ fact is a method of the type:
 Time stepping is integrating-factor RK4, the only scheme: the stiff kinetic
 part advances exactly in Fourier space every stage, leaving only potential
 and nonlinear terms to the explicit scheme.  A private stepper, built once
-per run from the grid and the config, owns the step: the integrating
-factors, the band filter, the potential values and the explicit stage.
-:func:`evolve` checks the step size, then loops over step, norm guard and
-record.  Norm drift beyond tolerance aborts the run rather than
-renormalizing, so continuity bugs cannot hide; the guard reads each new psi
-before it is transformed or derived.  A non-finite sample aborts too.
+per run from the grid and the config, owns the run: it holds the
+integrating factors, the band filter, the potential values and the explicit
+stage; it starts the run (the one pass of the band filter, the norm
+reference, the initial record and the step-size guard), steps it with the
+norm guard, and records its snapshots.  :func:`evolve` validates, builds
+and starts the stepper, then loops over step and record.  An initial state
+whose filtered norm is not finite and positive is refused with ValueError
+before anything else, and so is one whose t = 0 sample is not finite; an
+abort therefore always follows a step.  Norm drift beyond tolerance aborts
+the run rather than renormalizing, so continuity bugs cannot hide; the
+guard reads each new psi before it is transformed or derived.  A
+non-finite sample aborts too.
 
 Every state the run touches is derived once, into one :class:`State`
 record (its view, its multiplier and, on first read, its current
@@ -237,9 +243,10 @@ class State:
 
 @dataclass(frozen=True)
 class _Carried:
-    """What a continuity residual reads of a sampled record.  evolve carries
-    this to the next sample instead of the record, so the sampled view is
-    freed before the next state is derived; ``psi`` is the stored snapshot."""
+    """What a continuity residual reads of a sampled record.  The stepper
+    carries this to the next sample instead of the record, so the sampled
+    view is freed before the next state is derived; ``psi`` is the stored
+    snapshot."""
 
     psi: np.ndarray
     div_j: np.ndarray
@@ -317,19 +324,52 @@ def _filter_mask(grid: Grid, fraction: float) -> np.ndarray:
     return (k2 <= (fraction * grid.kmax) ** 2).astype(float)
 
 
+class _GuardFailed(ValueError):
+    """A state of the run failed the norm guard or gave a non-finite sample.
+    After the first step began, :func:`evolve` turns this into
+    :class:`EvolutionAbort` with ``str(self)`` as the reason; on the initial
+    state's sample it refuses the state."""
+
+
 class _Stepper:
-    """The IF-RK4 step of one run, built once from (grid, config): the kinetic
+    """One IF-RK4 run, built once from (grid, config): the kinetic
     integrating factors ``e_half``/``e_full``, the band filter ``filt``, the
-    potential values and the explicit stage.  It keeps nothing between steps."""
+    potential values and the explicit stage.  :meth:`start` sets the norm
+    guard's reference ``norm0``; :meth:`record` carries what the next
+    sample's continuity residual reads as ``prev``.  A step changes neither
+    the stepper nor its inputs, so it can be repeated from a saved state."""
 
     def __init__(self, grid: Grid, config: EvolutionConfig):
-        hbar, m = config.constants.hbar, config.constants.mass
         self.grid, self.config, self.nonlinear = grid, config, not is_linear(config.coeffs)
         k2 = -_laplacian_symbol(grid.n, grid.length, grid.dims, False)
-        self.e_half = np.exp(-1j * hbar * k2 / (2.0 * m) * (config.dt / 2.0))
+        self.e_half = np.exp(-1j * config.constants.hbar * k2 / (2.0 * config.constants.mass) * (config.dt / 2.0))
         self.e_full = self.e_half * self.e_half
         self.filt = _filter_mask(grid, config.filter_fraction)
         self.pot_vals = config.potential.values if config.potential is not None else None
+        self.norm0, self.prev = None, None
+
+    def start(self, psi0):
+        """The initial (psi, psi_hat, state): psi0 passes through the band
+        filter once, and the norm guard's reference is the filtered state the
+        steps conserve.  Raises ValueError if that norm is not finite and
+        positive, then :class:`StabilityError` if dt exceeds the bound."""
+        grid, c = self.grid, self.config
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = _inverse(grid, self.filt * _forward(grid, np.ascontiguousarray(psi0, dtype=complex), False), False)
+            self.norm0 = float(grid.integrate(psi.real**2 + psi.imag**2))
+        if not (np.isfinite(self.norm0) and self.norm0 > 0.0):
+            raise ValueError("initial state must have a finite, nonzero norm after the band filter")
+        psi_hat = _forward(grid, psi, False)
+        state = self.state(psi, psi_hat)
+        # Step-size guard.  The k_max^4 nonlinear rate binds only where the
+        # nonlinearity is active on the initial state; on states it annihilates
+        # (quadratic phases, eigenstates) the explicit stage is potential-limited,
+        # and the norm guard catches any activation later in the run.
+        active = state is not None and float(np.abs(state.mult).max()) > 0.0
+        bound = stability_bound(grid, c.coeffs if active else None, c.constants, c.potential)
+        if c.dt > bound:
+            raise StabilityError(f"dt = {c.dt:.3e} exceeds stability bound {bound:.3e}")
+        return psi, psi_hat, state
 
     def state(self, psi, psi_hat, sampled=False):
         """The record of psi (of the state synthesized as ``psi_hat`` when
@@ -356,17 +396,46 @@ class _Stepper:
         out = _explicit_rhs(psi, self.pot_vals, state and state.mult, self.config.constants.hbar)
         return _forward(self.grid, np.zeros_like(psi) if out is None else out, False)
 
-    def step(self, psi, psi_hat, state):
-        """The filtered state one step after psi, given its spectrum
-        ``psi_hat`` and its record ``state`` (None on a linear run)."""
-        dt, e_half, e_full = self.config.dt, self.e_half, self.e_full
+    def step(self, psi, psi_hat, state, last):
+        """The (psi, psi_hat, state) one step after psi, given its spectrum
+        ``psi_hat`` and its record ``state`` (None on a linear run); the new
+        state is None when the step is the ``last``.  The new psi passes the
+        norm guard before it is transformed or derived: non-finite or drifted
+        beyond ``norm_tol``, it raises :class:`_GuardFailed`."""
+        dt, e_half, e_full, tol = self.config.dt, self.e_half, self.e_full, self.config.norm_tol
         a_hat = self.explicit_hat(psi_hat, psi, state)
         b_hat = self.explicit_hat(e_half * (psi_hat + (0.5 * dt) * a_hat))
         c_hat = self.explicit_hat(e_half * psi_hat + (0.5 * dt) * b_hat)
         full_hat = e_full * psi_hat
         d_hat = self.explicit_hat(full_hat + dt * e_half * c_hat)
         new_hat = full_hat + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
-        return _inverse(self.grid, self.filt * new_hat, False)
+        psi = _inverse(self.grid, self.filt * new_hat, False)
+        drift = abs(float(self.grid.integrate(psi.real**2 + psi.imag**2)) - self.norm0)
+        if not np.isfinite(drift):
+            raise _GuardFailed("non-finite samples")
+        if drift > tol * max(self.norm0, 1.0):
+            raise _GuardFailed(f"norm drift {drift:.3e} exceeds tolerance {tol:.1e}")
+        # Each state is transformed and derived once, for the next step's
+        # stage a and for its sample.
+        psi_hat = _forward(self.grid, psi, False)
+        return psi, psi_hat, None if last else self.state(psi, psi_hat)
+
+    def record(self, traj: Trajectory, t: float, psi, psi_hat, state):
+        """Store one snapshot in ``traj``; its sample reads the state's record
+        (derived unguarded if the step derived none), and what the next
+        sample's continuity residual reads of it is carried on."""
+        from .diagnostics import _NonFiniteSample, observables_sample
+
+        if not self.config.observables:
+            return traj.append(t, psi)
+        state = state or self.state(psi, psi_hat, sampled=True)
+        try:
+            sample = observables_sample(state, t, self.config.potential, prev=self.prev)
+        except _NonFiniteSample as exc:
+            raise _GuardFailed("non-finite samples") from exc
+        traj.append(t, psi, sample)
+        self.prev = (t, _Carried(traj.fields[-1], state.div_j, self.grid, state.eps_rho, state.coeffs,
+                                 state.constants))
 
 
 def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
@@ -374,70 +443,23 @@ def evolve(grid: Grid, psi0: np.ndarray, config: EvolutionConfig) -> Trajectory:
 
     Raises :class:`EvolutionAbort` (carrying the partial trajectory and the
     last good time) on norm drift, non-finite samples or a mask overflow, and
-    :class:`StabilityError` or :class:`MaskOverflowError` if it cannot start.
+    ValueError if it cannot start: a filtered norm that is not finite and
+    positive, a non-finite t = 0 sample, :class:`StabilityError` or
+    :class:`MaskOverflowError`.
     """
-    from .diagnostics import _NonFiniteSample, observables_sample
-
     grid.validate_field(psi0)
     n_steps = config.n_steps()
-    dt = config.dt
     stepper = _Stepper(grid, config)
     traj = Trajectory(grid=grid, config=config)
-    prev = None
-
-    def record(t, p, p_hat, state):
-        """Store one snapshot; its sample reads the state's record, and what
-        the next sample's continuity residual reads of it is carried on."""
-        nonlocal prev
-        if not config.observables:
-            traj.append(t, p)
-            return
-        state = state or stepper.state(p, p_hat, sampled=True)
-        try:
-            sample = observables_sample(state, t, config.potential, prev=prev)
-        except _NonFiniteSample as exc:
-            raise EvolutionAbort("non-finite samples", t - dt, traj) from exc
-        traj.append(t, p, sample)
-        prev = (t, _Carried(traj.fields[-1], state.div_j, grid, state.eps_rho, config.coeffs,
-                            config.constants))
-
-    # initial state passes through the band-limit filter once; the norm
-    # guard's reference is the filtered state the steps conserve
-    psi = _inverse(grid, stepper.filt * _forward(grid, np.ascontiguousarray(psi0, dtype=complex), False), False)
-    psi_hat = _forward(grid, psi, False)
-    norm0 = float(grid.integrate(psi.real**2 + psi.imag**2))
-    state = stepper.state(psi, psi_hat)
-
-    # Step-size guard.  The k_max^4 nonlinear rate binds only where the
-    # nonlinearity is active on the initial state; on states it annihilates
-    # (quadratic phases, eigenstates) the explicit stage is potential-limited,
-    # and the norm guard catches any activation later in the run.
-    active = state is not None and float(np.abs(state.mult).max()) > 0.0
-    bound = stability_bound(grid, config.coeffs if active else None, config.constants, config.potential)
-    if dt > bound:
-        raise StabilityError(f"dt = {dt:.3e} exceeds stability bound {bound:.3e}")
-
-    record(0.0, psi, psi_hat, state)
-
-    for step in range(1, n_steps + 1):
-        t = step * dt
-        try:
-            psi = stepper.step(psi, psi_hat, state)
-            # guard first: a blown-up state aborts before it is transformed or derived
-            norm = float(grid.integrate(psi.real**2 + psi.imag**2))
-            if not np.isfinite(norm):
-                raise EvolutionAbort("non-finite samples", t - dt, traj)
-            if abs(norm - norm0) > config.norm_tol * max(norm0, 1.0):
-                raise EvolutionAbort(f"norm drift {abs(norm - norm0):.3e} exceeds tolerance "
-                                     f"{config.norm_tol:.1e}", t - dt, traj)
-            # Each state is transformed and derived once, for the next step's
-            # stage a and for its sample.
-            psi_hat = _forward(grid, psi, False)
-            last = step == n_steps
-            state = None if last else stepper.state(psi, psi_hat)
-        except MaskOverflowError as exc:
-            raise EvolutionAbort(str(exc), t - dt, traj) from exc
-        if last or step % config.stride == 0:
-            record(t, psi, psi_hat, state)
-
+    psi, psi_hat, state = stepper.start(psi0)
+    stepper.record(traj, 0.0, psi, psi_hat, state)  # a non-finite sample here refuses psi0
+    try:
+        for step in range(1, n_steps + 1):
+            t, last = step * config.dt, step == n_steps
+            psi, psi_hat, state = stepper.step(psi, psi_hat, state, last)
+            if last or step % config.stride == 0:
+                stepper.record(traj, t, psi, psi_hat, state)
+    except (_GuardFailed, MaskOverflowError) as exc:
+        # the abort's cause is the overflow, or the non-finite sample behind a failed guard
+        raise EvolutionAbort(str(exc), t - config.dt, traj) from exc.__cause__ or exc
     return traj

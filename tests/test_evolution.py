@@ -11,6 +11,7 @@ from nlse4.evolution import (
     EvolutionConfig,
     StabilityError,
     _filter_mask,
+    _Stepper,
     evolve,
     nonlinear_multiplier,
     nonlinear_rhs,
@@ -215,11 +216,68 @@ class TestEvolve:
         assert len(traj.observables) == len(traj.ts) > 1
         assert traj.ts[-1] == pytest.approx(err.value.t_last, rel=1e-12)
 
+    @pytest.mark.parametrize("observables", [True, False])
+    @pytest.mark.parametrize("coeffs", [None, q.MEParams(D1=0.1, b1=0.05, b6=0.02)], ids=["linear", "me"])
+    @pytest.mark.parametrize("kind", ["nan", "huge", "zero"])
+    def test_unevolvable_initial_state_refused(self, kind, coeffs, observables):
+        """A state whose filtered norm is not finite and positive is refused
+        with one ValueError, before the step-size guard and any snapshot,
+        and without a warning (the suite turns warnings into errors): no
+        run starts, so no abort carries a time before t = 0."""
+        grid = q.make_grid(1, 64, 2 * np.pi)
+        psi0 = {"nan": 1.0, "huge": 1e160, "zero": 0.0}[kind] * perturbed_plane_wave(grid)
+        if kind == "nan":
+            psi0[5] = np.nan
+        cfg = EvolutionConfig(dt=1e-6, t_end=2e-6, coeffs=coeffs, stride=1, observables=observables)
+        with pytest.raises(ValueError, match="finite, nonzero norm") as err:
+            evolve(grid, psi0, cfg)
+        assert not isinstance(err.value, StabilityError)
+
+    def test_non_finite_initial_sample_refused(self):
+        """A state of finite norm whose t = 0 sample is not finite is refused
+        with ValueError, not aborted with a last good time before t = 0."""
+        grid = q.make_grid(1, 64, 2 * np.pi)
+        cfg = EvolutionConfig(dt=1e-6, t_end=2e-6, stride=1)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite samples"):
+            evolve(grid, 1e150 * perturbed_plane_wave(grid), cfg)
+
     def test_snapshot_times_strictly_increasing(self):
         grid = q.make_grid(1, 64, 20.0)
         psi0 = q.gaussian_packet(grid, t0=1.0)
         traj = evolve(grid, psi0, EvolutionConfig(dt=1e-3, t_end=0.01, coeffs=None, stride=3))
         assert all(b > a for a, b in zip(traj.ts, traj.ts[1:]))
+
+
+def _bits(psi, psi_hat, state):
+    """The bytes of a (psi, psi_hat, state) triple: both fields, the record's
+    multiplier and every array its view holds."""
+    arrays = [psi, psi_hat, state.mult]
+    for value in vars(state.hv).values():
+        arrays += [a for a in (value if isinstance(value, list) else [value]) if isinstance(a, np.ndarray)]
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("case", ["me_1d", "ext_2d"])
+def test_step_from_a_saved_state_is_repeatable(case):
+    """Two steps from the same (psi, psi_hat, state) return bit-identical
+    triples and leave the inputs as they were, so a trial step or a
+    rejected step can be taken again from the state it started at."""
+    if case == "me_1d":
+        grid = q.make_grid(1, 256, 2 * np.pi)
+        psi0, coeffs = perturbed_plane_wave(grid, seed=2), q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+    else:
+        grid = q.make_grid(2, 32, 2 * np.pi)
+        psi0 = q.random_state(grid, seed=1, cutoff=4, amplitude=0.3)
+        coeffs = q.ext_coeffs(a=[0.1, 0.05, 0.02, 0.03, 0.01] * 2 + [0.0] * 3,
+                              b=[0.05, 0.01, 0.02, 0.01, 0.01, 0.02, 0.01, 0.0, 0.01, 0.0, 0.01, 0.0, 0.0])
+    dt = 0.05 * stability_bound(grid, coeffs)
+    stepper = _Stepper(grid, EvolutionConfig(dt=dt, t_end=2 * dt, coeffs=coeffs))
+    saved = stepper.start(psi0)
+    before = _bits(*saved)
+    first, second = stepper.step(*saved, False), stepper.step(*saved, False)
+    assert _bits(*saved) == before
+    assert _bits(*first) == _bits(*second)
+    assert _bits(*first) != before
 
 
 #: Transform calls of one IF-RK4 step of the 1D three-parameter engine.  Per

@@ -48,7 +48,7 @@ divergence), and each stage reuses:
   and its spectrum fftn(psi);
 * stages b, c and d: the spectrum each is synthesized from, the only input
   of their views (psi and its gradient come from one inverse); their
-  records are freed when the stage returns;
+  records live in the stepper's workspace until the next stage;
 * the observables sample of a state: that state's record, and the stored
   snapshot and current divergence of the previous sample's record, carried
   forward for the continuity residual.
@@ -57,8 +57,25 @@ A stage builds what its multiplier reads and no more: the view's ratio
 fields are derived on first read (the generic engine reads them), and the
 three-parameter composites are built once per view, so a sample's energy
 reuses the multiplier's.  The decomposition and the composites transform
-their fields as stacks, one call per stack, so a three-parameter step makes
-26 transform calls on a 1D grid and 27 on a 2D grid.
+their fields as stacks, one call per stack (the gradient of a state given
+with its spectrum too), so a three-parameter step makes 26 transform calls
+on a 1D and on a 2D grid.
+
+On a grid of at most 4096 points the stepper keeps a workspace: arrays
+allocated on first request and reused for the rest of the run, so a run
+holds only what its engine asks for.  Every array of a stage's derivation
+is one of them (the psi and gradient stack and its inverse, the
+[rho, g, grad rho] stack, both spectra, Lap rho and div g, the [P, F]
+stack, the [div q, Lap P, dP] rows, the gated ratios, the multiplier and
+the explicit part with its spectrum), and so are the stage spectra and
+stage inputs of the step, all filled through ``out=`` in the operation
+order of plain numpy expressions, so every value keeps its bits.  Records
+that outlive a stage (the state a step returns, the initial state, a
+sampled state, and a standalone :func:`derive`) hold fresh arrays; only
+their scratch comes from the workspace.  A larger grid allocates as it
+goes: there the workspace would raise the peak memory, and numpy evaluates
+expressions with temporaries of 256 KiB or more in place, in an operand
+order ``out=`` does not reproduce.
 
 The config's low-density gates (``eps_rho``, ``gate_factor``,
 ``ratio_floor``) reach every record through its view.  The stepper guards
@@ -93,7 +110,17 @@ import numpy as np
 from .coeffs import MEParams, is_linear
 from .currents import current_divergence
 from .functionals import functional_pair
-from .hydro import DEFAULT_EPS_RHO, DEFAULT_GATE_FACTOR, DEFAULT_RATIO_FLOOR, HydroView, hydro_decompose
+from .hydro import (
+    _FRESH,
+    DEFAULT_EPS_RHO,
+    DEFAULT_GATE_FACTOR,
+    DEFAULT_RATIO_FLOOR,
+    HydroView,
+    _Buffer,
+    _BufferScope,
+    _Layout,
+    hydro_decompose,
+)
 from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, _forward, _inverse, _laplacian_symbol, laplacian
 from .states import Potential
 
@@ -194,6 +221,11 @@ class Trajectory:
         return self.fields[-1]
 
 
+#: the arrays of a multiplier: the phase and continuity channels share a
+#: scratch row, and the multiplier is a record
+_MULTIPLIER = _Layout(_Buffer("channel"), _Buffer("tmp"), _Buffer("mult", dtype=complex, record=True))
+
+
 def nonlinear_multiplier(hv: HydroView, coeffs):
     """The complex field c(x) with nonlinear dpsi/dt = c(x) psi for the state
     decomposed in ``hv``, or None for the linear equation.
@@ -204,11 +236,20 @@ def nonlinear_multiplier(hv: HydroView, coeffs):
     """
     if is_linear(coeffs):
         return None
+    phase, tmp, mult = hv._buffers.take(hv.grid, _MULTIPLIER)
     if isinstance(coeffs, MEParams):
         fo = hv.fourth_order()
-        return -(0.5 * coeffs.D1) * fo.u - 1j * (coeffs.b1 * fo.t1 + coeffs.b6 * fo.t6)
-    fa, fb = functional_pair(coeffs, hv)
-    return -(0.5 * coeffs.D) * fa - 1j * coeffs.D * fb
+        # -(D1/2) u - 1j (b1 t1 + b6 t6)
+        phase = np.multiply(coeffs.b1, fo.t1, out=phase)
+        phase += np.multiply(coeffs.b6, fo.t6, out=tmp)
+        i_phase = np.multiply(1j, phase, out=mult)
+        continuity = np.multiply(-(0.5 * coeffs.D1), fo.u, out=phase)
+    else:
+        # -(D/2) fa - (1j D) fb
+        fa, fb = functional_pair(coeffs, hv)
+        i_phase = np.multiply(1j * coeffs.D, fb, out=mult)
+        continuity = np.multiply(-(0.5 * coeffs.D), fa, out=phase)
+    return np.subtract(continuity, i_phase, out=i_phase)
 
 
 @dataclass(frozen=True)
@@ -263,16 +304,21 @@ def derive(hv: HydroView, coeffs, constants: PhysicalConstants = NATURAL_UNITS) 
     return State(hv, nonlinear_multiplier(hv, coeffs), coeffs, constants)
 
 
-def _explicit_rhs(psi: np.ndarray, pot_vals, mult, hbar: float):
+def _explicit_rhs(psi: np.ndarray, pot_vals, mult, hbar: float, out=None, tmp=None):
     """Potential plus nonlinear part of dpsi/dt, or None when both vanish;
-    ``mult`` is the nonlinear multiplier of psi (None for the linear equation)."""
-    out = None
+    ``mult`` is the nonlinear multiplier of psi (None for the linear
+    equation).  The result is written into ``out`` when given, and with a
+    potential the nonlinear term into ``tmp``."""
+    rhs = None
     if pot_vals is not None:
-        out = (-1j / hbar) * pot_vals * psi
+        rhs = np.multiply(-1j / hbar, pot_vals, out=out)
+        rhs *= psi
     if mult is not None:
-        term = mult * psi
-        out = term if out is None else out + term
-    return out
+        if rhs is None:
+            rhs = np.multiply(mult, psi, out=out)
+        else:
+            rhs = np.add(rhs, np.multiply(mult, psi, out=tmp), out=rhs)
+    return rhs
 
 
 def nonlinear_rhs(
@@ -331,13 +377,81 @@ class _GuardFailed(ValueError):
     state's sample it refuses the state."""
 
 
+class _Workspace:
+    """The arrays of one run, each allocated on its first request and handed
+    out again on every later one, so a run holds only what its engine asks
+    for (an ``ext`` run never holds the ME composite buffers).  Arrays are
+    found by name, so layouts that name the same scratch share its array.
+
+    ``take(grid, layout)`` serves the stage records, which live here until
+    the next stage.  Its ``kept`` view serves records that outlive a stage
+    (the initial state, each new state, a sampled state): their fields are
+    allocated anew, and only their scratch comes from the run's arrays.
+    Neither refers to the other, so both are freed with the stepper."""
+
+    def __init__(self, arrays: dict | None = None):
+        self._arrays = {} if arrays is None else arrays
+        self._taken = {}
+
+    def take(self, grid: Grid, layout: _Layout) -> tuple:
+        arrays = self._taken.get(layout)
+        if arrays is None:
+            arrays = self._taken[layout] = tuple(self._array(grid, buf) for buf in layout.buffers)
+        return arrays
+
+    def _array(self, grid: Grid, buf: _Buffer) -> np.ndarray:
+        arr = self._arrays.get(buf.name)
+        if arr is None:
+            arr = self._arrays[buf.name] = buf.allocate(grid)
+        return arr
+
+    @cached_property
+    def kept(self) -> "_Workspace":
+        return _KeptRecords(self._arrays)
+
+
+class _KeptRecords(_Workspace):
+    """The ``kept`` view of a :class:`_Workspace`: fresh record arrays, the
+    workspace's scratch."""
+
+    def take(self, grid: Grid, layout: _Layout) -> tuple:
+        # per layout, the shape and dtype of each record, or the scratch array
+        plan = self._taken.get(layout)
+        if plan is None:
+            plan = self._taken[layout] = tuple(
+                (buf.shape(grid), buf.dtype) if buf.record else self._array(grid, buf)
+                for buf in layout.buffers)
+        return tuple(np.empty(*p) if type(p) is tuple else p for p in plan)
+
+
+#: Largest grid, in points, whose run keeps a :class:`_Workspace`.  On small
+#: fields numpy's fixed cost per call and per fresh array dominates, and the
+#: workspace saves the allocations; on a 128^2 ``ext`` run it held 7.7 MB
+#: more at the peak (55.2 -> 63.0 MB) and faulted more pages per step
+#: (684 -> 969) at the same step time, so larger grids allocate as they go.
+_WORKSPACE_POINTS = 4096
+
+#: the stage spectra a..d, the stage input, e_full psi_hat and a temporary
+_STEP = _Layout(*(_Buffer(name, dtype=complex) for name in ("a_hat", "b_hat", "c_hat", "d_hat", "stage_in",
+                                                               "full_hat", "tmp_hat_step")))
+#: the density of the new psi, with a temporary
+_DENSITY = _Layout(_Buffer("density"), _Buffer("density_tmp"))
+#: the explicit part of a stage; its nonlinear term when there is a
+#: potential; a linear stage's psi
+_RHS = _Layout(_Buffer("rhs", dtype=complex))
+_TERM = _Layout(_Buffer("term", dtype=complex))
+_LINEAR_PSI = _Layout(_Buffer("linear_psi", dtype=complex))
+
+
 class _Stepper:
     """One IF-RK4 run, built once from (grid, config): the kinetic
     integrating factors ``e_half``/``e_full``, the band filter ``filt``, the
-    potential values and the explicit stage.  :meth:`start` sets the norm
-    guard's reference ``norm0``; :meth:`record` carries what the next
-    sample's continuity residual reads as ``prev``.  A step changes neither
-    the stepper nor its inputs, so it can be repeated from a saved state."""
+    potential values, the explicit stage and the run's :class:`_Workspace`
+    ``ws``.  :meth:`start` sets the norm guard's reference ``norm0``;
+    :meth:`record` carries what the next sample's continuity residual reads
+    as ``prev``.  A step changes neither the stepper's settings nor its
+    inputs, and what it returns holds no workspace array, so it can be
+    repeated from a saved state."""
 
     def __init__(self, grid: Grid, config: EvolutionConfig):
         self.grid, self.config, self.nonlinear = grid, config, not is_linear(config.coeffs)
@@ -347,18 +461,36 @@ class _Stepper:
         self.filt = _filter_mask(grid, config.filter_fraction)
         self.pot_vals = config.potential.values if config.potential is not None else None
         self.norm0, self.prev = None, None
+        self.ws = _Workspace() if grid.npoints <= _WORKSPACE_POINTS else None
+        # where the records of a stage and of a kept state put their arrays
+        self._stage_scope = _BufferScope(_FRESH if self.ws is None else self.ws)
+        self._kept_scope = _BufferScope(_FRESH if self.ws is None else self.ws.kept)
+
+    def _arrays(self, layout: _Layout) -> tuple:
+        """The workspace arrays of ``layout``, or Nones (numpy allocates)
+        on a grid that keeps no workspace."""
+        if self.ws is None:
+            return (None,) * len(layout.buffers)
+        return self.ws.take(self.grid, layout)
 
     def start(self, psi0):
         """The initial (psi, psi_hat, state): psi0 passes through the band
         filter once, and the norm guard's reference is the filtered state the
         steps conserve.  Raises ValueError if that norm is not finite and
-        positive, then :class:`StabilityError` if dt exceeds the bound."""
+        positive or is less than half the norm of psi0 (the filter would
+        evolve what is left of a state it mostly removed), then
+        :class:`StabilityError` if dt exceeds the bound."""
         grid, c = self.grid, self.config
+        psi0 = np.ascontiguousarray(psi0, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            psi = _inverse(grid, self.filt * _forward(grid, np.ascontiguousarray(psi0, dtype=complex), False), False)
+            psi = _inverse(grid, self.filt * _forward(grid, psi0, False), False)
             self.norm0 = float(grid.integrate(psi.real**2 + psi.imag**2))
+            unfiltered = float(grid.integrate(psi0.real**2 + psi0.imag**2))
         if not (np.isfinite(self.norm0) and self.norm0 > 0.0):
             raise ValueError("initial state must have a finite, nonzero norm after the band filter")
+        if self.norm0 < 0.5 * unfiltered:
+            raise ValueError(f"the band filter removes {1.0 - self.norm0 / unfiltered:.1%} of the initial "
+                             "state's norm; its content must lie below the filter")
         psi_hat = _forward(grid, psi, False)
         state = self.state(psi, psi_hat)
         # Step-size guard.  The k_max^4 nonlinear rate binds only where the
@@ -371,30 +503,35 @@ class _Stepper:
             raise StabilityError(f"dt = {c.dt:.3e} exceeds stability bound {bound:.3e}")
         return psi, psi_hat, state
 
-    def state(self, psi, psi_hat, sampled=False):
+    def state(self, psi, psi_hat, sampled=False, stage=False):
         """The record of psi (of the state synthesized as ``psi_hat`` when
         psi is None) at the config's gates.  A state a stage reads raises
         :class:`MaskOverflowError` over ``mask_limit``, and a linear run
-        derives none; a state that is only ``sampled`` is not guarded."""
+        derives none; a state that is only ``sampled`` is not guarded.  The
+        record of a ``stage`` lives in the workspace and is valid until the
+        next stage; any other record holds fresh arrays."""
         if not (sampled or self.nonlinear):
             return None
         c = self.config
-        hv = hydro_decompose(self.grid, psi, eps_rho=c.eps_rho, psi_hat=psi_hat,
-                             gate_factor=c.gate_factor, ratio_floor=c.ratio_floor)
+        with self._stage_scope if stage else self._kept_scope:
+            hv = hydro_decompose(self.grid, psi, eps_rho=c.eps_rho, psi_hat=psi_hat,
+                                 gate_factor=c.gate_factor, ratio_floor=c.ratio_floor)
         if not sampled and hv.masked_fraction > c.mask_limit:
             raise MaskOverflowError(hv.masked_fraction, c.mask_limit)
         return derive(hv, c.coeffs, c.constants)
 
-    def explicit_hat(self, p_hat, psi=None, state=None):
+    def explicit_hat(self, p_hat, out=None, psi=None, state=None):
         """Spectrum of the explicit part at the stage input synthesized as
-        ``p_hat``.  Stage a passes its psi and record; a later stage is
-        decomposed from ``p_hat`` alone (a linear run inverts it), and its
-        record is freed on return."""
+        ``p_hat``, written into ``out`` when given.  Stage a passes its psi
+        and record; a later stage is decomposed from ``p_hat`` alone into the
+        workspace (a linear run inverts it)."""
         if psi is None:
-            state = self.state(None, p_hat)
-            psi = _inverse(self.grid, p_hat, False) if state is None else state.psi
-        out = _explicit_rhs(psi, self.pot_vals, state and state.mult, self.config.constants.hbar)
-        return _forward(self.grid, np.zeros_like(psi) if out is None else out, False)
+            state = self.state(None, p_hat, stage=True)
+            psi = state.psi if state else _inverse(self.grid, p_hat, False, out=self._arrays(_LINEAR_PSI)[0])
+        term = self._arrays(_TERM)[0] if self.pot_vals is not None else None
+        rhs = _explicit_rhs(psi, self.pot_vals, state and state.mult, self.config.constants.hbar,
+                            self._arrays(_RHS)[0], term)
+        return _forward(self.grid, np.zeros_like(psi) if rhs is None else rhs, False, out=out)
 
     def step(self, psi, psi_hat, state, last):
         """The (psi, psi_hat, state) one step after psi, given its spectrum
@@ -402,15 +539,13 @@ class _Stepper:
         state is None when the step is the ``last``.  The new psi passes the
         norm guard before it is transformed or derived: non-finite or drifted
         beyond ``norm_tol``, it raises :class:`_GuardFailed`."""
-        dt, e_half, e_full, tol = self.config.dt, self.e_half, self.e_full, self.config.norm_tol
-        a_hat = self.explicit_hat(psi_hat, psi, state)
-        b_hat = self.explicit_hat(e_half * (psi_hat + (0.5 * dt) * a_hat))
-        c_hat = self.explicit_hat(e_half * psi_hat + (0.5 * dt) * b_hat)
-        full_hat = e_full * psi_hat
-        d_hat = self.explicit_hat(full_hat + dt * e_half * c_hat)
-        new_hat = full_hat + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
-        psi = _inverse(self.grid, self.filt * new_hat, False)
-        drift = abs(float(self.grid.integrate(psi.real**2 + psi.imag**2)) - self.norm0)
+        tol = self.config.norm_tol
+        new_hat = (self._combine if self.ws is None else self._combine_in_workspace)(psi, psi_hat, state)
+        psi = _inverse(self.grid, np.multiply(self.filt, new_hat, out=new_hat), False)
+        density, density_tmp = self._arrays(_DENSITY)
+        density = np.multiply(psi.real, psi.real, out=density)
+        density += np.multiply(psi.imag, psi.imag, out=density_tmp)
+        drift = abs(float(self.grid.integrate(density)) - self.norm0)
         if not np.isfinite(drift):
             raise _GuardFailed("non-finite samples")
         if drift > tol * max(self.norm0, 1.0):
@@ -419,6 +554,52 @@ class _Stepper:
         # stage a and for its sample.
         psi_hat = _forward(self.grid, psi, False)
         return psi, psi_hat, None if last else self.state(psi, psi_hat)
+
+    def _combine(self, psi, psi_hat, state):
+        """The unfiltered spectrum one step after psi: the four stages and
+        their IF-RK4 combination, on fresh arrays."""
+        dt, e_half, e_full = self.config.dt, self.e_half, self.e_full
+        a_hat = self.explicit_hat(psi_hat, None, psi, state)
+        b_hat = self.explicit_hat(e_half * (psi_hat + (0.5 * dt) * a_hat))
+        c_hat = self.explicit_hat(e_half * psi_hat + (0.5 * dt) * b_hat)
+        full_hat = e_full * psi_hat
+        d_hat = self.explicit_hat(full_hat + dt * e_half * c_hat)
+        return full_hat + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
+
+    def _combine_in_workspace(self, psi, psi_hat, state):
+        """:meth:`_combine` on the workspace's arrays, in the same operation
+        order.  Both forms are kept because numpy evaluates an expression
+        whose temporary holds 256 KiB or more in place, and for a
+        commutative operator it may swap the operands to do so; complex
+        multiplication with fused multiply-adds does not round a * b and
+        b * a alike.  A workspace field (at most ``_WORKSPACE_POINTS``
+        complex points, 64 KiB) never meets that, so written with ``out=``
+        each value keeps the bits :meth:`_combine` gives it."""
+        dt, e_half, e_full = self.config.dt, self.e_half, self.e_full
+        a_hat, b_hat, c_hat, d_hat, stage_in, full_hat, tmp = self._arrays(_STEP)
+        self.explicit_hat(psi_hat, a_hat, psi, state)
+        # b = e_half (psi_hat + dt/2 a)
+        np.multiply(0.5 * dt, a_hat, out=stage_in)
+        np.add(psi_hat, stage_in, out=stage_in)
+        self.explicit_hat(np.multiply(e_half, stage_in, out=stage_in), b_hat)
+        # c = e_half psi_hat + dt/2 b
+        np.multiply(e_half, psi_hat, out=stage_in)
+        stage_in += np.multiply(0.5 * dt, b_hat, out=tmp)
+        self.explicit_hat(stage_in, c_hat)
+        # d = e_full psi_hat + (dt e_half) c
+        np.multiply(e_full, psi_hat, out=full_hat)
+        np.multiply(dt, e_half, out=tmp)
+        tmp *= c_hat
+        self.explicit_hat(np.add(full_hat, tmp, out=stage_in), d_hat)
+        # e_full psi_hat + dt/6 (e_full a + (2 e_half)(b + c) + d)
+        new_hat = np.multiply(e_full, a_hat, out=stage_in)
+        np.multiply(2.0, e_half, out=tmp)
+        b_hat += c_hat
+        tmp *= b_hat
+        new_hat += tmp
+        new_hat += d_hat
+        np.multiply(dt / 6.0, new_hat, out=new_hat)
+        return np.add(full_hat, new_hat, out=new_hat)
 
     def record(self, traj: Trajectory, t: float, psi, psi_hat, state):
         """Store one snapshot in ``traj``; its sample reads the state's record

@@ -25,6 +25,12 @@ Lap S and Lap rho / rho are derived on first read: the generic functional
 engine, diagnostics and checks read them, the three-parameter engine does
 not.
 
+The decomposition, its composites and its multiplier fill their arrays
+through ``out=``, taking them from the buffers in scope when the view is
+decomposed: fresh arrays for a standalone call, a run's workspace when the
+time stepper decomposes a stage (see :mod:`nlse4.evolution`).  The view
+records its buffers, so its composites and multiplier use the same ones.
+
 Fourth-order composites (e.g. rho*Lap(Lap S)) are assembled from
 density-weighted numerators that decay with rho, and are zeroed wherever the
 numerator falls below a spectral roundoff floor.  Consequences:
@@ -37,6 +43,7 @@ numerator falls below a spectral roundoff floor.  Consequences:
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,12 +52,11 @@ import numpy as np
 from .spectral import (
     Grid,
     _forward,
-    _gradient,
+    _half_shape,
     _ik,
     _inverse,
     _inverse_and_gradient,
-    _laplacian_symbol,
-    _stack,
+    _laplacian_and_ik,
     gradient,
 )
 
@@ -73,6 +79,100 @@ DEFAULT_RATIO_FLOOR = 1e-8
 DEFAULT_GATE_FACTOR = 16384.0
 
 _EPS = np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class _Buffer:
+    """One array that a decomposition, a composites build or a multiplier
+    fills: ``rows`` leading rows (a pair (a, b) for a + b * dims rows, None
+    for one field) over the grid, or over the half spectrum of a real field
+    if ``half``.  A ``record`` array is kept by the view or its composites;
+    any other is scratch, dead when the call returns.  Scratch that is only
+    ever the ``out=`` of a call may be None, and numpy then allocates it
+    where it is used; scratch the code fills row by row is ``written``."""
+
+    name: str
+    rows: tuple | None = None
+    dtype: type = float
+    half: bool = False
+    record: bool = False
+    written: bool = False
+
+    def shape(self, grid: Grid) -> tuple:
+        shape = _half_shape(grid) if self.half else grid.shape
+        if self.rows is not None:
+            shape = (self.rows[0] + self.rows[1] * grid.dims,) + shape
+        return shape
+
+    def allocate(self, grid: Grid) -> np.ndarray:
+        return np.empty(self.shape(grid), self.dtype)
+
+
+class _Layout:
+    """The arrays one call takes from its buffers, in order; compared and
+    hashed by identity, so a workspace finds its arrays in one lookup."""
+
+    __slots__ = ("buffers",)
+
+    def __init__(self, *buffers: _Buffer):
+        self.buffers = buffers
+
+
+class _Fresh:
+    """The buffers of a standalone decomposition: ``take(grid, layout)``
+    allocates the record and written arrays of ``layout`` anew and leaves
+    the other scratch to numpy (None), so each temporary lives only as long
+    as its use.  A run hands out arrays of its own instead
+    (``evolution._Workspace``), through :class:`_BufferScope`."""
+
+    @staticmethod
+    def take(grid: Grid, layout: _Layout) -> tuple:
+        return tuple(buf.allocate(grid) if buf.record or buf.written else None for buf in layout.buffers)
+
+
+_FRESH = _Fresh()
+_BUFFERS = ContextVar("nlse4_hydro_buffers", default=_FRESH)
+
+
+class _BufferScope:
+    """Decompositions made inside ``with _BufferScope(buffers)`` take their
+    arrays from ``buffers``; the view records them for its composites and
+    multiplier."""
+
+    __slots__ = ("buffers", "token")
+
+    def __init__(self, buffers):
+        self.buffers = buffers
+
+    def __enter__(self):
+        self.token = _BUFFERS.set(self.buffers)
+
+    def __exit__(self, *exc):
+        _BUFFERS.reset(self.token)
+
+
+_TMP = _Buffer("tmp")
+_TMP_HAT = _Buffer("tmp_hat", dtype=complex, half=True)
+_DOT = _Buffer("dot")
+#: psi and its gradient from the spectrum alone, one stack inverted in place
+_FROM_SPECTRUM = _Layout(_Buffer("psi_rows", (1, 1), complex, record=True))
+#: the gradient of a given psi, from its spectrum (taken into ``psi_hat``
+#: when not given)
+_FORWARD = _Layout(_Buffer("psi_hat", dtype=complex))
+_GRADIENT = _Layout(_Buffer("dpsi", (0, 1), complex))
+_DECOMPOSE = _Layout(
+    _Buffer("smooth", (1, 2), record=True), _TMP, _Buffer("conj", dtype=complex), _Buffer("cd", dtype=complex),
+    _Buffer("mask", dtype=bool, record=True), _Buffer("smooth_hat", (1, 1), complex, half=True),
+    _Buffer("lap_div_hat", (2, 0), complex, half=True), _TMP_HAT, _Buffer("lap_div", (2, 0), record=True), _DOT,
+)
+_COMPOSITES = _Layout(
+    _Buffer("ratio_P"), _Buffer("PF", (1, 1), written=True), _Buffer("PF_hat", (1, 1), complex, half=True),
+    _Buffer("composites_hat", (2, 1), complex, half=True, written=True), _TMP_HAT, _Buffer("composites", (2, 1), record=True),
+    _DOT, _TMP, _Buffer("dense", dtype=bool),
+)
+_NOISE_GATE = _Layout(_Buffer("abs_grads", (0, 2)), _TMP)
+_GATED = _Layout(_Buffer("abs_numerators", (3, 0)), _Buffer("keep", (3, 0), bool),
+                 _Buffer("gated_ratios", (3, 0), record=True))
 
 
 @dataclass
@@ -114,6 +214,8 @@ class HydroView:
     #: the rows [g, grad_rho] of one array
     _grads: np.ndarray = field(repr=False)
     _fourth_order: "FourthOrder | None" = field(repr=False, default=None)
+    #: where the view's composites and multiplier put their arrays
+    _buffers: object = field(repr=False, default=_FRESH)
 
     @cached_property
     def grad_s(self) -> list:
@@ -143,7 +245,12 @@ class HydroView:
 
     def ratio(self, numerator: np.ndarray) -> np.ndarray:
         """numerator / rho with masked points zeroed."""
-        return self.zero_masked(numerator / self.safe_rho)
+        return self._ratio(numerator)
+
+    def _ratio(self, numerator: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`ratio`, written into ``out`` when given (it may be
+        ``numerator``)."""
+        return self.zero_masked(np.divide(numerator, self.safe_rho, out=out))
 
     def dot_grad_s(self, vec: list) -> np.ndarray:
         return sum(v * s for v, s in zip(vec, self.grad_s))
@@ -190,52 +297,52 @@ def hydro_decompose(
     gradient come from one inverse transform, and the spectrum is validated
     as psi would be.
     """
+    buffers = _BUFFERS.get()
+    dims = grid.dims
     if psi is None:
         if psi_hat is None:
             raise ValueError("need the wavefunction or its spectrum psi_hat")
         grid.validate_field(psi_hat)
-        if not np.isfinite(psi_hat).all():
+        if not np.logical_and.reduce(np.isfinite(psi_hat), axis=None):
             raise ValueError("spectrum contains non-finite samples")
-        psi, dpsi = _inverse_and_gradient(grid, psi_hat)
+        psi, dpsi = _inverse_and_gradient(grid, psi_hat, stack=buffers.take(grid, _FROM_SPECTRUM)[0])
     else:
         grid.validate_field(psi)
-        if not np.isfinite(psi).all():
+        if not np.logical_and.reduce(np.isfinite(psi), axis=None):
             raise ValueError("wavefunction contains non-finite samples")
         psi = np.ascontiguousarray(psi, dtype=complex)
-        dpsi = _gradient(grid, _forward(grid, psi, False) if psi_hat is None else psi_hat, False)
+        if psi_hat is None:
+            psi_hat = _forward(grid, psi, False, out=buffers.take(grid, _FORWARD)[0])
+        _, dpsi = _inverse_and_gradient(grid, psi_hat, with_psi=False, stack=buffers.take(grid, _GRADIENT)[0])
+    smooth, tmp, conj, cd, mask, smooth_hat, lap_div_hat, tmp_hat, lap_div, dot = buffers.take(grid, _DECOMPOSE)
 
     # rho, g and grad_rho share one stack; rho and g, whose transforms are
     # taken, lead it, so each transform of them is one call
-    dims = grid.dims
-    smooth = _stack(grid, 1 + 2 * dims)
-    rho = smooth[0]
-    np.multiply(psi.real, psi.real, out=rho)
-    rho += psi.imag**2
-    conj = psi.conj()
+    rho = np.multiply(psi.real, psi.real, out=smooth[0])
+    rho += np.multiply(psi.imag, psi.imag, out=tmp)
+    conj = np.conjugate(psi, out=conj)
     for a, da in enumerate(dpsi):
-        cd = conj * da
-        smooth[1 + a][...] = cd.imag
+        cd = np.multiply(conj, da, out=cd)
+        smooth[1 + a] = cd.imag
         np.multiply(cd.real, 2.0, out=smooth[1 + dims + a])
     g, grad_rho = list(smooth[1:1 + dims]), list(smooth[1 + dims:])
 
-    rho_max = float(rho.max())
+    rho_max = float(np.maximum.reduce(rho, axis=None))
     if rho_max == 0.0:
         raise ValueError("wavefunction vanishes identically")
-    mask = rho < eps_rho * rho_max
+    np.less(rho, eps_rho * rho_max, out=mask)
     masked = np.count_nonzero(mask)
 
     # Lap rho and div g, from one forward and one inverse transform of stacks
-    spec = _forward(grid, smooth[:1 + dims], True)
-    lap_div = _stack(grid, 2, half=True)
-    np.multiply(_laplacian_symbol(grid.n, grid.length, dims, True), spec[0], out=lap_div[0])
-    np.multiply(_ik(grid, 0, True), spec[1], out=lap_div[1])
+    spec = _forward(grid, smooth[:1 + dims], True, out=smooth_hat)
+    lap_div_hat = np.multiply(_laplacian_and_ik(grid.n, grid.length, dims), spec[:2], out=lap_div_hat)
     for a in range(1, dims):
-        lap_div[1] += _ik(grid, a, True) * spec[1 + a]
-    lap_rho, div_g = _inverse(grid, lap_div, True)
+        lap_div_hat[1] += np.multiply(_ik(grid, a, True), spec[1 + a], out=tmp_hat)
+    lap_rho, div_g = _inverse(grid, lap_div_hat, True, out=lap_div)
 
-    dot = grad_rho[0] * g[0]
+    dot = np.multiply(grad_rho[0], g[0], out=dot)
     for a in range(1, dims):
-        dot += grad_rho[a] * g[a]
+        dot += np.multiply(grad_rho[a], g[a], out=tmp)
     hv = HydroView(
         grid=grid,
         psi=psi,
@@ -252,9 +359,10 @@ def hydro_decompose(
         rho_lap_s=div_g,
         safe_rho=np.where(mask, 1.0, rho) if masked else rho,
         _grads=smooth[1:],
+        _buffers=buffers,
     )
     # rho*Lap S = div g - grad_rho . g / rho, all built from smooth fields
-    div_g -= hv.ratio(dot)
+    div_g -= hv._ratio(dot, out=dot)
     return hv
 
 
@@ -281,7 +389,10 @@ def noise_gate(hv: HydroView) -> float:
     and grad rho are rows of one array and take one abs-max between them.
     """
     kM = 1.0 + hv.grid.kmax
-    scale = max(1.0, np.abs(hv._grads).max(), abs(hv.rho_lap_s).max(), hv.rho_max)
+    abs_grads, abs_P = hv._buffers.take(hv.grid, _NOISE_GATE)
+    abs_grads = np.abs(hv._grads, out=abs_grads)
+    abs_P = np.abs(hv.rho_lap_s, out=abs_P)
+    scale = max(1.0, np.maximum.reduce(abs_grads, axis=None), np.maximum.reduce(abs_P, axis=None), hv.rho_max)
     return hv.gate_factor * _EPS * kM**3 * scale
 
 
@@ -320,47 +431,54 @@ def fourth_order_composites(hv: HydroView) -> FourthOrder:
     twice, as ``divergence(grid, q)`` does, so its Nyquist modes are zero;
     -|k|^2 P^ - sum_a ik_a F_a^ would keep them.
     """
-    grid = hv.grid
-    dims = grid.dims
+    grid, dims = hv.grid, hv.grid.dims
+    ratio_P, PF, PF_hat, spec, tmp_hat, rows, dot, tmp, dense = hv._buffers.take(grid, _COMPOSITES)
     P = hv.rho_lap_s
-    ratio_P = hv.ratio(P)
-    PF = _stack(grid, 1 + dims)
+    ratio_P = hv._ratio(P, out=ratio_P)
     PF[0] = P
     F = np.multiply(ratio_P, hv._grads[dims:], out=PF[1:])
-    P_hat, *F_hat = _forward(grid, PF, True)
-    spec = _stack(grid, 2 + dims, half=True)
+    P_hat, *F_hat = _forward(grid, PF, True, out=PF_hat)
+    # spec[1:3] = [Lap P^, ik_1 P^]
+    np.multiply(_laplacian_and_ik(grid.n, grid.length, dims), P_hat, out=spec[1:3])
     ik = _ik(grid, 0, True)
-    np.multiply(ik, P_hat, out=spec[2])
-    np.multiply(_laplacian_symbol(grid.n, grid.length, dims, True), P_hat, out=spec[1])
     np.subtract(spec[2], F_hat[0], out=spec[0])
     spec[0] *= ik
     for a in range(1, dims):
         ik = _ik(grid, a, True)
         np.multiply(ik, P_hat, out=spec[2 + a])
-        spec[0] += ik * (spec[2 + a] - F_hat[a])
+        tmp_hat = np.subtract(spec[2 + a], F_hat[a], out=tmp_hat)
+        spec[0] += np.multiply(ik, tmp_hat, out=tmp_hat)
     # of the rows [div q, Lap P, d_1 P, ...] the first three become the
     # numerators [div q, r1, r6]
-    rows = _inverse(grid, spec, True)
+    _inverse(grid, spec, True, out=rows)
     nums = rows[:3]
     div_q, r1, r6 = nums
-    dot = hv.grad_rho[0] * (r6 - F[0])
+    dot = np.subtract(r6, F[0], out=dot)
+    np.multiply(hv.grad_rho[0], dot, out=dot)
     for a in range(1, dims):
-        dot += hv.grad_rho[a] * (rows[2 + a] - F[a])
-    r6[...] = hv.ratio(dot)
-    r1 -= 2.0 * r6
-    r1 -= ratio_P * hv.lap_rho
+        tmp = np.subtract(rows[2 + a], F[a], out=tmp)
+        dot += np.multiply(hv.grad_rho[a], tmp, out=tmp)
+    hv._ratio(dot, out=r6)
+    r1 -= np.multiply(2.0, r6, out=tmp)
+    r1 -= np.multiply(ratio_P, hv.lap_rho, out=tmp)
 
     gate = noise_gate(hv)
     # unmasked and above the ratio floor in one comparison: float rounding
     # is monotone, so max(a, b) * rho_max = max(a * rho_max, b * rho_max)
-    dense = hv.rho >= max(hv.eps_rho, hv.ratio_floor) * hv.rho_max
+    dense = np.greater_equal(hv.rho, max(hv.eps_rho, hv.ratio_floor) * hv.rho_max, out=dense)
     u, t1, t6 = _gated_ratio(hv, nums, gate, dense)
     return FourthOrder(div_q=div_q, u=u, t1=t1, t6=t6, gate=gate)
 
 
 def _gated_ratio(hv: HydroView, numerator: np.ndarray, gate: float, dense: np.ndarray) -> np.ndarray:
     """numerator / rho where ``dense`` (unmasked, above the ratio floor) and
-    the numerator clears the noise gate, zero elsewhere; ``numerator`` may
-    be a stack of numerators, one per row."""
-    keep = dense & (np.abs(numerator) > gate)
-    return np.where(keep, numerator / hv.safe_rho, 0.0)
+    the numerator clears the noise gate, zero elsewhere; ``numerator`` is
+    the stack of the three numerators [div q, r1, r6].  The dropped points
+    hold +0.0, the bits ``np.where(keep, numerator / safe_rho, 0.0)``
+    writes."""
+    abs_numerators, keep, out = hv._buffers.take(hv.grid, _GATED)
+    keep = np.greater(np.abs(numerator, out=abs_numerators), gate, out=keep)
+    np.logical_and(dense, keep, out=keep)
+    out.fill(0.0)
+    np.divide(numerator, hv.safe_rho, out=out, where=keep)
+    return out

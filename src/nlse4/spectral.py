@@ -169,31 +169,47 @@ def _laplacian_symbol(n: int, length: float, dims: int, real: bool) -> np.ndarra
     return fac
 
 
+@lru_cache(maxsize=64)
+def _laplacian_and_ik(n: int, length: float, dims: int) -> np.ndarray:
+    """The rows [-|k|^2, ik_1] over the half spectrum of a real field, so
+    one multiply applies both symbols to two spectra, or to one."""
+    half = (n,) * (dims - 1) + (n // 2 + 1,)
+    rows = np.empty((2,) + half, dtype=complex)
+    rows[0] = _laplacian_symbol(n, length, dims, True)
+    rows[1] = _symbol(n, length, dims, 0, 1, True)
+    rows.flags.writeable = False
+    return rows
+
+
 def _ik(grid: Grid, axis: int, real: bool) -> np.ndarray:
     """First-derivative symbol matching the spectrum of :func:`_forward`."""
     return _symbol(grid.n, grid.length, grid.dims, axis, 1, real)
 
 
-def _forward(grid: Grid, field: np.ndarray, real: bool) -> np.ndarray:
+def _forward(grid: Grid, field: np.ndarray, real: bool, out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum (last axis halved) of a real field, full spectrum
     otherwise, over the last ``grid.dims`` axes: ``field`` is one field or
-    a stack of fields, one per leading row.
+    a stack of fields, one per leading row.  The spectrum is written into
+    ``out`` when given, bit for bit as it would be returned.
 
     A 1D grid goes straight to the one-axis transform, which is the kernel
     the n-D transforms run per axis, without their shape handling.
     """
     if grid.dims == 1:
-        return np.fft.rfft(field) if real else np.fft.fft(field)
-    return np.fft.rfftn(field, axes=(-2, -1)) if real else np.fft.fftn(field, axes=(-2, -1))
-
-
-def _inverse(grid: Grid, fhat: np.ndarray, real: bool) -> np.ndarray:
-    """Inverse of :func:`_forward` onto ``grid``, of one spectrum or a stack."""
-    if grid.dims == 1:
-        return np.fft.irfft(fhat, grid.n) if real else np.fft.ifft(fhat)
+        return np.fft.rfft(field, out=out) if real else np.fft.fft(field, out=out)
     if real:
-        return np.fft.irfftn(fhat, s=grid.shape, axes=(-2, -1))
-    return np.fft.ifftn(fhat, axes=(-2, -1))
+        return np.fft.rfftn(field, axes=(-2, -1), out=out)
+    return np.fft.fftn(field, axes=(-2, -1), out=out)
+
+
+def _inverse(grid: Grid, fhat: np.ndarray, real: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`_forward` onto ``grid``, of one spectrum or a stack,
+    written into ``out`` when given."""
+    if grid.dims == 1:
+        return np.fft.irfft(fhat, grid.n, out=out) if real else np.fft.ifft(fhat, out=out)
+    if real:
+        return np.fft.irfftn(fhat, s=grid.shape, axes=(-2, -1), out=out)
+    return np.fft.ifftn(fhat, axes=(-2, -1), out=out)
 
 
 def _gradient(grid: Grid, fhat: np.ndarray, real: bool) -> list:
@@ -209,27 +225,29 @@ def _gradient(grid: Grid, fhat: np.ndarray, real: bool) -> list:
 # the call overhead is paid once.
 
 
-def _stack(grid: Grid, rows: int, half: bool = False) -> np.ndarray:
-    """Room for ``rows`` real fields on ``grid``, or for their half spectra
-    if ``half``, as the rows of one array."""
-    if half:
-        shape, dtype = grid.shape[:-1] + (grid.n // 2 + 1,), complex
-    else:
-        shape, dtype = grid.shape, float
-    return np.empty((rows,) + shape, dtype=dtype)
+def _half_shape(grid: Grid) -> tuple:
+    """Shape of the half spectrum of a real field on ``grid``."""
+    return grid.shape[:-1] + (grid.n // 2 + 1,)
 
 
-def _inverse_and_gradient(grid: Grid, fhat: np.ndarray) -> tuple:
+def _inverse_and_gradient(grid: Grid, fhat: np.ndarray, with_psi: bool = True,
+                          stack: np.ndarray | None = None) -> tuple:
     """(psi, gradient of psi) from the full spectrum ``fhat`` of a complex
     field, equal to ``_inverse(grid, fhat, False)`` and
     ``_gradient(grid, fhat, False)``: one transform of the stack
-    [fhat, ik_1 fhat, ...]."""
-    stack = np.empty((1 + grid.dims,) + grid.shape, dtype=complex)
-    stack[0] = fhat
+    [fhat, ik_1 fhat, ...], whose rows after the first are the gradient.
+    Without ``with_psi`` psi is None and the stack is [ik_1 fhat, ...].
+    The stack is built in ``stack`` when given, and is transformed in place
+    (bit for bit as into a new array), so both are rows of one array."""
+    lead = 1 if with_psi else 0
+    if stack is None:
+        stack = np.empty((lead + grid.dims,) + grid.shape, dtype=complex)
+    if with_psi:
+        stack[0] = fhat
     for a in range(grid.dims):
-        np.multiply(_ik(grid, a, False), fhat, out=stack[1 + a])
-    psi, *dpsi = _inverse(grid, stack, False)
-    return psi, dpsi
+        np.multiply(_ik(grid, a, False), fhat, out=stack[lead + a])
+    rows = _inverse(grid, stack, False, out=stack)
+    return (rows[0] if with_psi else None), rows[lead:]
 
 
 def gradient(grid: Grid, field: np.ndarray) -> list:

@@ -233,6 +233,18 @@ class TestEvolve:
             evolve(grid, psi0, cfg)
         assert not isinstance(err.value, StabilityError)
 
+    @pytest.mark.parametrize("coeffs", [None, q.MEParams(D1=0.1, b1=0.05, b6=0.02)], ids=["linear", "me"])
+    def test_state_the_band_filter_mostly_removes_refused(self, coeffs):
+        """A state whose content lies above the band filter (mode 30 on
+        n = 64; the filter keeps |k| <= 25.6) would start from filtered
+        roundoff; losing more than half its norm to the filter, it is
+        refused with ValueError before any snapshot."""
+        grid = q.make_grid(1, 64, 2 * np.pi)
+        cfg = EvolutionConfig(dt=1e-6, t_end=2e-6, coeffs=coeffs, stride=1)
+        with pytest.raises(ValueError, match="band filter removes 100.0%") as err:
+            evolve(grid, q.plane_wave(grid, 30), cfg)
+        assert not isinstance(err.value, StabilityError)
+
     def test_non_finite_initial_sample_refused(self):
         """A state of finite norm whose t = 0 sample is not finite is refused
         with ValueError, not aborted with a last good time before t = 0."""
@@ -246,6 +258,39 @@ class TestEvolve:
         psi0 = q.gaussian_packet(grid, t0=1.0)
         traj = evolve(grid, psi0, EvolutionConfig(dt=1e-3, t_end=0.01, coeffs=None, stride=3))
         assert all(b > a for a, b in zip(traj.ts, traj.ts[1:]))
+
+
+class TestLinearDispersion:
+    """The growth rate the module docstring states for perturbations of a
+    smooth active state,
+    lambda(q) = [-b1 q^4 + sqrt(b1^2 q^8 + q^4 (D1 q^2 - 1))] / 2,
+    read off a run: psi = exp(i eps (cos(14 x) + cos(3 x))) / sqrt(L) with
+    eps = 1e-8 on n = 64, L = 2 pi, at 0.2x the stability bound, fitting the
+    q-mode amplitude of the phase between t = 0.02 and t = 0.04 (the
+    decaying branch of q = 14, at -2010, is gone by then).  q = 14 grows
+    (D1 q^2 = 19.6); q = 3 has D1 q^2 = 0.9 < 1 and must not grow."""
+
+    @staticmethod
+    def rate(D1, b1, q_):
+        return (-b1 * q_**4 + np.sqrt(b1**2 * q_**8 + q_**4 * (D1 * q_**2 - 1.0))) / 2.0
+
+    @pytest.mark.parametrize("b6", [0.0, 0.02], ids=["b6_zero", "b6_nonzero"])
+    def test_growth_rate_matches_linearization(self, b6):
+        grid = q.make_grid(1, 64, 2 * np.pi)
+        x = grid.axis_coords()
+        me = q.MEParams(D1=0.1, b1=0.05, b6=b6)
+        psi0 = np.exp(1e-8j * (np.cos(14 * x) + np.cos(3 * x))) / np.sqrt(grid.length)
+        steps = 2 * int(np.ceil(0.02 / (0.2 * stability_bound(grid, me))))
+        traj = evolve(grid, psi0, EvolutionConfig(dt=0.04 / steps, t_end=0.04, coeffs=me,
+                                                  stride=steps // 2, observables=False))
+        assert traj.ts[1:] == pytest.approx([0.02, 0.04], rel=1e-12)
+        first, second = (np.abs(np.fft.fft(np.angle(f)))[[14, 3]] for f in traj.fields[1:])
+        fitted = np.log(second / first) / 0.02
+        # b6 multiplies t6 = grad(log rho) . grad(Lap S), which vanishes on a
+        # uniform background, so the rate does not move with it
+        assert fitted[0] == pytest.approx(self.rate(0.1, 0.05, 14), rel=1e-6)
+        assert self.rate(0.1, 0.05, 3) < 0.0
+        assert fitted[1] < 0.0
 
 
 def _bits(psi, psi_hat, state):
@@ -280,6 +325,78 @@ def test_step_from_a_saved_state_is_repeatable(case):
     assert _bits(*first) != before
 
 
+_EXT_2D = dict(a=[0.1, 0.05, 0.02, 0.03, 0.01] * 2 + [0.0] * 3,
+               b=[0.05, 0.01, 0.02, 0.01, 0.01, 0.02, 0.01, 0.0, 0.01, 0.0, 0.01, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("case", ["me_1d", "me_2d", "ext_2d"])
+def test_returned_states_hold_no_workspace_array(case):
+    """A step returns fresh arrays: stepping three times from its own
+    output leaves every triple returned before, and the saved start, with
+    the bytes it had when returned, composites included."""
+    if case == "me_1d":
+        grid = q.make_grid(1, 256, 2 * np.pi)
+        psi0, coeffs = perturbed_plane_wave(grid, seed=2), q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+    else:
+        grid = q.make_grid(2, 32, 2 * np.pi)
+        psi0 = q.random_state(grid, seed=1, cutoff=4, amplitude=0.3)
+        coeffs = q.MEParams(D1=0.1, b1=0.05, b6=0.02) if case == "me_2d" else q.ext_coeffs(**_EXT_2D)
+    dt = 0.05 * stability_bound(grid, coeffs)
+    stepper = _Stepper(grid, EvolutionConfig(dt=dt, t_end=4 * dt, coeffs=coeffs))
+    assert stepper.ws is not None
+    triples = [stepper.start(psi0)]
+    for _ in range(3):
+        triples.append(stepper.step(*triples[-1], False))
+    for triple in triples:  # a generic view builds its composites for the energy alone
+        triple[2].hv.fourth_order()
+
+    def bits(triple):
+        composites = vars(triple[2].hv._fourth_order).values()
+        return _bits(*triple) + [a.tobytes() for a in composites if isinstance(a, np.ndarray)]
+
+    bytes_when_returned = [bits(t) for t in triples]
+    for _ in range(3):  # overwrite the workspace again
+        stepper.step(*triples[-1], False)
+    assert [bits(t) for t in triples] == bytes_when_returned
+
+
+def test_one_step_allocates_what_it_returns():
+    """After the first step has filled the workspace, a 1D ME step
+    allocates little more than the arrays of the triple it returns; the
+    stages' records, spectra and combinations come from the workspace.
+    The margin, four complex fields, covers the Python objects of the new
+    record and numpy's cache of shape blocks (about 100 B); allocating the
+    stage arrays afresh, as a run without the workspace does, takes about
+    13 fields more than the returned arrays at n = 256."""
+    import tracemalloc
+
+    grid = q.make_grid(1, 256, 2 * np.pi)
+    me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+    dt = 0.05 * stability_bound(grid, me)
+    stepper = _Stepper(grid, EvolutionConfig(dt=dt, t_end=4 * dt, coeffs=me))
+    triple = stepper.step(*stepper.start(perturbed_plane_wave(grid, seed=2)), False)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        new = stepper.step(*triple, False)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    psi, psi_hat, state = new
+    arrays = [psi, psi_hat, state.mult]
+    for holder in (state.hv, state.hv._fourth_order):
+        for value in vars(holder).values():
+            arrays += [a for a in (value if isinstance(value, list) else [value]) if isinstance(a, np.ndarray)]
+    bases = {}
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        bases[id(a)] = a
+    returned = sum(a.nbytes for a in bases.values())
+    assert peak <= returned + 4 * 16 * grid.npoints
+
+
 #: Transform calls of one IF-RK4 step of the 1D three-parameter engine.  Per
 #: stage: ifft [psi, dpsi]; rfft [rho, g]; irfft [Lap rho, div g]; rfft
 #: [P, F]; irfft [dP, Lap P, div q]; fft of the explicit part.  Four stages
@@ -288,23 +405,25 @@ def test_step_from_a_saved_state_is_repeatable(case):
 ME_1D_TRANSFORMS_PER_STEP = 26
 
 #: The same on a 32^2 grid, without and with an observables sample every
-#: step.  The stage-a view takes its gradient one axis at a time from the
-#: new state's spectrum, one call more than in 1D.  The sampled current
-#: divergence forwards its two components as one stack.  One call per field
-#: made 65 and 74.
-ME_2D_TRANSFORMS_PER_STEP = 27
-ME_2D_TRANSFORMS_PER_SAMPLED_STEP = 35
+#: step.  The stage-a view takes its gradient from the new state's spectrum
+#: as one stacked inverse, as in 1D.  The sampled current divergence
+#: forwards its two components as one stack.  One call per field made 65
+#: and 74; one gradient call per axis made 27 and 35.
+ME_2D_TRANSFORMS_PER_STEP = 26
+ME_2D_TRANSFORMS_PER_SAMPLED_STEP = 34
 
 #: Transform calls of one IF-RK4 step of the 2D ``ext`` engine on the
 #: ``evolve_2d_ext`` coefficients, without and with an observables sample
-#: every step.  One call per field in the decompositions made 89 and 105.
-EXT_2D_TRANSFORMS_PER_STEP = 71
-EXT_2D_TRANSFORMS_PER_SAMPLED_STEP = 81
+#: every step.  One call per field in the decompositions made 89 and 105;
+#: one gradient call per axis in the stage-a view made 71 and 81.
+EXT_2D_TRANSFORMS_PER_STEP = 70
+EXT_2D_TRANSFORMS_PER_SAMPLED_STEP = 80
 
 #: ``np.where`` calls of one unsampled 1D three-parameter step on a state
-#: with no masked point: the gated-ratio pass of each of the four composites
-#: builds.  Masking every ratio with ``np.where`` made 20.
-ME_1D_UNMASKED_WHERES_PER_STEP = 4
+#: with no masked point.  The gated-ratio pass of each composites build
+#: writes its zeros in place, so none.  Masking every ratio with
+#: ``np.where`` made 20, and gating with it 4.
+ME_1D_UNMASKED_WHERES_PER_STEP = 0
 
 
 def _calls_per_step(monkeypatch, module, names):

@@ -16,7 +16,7 @@ from nlse4.spectral import (
     _inverse,
     _inverse_and_gradient,
     _laplacian_symbol,
-    _stack,
+    _half_shape,
     divergence,
     gradient,
     laplacian,
@@ -228,8 +228,7 @@ class TestRealFieldPath:
         stacked inverse, the form the composites use, equal gradient() and
         laplacian()."""
         grid = q.make_grid(dims, 64, 7.0)
-        fields = _stack(grid, 3)
-        assert isinstance(fields, np.ndarray)
+        fields = np.empty((3,) + grid.shape)
         for i, row in enumerate(fields):
             row[...] = self.field(grid, 6 + i)
         spec = _forward(grid, fields, True)
@@ -243,9 +242,22 @@ class TestRealFieldPath:
         assert np.array_equal(psi, _inverse(grid, psi_hat, False))
         for a, b in zip(dpsi, _gradient(grid, psi_hat, False)):
             assert np.array_equal(a, b)
+        # the gradient alone, from one stack inverted in place
+        stack = np.empty((dims,) + grid.shape, dtype=complex)
+        none, grad = _inverse_and_gradient(grid, psi_hat, with_psi=False, stack=stack)
+        assert none is None and grad.base is stack
+        for a, b in zip(grad, _gradient(grid, psi_hat, False)):
+            assert np.array_equal(a, b)
+        # a transform written into ``out`` has the bits of the returned one
+        for real, field in ((True, fields), (False, psi)):
+            spectrum = _forward(grid, field, real)
+            into = np.empty_like(spectrum)
+            assert _forward(grid, field, real, out=into) is into and np.array_equal(into, spectrum)
+            back = np.empty_like(field)
+            assert np.array_equal(_inverse(grid, spectrum, real, out=back), _inverse(grid, spectrum, real))
 
         fhat = spec[0]
-        stack = _stack(grid, dims + 1, half=True)
+        stack = np.empty((dims + 1,) + _half_shape(grid), dtype=complex)
         for a in range(dims):
             stack[a][...] = _ik(grid, a, True) * fhat
         stack[dims][...] = _laplacian_symbol(grid.n, grid.length, dims, True) * fhat

@@ -48,7 +48,8 @@ divergence), and each stage reuses:
   and its spectrum fftn(psi);
 * stages b, c and d: the spectrum each is synthesized from, the only input
   of their views (psi and its gradient come from one inverse); their
-  records live in the stepper's workspace until the next stage;
+  records live until the next stage, in the stepper's workspace where
+  it keeps one;
 * the observables sample of a state: that state's record, and the stored
   snapshot and current divergence of the previous sample's record, carried
   forward for the continuity residual.
@@ -64,7 +65,7 @@ on a 1D and on a 2D grid.
 On a grid of at most 4096 points the stepper keeps a workspace: arrays
 allocated on first request and reused for the rest of the run, so a run
 holds only what its engine asks for.  Every array of a stage's derivation
-is one of them (the psi and gradient stack and its inverse, the
+is one of them (the psi and gradient stack, inverted in place, the
 [rho, g, grad rho] stack, both spectra, Lap rho and div g, the [P, F]
 stack, the [div q, Lap P, dP] rows, the gated ratios, the multiplier and
 the explicit part with its spectrum), and so are the stage spectra and

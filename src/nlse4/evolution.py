@@ -62,21 +62,19 @@ their fields as stacks, one call per stack (the gradient of a state given
 with its spectrum too), so a three-parameter step makes 26 transform calls
 on a 1D and on a 2D grid.
 
-On a grid of at most 4096 points the stepper keeps a workspace: arrays
+On a grid of at most 1024 points the stepper keeps a workspace: arrays
 allocated on first request and reused for the rest of the run, so a run
-holds only what its engine asks for.  Every array of a stage's derivation
-is one of them (the psi and gradient stack, inverted in place, the
-[rho, g, grad rho] stack, both spectra, Lap rho and div g, the [P, F]
+holds only what its engine asks for.  Every array of a later stage's
+derivation is one of them (the psi and gradient stack, inverted in place,
+the [rho, g, grad rho] stack, both spectra, Lap rho and div g, the [P, F]
 stack, the [div q, Lap P, dP] rows, the gated ratios, the multiplier and
-the explicit part with its spectrum), and so are the stage spectra and
-stage inputs of the step, all filled through ``out=`` in the operation
-order of plain numpy expressions, so every value keeps its bits.  Records
-that outlive a stage (the state a step returns, the initial state, a
-sampled state, and a standalone :func:`derive`) hold fresh arrays; only
-their scratch comes from the workspace.  A larger grid allocates as it
-goes: there the workspace would raise the peak memory, and numpy evaluates
-expressions with temporaries of 256 KiB or more in place, in an operand
-order ``out=`` does not reproduce.
+the explicit part), filled through ``out=`` in the operation order of
+plain numpy expressions, so every value keeps its bits.  The stage spectra
+and inputs of a step, and every record that outlives a stage (the state a
+step returns, the initial state, a sampled state, a standalone
+:func:`derive`), are fresh arrays.  Reuse saves time only where numpy's
+fixed cost per call and per fresh array dominates, and it always raises
+the peak memory, so a larger grid allocates as it goes.
 
 The config's low-density gates (``eps_rho``, ``gate_factor``,
 ``ratio_floor``) reach every record through its view.  The stepper guards
@@ -113,12 +111,12 @@ from .currents import current_divergence
 from .functionals import functional_pair
 from .hydro import (
     _FRESH,
+    _TMP,
     DEFAULT_EPS_RHO,
     DEFAULT_GATE_FACTOR,
     DEFAULT_RATIO_FLOOR,
     HydroView,
     _Buffer,
-    _BufferScope,
     _Layout,
     hydro_decompose,
 )
@@ -223,8 +221,8 @@ class Trajectory:
 
 
 #: the arrays of a multiplier: the phase and continuity channels share a
-#: scratch row, and the multiplier is a record
-_MULTIPLIER = _Layout(_Buffer("channel"), _Buffer("tmp"), _Buffer("mult", dtype=complex, record=True))
+#: scratch row, with the decomposition's temporary, and the multiplier
+_MULTIPLIER = _Layout(_Buffer("channel"), _TMP, _Buffer("mult", dtype=complex))
 
 
 def nonlinear_multiplier(hv: HydroView, coeffs):
@@ -379,20 +377,16 @@ class _GuardFailed(ValueError):
 
 
 class _Workspace:
-    """The arrays of one run, each allocated on its first request and handed
-    out again on every later one, so a run holds only what its engine asks
-    for (an ``ext`` run never holds the ME composite buffers).  Arrays are
-    found by name, so layouts that name the same scratch share its array.
+    """The arrays of one run's stages, each allocated on its first request
+    and handed out again on every later one, so a run holds only what its
+    engine asks for (an ``ext`` run never holds the ME composite buffers).
+    An array is found by its :class:`~nlse4.hydro._Buffer` declaration, so
+    layouts that declare the same buffer share its array and differing
+    declarations never meet.  The records of a stage live here until the
+    next stage."""
 
-    ``take(grid, layout)`` serves the stage records, which live here until
-    the next stage.  Its ``kept`` view serves records that outlive a stage
-    (the initial state, each new state, a sampled state): their fields are
-    allocated anew, and only their scratch comes from the run's arrays.
-    Neither refers to the other, so both are freed with the stepper."""
-
-    def __init__(self, arrays: dict | None = None):
-        self._arrays = {} if arrays is None else arrays
-        self._taken = {}
+    def __init__(self):
+        self._arrays, self._taken = {}, {}
 
     def take(self, grid: Grid, layout: _Layout) -> tuple:
         arrays = self._taken.get(layout)
@@ -401,42 +395,20 @@ class _Workspace:
         return arrays
 
     def _array(self, grid: Grid, buf: _Buffer) -> np.ndarray:
-        arr = self._arrays.get(buf.name)
+        arr = self._arrays.get(buf)
         if arr is None:
-            arr = self._arrays[buf.name] = buf.allocate(grid)
+            arr = self._arrays[buf] = buf.allocate(grid)
         return arr
 
-    @cached_property
-    def kept(self) -> "_Workspace":
-        return _KeptRecords(self._arrays)
 
+#: Largest grid, in points, whose run keeps a :class:`_Workspace`.  Reusing
+#: the stage arrays pays where numpy's fixed cost per call and per fresh
+#: array dominates: a 1D ME step at n = 1024 ran 5.9% faster and a 32^2 ME
+#: step 4.3% (CPU time, 16 alternating runs each).  From 2048 points on it
+#: saved nothing beyond the noise, or cost 2% (1D ME 2048 and 4096, 64^2
+#: ME), while the traced peak of a run grew by 37-71% at every size.
+_WORKSPACE_POINTS = 1024
 
-class _KeptRecords(_Workspace):
-    """The ``kept`` view of a :class:`_Workspace`: fresh record arrays, the
-    workspace's scratch."""
-
-    def take(self, grid: Grid, layout: _Layout) -> tuple:
-        # per layout, the shape and dtype of each record, or the scratch array
-        plan = self._taken.get(layout)
-        if plan is None:
-            plan = self._taken[layout] = tuple(
-                (buf.shape(grid), buf.dtype) if buf.record else self._array(grid, buf)
-                for buf in layout.buffers)
-        return tuple(np.empty(*p) if type(p) is tuple else p for p in plan)
-
-
-#: Largest grid, in points, whose run keeps a :class:`_Workspace`.  On small
-#: fields numpy's fixed cost per call and per fresh array dominates, and the
-#: workspace saves the allocations; on a 128^2 ``ext`` run it held 7.7 MB
-#: more at the peak (55.2 -> 63.0 MB) and faulted more pages per step
-#: (684 -> 969) at the same step time, so larger grids allocate as they go.
-_WORKSPACE_POINTS = 4096
-
-#: the stage spectra a..d, the stage input, e_full psi_hat and a temporary
-_STEP = _Layout(*(_Buffer(name, dtype=complex) for name in ("a_hat", "b_hat", "c_hat", "d_hat", "stage_in",
-                                                               "full_hat", "tmp_hat_step")))
-#: the density of the new psi, with a temporary
-_DENSITY = _Layout(_Buffer("density"), _Buffer("density_tmp"))
 #: the explicit part of a stage; its nonlinear term when there is a
 #: potential; a linear stage's psi
 _RHS = _Layout(_Buffer("rhs", dtype=complex))
@@ -463,9 +435,6 @@ class _Stepper:
         self.pot_vals = config.potential.values if config.potential is not None else None
         self.norm0, self.prev = None, None
         self.ws = _Workspace() if grid.npoints <= _WORKSPACE_POINTS else None
-        # where the records of a stage and of a kept state put their arrays
-        self._stage_scope = _BufferScope(_FRESH if self.ws is None else self.ws)
-        self._kept_scope = _BufferScope(_FRESH if self.ws is None else self.ws.kept)
 
     def _arrays(self, layout: _Layout) -> tuple:
         """The workspace arrays of ``layout``, or Nones (numpy allocates)
@@ -514,25 +483,24 @@ class _Stepper:
         if not (sampled or self.nonlinear):
             return None
         c = self.config
-        with self._stage_scope if stage else self._kept_scope:
-            hv = hydro_decompose(self.grid, psi, eps_rho=c.eps_rho, psi_hat=psi_hat,
-                                 gate_factor=c.gate_factor, ratio_floor=c.ratio_floor)
+        hv = hydro_decompose(self.grid, psi, eps_rho=c.eps_rho, psi_hat=psi_hat, gate_factor=c.gate_factor,
+                             ratio_floor=c.ratio_floor, _buffers=self.ws if stage and self.ws is not None else _FRESH)
         if not sampled and hv.masked_fraction > c.mask_limit:
             raise MaskOverflowError(hv.masked_fraction, c.mask_limit)
         return derive(hv, c.coeffs, c.constants)
 
-    def explicit_hat(self, p_hat, out=None, psi=None, state=None):
+    def explicit_hat(self, p_hat, psi=None, state=None):
         """Spectrum of the explicit part at the stage input synthesized as
-        ``p_hat``, written into ``out`` when given.  Stage a passes its psi
-        and record; a later stage is decomposed from ``p_hat`` alone into the
-        workspace (a linear run inverts it)."""
+        ``p_hat``.  Stage a passes its psi and record; a later stage is
+        decomposed from ``p_hat`` alone, into the workspace when the run
+        keeps one (a linear run inverts it)."""
         if psi is None:
             state = self.state(None, p_hat, stage=True)
             psi = state.psi if state else _inverse(self.grid, p_hat, False, out=self._arrays(_LINEAR_PSI)[0])
         term = self._arrays(_TERM)[0] if self.pot_vals is not None else None
         rhs = _explicit_rhs(psi, self.pot_vals, state and state.mult, self.config.constants.hbar,
                             self._arrays(_RHS)[0], term)
-        return _forward(self.grid, np.zeros_like(psi) if rhs is None else rhs, False, out=out)
+        return _forward(self.grid, np.zeros_like(psi) if rhs is None else rhs, False)
 
     def step(self, psi, psi_hat, state, last):
         """The (psi, psi_hat, state) one step after psi, given its spectrum
@@ -540,13 +508,15 @@ class _Stepper:
         state is None when the step is the ``last``.  The new psi passes the
         norm guard before it is transformed or derived: non-finite or drifted
         beyond ``norm_tol``, it raises :class:`_GuardFailed`."""
-        tol = self.config.norm_tol
-        new_hat = (self._combine if self.ws is None else self._combine_in_workspace)(psi, psi_hat, state)
-        psi = _inverse(self.grid, np.multiply(self.filt, new_hat, out=new_hat), False)
-        density, density_tmp = self._arrays(_DENSITY)
-        density = np.multiply(psi.real, psi.real, out=density)
-        density += np.multiply(psi.imag, psi.imag, out=density_tmp)
-        drift = abs(float(self.grid.integrate(density)) - self.norm0)
+        dt, e_half, e_full, tol = self.config.dt, self.e_half, self.e_full, self.config.norm_tol
+        a_hat = self.explicit_hat(psi_hat, psi, state)
+        b_hat = self.explicit_hat(e_half * (psi_hat + (0.5 * dt) * a_hat))
+        c_hat = self.explicit_hat(e_half * psi_hat + (0.5 * dt) * b_hat)
+        full_hat = e_full * psi_hat
+        d_hat = self.explicit_hat(full_hat + dt * e_half * c_hat)
+        new_hat = full_hat + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
+        psi = _inverse(self.grid, self.filt * new_hat, False)
+        drift = abs(float(self.grid.integrate(psi.real**2 + psi.imag**2)) - self.norm0)
         if not np.isfinite(drift):
             raise _GuardFailed("non-finite samples")
         if drift > tol * max(self.norm0, 1.0):
@@ -555,52 +525,6 @@ class _Stepper:
         # stage a and for its sample.
         psi_hat = _forward(self.grid, psi, False)
         return psi, psi_hat, None if last else self.state(psi, psi_hat)
-
-    def _combine(self, psi, psi_hat, state):
-        """The unfiltered spectrum one step after psi: the four stages and
-        their IF-RK4 combination, on fresh arrays."""
-        dt, e_half, e_full = self.config.dt, self.e_half, self.e_full
-        a_hat = self.explicit_hat(psi_hat, None, psi, state)
-        b_hat = self.explicit_hat(e_half * (psi_hat + (0.5 * dt) * a_hat))
-        c_hat = self.explicit_hat(e_half * psi_hat + (0.5 * dt) * b_hat)
-        full_hat = e_full * psi_hat
-        d_hat = self.explicit_hat(full_hat + dt * e_half * c_hat)
-        return full_hat + (dt / 6.0) * (e_full * a_hat + 2.0 * e_half * (b_hat + c_hat) + d_hat)
-
-    def _combine_in_workspace(self, psi, psi_hat, state):
-        """:meth:`_combine` on the workspace's arrays, in the same operation
-        order.  Both forms are kept because numpy evaluates an expression
-        whose temporary holds 256 KiB or more in place, and for a
-        commutative operator it may swap the operands to do so; complex
-        multiplication with fused multiply-adds does not round a * b and
-        b * a alike.  A workspace field (at most ``_WORKSPACE_POINTS``
-        complex points, 64 KiB) never meets that, so written with ``out=``
-        each value keeps the bits :meth:`_combine` gives it."""
-        dt, e_half, e_full = self.config.dt, self.e_half, self.e_full
-        a_hat, b_hat, c_hat, d_hat, stage_in, full_hat, tmp = self._arrays(_STEP)
-        self.explicit_hat(psi_hat, a_hat, psi, state)
-        # b = e_half (psi_hat + dt/2 a)
-        np.multiply(0.5 * dt, a_hat, out=stage_in)
-        np.add(psi_hat, stage_in, out=stage_in)
-        self.explicit_hat(np.multiply(e_half, stage_in, out=stage_in), b_hat)
-        # c = e_half psi_hat + dt/2 b
-        np.multiply(e_half, psi_hat, out=stage_in)
-        stage_in += np.multiply(0.5 * dt, b_hat, out=tmp)
-        self.explicit_hat(stage_in, c_hat)
-        # d = e_full psi_hat + (dt e_half) c
-        np.multiply(e_full, psi_hat, out=full_hat)
-        np.multiply(dt, e_half, out=tmp)
-        tmp *= c_hat
-        self.explicit_hat(np.add(full_hat, tmp, out=stage_in), d_hat)
-        # e_full psi_hat + dt/6 (e_full a + (2 e_half)(b + c) + d)
-        new_hat = np.multiply(e_full, a_hat, out=stage_in)
-        np.multiply(2.0, e_half, out=tmp)
-        b_hat += c_hat
-        tmp *= b_hat
-        new_hat += tmp
-        new_hat += d_hat
-        np.multiply(dt / 6.0, new_hat, out=new_hat)
-        return np.add(full_hat, new_hat, out=new_hat)
 
     def record(self, traj: Trajectory, t: float, psi, psi_hat, state):
         """Store one snapshot in ``traj``; its sample reads the state's record

@@ -26,10 +26,11 @@ engine, diagnostics and checks read them, the three-parameter engine does
 not.
 
 The decomposition, its composites and its multiplier fill their arrays
-through ``out=``, taking them from the buffers in scope when the view is
-decomposed: fresh arrays for a standalone call, a run's workspace when the
-time stepper decomposes a stage (see :mod:`nlse4.evolution`).  The view
-records its buffers, so its composites and multiplier use the same ones.
+through ``out=``, taking them from the view's buffers: a standalone call
+lets numpy allocate each array where it is made, and the time stepper
+passes a stage's decomposition its run's workspace (see
+:mod:`nlse4.evolution`).  The view records its buffers, so its composites
+and multiplier use the same ones.
 
 Fourth-order composites (e.g. rho*Lap(Lap S)) are assembled from
 density-weighted numerators that decay with rho, and are zeroed wherever the
@@ -43,7 +44,6 @@ numerator falls below a spectral roundoff floor.  Consequences:
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -86,16 +86,15 @@ class _Buffer:
     """One array that a decomposition, a composites build or a multiplier
     fills: ``rows`` leading rows (a pair (a, b) for a + b * dims rows, None
     for one field) over the grid, or over the half spectrum of a real field
-    if ``half``.  A ``record`` array is kept by the view or its composites;
-    any other is scratch, dead when the call returns.  Scratch that is only
-    ever the ``out=`` of a call may be None, and numpy then allocates it
-    where it is used; scratch the code fills row by row is ``written``."""
+    if ``half``.  Equal declarations name the same array of a workspace.
+    An array the code fills row by row is ``written`` and must exist before
+    it is filled; any other is the ``out=`` of the call that makes it, and
+    may be None, so that numpy allocates it there."""
 
     name: str
     rows: tuple | None = None
     dtype: type = float
     half: bool = False
-    record: bool = False
     written: bool = False
 
     def shape(self, grid: Grid) -> tuple:
@@ -120,59 +119,40 @@ class _Layout:
 
 class _Fresh:
     """The buffers of a standalone decomposition: ``take(grid, layout)``
-    allocates the record and written arrays of ``layout`` anew and leaves
-    the other scratch to numpy (None), so each temporary lives only as long
-    as its use.  A run hands out arrays of its own instead
-    (``evolution._Workspace``), through :class:`_BufferScope`."""
+    allocates the ``written`` arrays of ``layout`` anew and leaves every
+    other one to numpy (None), so each array is allocated where it is made,
+    as plain expressions allocate it.  A run passes a workspace of its own
+    instead (``evolution._Workspace``)."""
 
     @staticmethod
     def take(grid: Grid, layout: _Layout) -> tuple:
-        return tuple(buf.allocate(grid) if buf.record or buf.written else None for buf in layout.buffers)
+        return tuple(buf.allocate(grid) if buf.written else None for buf in layout.buffers)
 
 
 _FRESH = _Fresh()
-_BUFFERS = ContextVar("nlse4_hydro_buffers", default=_FRESH)
-
-
-class _BufferScope:
-    """Decompositions made inside ``with _BufferScope(buffers)`` take their
-    arrays from ``buffers``; the view records them for its composites and
-    multiplier."""
-
-    __slots__ = ("buffers", "token")
-
-    def __init__(self, buffers):
-        self.buffers = buffers
-
-    def __enter__(self):
-        self.token = _BUFFERS.set(self.buffers)
-
-    def __exit__(self, *exc):
-        _BUFFERS.reset(self.token)
-
 
 _TMP = _Buffer("tmp")
 _TMP_HAT = _Buffer("tmp_hat", dtype=complex, half=True)
 _DOT = _Buffer("dot")
 #: psi and its gradient from the spectrum alone, one stack inverted in place
-_FROM_SPECTRUM = _Layout(_Buffer("psi_rows", (1, 1), complex, record=True))
+_FROM_SPECTRUM = _Layout(_Buffer("psi_rows", (1, 1), complex))
 #: the gradient of a given psi, from its spectrum (taken into ``psi_hat``
 #: when not given)
 _FORWARD = _Layout(_Buffer("psi_hat", dtype=complex))
 _GRADIENT = _Layout(_Buffer("dpsi", (0, 1), complex))
 _DECOMPOSE = _Layout(
-    _Buffer("smooth", (1, 2), record=True), _TMP, _Buffer("conj", dtype=complex), _Buffer("cd", dtype=complex),
-    _Buffer("mask", dtype=bool, record=True), _Buffer("smooth_hat", (1, 1), complex, half=True),
-    _Buffer("lap_div_hat", (2, 0), complex, half=True), _TMP_HAT, _Buffer("lap_div", (2, 0), record=True), _DOT,
+    _Buffer("smooth", (1, 2), written=True), _TMP, _Buffer("conj", dtype=complex), _Buffer("cd", dtype=complex),
+    _Buffer("mask", dtype=bool), _Buffer("smooth_hat", (1, 1), complex, half=True),
+    _Buffer("lap_div_hat", (2, 0), complex, half=True), _TMP_HAT, _Buffer("lap_div", (2, 0)), _DOT,
 )
 _COMPOSITES = _Layout(
     _Buffer("ratio_P"), _Buffer("PF", (1, 1), written=True), _Buffer("PF_hat", (1, 1), complex, half=True),
-    _Buffer("composites_hat", (2, 1), complex, half=True, written=True), _TMP_HAT, _Buffer("composites", (2, 1), record=True),
+    _Buffer("composites_hat", (2, 1), complex, half=True, written=True), _TMP_HAT, _Buffer("composites", (2, 1)),
     _DOT, _TMP, _Buffer("dense", dtype=bool),
 )
 _NOISE_GATE = _Layout(_Buffer("abs_grads", (0, 2)), _TMP)
 _GATED = _Layout(_Buffer("abs_numerators", (3, 0)), _Buffer("keep", (3, 0), bool),
-                 _Buffer("gated_ratios", (3, 0), record=True))
+                 _Buffer("gated_ratios", (3, 0), written=True))
 
 
 @dataclass
@@ -283,6 +263,8 @@ def hydro_decompose(
     psi_hat: np.ndarray | None = None,
     gate_factor: float = DEFAULT_GATE_FACTOR,
     ratio_floor: float = DEFAULT_RATIO_FLOOR,
+    *,
+    _buffers=_FRESH,
 ) -> HydroView:
     """Decompose psi into density, its phase-current numerators and their
     derivatives.
@@ -297,8 +279,7 @@ def hydro_decompose(
     gradient come from one inverse transform, and the spectrum is validated
     as psi would be.
     """
-    buffers = _BUFFERS.get()
-    dims = grid.dims
+    buffers, dims = _buffers, grid.dims
     if psi is None:
         if psi_hat is None:
             raise ValueError("need the wavefunction or its spectrum psi_hat")
@@ -330,7 +311,7 @@ def hydro_decompose(
     rho_max = float(np.maximum.reduce(rho, axis=None))
     if rho_max == 0.0:
         raise ValueError("wavefunction vanishes identically")
-    np.less(rho, eps_rho * rho_max, out=mask)
+    mask = np.less(rho, eps_rho * rho_max, out=mask)
     masked = np.count_nonzero(mask)
 
     # Lap rho and div g, from one forward and one inverse transform of stacks
@@ -450,7 +431,7 @@ def fourth_order_composites(hv: HydroView) -> FourthOrder:
         spec[0] += np.multiply(ik, tmp_hat, out=tmp_hat)
     # of the rows [div q, Lap P, d_1 P, ...] the first three become the
     # numerators [div q, r1, r6]
-    _inverse(grid, spec, True, out=rows)
+    rows = _inverse(grid, spec, True, out=rows)
     nums = rows[:3]
     div_q, r1, r6 = nums
     dot = np.subtract(r6, F[0], out=dot)

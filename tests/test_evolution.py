@@ -360,41 +360,33 @@ def test_returned_states_hold_no_workspace_array(case):
     assert [bits(t) for t in triples] == bytes_when_returned
 
 
-def test_one_step_allocates_what_it_returns():
-    """After the first step has filled the workspace, a 1D ME step
-    allocates little more than the arrays of the triple it returns; the
-    stages' records, spectra and combinations come from the workspace.
-    The margin, four complex fields, covers the Python objects of the new
-    record and numpy's cache of shape blocks (about 100 B); allocating the
-    stage arrays afresh, as a run without the workspace does, takes about
-    13 fields more than the returned arrays at n = 256."""
+def test_a_later_stage_allocates_only_its_spectrum():
+    """After the first step has filled the workspace, a later stage of a 1D
+    ME step (decomposed from its spectrum alone, then its multiplier and
+    explicit part) allocates little more than the spectrum it returns: its
+    record and scratch come from the workspace.  The margin, two complex
+    fields, covers the Python objects of the record, the finiteness mask of
+    the spectrum and numpy's cache of shape blocks (about 100 B; together
+    0.7 fields); the same stage without the workspace allocates about 13
+    fields more than its spectrum."""
     import tracemalloc
 
-    grid = q.make_grid(1, 256, 2 * np.pi)
+    grid = q.make_grid(1, 1024, 2 * np.pi)
     me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
     dt = 0.05 * stability_bound(grid, me)
     stepper = _Stepper(grid, EvolutionConfig(dt=dt, t_end=4 * dt, coeffs=me))
-    triple = stepper.step(*stepper.start(perturbed_plane_wave(grid, seed=2)), False)
+    assert stepper.ws is not None
+    psi, psi_hat, _ = stepper.step(*stepper.start(perturbed_plane_wave(grid, seed=2)), False)
+    stage_input = stepper.e_half * psi_hat
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        new = stepper.step(*triple, False)
+        spectrum = stepper.explicit_hat(stage_input)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    psi, psi_hat, state = new
-    arrays = [psi, psi_hat, state.mult]
-    for holder in (state.hv, state.hv._fourth_order):
-        for value in vars(holder).values():
-            arrays += [a for a in (value if isinstance(value, list) else [value]) if isinstance(a, np.ndarray)]
-    bases = {}
-    for a in arrays:
-        while a.base is not None:
-            a = a.base
-        bases[id(a)] = a
-    returned = sum(a.nbytes for a in bases.values())
-    assert peak <= returned + 4 * 16 * grid.npoints
+    assert peak <= spectrum.nbytes + 2 * 16 * grid.npoints
 
 
 #: Transform calls of one IF-RK4 step of the 1D three-parameter engine.  Per

@@ -406,7 +406,7 @@ class _Workspace:
 #: array dominates: a 1D ME step at n = 1024 ran 5.9% faster and a 32^2 ME
 #: step 4.3% (CPU time, 16 alternating runs each).  From 2048 points on it
 #: saved nothing beyond the noise, or cost 2% (1D ME 2048 and 4096, 64^2
-#: ME), while the traced peak of a run grew by 37-71% at every size.
+#: ME), while the traced peak of a run grew by 12-71% at every size.
 _WORKSPACE_POINTS = 1024
 
 #: the explicit part of a stage; its nonlinear term when there is a

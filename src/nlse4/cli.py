@@ -260,6 +260,19 @@ def _abort(out_dir: Path, summary: dict, abort: EvolutionAbort, quiet: bool) -> 
     return 3
 
 
+def _check_centered_sampling(evcfg: EvolutionConfig):
+    """Refuse a run whose samples centered differences cannot use: they
+    need at least three samples, uniformly spaced, so the run's steps must
+    be a whole number of strides, and at least two."""
+    steps, stride = evcfg.n_steps(), evcfg.stride
+    if steps % stride:
+        raise ConfigError(f"ehrenfest: the run's {steps} steps (t_end / dt) are not a multiple of "
+                          f"stride {stride}, so its last sample is not uniformly spaced")
+    if steps < 2 * stride:
+        raise ConfigError(f"ehrenfest: the run's {steps} steps (t_end / dt) give {steps // stride + 1} "
+                          f"samples at stride {stride}; centered differences need at least 3")
+
+
 def _evolve_run(command: str, config: dict, out_dir: Path, seed, quiet: bool) -> tuple:
     """Parse the run sections and evolve: ``(grid, trajectory, summary)``,
     with trajectory None after an abort (partial report written)."""
@@ -270,6 +283,8 @@ def _evolve_run(command: str, config: dict, out_dir: Path, seed, quiet: bool) ->
     psi0 = _parse_state(config["state"], grid, constants, seed_override=seed)
     evcfg = _parse_evolution(config["evolution"], coeffs, constants, potential,
                              snapshots=command == "evolve")
+    if command == "ehrenfest":
+        _check_centered_sampling(evcfg)
     summary = _summary_skeleton(command, config)
     try:
         return grid, evolve(grid, psi0, evcfg), summary

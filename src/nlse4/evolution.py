@@ -64,17 +64,20 @@ on a 1D and on a 2D grid.
 
 On a grid of at most 1024 points the stepper keeps a workspace: arrays
 allocated on first request and reused for the rest of the run, so a run
-holds only what its engine asks for.  Every array of a later stage's
-derivation is one of them (the psi and gradient stack, inverted in place,
-the [rho, g, grad rho] stack, both spectra, Lap rho and div g, the [P, F]
-stack, the [div q, Lap P, dP] rows, the gated ratios, the multiplier and
-the explicit part), filled through ``out=`` in the operation order of
-plain numpy expressions, so every value keeps its bits.  The stage spectra
-and inputs of a step, and every record that outlives a stage (the state a
-step returns, the initial state, a sampled state, a standalone
-:func:`derive`), are fresh arrays.  Reuse saves time only where numpy's
-fixed cost per call and per fresh array dominates, and it always raises
-the peak memory, so a larger grid allocates as it goes.
+holds only what its engine asks for.  It holds the arrays a later stage's
+transforms read and write and the rows filled into them: the psi and
+gradient stack, inverted in place, the [rho, g, grad rho] stack and its
+spectrum, the Lap rho and div g spectrum and fields, the [P, F] stack and
+its spectrum, the composites spectrum and rows, the gated ratios, the
+explicit part and a linear stage's psi.  They are filled through ``out=``
+in the operation order of plain numpy expressions, so every value keeps
+its bits; every other temporary of a stage (psi*, the node mask, the
+multiplier, ...) is a plain expression that numpy allocates where it is
+made.  The stage spectra and inputs of a step, and every record that
+outlives a stage (the state a step returns, the initial state, a sampled
+state, a standalone :func:`derive`), are fresh arrays.  Reuse saves time
+only where numpy's fixed cost per call and per fresh array dominates, and
+it always raises the peak memory, so a larger grid allocates as it goes.
 
 The config's low-density gates (``eps_rho``, ``gate_factor``,
 ``ratio_floor``) reach every record through its view.  The stepper guards
@@ -92,11 +95,17 @@ perturbation growth at wavenumbers q with D1 q^2 > 1,
 
     lambda(q) = [-b1 q^4 + sqrt(b1^2 q^8 + q^4 (D1 q^2 - 1))] / 2,
 
-approximately (D1 q^2 - 1)/(4 b1) once the b1 term dominates.  States the
-operator annihilates (quadratic phases) are immune because the gated
-nonlinearity returns exact zeros, but runs with active nonlinearity amplify
-roundoff at up to lambda(k_max); choose window length, resolution and b1 so
-that lambda(k_max) * t_end stays well below ln(tolerance/1e-16).
+approximately (D1 q^2 - 1)/(4 b1) once the b1 term dominates.  Only this
+growing branch is measured to match a run (to 4e-9 relative).  Where
+D1 q^2 < 1 the expression does not give the decay a run shows: at
+(D1, b1) = (0.004, 0.05), q = 14 a phase mode decayed at -0.063 against
+-1.08, and at (0.1, 0.05), q = 3 at -4.16, outside both roots; so
+``TestLinearDispersion`` (tests/test_evolution.py) asserts only that such
+a mode does not grow.  States the operator annihilates (quadratic phases)
+are immune because the gated nonlinearity returns exact zeros, but runs
+with active nonlinearity amplify roundoff at up to lambda(k_max); choose
+window length, resolution and b1 so that lambda(k_max) * t_end stays well
+below ln(tolerance/1e-16).
 """
 
 from __future__ import annotations
@@ -111,7 +120,6 @@ from .currents import current_divergence
 from .functionals import functional_pair
 from .hydro import (
     _FRESH,
-    _TMP,
     DEFAULT_EPS_RHO,
     DEFAULT_GATE_FACTOR,
     DEFAULT_RATIO_FLOOR,
@@ -220,11 +228,6 @@ class Trajectory:
         return self.fields[-1]
 
 
-#: the arrays of a multiplier: the phase and continuity channels share a
-#: scratch row, with the decomposition's temporary, and the multiplier
-_MULTIPLIER = _Layout(_Buffer("channel"), _TMP, _Buffer("mult", dtype=complex))
-
-
 def nonlinear_multiplier(hv: HydroView, coeffs):
     """The complex field c(x) with nonlinear dpsi/dt = c(x) psi for the state
     decomposed in ``hv``, or None for the linear equation.
@@ -235,20 +238,11 @@ def nonlinear_multiplier(hv: HydroView, coeffs):
     """
     if is_linear(coeffs):
         return None
-    phase, tmp, mult = hv._buffers.take(hv.grid, _MULTIPLIER)
     if isinstance(coeffs, MEParams):
         fo = hv.fourth_order()
-        # -(D1/2) u - 1j (b1 t1 + b6 t6)
-        phase = np.multiply(coeffs.b1, fo.t1, out=phase)
-        phase += np.multiply(coeffs.b6, fo.t6, out=tmp)
-        i_phase = np.multiply(1j, phase, out=mult)
-        continuity = np.multiply(-(0.5 * coeffs.D1), fo.u, out=phase)
-    else:
-        # -(D/2) fa - (1j D) fb
-        fa, fb = functional_pair(coeffs, hv)
-        i_phase = np.multiply(1j * coeffs.D, fb, out=mult)
-        continuity = np.multiply(-(0.5 * coeffs.D), fa, out=phase)
-    return np.subtract(continuity, i_phase, out=i_phase)
+        return -(0.5 * coeffs.D1) * fo.u - 1j * (coeffs.b1 * fo.t1 + coeffs.b6 * fo.t6)
+    fa, fb = functional_pair(coeffs, hv)
+    return -(0.5 * coeffs.D) * fa - 1j * coeffs.D * fb
 
 
 @dataclass(frozen=True)
@@ -303,11 +297,10 @@ def derive(hv: HydroView, coeffs, constants: PhysicalConstants = NATURAL_UNITS) 
     return State(hv, nonlinear_multiplier(hv, coeffs), coeffs, constants)
 
 
-def _explicit_rhs(psi: np.ndarray, pot_vals, mult, hbar: float, out=None, tmp=None):
+def _explicit_rhs(psi: np.ndarray, pot_vals, mult, hbar: float, out=None):
     """Potential plus nonlinear part of dpsi/dt, or None when both vanish;
     ``mult`` is the nonlinear multiplier of psi (None for the linear
-    equation).  The result is written into ``out`` when given, and with a
-    potential the nonlinear term into ``tmp``."""
+    equation).  The result is written into ``out`` when given."""
     rhs = None
     if pot_vals is not None:
         rhs = np.multiply(-1j / hbar, pot_vals, out=out)
@@ -316,7 +309,7 @@ def _explicit_rhs(psi: np.ndarray, pot_vals, mult, hbar: float, out=None, tmp=No
         if rhs is None:
             rhs = np.multiply(mult, psi, out=out)
         else:
-            rhs = np.add(rhs, np.multiply(mult, psi, out=tmp), out=rhs)
+            rhs += mult * psi
     return rhs
 
 
@@ -377,28 +370,20 @@ class _GuardFailed(ValueError):
 
 
 class _Workspace:
-    """The arrays of one run's stages, each allocated on its first request
-    and handed out again on every later one, so a run holds only what its
-    engine asks for (an ``ext`` run never holds the ME composite buffers).
-    An array is found by its :class:`~nlse4.hydro._Buffer` declaration, so
-    layouts that declare the same buffer share its array and differing
-    declarations never meet.  The records of a stage live here until the
-    next stage."""
+    """The arrays of one run's stages, each layout's allocated on its first
+    request and handed out again on every later one, so a run holds only
+    what its engine asks for (an ``ext`` run never holds the ME composite
+    arrays).  The arrays of a stage's record live here until the next
+    stage."""
 
     def __init__(self):
-        self._arrays, self._taken = {}, {}
+        self._taken = {}
 
     def take(self, grid: Grid, layout: _Layout) -> tuple:
         arrays = self._taken.get(layout)
         if arrays is None:
-            arrays = self._taken[layout] = tuple(self._array(grid, buf) for buf in layout.buffers)
+            arrays = self._taken[layout] = tuple(buf.allocate(grid) for buf in layout.buffers)
         return arrays
-
-    def _array(self, grid: Grid, buf: _Buffer) -> np.ndarray:
-        arr = self._arrays.get(buf)
-        if arr is None:
-            arr = self._arrays[buf] = buf.allocate(grid)
-        return arr
 
 
 #: Largest grid, in points, whose run keeps a :class:`_Workspace`.  Reusing
@@ -409,10 +394,8 @@ class _Workspace:
 #: ME), while the traced peak of a run grew by 12-71% at every size.
 _WORKSPACE_POINTS = 1024
 
-#: the explicit part of a stage; its nonlinear term when there is a
-#: potential; a linear stage's psi
+#: the explicit part of a stage; a linear stage's psi
 _RHS = _Layout(_Buffer("rhs", dtype=complex))
-_TERM = _Layout(_Buffer("term", dtype=complex))
 _LINEAR_PSI = _Layout(_Buffer("linear_psi", dtype=complex))
 
 
@@ -497,9 +480,8 @@ class _Stepper:
         if psi is None:
             state = self.state(None, p_hat, stage=True)
             psi = state.psi if state else _inverse(self.grid, p_hat, False, out=self._arrays(_LINEAR_PSI)[0])
-        term = self._arrays(_TERM)[0] if self.pot_vals is not None else None
         rhs = _explicit_rhs(psi, self.pot_vals, state and state.mult, self.config.constants.hbar,
-                            self._arrays(_RHS)[0], term)
+                            self._arrays(_RHS)[0])
         return _forward(self.grid, np.zeros_like(psi) if rhs is None else rhs, False)
 
     def step(self, psi, psi_hat, state, last):

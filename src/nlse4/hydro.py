@@ -25,12 +25,14 @@ Lap S and Lap rho / rho are derived on first read: the generic functional
 engine, diagnostics and checks read them, the three-parameter engine does
 not.
 
-The decomposition, its composites and its multiplier fill their arrays
+The decomposition and its composites fill the arrays their transforms
+read and write (the [rho, g, grad rho] and [P, F] stacks, their spectra,
+the Lap rho / div g and composites spectra and rows, and the gated ratios)
 through ``out=``, taking them from the view's buffers: a standalone call
 lets numpy allocate each array where it is made, and the time stepper
 passes a stage's decomposition its run's workspace (see
 :mod:`nlse4.evolution`).  The view records its buffers, so its composites
-and multiplier use the same ones.
+use the same ones.  Every other temporary is a plain numpy expression.
 
 Fourth-order composites (e.g. rho*Lap(Lap S)) are assembled from
 density-weighted numerators that decay with rho, and are zeroed wherever the
@@ -83,13 +85,13 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class _Buffer:
-    """One array that a decomposition, a composites build or a multiplier
-    fills: ``rows`` leading rows (a pair (a, b) for a + b * dims rows, None
-    for one field) over the grid, or over the half spectrum of a real field
-    if ``half``.  Equal declarations name the same array of a workspace.
-    An array the code fills row by row is ``written`` and must exist before
-    it is filled; any other is the ``out=`` of the call that makes it, and
-    may be None, so that numpy allocates it there."""
+    """One array that a run's workspace holds for its stages (one their
+    transforms read or write, or the gated ratios): ``rows`` leading rows
+    (a pair (a, b) for a + b * dims rows, None for one field) over the
+    grid, or over the half spectrum of a real field if ``half``.  An array
+    the code fills row by row is ``written`` and must exist before it is
+    filled; any other is the ``out=`` of the call that makes it, and may be
+    None, so that numpy allocates it there."""
 
     name: str
     rows: tuple | None = None
@@ -121,8 +123,9 @@ class _Fresh:
     """The buffers of a standalone decomposition: ``take(grid, layout)``
     allocates the ``written`` arrays of ``layout`` anew and leaves every
     other one to numpy (None), so each array is allocated where it is made,
-    as plain expressions allocate it.  A run passes a workspace of its own
-    instead (``evolution._Workspace``)."""
+    as plain expressions allocate it.  A run on a grid of at most 1024
+    points passes its later stages a workspace instead
+    (``evolution._Workspace``)."""
 
     @staticmethod
     def take(grid: Grid, layout: _Layout) -> tuple:
@@ -131,28 +134,20 @@ class _Fresh:
 
 _FRESH = _Fresh()
 
-_TMP = _Buffer("tmp")
-_TMP_HAT = _Buffer("tmp_hat", dtype=complex, half=True)
-_DOT = _Buffer("dot")
 #: psi and its gradient from the spectrum alone, one stack inverted in place
 _FROM_SPECTRUM = _Layout(_Buffer("psi_rows", (1, 1), complex))
-#: the gradient of a given psi, from its spectrum (taken into ``psi_hat``
-#: when not given)
-_FORWARD = _Layout(_Buffer("psi_hat", dtype=complex))
-_GRADIENT = _Layout(_Buffer("dpsi", (0, 1), complex))
+#: the [rho, g, grad rho] stack, its spectrum, and Lap rho and div g
 _DECOMPOSE = _Layout(
-    _Buffer("smooth", (1, 2), written=True), _TMP, _Buffer("conj", dtype=complex), _Buffer("cd", dtype=complex),
-    _Buffer("mask", dtype=bool), _Buffer("smooth_hat", (1, 1), complex, half=True),
-    _Buffer("lap_div_hat", (2, 0), complex, half=True), _TMP_HAT, _Buffer("lap_div", (2, 0)), _DOT,
+    _Buffer("smooth", (1, 2), written=True), _Buffer("smooth_hat", (1, 1), complex, half=True),
+    _Buffer("lap_div_hat", (2, 0), complex, half=True), _Buffer("lap_div", (2, 0)),
 )
+#: the [P, F] stack, its spectrum, the composites spectrum and rows, and the
+#: gated ratios
 _COMPOSITES = _Layout(
-    _Buffer("ratio_P"), _Buffer("PF", (1, 1), written=True), _Buffer("PF_hat", (1, 1), complex, half=True),
-    _Buffer("composites_hat", (2, 1), complex, half=True, written=True), _TMP_HAT, _Buffer("composites", (2, 1)),
-    _DOT, _TMP, _Buffer("dense", dtype=bool),
+    _Buffer("PF", (1, 1), written=True), _Buffer("PF_hat", (1, 1), complex, half=True),
+    _Buffer("composites_hat", (2, 1), complex, half=True, written=True), _Buffer("composites", (2, 1)),
+    _Buffer("gated_ratios", (3, 0), written=True),
 )
-_NOISE_GATE = _Layout(_Buffer("abs_grads", (0, 2)), _TMP)
-_GATED = _Layout(_Buffer("abs_numerators", (3, 0)), _Buffer("keep", (3, 0), bool),
-                 _Buffer("gated_ratios", (3, 0), written=True))
 
 
 @dataclass
@@ -225,12 +220,7 @@ class HydroView:
 
     def ratio(self, numerator: np.ndarray) -> np.ndarray:
         """numerator / rho with masked points zeroed."""
-        return self._ratio(numerator)
-
-    def _ratio(self, numerator: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`ratio`, written into ``out`` when given (it may be
-        ``numerator``)."""
-        return self.zero_masked(np.divide(numerator, self.safe_rho, out=out))
+        return self.zero_masked(numerator / self.safe_rho)
 
     def dot_grad_s(self, vec: list) -> np.ndarray:
         return sum(v * s for v, s in zip(vec, self.grad_s))
@@ -292,18 +282,17 @@ def hydro_decompose(
         if not np.logical_and.reduce(np.isfinite(psi), axis=None):
             raise ValueError("wavefunction contains non-finite samples")
         psi = np.ascontiguousarray(psi, dtype=complex)
-        if psi_hat is None:
-            psi_hat = _forward(grid, psi, False, out=buffers.take(grid, _FORWARD)[0])
-        _, dpsi = _inverse_and_gradient(grid, psi_hat, with_psi=False, stack=buffers.take(grid, _GRADIENT)[0])
-    smooth, tmp, conj, cd, mask, smooth_hat, lap_div_hat, tmp_hat, lap_div, dot = buffers.take(grid, _DECOMPOSE)
+        _, dpsi = _inverse_and_gradient(grid, _forward(grid, psi, False) if psi_hat is None else psi_hat,
+                                        with_psi=False)
+    smooth, smooth_hat, lap_div_hat, lap_div = buffers.take(grid, _DECOMPOSE)
 
     # rho, g and grad_rho share one stack; rho and g, whose transforms are
     # taken, lead it, so each transform of them is one call
     rho = np.multiply(psi.real, psi.real, out=smooth[0])
-    rho += np.multiply(psi.imag, psi.imag, out=tmp)
-    conj = np.conjugate(psi, out=conj)
+    rho += psi.imag**2
+    conj = psi.conj()
     for a, da in enumerate(dpsi):
-        cd = np.multiply(conj, da, out=cd)
+        cd = conj * da
         smooth[1 + a] = cd.imag
         np.multiply(cd.real, 2.0, out=smooth[1 + dims + a])
     g, grad_rho = list(smooth[1:1 + dims]), list(smooth[1 + dims:])
@@ -311,19 +300,19 @@ def hydro_decompose(
     rho_max = float(np.maximum.reduce(rho, axis=None))
     if rho_max == 0.0:
         raise ValueError("wavefunction vanishes identically")
-    mask = np.less(rho, eps_rho * rho_max, out=mask)
+    mask = rho < eps_rho * rho_max
     masked = np.count_nonzero(mask)
 
     # Lap rho and div g, from one forward and one inverse transform of stacks
     spec = _forward(grid, smooth[:1 + dims], True, out=smooth_hat)
     lap_div_hat = np.multiply(_laplacian_and_ik(grid.n, grid.length, dims), spec[:2], out=lap_div_hat)
     for a in range(1, dims):
-        lap_div_hat[1] += np.multiply(_ik(grid, a, True), spec[1 + a], out=tmp_hat)
+        lap_div_hat[1] += _ik(grid, a, True) * spec[1 + a]
     lap_rho, div_g = _inverse(grid, lap_div_hat, True, out=lap_div)
 
-    dot = np.multiply(grad_rho[0], g[0], out=dot)
+    dot = grad_rho[0] * g[0]
     for a in range(1, dims):
-        dot += np.multiply(grad_rho[a], g[a], out=tmp)
+        dot += grad_rho[a] * g[a]
     hv = HydroView(
         grid=grid,
         psi=psi,
@@ -343,7 +332,7 @@ def hydro_decompose(
         _buffers=buffers,
     )
     # rho*Lap S = div g - grad_rho . g / rho, all built from smooth fields
-    div_g -= hv._ratio(dot, out=dot)
+    div_g -= hv.ratio(dot)
     return hv
 
 
@@ -370,10 +359,7 @@ def noise_gate(hv: HydroView) -> float:
     and grad rho are rows of one array and take one abs-max between them.
     """
     kM = 1.0 + hv.grid.kmax
-    abs_grads, abs_P = hv._buffers.take(hv.grid, _NOISE_GATE)
-    abs_grads = np.abs(hv._grads, out=abs_grads)
-    abs_P = np.abs(hv.rho_lap_s, out=abs_P)
-    scale = max(1.0, np.maximum.reduce(abs_grads, axis=None), np.maximum.reduce(abs_P, axis=None), hv.rho_max)
+    scale = max(1.0, np.abs(hv._grads).max(), abs(hv.rho_lap_s).max(), hv.rho_max)
     return hv.gate_factor * _EPS * kM**3 * scale
 
 
@@ -413,9 +399,9 @@ def fourth_order_composites(hv: HydroView) -> FourthOrder:
     -|k|^2 P^ - sum_a ik_a F_a^ would keep them.
     """
     grid, dims = hv.grid, hv.grid.dims
-    ratio_P, PF, PF_hat, spec, tmp_hat, rows, dot, tmp, dense = hv._buffers.take(grid, _COMPOSITES)
+    PF, PF_hat, spec, rows, gated = hv._buffers.take(grid, _COMPOSITES)
     P = hv.rho_lap_s
-    ratio_P = hv._ratio(P, out=ratio_P)
+    ratio_P = hv.ratio(P)
     PF[0] = P
     F = np.multiply(ratio_P, hv._grads[dims:], out=PF[1:])
     P_hat, *F_hat = _forward(grid, PF, True, out=PF_hat)
@@ -427,39 +413,26 @@ def fourth_order_composites(hv: HydroView) -> FourthOrder:
     for a in range(1, dims):
         ik = _ik(grid, a, True)
         np.multiply(ik, P_hat, out=spec[2 + a])
-        tmp_hat = np.subtract(spec[2 + a], F_hat[a], out=tmp_hat)
-        spec[0] += np.multiply(ik, tmp_hat, out=tmp_hat)
+        spec[0] += ik * (spec[2 + a] - F_hat[a])
     # of the rows [div q, Lap P, d_1 P, ...] the first three become the
     # numerators [div q, r1, r6]
     rows = _inverse(grid, spec, True, out=rows)
     nums = rows[:3]
     div_q, r1, r6 = nums
-    dot = np.subtract(r6, F[0], out=dot)
-    np.multiply(hv.grad_rho[0], dot, out=dot)
+    dot = hv.grad_rho[0] * (r6 - F[0])
     for a in range(1, dims):
-        tmp = np.subtract(rows[2 + a], F[a], out=tmp)
-        dot += np.multiply(hv.grad_rho[a], tmp, out=tmp)
-    hv._ratio(dot, out=r6)
-    r1 -= np.multiply(2.0, r6, out=tmp)
-    r1 -= np.multiply(ratio_P, hv.lap_rho, out=tmp)
+        dot += hv.grad_rho[a] * (rows[2 + a] - F[a])
+    r6[...] = hv.ratio(dot)
+    r1 -= 2.0 * r6
+    r1 -= ratio_P * hv.lap_rho
 
     gate = noise_gate(hv)
     # unmasked and above the ratio floor in one comparison: float rounding
     # is monotone, so max(a, b) * rho_max = max(a * rho_max, b * rho_max)
-    dense = np.greater_equal(hv.rho, max(hv.eps_rho, hv.ratio_floor) * hv.rho_max, out=dense)
-    u, t1, t6 = _gated_ratio(hv, nums, gate, dense)
+    dense = hv.rho >= max(hv.eps_rho, hv.ratio_floor) * hv.rho_max
+    # the ratios where dense and the numerator clears the noise gate, +0.0
+    # elsewhere: the bits np.where(keep, nums / safe_rho, 0.0) writes
+    keep = dense & (np.abs(nums) > gate)
+    gated.fill(0.0)
+    u, t1, t6 = np.divide(nums, hv.safe_rho, out=gated, where=keep)
     return FourthOrder(div_q=div_q, u=u, t1=t1, t6=t6, gate=gate)
-
-
-def _gated_ratio(hv: HydroView, numerator: np.ndarray, gate: float, dense: np.ndarray) -> np.ndarray:
-    """numerator / rho where ``dense`` (unmasked, above the ratio floor) and
-    the numerator clears the noise gate, zero elsewhere; ``numerator`` is
-    the stack of the three numerators [div q, r1, r6].  The dropped points
-    hold +0.0, the bits ``np.where(keep, numerator / safe_rho, 0.0)``
-    writes."""
-    abs_numerators, keep, out = hv._buffers.take(hv.grid, _GATED)
-    keep = np.greater(np.abs(numerator, out=abs_numerators), gate, out=keep)
-    np.logical_and(dense, keep, out=keep)
-    out.fill(0.0)
-    np.divide(numerator, hv.safe_rho, out=out, where=keep)
-    return out

@@ -360,15 +360,65 @@ def test_returned_states_hold_no_workspace_array(case):
     assert [bits(t) for t in triples] == bytes_when_returned
 
 
-def test_a_later_stage_allocates_only_its_spectrum():
+@pytest.mark.parametrize("case", ["me_1d", "masked_me_1d", "me_2d", "ext_2d"])
+def test_a_stage_record_equals_the_standalone_record(case):
+    """The record of a later stage, built into the workspace, and the
+    standalone record of the same spectrum at the config's gates hold the
+    same bits, field by field, and so do their explicit spectra.  The
+    masked case decomposes a Gaussian with 71 of its 128 points (55.5%)
+    below the density floor."""
+    from nlse4.evolution import _explicit_rhs
+    from nlse4.spectral import _forward
+
+    me = q.MEParams(D1=0.1, b1=0.05, b6=0.02)
+    if case == "me_1d":
+        grid = q.make_grid(1, 256, 2 * np.pi)
+        psi0, coeffs = perturbed_plane_wave(grid, seed=2), me
+    elif case == "masked_me_1d":
+        grid = q.make_grid(1, 128, 24.0)
+        psi0, coeffs = perturbed_gaussian(grid), me
+    else:
+        grid = q.make_grid(2, 32, 2 * np.pi)
+        psi0 = q.random_state(grid, seed=1, cutoff=4, amplitude=0.3)
+        coeffs = me if case == "me_2d" else q.ext_coeffs(**_EXT_2D)
+    dt = 0.05 * stability_bound(grid, coeffs)
+    config = EvolutionConfig(dt=dt, t_end=4 * dt, coeffs=coeffs, gate_factor=8192.0, ratio_floor=1e-7)
+    stepper = _Stepper(grid, config)
+    assert stepper.ws is not None
+    psi, psi_hat, _ = stepper.step(*stepper.start(psi0), False)  # the workspace is in use
+    p_hat = stepper.e_half * psi_hat
+
+    def bits(state):
+        hv, fo = state.hv, state.hv.fourth_order()
+        arrays = [hv.psi, hv.rho, hv.mask, *hv.g, *hv.grad_rho, hv.lap_rho, hv.rho_lap_s, hv.safe_rho,
+                  fo.div_q, fo.u, fo.t1, fo.t6, state.mult]
+        return [a.tobytes() for a in arrays] + [hv.masked_fraction, fo.gate]
+
+    staged = bits(stepper.state(None, p_hat, stage=True))
+    standalone = q.derive(q.hydro_decompose(grid, None, psi_hat=p_hat, eps_rho=config.eps_rho,
+                                            gate_factor=config.gate_factor, ratio_floor=config.ratio_floor),
+                          coeffs)
+    if case == "masked_me_1d":
+        assert standalone.hv.masked_fraction == 71 / 128
+    assert staged == bits(standalone)
+    rhs = _explicit_rhs(standalone.psi, None, standalone.mult, config.constants.hbar)
+    assert stepper.explicit_hat(p_hat).tobytes() == _forward(grid, rhs, False).tobytes()
+
+
+def test_a_later_stage_holds_only_its_multiplier_temporaries():
     """After the first step has filled the workspace, a later stage of a 1D
     ME step (decomposed from its spectrum alone, then its multiplier and
-    explicit part) allocates little more than the spectrum it returns: its
-    record and scratch come from the workspace.  The margin, two complex
-    fields, covers the Python objects of the record, the finiteness mask of
-    the spectrum and numpy's cache of shape blocks (about 100 B; together
-    0.7 fields); the same stage without the workspace allocates about 13
-    fields more than its spectrum."""
+    explicit part) allocates no more than the plain-expression temporaries
+    it holds at once: the arrays its transforms read and write come from
+    the workspace.  Its peak is the multiplier's last subtraction, which
+    holds the real continuity term (half a complex field), the complex
+    phase term, the result and numpy's complex copy of the real operand
+    (a ufunc's cast buffer spans up to 8192 points, so the whole field
+    here), while the view holds its node mask: 3.5 complex fields and one
+    boolean field.  The margin, two complex fields, covers the Python
+    objects of the record, the finiteness mask of the spectrum and numpy's
+    cache of shape blocks (about 100 B; together 0.7 fields); the same
+    stage without the workspace allocates about 14 fields."""
     import tracemalloc
 
     grid = q.make_grid(1, 1024, 2 * np.pi)
@@ -386,7 +436,10 @@ def test_a_later_stage_allocates_only_its_spectrum():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= spectrum.nbytes + 2 * 16 * grid.npoints
+    field = 16 * grid.npoints
+    held = 3 * field + field // 2 + grid.npoints
+    assert spectrum.nbytes == field
+    assert peak <= held + 2 * field
 
 
 #: Transform calls of one IF-RK4 step of the 1D three-parameter engine.  Per

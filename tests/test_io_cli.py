@@ -301,6 +301,36 @@ class TestEhrenfestCommand:
         assert main(["ehrenfest", "--config", cfg, "--out", str(out), "--quiet"]) == 1
         assert _check_rows(out) == {"ehrenfest_r1": True, "ehrenfest_r2": False}
 
+    @staticmethod
+    def _refused_before_evolving(tmp_path, monkeypatch, capsys, t_end):
+        """Run ``ehrenfest`` on a linear packet (dt 1e-3, stride 10) with an
+        evolve that must not be reached; return its stderr."""
+        import nlse4.cli
+
+        def unreachable(*args):
+            raise AssertionError("evolved a run whose samples cannot be differenced")
+
+        monkeypatch.setattr(nlse4.cli, "evolve", unreachable)
+        cfg_data = {"version": 1, "grid": {"dims": 1, "n": 64, "length": 24.0},
+                    "state": {"kind": "gaussian_packet", "params": {"t0": 1.0}}, "coeffs": {"preset": "linear"},
+                    "evolution": {"dt": 1e-3, "t_end": t_end, "stride": 10}}
+        cfg = _write_config(tmp_path, "ehr_sampling.json", cfg_data)
+        out = tmp_path / "ehr_sampling_out"
+        assert main(["ehrenfest", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert not (out / "summary.json").exists()
+        return capsys.readouterr().err
+
+    def test_ragged_sampling_refused(self, tmp_path, monkeypatch, capsys):
+        """25 steps at stride 10: the last sample is 5 steps after the one
+        before it, so centered differences cannot use it."""
+        err = self._refused_before_evolving(tmp_path, monkeypatch, capsys, 0.025)
+        assert err.startswith("configuration error: ") and "not a multiple of stride 10" in err
+
+    def test_too_few_samples_refused(self, tmp_path, monkeypatch, capsys):
+        """10 steps at stride 10 give two samples; centered differences need three."""
+        err = self._refused_before_evolving(tmp_path, monkeypatch, capsys, 0.01)
+        assert err.startswith("configuration error: ") and "give 2 samples" in err
+
     @pytest.mark.parametrize("quiet", [False, True])
     def test_abort_reported(self, tmp_path, capsys, quiet):
         cfg_data = _ehrenfest_config(1, 64)

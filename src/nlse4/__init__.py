@@ -62,6 +62,8 @@ from .bands import (
     band_edges,
     bloch_density_profile,
     floquet_analyze,
+    floquet_exponent,
+    hill_discriminant,
     hill_from_stationary,
     mathieu_hill,
     measured_period,

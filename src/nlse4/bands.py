@@ -18,7 +18,19 @@ harmonic from (S')^2, and a sin(z) harmonic from the b1 Lap(Lap S) term
 
 Band edges come from two independent routes: a Fourier-basis eigenproblem
 (robust where |tr M| - 2 has double roots, e.g. the unmodulated limit) and
-an ITP root search on the monodromy discriminant.  The Hill system
+an ITP root search on the monodromy discriminant.
+
+A band chart takes the discriminant from Hill's determinant instead
+(:func:`hill_discriminant`): tr M - 2 is a product over the periodic
+eigenvalues of the same Fourier eigenproblem, with a closed-form tail, so
+a 200-sample chart costs one eigensolve and no ODE.  The monodromy stays
+the independent route: it shares no code with the Hill matrix, so the
+edge search runs on it (its agreement with the Fourier edges would be
+circular on the Hill matrix), and ``nlse4 bands`` recomputes 9 of a
+chart's samples by it and reports the largest difference (check row
+``chart_routes``).
+
+The Hill system
 Y' = A(z) Y is linear with a traceless A, so each fixed step is the
 fourth-order Magnus propagator exp(Omega) with two Gauss points (Iserles &
 Norsett, Phil. Trans. R. Soc. A 357, 983 (1999)), a 2x2 matrix
@@ -36,6 +48,7 @@ keeps results bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -316,6 +329,13 @@ _SERIES_BOUND = 1e-2
 # Fourier modes j = -_N_FOURIER.._N_FOURIER of the truncated Hill operator.
 _N_FOURIER = 48
 
+# Fewest and most eigenvalue pairs hill_discriminant multiplies (the most
+# keeps its eigensolve near 1100 modes, about 20 MB and 0.3 s), and the
+# Bernoulli numbers B_2..B_12 of its Euler-Maclaurin tails.
+_MIN_PAIRS = 8
+_MAX_PAIRS = 512
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+
 
 def _matmul22_into(b: np.ndarray, a: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """out = b @ a for stacks of 2x2 matrices laid out as (2, 2, ...); each
@@ -474,6 +494,17 @@ def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int)
     return tr, det, scale
 
 
+def _samples(a_values) -> np.ndarray:
+    """Constant-coefficient samples as a 1D float array; at least one, all
+    finite."""
+    a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
+    if a_values.size < 1:
+        raise BandError("need at least one sample")
+    if not np.isfinite(a_values).all():
+        raise BandError("constant-coefficient samples must be finite")
+    return a_values
+
+
 def floquet_analyze(hill: HillEquation, a_values, base_steps: int = 1024) -> list:
     """Monodromy discriminant, determinant, characteristic exponent and
     stability flag at each constant-coefficient sample.
@@ -486,11 +517,7 @@ def floquet_analyze(hill: HillEquation, a_values, base_steps: int = 1024) -> lis
     (relative to max(1, |tr M|)); otherwise the step count doubles, up to
     ``_MAX_DOUBLINGS`` times.
     """
-    a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
-    if a_values.size < 1:
-        raise BandError("need at least one sample")
-    if not np.isfinite(a_values).all():
-        raise BandError("constant-coefficient samples must be finite")
+    a_values = _samples(a_values)
     n = base_steps
     prev = _integrate_monodromy(hill, a_values, n)
     achieved = np.inf
@@ -504,21 +531,24 @@ def floquet_analyze(hill: HillEquation, a_values, base_steps: int = 1024) -> lis
     else:
         raise ODEToleranceError(f"monodromy tolerance {_MONODROMY_RTOL} not met (reached {achieved:.2e})")
 
-    T = hill.period
     results = []
     for a, trv, detv, scalev in zip(a_values, *prev):
-        half = trv / 2.0
-        if abs(half) <= 1.0:
-            nu = complex(np.arccos(half) / T, 0.0)
-            stable = True
-        else:
-            alpha = np.arccosh(abs(half)) / T
-            nu = complex(0.0, alpha) if trv > 2.0 else complex(np.pi / T, alpha)
-            stable = False
+        nu, stable = floquet_exponent(trv, hill.period)
         results.append(FloquetResult(a=float(a), tr_m=float(trv), det_m=float(detv),
                                      nu=nu, stable=stable, tol_achieved=achieved, n_steps=n,
                                      entry_scale=float(scalev)))
     return results
+
+
+def floquet_exponent(tr: float, period: float) -> tuple:
+    """(nu, stable) of a discriminant tr = tr M: the characteristic exponent
+    on its principal branch (see :class:`FloquetResult`) and whether
+    |tr| <= 2."""
+    half = tr / 2.0
+    if abs(half) <= 1.0:
+        return complex(np.arccos(half) / period, 0.0), True
+    alpha = np.arccosh(abs(half)) / period
+    return (complex(0.0, alpha) if tr > 2.0 else complex(np.pi / period, alpha)), False
 
 
 def _discriminant(hill: HillEquation, a: float) -> float:
@@ -602,21 +632,164 @@ def band_edge_bisection(hill: HillEquation, a_lo: float, a_hi: float, branch: fl
     return _itp_root(lambda a: _discriminant(hill, a) - branch, a_lo, a_hi, f_lo, f_hi, tol)
 
 
-def _hill_matrix(hill: HillEquation, mu: float) -> np.ndarray:
-    """Hermitian matrix of -d^2/dz^2 - modulation(z) in the Fourier basis
-    exp(i (mu + j w0) z), j = -_N_FOURIER.._N_FOURIER, w0 = 2 pi / period."""
+def _fourier_coefficients(hill: HillEquation) -> dict:
+    """The modulation as sum over m of c_m exp(i m w0 z) + c.c.: m > 0 -> c_m,
+    in units of w0 = 2 pi / period."""
     base = _TWO_PI / hill.period
     fourier = {}
     for k, ck, sk in hill.harmonics:
         m = round(k / base)
         fourier[m] = fourier.get(m, 0.0) + 0.5 * (ck - 1j * sk)
-    j = np.arange(-_N_FOURIER, _N_FOURIER + 1)
+    return fourier
+
+
+def _hill_matrix(hill: HillEquation, mu: float, modes: int = _N_FOURIER) -> np.ndarray:
+    """Hermitian matrix of -d^2/dz^2 - modulation(z) in the Fourier basis
+    exp(i (mu + j w0) z), j = -modes..modes, w0 = 2 pi / period."""
+    base = _TWO_PI / hill.period
+    j = np.arange(-modes, modes + 1)
     H = np.diag(((mu + j * base) ** 2).astype(complex))
-    for m, coeff in fourier.items():
+    for m, coeff in _fourier_coefficients(hill).items():
         idx = np.arange(len(j) - m)
         H[idx + m, idx] += -coeff          # e^{+imz} coupling
         H[idx, idx + m] += -np.conj(coeff)  # Hermitian partner
     return H
+
+
+def _pair_shift_series(fourier: dict, base: float, degree: int) -> np.ndarray:
+    """Coefficients e_0..e_degree, in t = 1/n, of the shift of the free
+    periodic pair (n w0)^2 by the modulation, through fourth order of
+    Rayleigh-Schrodinger perturbation theory in the harmonics.
+
+    H = -d^2/dz^2 - modulation couples exp(i n w0 z) to exp(i (n + p) w0 z)
+    by -c_p (c_-p = conj c_p), at an energy denominator
+    (n w0)^2 - ((n + p) w0)^2 = -w0^2 p (2n + p).  A path of order r is
+    r steps p_1..p_r that return to n without visiting it; it contributes
+    prod(-c_p) / prod(denominators at its partial sums P_i), and
+    1 / (-w0^2 P (2n + P)) = -t / (2 w0^2 P) * sum_k (-P t / 2)^k.  The
+    fourth order subtracts E2 * sum_p |c_p|^2 / denominator(p)^2.  For
+    n > 3 max(m) no path reaches the partner -n, so both members of the
+    pair share the expansion; the odd powers of t cancel between a path
+    and its mirror image."""
+    steps = {}
+    for m, coeff in fourier.items():
+        if coeff != 0.0:
+            steps[m], steps[-m] = coeff, np.conj(coeff)
+    offsets = np.array(sorted(steps))
+
+    def series(partial, weight):
+        # weight * prod_i (-t / (2 w0^2 P_i)) / (1 + P_i t / 2) over paths
+        h = np.zeros((len(partial), degree + 1), complex)
+        h[:, 0] = weight * np.prod(-1.0 / (2.0 * base**2 * partial), axis=1)
+        for z in (-0.5 * partial).T:
+            for k in range(1, degree + 1):
+                h[:, k] += z * h[:, k - 1]
+        out = np.zeros(degree + 1, complex)
+        out[partial.shape[1]:] = h[:, :degree + 1 - partial.shape[1]].sum(axis=0)
+        return out
+
+    if not steps:
+        return np.zeros(degree + 1)
+    total = np.zeros(degree + 1, complex)
+    coeff = np.array([steps[p] for p in offsets])
+    for order in (2, 3, 4):
+        paths = np.array(list(itertools.product(offsets, repeat=order - 1)))
+        partial = np.cumsum(paths, axis=1)
+        keep = np.all(partial != 0, axis=1) & np.isin(-partial[:, -1], offsets)
+        paths, partial = paths[keep], partial[keep]
+        steps_taken = np.concatenate([paths, -partial[:, -1:]], axis=1)
+        weight = np.prod(-coeff[np.searchsorted(offsets, steps_taken)], axis=1)
+        term = series(partial, weight)
+        if order == 2:
+            second = term
+        if order == 4:
+            norm = series(np.stack([offsets, offsets], axis=1), np.abs(coeff) ** 2)
+            term -= np.convolve(second, norm)[:degree + 1]
+        total += term
+    return total.real
+
+
+def _hurwitz_tail(s: np.ndarray, start: float) -> np.ndarray:
+    """sum_{n >= start} n^-s for each s > 1, by Euler-Maclaurin at ``start``
+    with the Bernoulli terms B_2..B_12."""
+    total = start ** (1.0 - s) / (s - 1.0) + 0.5 * start ** -s
+    rising = s  # s (s + 1) ... (s + 2j - 2)
+    for j, bernoulli in enumerate(_BERNOULLI, start=1):
+        total = total + bernoulli / math.factorial(2 * j) * rising * start ** (1.0 - s - 2 * j)
+        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
+    return total
+
+
+def _discriminant_plan(fourier: dict, base: float, a_max: float) -> tuple:
+    """(pairs, modes, terms) of :func:`hill_discriminant` for harmonics
+    ``fourier`` and samples up to |a| = ``a_max``: the eigenvalue pairs
+    multiplied, the half-width of the Fourier basis that yields them and the
+    number of u terms of the tail.
+
+    The pairs N satisfy |a| / w_N^2 <= 1/16 and 3 max(m) / 2N <= 1/4,
+    which keeps the ratio of successive u terms of x(u) below 1/16, and
+    sum |c_m| / (w0^2 N) <= 1/8, which keeps the fifth perturbative order
+    (the first omitted) below the eigenvalue rounding.  The basis runs
+    8 max(m) modes past N, so its truncation moves no used eigenvalue by a
+    rounding unit.  The tail keeps terms while N ratio^k, the size of its
+    k-th term, is above the float spacing at 1.  A larger basis than this
+    only adds rounding: eigvalsh errs by about eps (modes w0)^2 on every
+    eigenvalue.  More than ``_MAX_PAIRS`` pairs raise BandError."""
+    m_max = max(fourier, default=1)
+    coupling = sum(abs(c) for c in fourier.values()) / base**2
+    pairs = max(_MIN_PAIRS, 6 * m_max, math.ceil(4.0 * math.sqrt(a_max) / base), math.ceil(8.0 * coupling))
+    if pairs > _MAX_PAIRS:
+        raise BandError(f"samples up to |a| = {a_max:g} with these harmonics need {pairs} eigenvalue "
+                        f"pairs, more than {_MAX_PAIRS}")
+    ratio = max(a_max / (pairs * base) ** 2, (1.5 * m_max / pairs) ** 2)
+    terms = max(1, math.ceil(math.log(np.finfo(float).eps / pairs) / math.log(ratio)))
+    return pairs, pairs + 8 * m_max, terms
+
+
+def _log_tail(fourier: dict, base: float, pairs: int, terms: int, a_values: np.ndarray) -> np.ndarray:
+    """sum over n > pairs of ln of the free-pair factor
+    (w_n^2 + delta(n) - a)^2 / w_n^4, with delta the shift of
+    :func:`_pair_shift_series`, in closed form.
+
+    With u = 1/n^2 the log is 2 ln(1 + x(u)), x(u) = u (delta(u) - a) / w0^2;
+    its series y(u) follows from (1 + x) y' = x' coefficient by coefficient,
+    and sum_{n > pairs} u^k is a Hurwitz zeta tail."""
+    shift = _pair_shift_series(fourier, base, 2 * terms)[::2]
+    x = np.zeros((terms + 1, a_values.size))
+    x[1] = -a_values / base**2
+    x[2:] = shift[1:terms, None] / base**2
+    y = np.zeros_like(x)
+    for k in range(1, terms + 1):
+        y[k] = x[k] - sum(i * y[i] * x[k - i] for i in range(1, k)) / k
+    return 2.0 * (_hurwitz_tail(2.0 * np.arange(1, terms + 1), pairs + 1.0) @ y[1:])
+
+
+def hill_discriminant(hill: HillEquation, a_values) -> np.ndarray:
+    """tr M at each constant-coefficient sample, from the periodic
+    eigenvalues of the Hill operator instead of a monodromy integration.
+
+    Q(z) is a finite trigonometric polynomial, so (Whittaker & Watson,
+    Modern Analysis, sec. 19.4; Magnus & Winkler, Hill's Equation (1966),
+    ch. 2), with T the period, w_n = n w0 = 2 pi n / T and
+    lambda_0 < lambda_1 <= lambda_2 < ... the periodic eigenvalues of
+    -d^2/dz^2 - modulation,
+
+        tr M - 2 = T^2 (lambda_0 - a) prod_{n>=1} (lambda_{2n-1} - a)(lambda_{2n} - a) / w_n^4.
+
+    The pairs n <= N come from one eigensolve of ``_hill_matrix(hill, 0)``
+    and the pairs n > N from the closed-form :func:`_log_tail`; N, the basis
+    and the tail's terms follow from the harmonics and max |a|
+    (:func:`_discriminant_plan`).  Near an edge the factor lambda_j - a
+    carries the small difference, so no large monodromy entries cancel.
+    """
+    a_values = _samples(a_values)
+    base = _TWO_PI / hill.period
+    fourier = _fourier_coefficients(hill)
+    pairs, modes, terms = _discriminant_plan(fourier, base, float(np.abs(a_values).max()))
+    lam = np.linalg.eigvalsh(_hill_matrix(hill, 0.0, modes))[:2 * pairs + 1]
+    w2 = np.repeat((base * np.arange(1, pairs + 1)) ** 2, 2)
+    head = (lam[0] - a_values) * np.prod((lam[1:, None] - a_values) / w2[:, None], axis=0)
+    return 2.0 + hill.period**2 * head * np.exp(_log_tail(fourier, base, pairs, terms, a_values))
 
 
 def band_edges(hill: HillEquation, a_min: float, a_max: float) -> dict:

@@ -13,10 +13,11 @@ desk-scale runtimes; heavier runs (long evolutions, 2D separability, the
 Ehrenfest window) stay in the acceptance suite.
 
 Every row a command reports is a :class:`CheckResult`.  The rows of results
-a command computes itself (the norm drift of a run, ``monodromy_det`` over a
-band chart, the Ehrenfest rows over a report, the separability deviation)
-are defined here once, with their default tolerances, by :func:`norm_drift`,
-:func:`monodromy_det`, :func:`ehrenfest_checks` and
+a command computes itself (the norm drift of a run, ``monodromy_det`` and
+``chart_routes`` over a band chart, the Ehrenfest rows over a report, the
+separability deviation) are defined here once, with their default
+tolerances, by :func:`norm_drift`, :func:`monodromy_det`,
+:func:`chart_routes`, :func:`ehrenfest_checks` and
 :func:`separability_deviation`, and the command and the acceptance suite
 both call them.
 """
@@ -332,6 +333,14 @@ def monodromy_det(floquet_results, note="") -> CheckResult:
     rounding = max(abs(r.det_m - 1.0) / (r.n_steps * eps * r.entry_scale) for r in floquet_results)
     ratio = f"max |det M - 1| / (n eps S) = {rounding:.3g}"
     return CheckResult.of("monodromy_det", dev, 1e-10, note=f"{note}; {ratio}" if note else ratio)
+
+
+def chart_routes(discriminant, floquet_results, note="") -> CheckResult:
+    """max |Delta - tr M| / max(1, |tr M|) between a chart's Hill-determinant
+    discriminant and the Magnus monodromy at the same samples: the two
+    routes share no code, so agreement checks both."""
+    dev = max(abs(d - r.tr_m) / max(1.0, abs(r.tr_m)) for d, r in zip(discriminant, floquet_results))
+    return CheckResult.of("chart_routes", dev, 1e-9, note=note)
 
 
 def norm_drift(norms, tolerance=1e-8, note="") -> CheckResult:

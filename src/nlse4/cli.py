@@ -24,7 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import checks as checks_mod
-from .bands import band_edges, floquet_analyze, hill_from_stationary, mathieu_hill
+from .bands import (
+    band_edges,
+    floquet_analyze,
+    floquet_exponent,
+    hill_discriminant,
+    hill_from_stationary,
+    mathieu_hill,
+)
 from .coeffs import MEParams, dg_coeffs, dg_linearizable, ext_coeffs, linear_coeffs
 from .diagnostics import SEPARABILITY_MAX_N, ehrenfest_consistency, separability_test
 from .evolution import EvolutionAbort, EvolutionConfig, MaskOverflowError, StabilityError, evolve
@@ -336,6 +343,10 @@ _BANDS_KEYS = {
 }
 
 
+#: Samples of a ``bands`` chart that the Magnus monodromy recomputes.
+_CHART_CHECK_SAMPLES = 9
+
+
 def cmd_bands(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     top = _read_section(config, "config", dict.fromkeys(("version", "bands", "constants"), _raw),
                         required=("version", "bands"))
@@ -355,9 +366,16 @@ def cmd_bands(config: dict, out_dir: Path, seed, quiet: bool) -> int:
     if not a_min < a_max:  # also rejects NaN
         raise ConfigError(f"bands: need a_min < a_max, got {a_min} and {a_max}")
     a_values = np.linspace(a_min, a_max, samples)
-    results = floquet_analyze(hill, a_values)
-    rows = [[r.a, r.tr_m, 1.0 if r.stable else 0.0, r.nu.real, r.nu.imag] for r in results]
+    chart = _construct("bands", hill_discriminant, hill, a_values)
+    rows = []
+    for a, tr in zip(a_values, chart):
+        nu, stable = floquet_exponent(tr, hill.period)
+        rows.append([a, tr, 1.0 if stable else 0.0, nu.real, nu.imag])
     write_csv(out_dir / "band_chart.csv", ["spectral_parameter", "trM", "stable", "nu_real", "nu_imag"], rows)
+    # the Magnus monodromy, an ODE route independent of the Hill matrix, on
+    # evenly spaced samples that include both ends
+    subset = np.linspace(0, samples - 1, min(samples, _CHART_CHECK_SAMPLES)).round().astype(int)
+    results = floquet_analyze(hill, a_values[subset])
 
     edges = band_edges(hill, a_min, a_max)
     summary = _summary_skeleton("bands", config)
@@ -368,13 +386,15 @@ def cmd_bands(config: dict, out_dir: Path, seed, quiet: bool) -> int:
         "pure_mathieu": hill.pure_mathieu,
         "period": hill.period,
         "q0": hill.q0,
-        # the chart's step-halving acceptance: accepted steps and the change met
+        # the check samples' step-halving acceptance: accepted steps and the change met
         "monodromy_steps": results[0].n_steps,
         "tol_achieved": results[0].tol_achieved,
         # the largest max(1, |m00 m11| + |m01 m10|), the size det M cancels
         "monodromy_entry_scale": max(r.entry_scale for r in results),
     }
-    return _finish(out_dir, summary, [checks_mod.monodromy_det(results, note=f"{samples} samples")], quiet)
+    note = f"{subset.size} of {samples} samples"
+    return _finish(out_dir, summary, [checks_mod.monodromy_det(results, note=note),
+                                      checks_mod.chart_routes(chart[subset], results, note=note)], quiet)
 
 
 def cmd_ehrenfest(config: dict, out_dir: Path, seed, quiet: bool) -> int:

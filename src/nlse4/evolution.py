@@ -480,8 +480,9 @@ class _Stepper:
         if psi is None:
             state = self.state(None, p_hat, stage=True)
             psi = state.psi if state else _inverse(self.grid, p_hat, False, out=self._arrays(_LINEAR_PSI)[0])
-        rhs = _explicit_rhs(psi, self.pot_vals, state and state.mult, self.config.constants.hbar,
-                            self._arrays(_RHS)[0])
+        mult = state and state.mult
+        out = self._arrays(_RHS)[0] if self.pot_vals is not None or mult is not None else None
+        rhs = _explicit_rhs(psi, self.pot_vals, mult, self.config.constants.hbar, out)
         return _forward(self.grid, np.zeros_like(psi) if rhs is None else rhs, False)
 
     def step(self, psi, psi_hat, state, last):

@@ -19,6 +19,7 @@ from nlse4.bands import (
     band_edges,
     bloch_density_profile,
     floquet_analyze,
+    hill_discriminant,
     hill_from_stationary,
     mathieu_hill,
     measured_period,
@@ -627,6 +628,101 @@ class TestMonodromyProduct:
         second = _integrate_monodromy(hill, a_values, 6476)
         for x, y in zip(first, second):
             assert np.array_equal(x, y)
+
+
+def _stationary(D1, b1, amplitude, energy):
+    return hill_from_stationary(q.MEParams(D1=D1, b1=b1), amplitude, energy, constants=CON)
+
+
+class TestHillDiscriminant:
+    """tr M from the periodic eigenvalues of the Hill operator against the
+    Magnus monodromy, which shares no code with it, and against the
+    antiperiodic eigenvalues, which come from a different matrix."""
+
+    # (hill, a_min, a_max, tolerance relative to max(1, |tr M|))
+    CHARTS = {
+        "mathieu_q1": (mathieu_hill(1.0), -1.0, 10.0, 1e-10),
+        "mathieu_q1_deep": (mathieu_hill(1.0), -10.0, 10.0, 1e-10),
+        "mathieu_q1_wide": (mathieu_hill(1.0), -1.0, 400.0, 1e-10),
+        "mathieu_q20": (mathieu_hill(20.0), -40.0, 10.0, 1e-9),
+        "stationary_weak": (_stationary(1.0, 0.2, 0.6, 0.5), -1.0, 4.0, 1e-9),
+        "stationary_mid": (_stationary(0.5, 0.1, 1.5, 1.0), -5.0, 20.0, 1e-9),
+        "stationary_strong": (_stationary(1.0, 0.5, 2.0, 0.3), -10.0, 30.0, 1e-9),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHARTS))
+    def test_matches_the_magnus_chart(self, name):
+        hill, a_min, a_max, tol = self.CHARTS[name]
+        a_values = np.linspace(a_min, a_max, 200)
+        tr = np.array([r.tr_m for r in floquet_analyze(hill, a_values)])
+        deviation = np.abs(hill_discriminant(hill, a_values) - tr) / np.maximum(1.0, np.abs(tr))
+        assert deviation.max() <= tol
+
+    @pytest.mark.parametrize("name", sorted(CHARTS))
+    def test_antiperiodic_edges_are_roots_of_delta_plus_two(self, name):
+        """|Delta + 2| at each Fourier antiperiodic edge is at most 1e-9, or
+        at most the change of Delta over 1e-9 in a there: at q = 20 the
+        lowest gap is 4e-6 wide and Delta changes by 1e6 per unit a, so the
+        edge's own rounding alone moves Delta by more than 1e-9."""
+        hill, a_min, a_max, _ = self.CHARTS[name]
+        edges = band_edges(hill, a_min, a_max)["antiperiodic"]
+        assert edges.size >= 3
+        delta = hill_discriminant(hill, np.concatenate([edges, edges - 1e-9, edges + 1e-9]))
+        at, below, above = np.split(delta, 3)
+        assert np.all(np.abs(at + 2.0) <= np.maximum(1e-9, 0.5 * np.abs(above - below)))
+
+    def test_constant_coefficient_is_a_cosine(self):
+        hill = HillEquation(period=np.pi, q0=0.0, harmonics=())
+        a_values = np.array([-1.0, 0.0, 0.25, 0.81, 4.0, 30.0])
+        root = np.sqrt(np.abs(a_values)) * np.pi
+        exact = np.where(a_values < 0.0, 2.0 * np.cosh(root), 2.0 * np.cos(root))
+        assert np.abs(hill_discriminant(hill, a_values) - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("name", ["mathieu_q1_wide", "stationary_strong"])
+    def test_closed_form_tail_matches_a_summed_tail(self, name):
+        """The Euler-Maclaurin tail between N and 2e5 against the free-pair
+        logs summed term by term there (correctly rounded), on the shift
+        series the tail uses."""
+        hill, a_min, a_max, _ = self.CHARTS[name]
+        a_values = np.linspace(a_min, a_max, 5)
+        base = 2.0 * np.pi / hill.period
+        fourier = bands._fourier_coefficients(hill)
+        pairs, _, terms = bands._discriminant_plan(fourier, base, max(abs(a_min), abs(a_max)))
+        last = 200_000
+        closed = (bands._log_tail(fourier, base, pairs, terms, a_values)
+                  - bands._log_tail(fourier, base, last, terms, a_values))
+        n = np.arange(pairs + 1, last + 1, dtype=float)[:, None]
+        shift = bands._pair_shift_series(fourier, base, 2 * terms)[::2]
+        delta = sum(e * n ** (-2.0 * i) for i, e in enumerate(shift[:terms]) if i)
+        logs = 2.0 * np.log1p((delta - a_values) / (base * n) ** 2)
+        summed = np.array([math.fsum(column) for column in logs.T])
+        assert np.abs(closed - summed).max() <= 1e-14
+
+    def test_pair_shift_is_the_mathieu_expansion(self):
+        """For y'' + (a - 2q cos 2z) y = 0 the periodic characteristic values
+        of even order r = 2n behave as r^2 + q^2 / (2 (r^2 - 1))
+        + (5 r^2 + 7) q^4 / (32 (r^2 - 1)^3 (r^2 - 4)) + O(q^6)
+        (Abramowitz & Stegun, ch. 20); at q = 0.1 and r = 40 the omitted
+        q^6 term is about 1e-23."""
+        qv, n = 0.1, 20
+        base = 2.0
+        shift = bands._pair_shift_series(bands._fourier_coefficients(mathieu_hill(qv)), base, 24)
+        series = sum(e * n ** -float(i) for i, e in enumerate(shift))
+        r2 = (2.0 * n) ** 2
+        expected = qv**2 / (2 * (r2 - 1)) + (5 * r2 + 7) * qv**4 / (32 * (r2 - 1) ** 3 * (r2 - 4))
+        assert series == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, a):
+        with pytest.raises(BandError, match="finite"):
+            hill_discriminant(mathieu_hill(1.0), [0.0, a])
+
+    def test_rejects_samples_beyond_its_basis(self):
+        # |a| / w_N^2 <= 1/16 at w0 = 2 allows up to |a| = (512 * 2 / 4)^2
+        hill = mathieu_hill(1.0)
+        assert np.isfinite(hill_discriminant(hill, [-1.0, 65536.0])).all()
+        with pytest.raises(BandError, match="eigenvalue pairs"):
+            hill_discriminant(hill, [-1.0, 65537.0])
 
 
 class TestBlochStateCrossCheck:

@@ -442,6 +442,21 @@ def test_a_later_stage_holds_only_its_multiplier_temporaries():
     assert peak <= held + 2 * field
 
 
+@pytest.mark.parametrize("potential", [False, True])
+def test_a_linear_run_holds_only_the_arrays_it_fills(potential):
+    """A linear run decomposes nothing, so its workspace holds the psi that
+    its later stages invert into, plus the explicit part only when there
+    is a potential to fill it."""
+    from nlse4.evolution import _LINEAR_PSI, _RHS
+
+    grid = q.make_grid(1, 128, 18.0)
+    pot = q.harmonic_potential(grid, 1.0) if potential else None
+    config = EvolutionConfig(dt=1e-3, t_end=2e-3, coeffs=q.linear_coeffs(), potential=pot)
+    stepper = _Stepper(grid, config)
+    stepper.step(*stepper.start(q.harmonic_eigenstate(grid, 0, omega=1.0)), False)
+    assert set(stepper.ws._taken) == ({_LINEAR_PSI, _RHS} if potential else {_LINEAR_PSI})
+
+
 #: Transform calls of one IF-RK4 step of the 1D three-parameter engine.  Per
 #: stage: ifft [psi, dpsi]; rfft [rho, g]; irfft [Lap rho, div g]; rfft
 #: [P, F]; irfft [dP, Lap P, div q]; fft of the explicit part.  Four stages

@@ -175,7 +175,9 @@ class TestBandsCommand:
         assert summary["results"]["pure_mathieu"] is True
 
     def test_summary_reports_the_chart_acceptance(self, tmp_path):
-        # the q = 1 chart over [-1, 10] accepts at 1024 -> 2048 steps
+        # the chart is the Hill discriminant; the Magnus monodromy recomputes
+        # 9 evenly spaced samples, both ends included, and the summary
+        # reports their step-halving acceptance
         cfg = _write_config(tmp_path, "bands.json", {
             "version": 1,
             "bands": {"mathieu_q": 1.0, "a_min": -1.0, "a_max": 10.0, "samples": 200},
@@ -184,18 +186,65 @@ class TestBandsCommand:
         assert main(["bands", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         results = summary["results"]
-        assert results["monodromy_steps"] == 2048
-        assert 0.0 < results["tol_achieved"] <= bands._MONODROMY_RTOL
-        chart = q.floquet_analyze(q.mathieu_hill(1.0), np.linspace(-1.0, 10.0, 200))
-        assert results["tol_achieved"] == chart[0].tol_achieved
+        a_values = np.linspace(-1.0, 10.0, 200)
+        subset = [0, 25, 50, 75, 100, 124, 149, 174, 199]
+        hill = q.mathieu_hill(1.0)
+        checked = q.floquet_analyze(hill, a_values[subset])
+        assert results["monodromy_steps"] == checked[0].n_steps
+        assert 0.0 < results["tol_achieved"] == checked[0].tol_achieved <= bands._MONODROMY_RTOL
         # the largest entry scale S, and the det row's |det M - 1| / (n eps S),
         # which rounding alone keeps below 10
-        assert results["monodromy_entry_scale"] == max(r.entry_scale for r in chart) >= 1.0
-        ratio = max(abs(r.det_m - 1.0) / (r.n_steps * np.finfo(float).eps * r.entry_scale) for r in chart)
-        (row,) = summary["checks"]
-        assert (row["name"], row["tolerance"], row["pass"]) == ("monodromy_det", 1e-10, True)
-        assert row["note"] == f"200 samples; max |det M - 1| / (n eps S) = {ratio:.3g}"
+        assert results["monodromy_entry_scale"] == max(r.entry_scale for r in checked) >= 1.0
+        ratio = max(abs(r.det_m - 1.0) / (r.n_steps * np.finfo(float).eps * r.entry_scale) for r in checked)
+        det_row, routes_row = summary["checks"]
+        assert (det_row["name"], det_row["tolerance"], det_row["pass"]) == ("monodromy_det", 1e-10, True)
+        assert det_row["measured"] == max(abs(r.det_m - 1.0) for r in checked)
+        assert det_row["note"] == f"9 of 200 samples; max |det M - 1| / (n eps S) = {ratio:.3g}"
         assert ratio <= 10.0
+        chart = bands.hill_discriminant(hill, a_values)
+        deviation = max(abs(chart[i] - r.tr_m) / max(1.0, abs(r.tr_m)) for i, r in zip(subset, checked))
+        assert (routes_row["name"], routes_row["tolerance"], routes_row["pass"]) == ("chart_routes", 1e-9, True)
+        assert routes_row["measured"] == deviation
+
+    def test_chart_is_the_hill_discriminant(self, tmp_path):
+        cfg = _write_config(tmp_path, "bands.json", {
+            "version": 1,
+            "bands": {"mathieu_q": 1.0, "a_min": -1.0, "a_max": 10.0, "samples": 40},
+        })
+        out = tmp_path / "bands_out"
+        assert main(["bands", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        lines = (out / "band_chart.csv").read_text().splitlines()[1:]
+        chart = bands.hill_discriminant(q.mathieu_hill(1.0), np.linspace(-1.0, 10.0, 40))
+        assert [float(line.split(",")[1]) for line in lines] == chart.tolist()
+
+    @pytest.mark.parametrize("a_min", [-1.0, -5.0])
+    def test_mathieu_charts_pass_both_rows(self, tmp_path, a_min):
+        cfg = _write_config(tmp_path, "bands.json", {
+            "version": 1,
+            "bands": {"mathieu_q": 1.0, "a_min": a_min, "a_max": 10.0, "samples": 200},
+        })
+        out = tmp_path / "bands_out"
+        assert main(["bands", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        rows = json.loads((out / "summary.json").read_text())["checks"]
+        assert [row["name"] for row in rows] == ["monodromy_det", "chart_routes"]
+        assert rows[1]["measured"] <= 1e-9
+
+    def test_range_beyond_the_discriminant_basis_is_a_config_error(self, tmp_path):
+        cfg = _write_config(tmp_path, "bands.json", {
+            "version": 1,
+            "bands": {"mathieu_q": 1.0, "a_min": -1.0, "a_max": 1e6, "samples": 2},
+        })
+        assert main(["bands", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+
+    def test_few_samples_are_all_checked(self, tmp_path):
+        cfg = _write_config(tmp_path, "bands.json", {
+            "version": 1,
+            "bands": {"mathieu_q": 1.0, "a_min": -1.0, "a_max": 10.0, "samples": 5},
+        })
+        out = tmp_path / "bands_out"
+        assert main(["bands", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        rows = json.loads((out / "summary.json").read_text())["checks"]
+        assert all(row["note"].startswith("5 of 5 samples") for row in rows)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write_config(tmp_path, "bands.json", {

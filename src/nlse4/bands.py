@@ -38,10 +38,9 @@ c I + sc Omega with det 1 in exact arithmetic, whose c = cosh s and
 sc = sinh s / s are short power series in s^2 wherever |s^2| <= 1e-2
 (for period pi at 1024 steps, wherever |Q| is below about 1000); the
 monodromy matrix is their ordered product, reduced pairwise in blocks and
-vectorized over the constant coefficient.  Several full blocks are
-evaluated side by side in preallocated buffers (grouped evaluation), but
-the block partition, each block's pairwise tree and the fold of the block
-products keep their order, so grouping changes no bit of the result.  Step-halving acceptance from
+vectorized over the constant coefficient.  One block is evaluated at a
+time in buffers allocated once per integration, its pairwise tree folded
+into the running product in step order.  Step-halving acceptance from
 1024 steps per period picks the step count, and the fixed evaluation order
 keeps results bit-reproducible.
 """
@@ -289,7 +288,7 @@ class FloquetResult:
     ``nu`` is the characteristic exponent on its principal branch: the real
     part lies in [0, pi/period] (exponents fold back into the first
     Brillouin zone), and an imaginary part marks instability.
-    ``tol_achieved`` is the step-halving change the chart met and
+    ``tol_achieved`` is the step-halving change this call's samples met and
     ``n_steps`` the accepted (finer) step count, both shared by every sample
     of one ``floquet_analyze`` call.  ``entry_scale`` is
     max(1, |m00 m11| + |m01 m10|) of this sample's M: det M cancels products
@@ -306,11 +305,9 @@ class FloquetResult:
 
 
 # Elements (steps x samples) per block of step propagators reduced by one
-# pairwise tree; the partition fixes the order of the monodromy products.
+# pairwise tree; the partition fixes the order of the monodromy products
+# and bounds the buffers of _integrate_monodromy independently of n_steps.
 _BLOCK_ELEMENTS = 2**12
-# Elements (steps x blocks x samples) of full blocks evaluated side by side;
-# bounds the buffers of _integrate_monodromy independently of n_steps.
-_GROUP_ELEMENTS = 2**14
 
 # Step-halving acceptance of the monodromy: the largest change of any
 # discriminant relative to max(1, |tr M|), and the most doublings tried.
@@ -431,28 +428,19 @@ def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int)
     carried up a level) and the block products are folded into the running
     product in step order.
 
-    Full blocks are evaluated side by side, up to _GROUP_ELEMENTS elements
-    at once (one sample's blocks one at a time), in buffers laid out
-    (2, 2, step in block, block, sample) that are allocated once per call
-    and written through ``out=``, so the temporaries are bounded
-    independently of ``n_steps``.  Grouping changes neither the partition
-    nor any operation or its order: the modulation is evaluated on each
-    block's own z array, and every other operation acts element by element,
-    so the result is bit-identical to reducing one block at a time.
+    One block is evaluated at a time, in flat buffers sized to one block
+    that are allocated once per call and written through ``out=`` (a
+    partial last block uses a prefix), so the temporaries are bounded
+    independently of ``n_steps``.
     """
     h = hill.period / n_steps
     size = a_values.size
     block = max(1, _BLOCK_ELEMENTS // size)
-    # One sample's tree runs along its steps; side-by-side blocks would
-    # shrink every inner loop to a few elements, so it is not grouped.
-    group = max(1, min(_GROUP_ELEMENTS // (block * size), n_steps // block)) if size > 1 else 1
-
-    # Flat buffers sized for the largest group; each group reshapes a prefix.
-    steps = min(block * group, n_steps)
+    steps = min(block, n_steps)
     mod_buf, q_buf = np.empty(2 * steps), np.empty(2 * steps * size)
     qbar_buf, alpha_buf, mask_buf = np.empty(steps * size), np.empty(steps * size), np.empty(steps * size, bool)
     p_buf = np.empty(4 * steps * size)
-    pair_buf, tmp_buf = np.empty(4 * ((steps + group) // 2) * size), np.empty(4 * ((steps + group) // 2) * size)
+    pair_buf, tmp_buf = np.empty(4 * ((steps + 1) // 2) * size), np.empty(4 * ((steps + 1) // 2) * size)
 
     def view(buf, *shape):
         return buf[:math.prod(shape)].reshape(shape)
@@ -460,34 +448,26 @@ def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int)
     mono, new = np.zeros((2, 2, size)), np.empty((2, 2, size))
     mono[0, 0] = mono[1, 1] = 1.0
     index = np.arange(block)
-    start = 0
-    while start < n_steps:
-        # up to `group` full blocks side by side, or the one partial last block
+    for start in range(0, n_steps, block):
         count = min(block, n_steps - start)
-        blocks = max(1, min(group, (n_steps - start) // block))
         # modulation at the two Gauss points of each step, z = (j + c) h
-        mod = view(mod_buf, blocks, count, 2)
-        for b in range(blocks):
-            mod[b] = hill.modulation(((start + b * count + index[:count])[:, None] + _GAUSS_NODES) * h)
-        q = view(q_buf, 2, count, blocks, size)
-        np.add(mod.T[:, :, :, None], a_values, out=q)
-        e = count * blocks * size
+        mod = view(mod_buf, count, 2)
+        mod[...] = hill.modulation(((start + index[:count])[:, None] + _GAUSS_NODES) * h)
+        np.add(mod.T[:, :, None], a_values, out=view(q_buf, 2, count, size))
+        e = count * size
         _magnus_steps_into(q_buf[:2 * e], h, p_buf[:4 * e], qbar_buf[:e], alpha_buf[:e], mask_buf[:e])
-        p = view(p_buf, 2, 2, count, blocks, size)
-        # pairwise tree of each block; levels alternate between two buffers
-        level, spare = p, pair_buf
+        # pairwise tree of the block; levels alternate between two buffers
+        level, spare = view(p_buf, 2, 2, count, size), pair_buf
         while level.shape[2] > 1:
             n = level.shape[2]
-            nxt = view(spare, 2, 2, (n + 1) // 2, blocks, size)
+            nxt = view(spare, 2, 2, (n + 1) // 2, size)
             _matmul22_into(level[:, :, 1::2], level[:, :, 0:-1:2], nxt[:, :, :n // 2],
-                           view(tmp_buf, 2, 2, n // 2, blocks, size))
+                           view(tmp_buf, 2, 2, n // 2, size))
             if n % 2:
                 nxt[:, :, -1] = level[:, :, -1]
             level, spare = nxt, (p_buf if spare is pair_buf else pair_buf)
-        for b in range(blocks):
-            _matmul22_into(level[:, :, 0, b], mono, new, view(tmp_buf, 2, 2, size))
-            mono, new = new, mono
-        start += blocks * count
+        _matmul22_into(level[:, :, 0], mono, new, view(tmp_buf, 2, 2, size))
+        mono, new = new, mono
     tr = mono[0, 0] + mono[1, 1]
     det = mono[0, 0] * mono[1, 1] - mono[0, 1] * mono[1, 0]
     scale = np.maximum(1.0, np.abs(mono[0, 0] * mono[1, 1]) + np.abs(mono[0, 1] * mono[1, 0]))

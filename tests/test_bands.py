@@ -489,7 +489,7 @@ class TestMonodromyProduct:
         assert any(k == 1 and sk != 0.0 for k, _, sk in hill.harmonics)
 
     # a block holds max(1, _BLOCK_ELEMENTS // n_a) steps: 4096 for one
-    # sample, 20 for 200; full blocks are then evaluated in groups
+    # sample, 20 for 200; 6476 steps end in a partial block
     @pytest.mark.parametrize("name", sorted(HILLS))
     @pytest.mark.parametrize("n_a,n_steps", [(1, 3), (1, 4096), (1, 6476),
                                              (200, 3), (200, 20), (200, 4096), (200, 6476)])
@@ -571,8 +571,8 @@ class TestMonodromyProduct:
         assert np.all(np.abs(sc - sc_ref) <= 2 * eps * np.abs(sc_ref))
 
     # 200 samples over [-1, 400]: at 3 and 20 steps most steps have
-    # |s^2| > tau and take the closed forms; the Mathieu group at 20 steps
-    # and the stationary group at 1024 steps hold both kinds of step
+    # |s^2| > tau and take the closed forms; the Mathieu steps at 20 steps
+    # and the stationary steps at 1024 steps hold both kinds of step
     @pytest.mark.parametrize("name,n_steps,mixed", [("mathieu", 3, False), ("mathieu", 20, True),
                                                     ("stationary_sin", 3, False),
                                                     ("stationary_sin", 20, False),
@@ -592,9 +592,10 @@ class TestMonodromyProduct:
         assert np.array_equal(det, det_ref)
 
     # 4097 samples exceed _BLOCK_ELEMENTS, so their blocks hold one step;
-    # 21, 81, 4097 and 6476 steps end in a partial block or a partial group
+    # 9 samples (the checked subset of a chart) make blocks of 455 steps;
+    # at fewer samples 21, 81, 4097 and 6476 steps end in a partial block
     @pytest.mark.parametrize("name", sorted(HILLS))
-    @pytest.mark.parametrize("n_a", [1, 2, 7, 200, 4097])
+    @pytest.mark.parametrize("n_a", [1, 2, 7, 9, 200, 4097])
     @pytest.mark.parametrize("n_steps", [1, 3, 20, 21, 81, 1448, 4096, 4097, 6476])
     def test_bit_identical_to_blockwise_oracle(self, name, n_a, n_steps):
         hill = self.HILLS[name]

@@ -18,7 +18,10 @@ harmonic from (S')^2, and a sin(z) harmonic from the b1 Lap(Lap S) term
 
 Band edges come from two independent routes: a Fourier-basis eigenproblem
 (robust where |tr M| - 2 has double roots, e.g. the unmodulated limit) and
-an ITP root search on the monodromy discriminant.
+an ITP root search on the monodromy discriminant.  Every eigensolve of the
+Hill operator (the edges, the ground Bloch profile and the chart below)
+sizes its Fourier basis by one rule, from the harmonics and the largest
+|a| it must resolve (:func:`_discriminant_plan`).
 
 A band chart takes the discriminant from Hill's determinant instead
 (:func:`hill_discriminant`): tr M - 2 is a product over the periodic
@@ -323,12 +326,9 @@ _COSH_SERIES = tuple(1.0 / math.factorial(2 * k) for k in range(5))
 _SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(5))
 _SERIES_BOUND = 1e-2
 
-# Fourier modes j = -_N_FOURIER.._N_FOURIER of the truncated Hill operator.
-_N_FOURIER = 48
-
-# Fewest and most eigenvalue pairs hill_discriminant multiplies (the most
-# keeps its eigensolve near 1100 modes, about 20 MB and 0.3 s), and the
-# Bernoulli numbers B_2..B_12 of its Euler-Maclaurin tails.
+# Fewest and most eigenvalue pairs a Hill eigensolve resolves (the most
+# keeps it near 1100 modes, about 20 MB and 0.3 s), and the Bernoulli
+# numbers B_2..B_12 of hill_discriminant's Euler-Maclaurin tails.
 _MIN_PAIRS = 8
 _MAX_PAIRS = 512
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
@@ -623,9 +623,10 @@ def _fourier_coefficients(hill: HillEquation) -> dict:
     return fourier
 
 
-def _hill_matrix(hill: HillEquation, mu: float, modes: int = _N_FOURIER) -> np.ndarray:
+def _hill_matrix(hill: HillEquation, mu: float, modes: int) -> np.ndarray:
     """Hermitian matrix of -d^2/dz^2 - modulation(z) in the Fourier basis
-    exp(i (mu + j w0) z), j = -modes..modes, w0 = 2 pi / period."""
+    exp(i (mu + j w0) z), j = -modes..modes, w0 = 2 pi / period; ``modes``
+    comes from :func:`_discriminant_plan`."""
     base = _TWO_PI / hill.period
     j = np.arange(-modes, modes + 1)
     H = np.diag(((mu + j * base) ** 2).astype(complex))
@@ -701,10 +702,13 @@ def _hurwitz_tail(s: np.ndarray, start: float) -> np.ndarray:
 
 
 def _discriminant_plan(fourier: dict, base: float, a_max: float) -> tuple:
-    """(pairs, modes, terms) of :func:`hill_discriminant` for harmonics
-    ``fourier`` and samples up to |a| = ``a_max``: the eigenvalue pairs
-    multiplied, the half-width of the Fourier basis that yields them and the
-    number of u terms of the tail.
+    """(pairs, modes, terms) for harmonics ``fourier`` and spectral
+    parameters up to |a| = ``a_max``: the eigenvalue pairs resolved, the
+    half-width of the Fourier basis that yields them and the number of u
+    terms of :func:`hill_discriminant`'s tail.  It plans every eigensolve of
+    the Hill operator: the chart (:func:`hill_discriminant`), the edges
+    (:func:`band_edges`) and the ground profile
+    (:func:`bloch_density_profile`).
 
     The pairs N satisfy |a| / w_N^2 <= 1/16 and 3 max(m) / 2N <= 1/4,
     which keeps the ratio of successive u terms of x(u) below 1/16, and
@@ -778,11 +782,19 @@ def band_edges(hill: HillEquation, a_min: float, a_max: float) -> dict:
 
     The operator -d^2/dz^2 - modulation(z) is Hermitian in the bases
     exp(i (mu + j w0) z), w0 = 2 pi / period, with mu = 0 (periodic,
-    tr M = +2) and mu = w0/2 (antiperiodic, tr M = -2).
+    tr M = +2) and mu = w0/2 (antiperiodic, tr M = -2).  Both bases have
+    the half-width that :func:`_discriminant_plan` gives a chart over
+    |a| <= max(|a_min|, |a_max|), so every eigenvalue in range lies far
+    below the truncation however high the range.  The range must be finite
+    with a_min < a_max; one that needs more than ``_MAX_PAIRS`` pairs
+    raises BandError.
     """
+    if not (math.isfinite(a_min) and math.isfinite(a_max) and a_min < a_max):
+        raise BandError(f"band range [{a_min}, {a_max}] must be finite with a_min < a_max")
     base = _TWO_PI / hill.period
-    per = np.linalg.eigvalsh(_hill_matrix(hill, 0.0))
-    anti = np.linalg.eigvalsh(_hill_matrix(hill, 0.5 * base))
+    _, modes, _ = _discriminant_plan(_fourier_coefficients(hill), base, max(abs(a_min), abs(a_max)))
+    per = np.linalg.eigvalsh(_hill_matrix(hill, 0.0, modes))
+    anti = np.linalg.eigvalsh(_hill_matrix(hill, 0.5 * base, modes))
     per = per[(per >= a_min) & (per <= a_max)]
     anti = anti[(anti >= a_min) & (anti <= a_max)]
     edges = np.sort(np.concatenate([per, anti]))
@@ -794,10 +806,18 @@ def bloch_density_profile(hill: HillEquation) -> tuple:
 
     Returns the lowest periodic eigenvalue and the Fourier coefficients c_j
     of y(z) = sum_j c_j exp(i j w0 z), normalized so max y = 1 and y > 0.
+
+    The basis is :func:`_discriminant_plan`'s for |a| = 0.  Its pairs
+    satisfy N >= max(8, 8 sum |c_m| / w0^2), and |lambda_0| <= 2 sum |c_m|
+    (lambda_0 lies between the minimum of -modulation, at least
+    -2 sum |c_m|, and its mean, 0), so
+    |lambda_0| / w_N^2 <= 2 sum |c_m| / (8 N sum |c_m|) <= 1/32: the
+    ground state is planned for as if lambda_0 were a sample of a chart.
     """
     base = _TWO_PI / hill.period
-    j = np.arange(-_N_FOURIER, _N_FOURIER + 1)
-    vals, vecs = np.linalg.eigh(_hill_matrix(hill, 0.0))
+    _, modes, _ = _discriminant_plan(_fourier_coefficients(hill), base, 0.0)
+    j = np.arange(-modes, modes + 1)
+    vals, vecs = np.linalg.eigh(_hill_matrix(hill, 0.0, modes))
     c = vecs[:, 0]
     z = np.linspace(0.0, hill.period, 256, endpoint=False)
     y = np.exp(1j * np.outer(z, j * base)) @ c

@@ -726,6 +726,28 @@ class TestHillDiscriminant:
             hill_discriminant(hill, [-1.0, 65537.0])
 
 
+class TestFourierEdges:
+    """``band_edges`` sizes its bases by the chart's plan
+    (``_discriminant_plan``) and validates its range."""
+
+    def test_edges_far_above_the_lowest_bands(self):
+        # the range reaches past (48 w0)^2 = 9216 (w0 = 2), where a basis
+        # of 48 modes ends: the basis must grow with the range
+        edges = band_edges(mathieu_hill(1.0), 9000.0, 10200.0)["edges"]
+        assert edges.size == 12
+        assert np.abs(edges - np.repeat(np.arange(95, 101) ** 2, 2)).max() <= 1e-3
+
+    def test_rejects_a_range_beyond_its_basis(self):
+        with pytest.raises(BandError, match="eigenvalue pairs"):
+            band_edges(mathieu_hill(1.0), -1.0, 70000.0)
+
+    @pytest.mark.parametrize("a_min, a_max", [(np.nan, 10.0), (-1.0, np.nan), (-np.inf, np.inf),
+                                              (-1.0, np.inf), (10.0, -1.0), (1.0, 1.0)])
+    def test_rejects_non_finite_or_reversed_range(self, a_min, a_max):
+        with pytest.raises(BandError, match="finite with a_min < a_max"):
+            band_edges(mathieu_hill(1.0), a_min, a_max)
+
+
 class TestBlochStateCrossCheck:
     def test_ground_profile_nodeless(self):
         me = q.MEParams(D1=1.0, b1=1.0, b6=0.0)

@@ -42,10 +42,10 @@ sc = sinh s / s are short power series in s^2 wherever |s^2| <= 1e-2
 (for period pi at 1024 steps, wherever |Q| is below about 1000); the
 monodromy matrix is their ordered product, reduced pairwise in blocks and
 vectorized over the constant coefficient.  One block is evaluated at a
-time in buffers allocated once per integration, its pairwise tree folded
-into the running product in step order.  Step-halving acceptance from
-1024 steps per period picks the step count, and the fixed evaluation order
-keeps results bit-reproducible.
+time as plain array expressions, its pairwise tree folded into the running
+product in step order.  Step-halving acceptance from 1024 steps per period
+picks the step count, and the fixed evaluation order keeps results
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -309,7 +309,7 @@ class FloquetResult:
 
 # Elements (steps x samples) per block of step propagators reduced by one
 # pairwise tree; the partition fixes the order of the monodromy products
-# and bounds the buffers of _integrate_monodromy independently of n_steps.
+# and bounds the temporaries of _integrate_monodromy independently of n_steps.
 _BLOCK_ELEMENTS = 2**12
 
 # Step-halving acceptance of the monodromy: the largest change of any
@@ -321,7 +321,7 @@ _MAX_DOUBLINGS = 6
 _GAUSS_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 
 # Terms k = 0..4 of c = cosh s and sc = sinh s / s as series in s^2, and
-# the largest |s^2| evaluated by them (see _magnus_steps_into).
+# the largest |s^2| evaluated by them (see _magnus_steps).
 _COSH_SERIES = tuple(1.0 / math.factorial(2 * k) for k in range(5))
 _SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(5))
 _SERIES_BOUND = 1e-2
@@ -334,27 +334,21 @@ _MAX_PAIRS = 512
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 
-def _matmul22_into(b: np.ndarray, a: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = b @ a for stacks of 2x2 matrices laid out as (2, 2, ...); each
-    entry is b_i0 a_0j + b_i1 a_1j.  ``tmp`` has the shape of ``out``."""
-    np.multiply(b[:, 0, None], a[None, 0], out=out)
-    np.multiply(b[:, 1, None], a[None, 1], out=tmp)
-    np.add(out, tmp, out=out)
+def _matmul22(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """b @ a for stacks of 2x2 matrices laid out as (2, 2, ...); each entry
+    is b_i0 a_0j + b_i1 a_1j."""
+    return b[:, 0, None] * a[None, 0] + b[:, 1, None] * a[None, 1]
 
 
-def _magnus_steps_into(q: np.ndarray, h: float, p: np.ndarray, qbar: np.ndarray, alpha: np.ndarray,
-                       mask: np.ndarray) -> None:
-    """Magnus step propagators into ``p``, entries p00, p01, p10, p11 one
-    after another, from q = a + modulation at the first Gauss point of every
-    step followed by the second.  All arrays are flat: the steps are
-    independent, so every operation acts element by element.  ``q`` is
-    overwritten; ``qbar``, ``alpha`` (float) and ``mask`` (bool) are scratch
-    of one entry's length.
+def _magnus_steps(q1: np.ndarray, q2: np.ndarray, h: float) -> np.ndarray:
+    """Magnus step propagators, a (2, 2, ...) stack, from q = a + modulation
+    at the first (``q1``) and the second (``q2``) Gauss point of every step.
+    The steps are independent, so every operation acts element by element.
 
     c = cosh s and sc = sinh s / s are entire functions of x = s^2,
     c = sum_k x^k / (2k)! and sc = sum_k x^k / (2k + 1)!, and are evaluated
-    as these series by Horner in place, with the terms k <= 4 of
-    _COSH_SERIES and _SINHC_SERIES, wherever |x| <= _SERIES_BOUND = tau.
+    as these series by Horner, with the terms k <= 4 of _COSH_SERIES and
+    _SINHC_SERIES, wherever |x| <= _SERIES_BOUND = tau.
     Past k = 4 the terms fall by a ratio below tau / 132, alternating in
     sign for x < 0, so the first omitted term bounds the truncation (up to
     a factor 1 + tau / 132): tau^5 / 10! = 2.8e-17 for c and
@@ -368,44 +362,28 @@ def _magnus_steps_into(q: np.ndarray, h: float, p: np.ndarray, qbar: np.ndarray,
     the closed forms, (cos |s|, sin |s| / |s|) for x < 0 and
     (cosh s, sinh s / s) for x > 0, in a masked pass that runs only when
     such a step exists."""
-    e = qbar.size
-    q1, q2 = q[:e], q[e:]
-    p00, p01, p10, p11 = p[:e], p[e:2 * e], p[2 * e:3 * e], p[3 * e:]
     hh = h * h
-    np.add(q1, q2, out=qbar)
-    qbar *= 0.5
-    np.subtract(q2, q1, out=alpha)
-    alpha *= math.sqrt(3.0) / 12.0 * hh
-    # s^2 = alpha^2 - h^2 qbar into q2
-    s2, s = q2, q1
-    np.multiply(qbar, hh, out=s)
-    np.multiply(alpha, alpha, out=s2)
-    s2 -= s
-    # c into p11 and sc into p01, by Horner in s^2
-    c, sc = p11, p01
+    qbar = (q1 + q2) * 0.5
+    alpha = (q2 - q1) * (math.sqrt(3.0) / 12.0 * hh)
+    s2 = alpha * alpha - qbar * hh
+    # c and sc by Horner in s^2
+    c, sc = s2 * _COSH_SERIES[-1], s2 * _SINHC_SERIES[-1]
     for out, coeffs in ((c, _COSH_SERIES), (sc, _SINHC_SERIES)):
-        np.multiply(s2, coeffs[-1], out=out)
         for coeff in coeffs[-2:0:-1]:
             out += coeff
             out *= s2
         out += coeffs[0]
-    # the closed forms where |s^2| > tau, with |s| into q1
+    # the closed forms where |s^2| > tau
     if s2.min() < -_SERIES_BOUND or s2.max() > _SERIES_BOUND:
-        np.abs(s2, out=s)
-        np.sqrt(s, out=s)
-        for select, bound, even, odd in ((np.less, -_SERIES_BOUND, np.cos, np.sin),
-                                         (np.greater, _SERIES_BOUND, np.cosh, np.sinh)):
-            select(s2, bound, out=mask)
+        s = np.sqrt(np.abs(s2))
+        for mask, even, odd in ((s2 < -_SERIES_BOUND, np.cos, np.sin),
+                                (s2 > _SERIES_BOUND, np.cosh, np.sinh)):
             even(s, out=c, where=mask)
             odd(s, out=sc, where=mask)
             np.divide(sc, s, out=sc, where=mask)
     # exp(Omega) = c I + sc Omega
-    alpha *= sc
-    np.add(c, alpha, out=p00)
-    c -= alpha
-    np.multiply(qbar, -h, out=p10)
-    p10 *= sc
-    sc *= h
+    alpha_sc = alpha * sc
+    return np.array([[c + alpha_sc, sc * h], [qbar * -h * sc, c - alpha_sc]])
 
 
 def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int) -> tuple:
@@ -420,7 +398,7 @@ def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int)
     is traceless, so Omega^2 = s^2 I with s^2 = alpha^2 - h^2 qbar and
     exp(Omega) = c I + sc Omega, (c, sc) = (cosh s, sinh s / s) for s^2 > 0,
     (cos |s|, sin |s| / |s|) for s^2 < 0 and (1, 1) at s = 0, evaluated as
-    series in s^2 where |s^2| <= _SERIES_BOUND (see _magnus_steps_into):
+    series in s^2 where |s^2| <= _SERIES_BOUND (see _magnus_steps):
     every step has det 1 in exact arithmetic.  The monodromy is the ordered
     product P_{n-1} ... P_0.  Steps are partitioned into blocks of
     max(1, _BLOCK_ELEMENTS // size) steps; each block's propagators are
@@ -428,46 +406,23 @@ def _integrate_monodromy(hill: HillEquation, a_values: np.ndarray, n_steps: int)
     carried up a level) and the block products are folded into the running
     product in step order.
 
-    One block is evaluated at a time, in flat buffers sized to one block
-    that are allocated once per call and written through ``out=`` (a
-    partial last block uses a prefix), so the temporaries are bounded
-    independently of ``n_steps``.
+    One block is evaluated at a time, as plain array expressions, so the
+    temporaries are bounded by the block independently of ``n_steps``.
     """
     h = hill.period / n_steps
     size = a_values.size
     block = max(1, _BLOCK_ELEMENTS // size)
-    steps = min(block, n_steps)
-    mod_buf, q_buf = np.empty(2 * steps), np.empty(2 * steps * size)
-    qbar_buf, alpha_buf, mask_buf = np.empty(steps * size), np.empty(steps * size), np.empty(steps * size, bool)
-    p_buf = np.empty(4 * steps * size)
-    pair_buf, tmp_buf = np.empty(4 * ((steps + 1) // 2) * size), np.empty(4 * ((steps + 1) // 2) * size)
-
-    def view(buf, *shape):
-        return buf[:math.prod(shape)].reshape(shape)
-
-    mono, new = np.zeros((2, 2, size)), np.empty((2, 2, size))
+    mono = np.zeros((2, 2, size))
     mono[0, 0] = mono[1, 1] = 1.0
-    index = np.arange(block)
     for start in range(0, n_steps, block):
-        count = min(block, n_steps - start)
         # modulation at the two Gauss points of each step, z = (j + c) h
-        mod = view(mod_buf, count, 2)
-        mod[...] = hill.modulation(((start + index[:count])[:, None] + _GAUSS_NODES) * h)
-        np.add(mod.T[:, :, None], a_values, out=view(q_buf, 2, count, size))
-        e = count * size
-        _magnus_steps_into(q_buf[:2 * e], h, p_buf[:4 * e], qbar_buf[:e], alpha_buf[:e], mask_buf[:e])
-        # pairwise tree of the block; levels alternate between two buffers
-        level, spare = view(p_buf, 2, 2, count, size), pair_buf
+        mod = hill.modulation((np.arange(start, min(start + block, n_steps))[:, None] + _GAUSS_NODES) * h)
+        level = _magnus_steps(mod[:, :1] + a_values, mod[:, 1:] + a_values, h)
+        # pairwise tree of the block
         while level.shape[2] > 1:
-            n = level.shape[2]
-            nxt = view(spare, 2, 2, (n + 1) // 2, size)
-            _matmul22_into(level[:, :, 1::2], level[:, :, 0:-1:2], nxt[:, :, :n // 2],
-                           view(tmp_buf, 2, 2, n // 2, size))
-            if n % 2:
-                nxt[:, :, -1] = level[:, :, -1]
-            level, spare = nxt, (p_buf if spare is pair_buf else pair_buf)
-        _matmul22_into(level[:, :, 0], mono, new, view(tmp_buf, 2, 2, size))
-        mono, new = new, mono
+            pairs = _matmul22(level[:, :, 1::2], level[:, :, 0:-1:2])
+            level = np.concatenate([pairs, level[:, :, -1:]], axis=2) if level.shape[2] % 2 else pairs
+        mono = _matmul22(level[:, :, 0], mono)
     tr = mono[0, 0] + mono[1, 1]
     det = mono[0, 0] * mono[1, 1] - mono[0, 1] * mono[1, 0]
     scale = np.maximum(1.0, np.abs(mono[0, 0] * mono[1, 1]) + np.abs(mono[0, 1] * mono[1, 0]))
@@ -495,9 +450,11 @@ def floquet_analyze(hill: HillEquation, a_values, base_steps: int = 1024) -> lis
     so no a-priori rule raises the start.  The result is accepted once step
     halving changes no discriminant by more than ``_MONODROMY_RTOL``
     (relative to max(1, |tr M|)); otherwise the step count doubles, up to
-    ``_MAX_DOUBLINGS`` times.
+    ``_MAX_DOUBLINGS`` times.  ``base_steps`` must be a positive integer.
     """
     a_values = _samples(a_values)
+    if isinstance(base_steps, bool) or not isinstance(base_steps, (int, np.integer)) or base_steps < 1:
+        raise BandError(f"base_steps must be a positive integer, got {base_steps!r}")
     n = base_steps
     prev = _integrate_monodromy(hill, a_values, n)
     achieved = np.inf

@@ -189,8 +189,8 @@ class HillEquation:
             raise BandError(f"q0 must be finite, got {self.q0}")
         base = _TWO_PI / self.period
         for k, ck, sk in self.harmonics:
-            if k <= 0:
-                raise BandError("harmonic wavenumbers must be positive")
+            if not (k > 0 and np.isfinite(k)):
+                raise BandError(f"harmonic wavenumbers must be positive and finite, got {k}")
             ratio = k / base
             if abs(ratio - round(ratio)) > 1e-9:
                 raise BandError(f"harmonic k={k} incompatible with period {self.period}")

@@ -62,9 +62,10 @@ their fields as stacks, one call per stack (the gradient of a state given
 with its spectrum too), so a three-parameter step makes 26 transform calls
 on a 1D and on a 2D grid.
 
-On a grid of at most 1024 points the stepper keeps a workspace: arrays
-allocated on first request and reused for the rest of the run, so a run
-holds only what its engine asks for.  It holds the arrays a later stage's
+On a grid of at most 1024 points the stepper keeps a workspace, a dict
+from array name to array: each array is allocated on its first request
+(``hydro._take``) and reused for the rest of the run, so a run holds only
+what its engine asks for.  It holds the arrays a later stage's
 transforms read and write and the rows filled into them: the psi and
 gradient stack, inverted in place, the [rho, g, grad rho] stack and its
 spectrum, the Lap rho and div g spectrum and fields, the [P, F] stack and
@@ -118,16 +119,7 @@ import numpy as np
 from .coeffs import MEParams, is_linear
 from .currents import current_divergence
 from .functionals import functional_pair
-from .hydro import (
-    _FRESH,
-    DEFAULT_EPS_RHO,
-    DEFAULT_GATE_FACTOR,
-    DEFAULT_RATIO_FLOOR,
-    HydroView,
-    _Buffer,
-    _Layout,
-    hydro_decompose,
-)
+from .hydro import DEFAULT_EPS_RHO, DEFAULT_GATE_FACTOR, DEFAULT_RATIO_FLOOR, HydroView, _take, hydro_decompose
 from .spectral import Grid, PhysicalConstants, NATURAL_UNITS, _forward, _inverse, _laplacian_symbol, laplacian
 from .states import Potential
 
@@ -187,8 +179,8 @@ class EvolutionConfig:
             raise ValueError("dt must be positive")
         if not (self.t_end > 0.0 and np.isfinite(self.t_end)):
             raise ValueError("t_end must be positive")
-        if self.stride < 1:
-            raise ValueError("stride must be at least 1")
+        if isinstance(self.stride, bool) or not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
+            raise ValueError(f"stride must be an integer of at least 1, got {self.stride!r}")
         if not (self.norm_tol > 0.0 and np.isfinite(self.norm_tol)):
             raise ValueError("norm_tol must be positive and finite")
         if not 0.0 < self.filter_fraction <= 1.0:
@@ -371,24 +363,7 @@ class _GuardFailed(ValueError):
     state's sample it refuses the state."""
 
 
-class _Workspace:
-    """The arrays of one run's stages, each layout's allocated on its first
-    request and handed out again on every later one, so a run holds only
-    what its engine asks for (an ``ext`` run never holds the ME composite
-    arrays).  The arrays of a stage's record live here until the next
-    stage."""
-
-    def __init__(self):
-        self._taken = {}
-
-    def take(self, grid: Grid, layout: _Layout) -> tuple:
-        arrays = self._taken.get(layout)
-        if arrays is None:
-            arrays = self._taken[layout] = tuple(buf.allocate(grid) for buf in layout.buffers)
-        return arrays
-
-
-#: Largest grid, in points, whose run keeps a :class:`_Workspace`.  Reusing
+#: Largest grid, in points, whose run keeps a stage workspace.  Reusing
 #: the stage arrays pays where numpy's fixed cost per call and per fresh
 #: array dominates: a 1D ME step at n = 1024 ran 5.9% faster and a 32^2 ME
 #: step 4.3% (CPU time, 16 alternating runs each).  From 2048 points on it
@@ -396,16 +371,15 @@ class _Workspace:
 #: ME), while the traced peak of a run grew by 12-71% at every size.
 _WORKSPACE_POINTS = 1024
 
-#: the explicit part of a stage; a linear stage's psi
-_RHS = _Layout(_Buffer("rhs", dtype=complex))
-_LINEAR_PSI = _Layout(_Buffer("linear_psi", dtype=complex))
-
 
 class _Stepper:
     """One IF-RK4 run, built once from (grid, config): the kinetic
     integrating factors ``e_half``/``e_full``, the band filter ``filt``, the
-    potential values, the explicit stage and the run's :class:`_Workspace`
-    ``ws``.  :meth:`start` sets the norm guard's reference ``norm0``;
+    potential values, the explicit stage and the run's workspace ``ws``: a
+    dict from name to array that later stages fill on first request, so a
+    run holds only what its engine asks for (an ``ext`` run never holds the
+    ME composite arrays), or None on a grid over ``_WORKSPACE_POINTS``
+    points.  :meth:`start` sets the norm guard's reference ``norm0``;
     :meth:`record` carries what the next sample's continuity residual reads
     as ``prev``.  A step changes neither the stepper's settings nor its
     inputs, and what it returns holds no workspace array, so it can be
@@ -419,14 +393,7 @@ class _Stepper:
         self.filt = _filter_mask(grid, config.filter_fraction)
         self.pot_vals = config.potential.values if config.potential is not None else None
         self.norm0, self.prev = None, None
-        self.ws = _Workspace() if grid.npoints <= _WORKSPACE_POINTS else None
-
-    def _arrays(self, layout: _Layout) -> tuple:
-        """The workspace arrays of ``layout``, or Nones (numpy allocates)
-        on a grid that keeps no workspace."""
-        if self.ws is None:
-            return (None,) * len(layout.buffers)
-        return self.ws.take(self.grid, layout)
+        self.ws = {} if grid.npoints <= _WORKSPACE_POINTS else None
 
     def start(self, psi0):
         """The initial (psi, psi_hat, state): psi0 passes through the band
@@ -469,7 +436,7 @@ class _Stepper:
             return None
         c = self.config
         hv = hydro_decompose(self.grid, psi, eps_rho=c.eps_rho, psi_hat=psi_hat, gate_factor=c.gate_factor,
-                             ratio_floor=c.ratio_floor, _buffers=self.ws if stage and self.ws is not None else _FRESH)
+                             ratio_floor=c.ratio_floor, _ws=self.ws if stage else None)
         if not sampled and hv.masked_fraction > c.mask_limit:
             raise MaskOverflowError(hv.masked_fraction, c.mask_limit)
         return derive(hv, c.coeffs, c.constants)
@@ -481,9 +448,11 @@ class _Stepper:
         keeps one (a linear run inverts it)."""
         if psi is None:
             state = self.state(None, p_hat, stage=True)
-            psi = state.psi if state else _inverse(self.grid, p_hat, False, out=self._arrays(_LINEAR_PSI)[0])
+            psi = state.psi if state else _inverse(self.grid, p_hat, False,
+                                                   out=_take(self.ws, self.grid, "linear_psi", None, complex))
         mult = state and state.mult
-        out = self._arrays(_RHS)[0] if self.pot_vals is not None or mult is not None else None
+        filled = self.pot_vals is not None or mult is not None
+        out = _take(self.ws, self.grid, "rhs", None, complex) if filled else None
         rhs = _explicit_rhs(psi, self.pot_vals, mult, self.config.constants.hbar, out)
         return _forward(self.grid, np.zeros_like(psi) if rhs is None else rhs, False)
 

@@ -28,11 +28,12 @@ not.
 The decomposition and its composites fill the arrays their transforms
 read and write (the [rho, g, grad rho] and [P, F] stacks, their spectra,
 the Lap rho / div g and composites spectra and rows, and the gated ratios)
-through ``out=``, taking them from the view's buffers: a standalone call
-lets numpy allocate each array where it is made, and the time stepper
-passes a stage's decomposition its run's workspace (see
-:mod:`nlse4.evolution`).  The view records its buffers, so its composites
-use the same ones.  Every other temporary is a plain numpy expression.
+through ``out=``, each taken by name from a workspace, a dict that maps
+the name to its array (``_take``): a standalone call has none and lets
+numpy allocate each array where it is made, and the time stepper passes a
+stage's decomposition its run's workspace (see :mod:`nlse4.evolution`).
+The view records its workspace, so its composites take their arrays from
+the same one.  Every other temporary is a plain numpy expression.
 
 Fourth-order composites (e.g. rho*Lap(Lap S)) are assembled from
 density-weighted numerators that decay with rho, and are zeroed wherever the
@@ -83,71 +84,25 @@ DEFAULT_GATE_FACTOR = 16384.0
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class _Buffer:
-    """One array that a run's workspace holds for its stages (one their
-    transforms read or write, or the gated ratios): ``rows`` leading rows
-    (a pair (a, b) for a + b * dims rows, None for one field) over the
-    grid, or over the half spectrum of a real field if ``half``.  An array
-    the code fills row by row is ``written`` and must exist before it is
-    filled; any other is the ``out=`` of the call that makes it, and may be
-    None, so that numpy allocates it there."""
-
-    name: str
-    rows: tuple | None = None
-    dtype: type = float
-    half: bool = False
-    written: bool = False
-
-    def shape(self, grid: Grid) -> tuple:
-        shape = _half_shape(grid) if self.half else grid.shape
-        if self.rows is not None:
-            shape = (self.rows[0] + self.rows[1] * grid.dims,) + shape
-        return shape
-
-    def allocate(self, grid: Grid) -> np.ndarray:
-        return np.empty(self.shape(grid), self.dtype)
-
-
-class _Layout:
-    """The arrays one call takes from its buffers, in order; compared and
-    hashed by identity, so a workspace finds its arrays in one lookup."""
-
-    __slots__ = ("buffers",)
-
-    def __init__(self, *buffers: _Buffer):
-        self.buffers = buffers
-
-
-class _Fresh:
-    """The buffers of a standalone decomposition: ``take(grid, layout)``
-    allocates the ``written`` arrays of ``layout`` anew and leaves every
-    other one to numpy (None), so each array is allocated where it is made,
-    as plain expressions allocate it.  A run on a grid of at most 1024
-    points passes its later stages a workspace instead
-    (``evolution._Workspace``)."""
-
-    @staticmethod
-    def take(grid: Grid, layout: _Layout) -> tuple:
-        return tuple(buf.allocate(grid) if buf.written else None for buf in layout.buffers)
-
-
-_FRESH = _Fresh()
-
-#: psi and its gradient from the spectrum alone, one stack inverted in place
-_FROM_SPECTRUM = _Layout(_Buffer("psi_rows", (1, 1), complex))
-#: the [rho, g, grad rho] stack, its spectrum, and Lap rho and div g
-_DECOMPOSE = _Layout(
-    _Buffer("smooth", (1, 2), written=True), _Buffer("smooth_hat", (1, 1), complex, half=True),
-    _Buffer("lap_div_hat", (2, 0), complex, half=True), _Buffer("lap_div", (2, 0)),
-)
-#: the [P, F] stack, its spectrum, the composites spectrum and rows, and the
-#: gated ratios
-_COMPOSITES = _Layout(
-    _Buffer("PF", (1, 1), written=True), _Buffer("PF_hat", (1, 1), complex, half=True),
-    _Buffer("composites_hat", (2, 1), complex, half=True, written=True), _Buffer("composites", (2, 1)),
-    _Buffer("gated_ratios", (3, 0), written=True),
-)
+def _take(ws: dict | None, grid: Grid, name: str, rows: tuple | None, dtype: type = float,
+          half: bool = False, written: bool = False) -> np.ndarray | None:
+    """The array ``name`` of the workspace ``ws``, allocated on its first
+    request: ``rows`` leading rows (a pair (a, b) for a + b * dims rows,
+    None for one field) over the grid, or over the half spectrum of a real
+    field if ``half``.  Each name is taken at one call site with one shape.
+    Without a workspace (a standalone call, or a grid over
+    ``evolution._WORKSPACE_POINTS`` points) an array the code fills row by
+    row is ``written`` and allocated anew; any other is the ``out=`` of the
+    call that makes it, and is None, so that numpy allocates it there."""
+    arr = None if ws is None else ws.get(name)
+    if arr is None and (ws is not None or written):
+        shape = _half_shape(grid) if half else grid.shape
+        if rows is not None:
+            shape = (rows[0] + rows[1] * grid.dims,) + shape
+        arr = np.empty(shape, dtype)
+        if ws is not None:
+            ws[name] = arr
+    return arr
 
 
 @dataclass
@@ -189,8 +144,8 @@ class HydroView:
     #: the rows [g, grad_rho] of one array
     _grads: np.ndarray = field(repr=False)
     _fourth_order: "FourthOrder | None" = field(repr=False, default=None)
-    #: where the view's composites and multiplier put their arrays
-    _buffers: object = field(repr=False, default=_FRESH)
+    #: the workspace the view's composites take their arrays from (None: fresh)
+    _ws: dict | None = field(repr=False, default=None)
 
     @cached_property
     def grad_s(self) -> list:
@@ -254,7 +209,7 @@ def hydro_decompose(
     gate_factor: float = DEFAULT_GATE_FACTOR,
     ratio_floor: float = DEFAULT_RATIO_FLOOR,
     *,
-    _buffers=_FRESH,
+    _ws: dict | None = None,
 ) -> HydroView:
     """Decompose psi into density, its phase-current numerators and their
     derivatives.
@@ -269,14 +224,14 @@ def hydro_decompose(
     gradient come from one inverse transform, and the spectrum is validated
     as psi would be.
     """
-    buffers, dims = _buffers, grid.dims
+    dims = grid.dims
     if psi is None:
         if psi_hat is None:
             raise ValueError("need the wavefunction or its spectrum psi_hat")
         grid.validate_field(psi_hat)
         if not np.logical_and.reduce(np.isfinite(psi_hat), axis=None):
             raise ValueError("spectrum contains non-finite samples")
-        psi, dpsi = _inverse_and_gradient(grid, psi_hat, stack=buffers.take(grid, _FROM_SPECTRUM)[0])
+        psi, dpsi = _inverse_and_gradient(grid, psi_hat, stack=_take(_ws, grid, "psi_rows", (1, 1), complex))
     else:
         grid.validate_field(psi)
         if not np.logical_and.reduce(np.isfinite(psi), axis=None):
@@ -284,7 +239,7 @@ def hydro_decompose(
         psi = np.ascontiguousarray(psi, dtype=complex)
         _, dpsi = _inverse_and_gradient(grid, _forward(grid, psi, False) if psi_hat is None else psi_hat,
                                         with_psi=False)
-    smooth, smooth_hat, lap_div_hat, lap_div = buffers.take(grid, _DECOMPOSE)
+    smooth = _take(_ws, grid, "smooth", (1, 2), written=True)
 
     # rho, g and grad_rho share one stack; rho and g, whose transforms are
     # taken, lead it, so each transform of them is one call
@@ -304,11 +259,13 @@ def hydro_decompose(
     masked = np.count_nonzero(mask)
 
     # Lap rho and div g, from one forward and one inverse transform of stacks
+    smooth_hat = _take(_ws, grid, "smooth_hat", (1, 1), complex, half=True)
     spec = _forward(grid, smooth[:1 + dims], True, out=smooth_hat)
-    lap_div_hat = np.multiply(_laplacian_and_ik(grid.n, grid.length, dims), spec[:2], out=lap_div_hat)
+    lap_div_hat = np.multiply(_laplacian_and_ik(grid.n, grid.length, dims), spec[:2],
+                              out=_take(_ws, grid, "lap_div_hat", (2, 0), complex, half=True))
     for a in range(1, dims):
         lap_div_hat[1] += _ik(grid, a, True) * spec[1 + a]
-    lap_rho, div_g = _inverse(grid, lap_div_hat, True, out=lap_div)
+    lap_rho, div_g = _inverse(grid, lap_div_hat, True, out=_take(_ws, grid, "lap_div", (2, 0)))
 
     dot = grad_rho[0] * g[0]
     for a in range(1, dims):
@@ -329,7 +286,7 @@ def hydro_decompose(
         rho_lap_s=div_g,
         safe_rho=np.where(mask, 1.0, rho) if masked else rho,
         _grads=smooth[1:],
-        _buffers=buffers,
+        _ws=_ws,
     )
     # rho*Lap S = div g - grad_rho . g / rho, all built from smooth fields
     div_g -= hv.ratio(dot)
@@ -399,12 +356,15 @@ def fourth_order_composites(hv: HydroView) -> FourthOrder:
     -|k|^2 P^ - sum_a ik_a F_a^ would keep them.
     """
     grid, dims = hv.grid, hv.grid.dims
-    PF, PF_hat, spec, rows, gated = hv._buffers.take(grid, _COMPOSITES)
+    ws = hv._ws
+    PF = _take(ws, grid, "PF", (1, 1), written=True)
+    spec = _take(ws, grid, "composites_hat", (2, 1), complex, half=True, written=True)
+    gated = _take(ws, grid, "gated_ratios", (3, 0), written=True)
     P = hv.rho_lap_s
     ratio_P = hv.ratio(P)
     PF[0] = P
     F = np.multiply(ratio_P, hv._grads[dims:], out=PF[1:])
-    P_hat, *F_hat = _forward(grid, PF, True, out=PF_hat)
+    P_hat, *F_hat = _forward(grid, PF, True, out=_take(ws, grid, "PF_hat", (1, 1), complex, half=True))
     # spec[1:3] = [Lap P^, ik_1 P^]
     np.multiply(_laplacian_and_ik(grid.n, grid.length, dims), P_hat, out=spec[1:3])
     ik = _ik(grid, 0, True)
@@ -416,7 +376,7 @@ def fourth_order_composites(hv: HydroView) -> FourthOrder:
         spec[0] += ik * (spec[2 + a] - F_hat[a])
     # of the rows [div q, Lap P, d_1 P, ...] the first three become the
     # numerators [div q, r1, r6]
-    rows = _inverse(grid, spec, True, out=rows)
+    rows = _inverse(grid, spec, True, out=_take(ws, grid, "composites", (2, 1)))
     nums = rows[:3]
     div_q, r1, r6 = nums
     dot = hv.grad_rho[0] * (r6 - F[0])

@@ -143,6 +143,11 @@ class TestHillMapping:
         with pytest.raises(BandError):
             HillEquation(period=period, q0=q0, harmonics=((2, -2.0, 0.0),))
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf])
+    def test_rejects_non_finite_harmonic_wavenumber(self, k):
+        with pytest.raises(BandError, match="harmonic wavenumbers"):
+            HillEquation(period=np.pi, q0=0.0, harmonics=((k, -2.0, 0.0),))
+
     def test_rejects_non_finite_energy(self):
         with pytest.raises(BandError):
             hill_from_stationary(q.MEParams(D1=1.0), 1.0, np.nan, CON)

@@ -253,6 +253,17 @@ class TestEvolve:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite samples"):
             evolve(grid, 1e150 * perturbed_plane_wave(grid), cfg)
 
+    @pytest.mark.parametrize("stride", [2.5, np.nan, np.inf, True, 0, -3])
+    def test_stride_must_be_a_positive_integer(self, stride):
+        """Refused: a fractional stride samples where a multiple of it is a
+        step (2.5: steps 5 and 10 of 10), a NaN or infinite one only t = 0
+        and the end, and True runs as 1."""
+        with pytest.raises(ValueError, match="stride must be"):
+            EvolutionConfig(dt=1e-3, t_end=1e-2, stride=stride)
+
+    def test_numpy_integer_stride_accepted(self):
+        assert EvolutionConfig(dt=1e-3, t_end=1e-2, stride=np.int64(5)).stride == 5
+
     def test_snapshot_times_strictly_increasing(self):
         grid = q.make_grid(1, 64, 20.0)
         psi0 = q.gaussian_packet(grid, t0=1.0)
@@ -447,14 +458,21 @@ def test_a_linear_run_holds_only_the_arrays_it_fills(potential):
     """A linear run decomposes nothing, so its workspace holds the psi that
     its later stages invert into, plus the explicit part only when there
     is a potential to fill it."""
-    from nlse4.evolution import _LINEAR_PSI, _RHS
-
     grid = q.make_grid(1, 128, 18.0)
     pot = q.harmonic_potential(grid, 1.0) if potential else None
     config = EvolutionConfig(dt=1e-3, t_end=2e-3, coeffs=q.linear_coeffs(), potential=pot)
     stepper = _Stepper(grid, config)
     stepper.step(*stepper.start(q.harmonic_eigenstate(grid, 0, omega=1.0)), False)
-    assert set(stepper.ws._taken) == ({_LINEAR_PSI, _RHS} if potential else {_LINEAR_PSI})
+    assert set(stepper.ws) == ({"linear_psi", "rhs"} if potential else {"linear_psi"})
+
+
+@pytest.mark.parametrize("dims, n, kept", [(1, 1024, True), (2, 32, True), (1, 2048, False), (2, 64, False)])
+def test_only_grids_of_at_most_1024_points_keep_a_workspace(dims, n, kept):
+    """The stage workspace pays only where numpy's fixed cost per call
+    dominates (``_WORKSPACE_POINTS``); a larger grid allocates as it goes."""
+    grid = q.make_grid(dims, n, 2 * np.pi)
+    stepper = _Stepper(grid, EvolutionConfig(dt=1e-6, t_end=1e-6, coeffs=q.MEParams(D1=0.1, b1=0.05, b6=0.02)))
+    assert (stepper.ws is not None) == kept
 
 
 #: Transform calls of one IF-RK4 step of the 1D three-parameter engine.  Per

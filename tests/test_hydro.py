@@ -125,6 +125,25 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             hydro_decompose(grid, None)
 
+    @pytest.mark.parametrize("source", ["psi", "spectrum"])
+    def test_standalone_decompositions_share_no_array(self, source):
+        """Without a workspace every call allocates its own arrays: two
+        views of one state, and their composites, share no memory (``psi``
+        given is the caller's array and is left out)."""
+        grid = q.make_grid(1, 128, 2 * np.pi)
+        psi = perturbed_plane_wave(grid, seed=2)
+        given, psi_hat = (psi, None) if source == "psi" else (None, _forward(grid, psi, False))
+
+        def arrays(hv):
+            fields = [getattr(hv, f.name) for f in dataclasses.fields(hv) if f.name != "psi" or source != "psi"]
+            fields += list(vars(hv.fourth_order()).values())
+            flat = [a for x in fields for a in (x if isinstance(x, list) else [x])]
+            return [a for a in flat if isinstance(a, np.ndarray)]
+
+        first, second = (arrays(hydro_decompose(grid, given, psi_hat=psi_hat)) for _ in range(2))
+        assert len(first) == len(second) >= 12
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+
 
 RATIO_FIELDS = ("grad_s", "grad_log_rho", "lap_s", "lap_rho_over_rho")
 
